@@ -43,8 +43,6 @@ from .algebra import (
     noisy_channel,
     noisy_state,
     vec,
-    vec_add,
-    vec_scale,
 )
 from .derivation import (
     COHERENT_SD,
@@ -67,7 +65,6 @@ from .entropy import (
     QuantumChannel,
     TripartitePureState,
     channel_state,
-    entropy,
     evaluate,
     evaluate_raw,
     maximally_entangled,

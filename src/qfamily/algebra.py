@@ -399,20 +399,9 @@ class ResourceVector:
         return grammar.format_vector(self)
 
 
-EMPTY_VECTOR = ResourceVector()
-
-
 def vec(coeff: CoeffLike, kind: ResourceKind) -> ResourceVector:
     """Single-term vector, e.g. vec(2, CBIT) for 2 [c->c]."""
     return ResourceVector(((kind, as_expr(coeff)),))
-
-
-def vec_add(a: ResourceVector, b: ResourceVector) -> ResourceVector:
-    return a + b
-
-
-def vec_scale(a: ResourceVector, k: CoeffLike) -> ResourceVector:
-    return a.scale(k)
 
 
 # ---------------------------------------------------------------------------

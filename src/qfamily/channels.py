@@ -115,7 +115,7 @@ class RegisteredState:
 
     kind = "state"
 
-    def tripartite(self, phi=None) -> TripartitePureState:
+    def tripartite(self) -> TripartitePureState:
         return purify(self.rho, self.split)
 
 
@@ -126,8 +126,8 @@ class RegisteredChannel:
 
     kind = "channel"
 
-    def tripartite(self, phi=None) -> TripartitePureState:
-        return channel_state(self.channel, phi)
+    def tripartite(self) -> TripartitePureState:
+        return channel_state(self.channel)
 
 
 RegisteredObject = RegisteredState | RegisteredChannel
@@ -264,10 +264,9 @@ def _side_entries(side: ResourceVector, obj: RegisteredObject,
     return tuple(entries)
 
 
-def rate_table(ri: ResourceInequality, obj: RegisteredObject,
-               phi: np.ndarray | None = None) -> RateTable:
+def rate_table(ri: ResourceInequality, obj: RegisteredObject) -> RateTable:
     """Numeric instantiation of an inequality on a registered object."""
-    psi = obj.tripartite(phi)
+    psi = obj.tripartite()
     return RateTable(
         ri_name=ri.name,
         mode=ri.mode.value,

@@ -16,12 +16,23 @@ import sys
 from fractions import Fraction
 
 from . import channels, circuits, grammar
-from .algebra import dual
-from .derivation import FAMILY_ORDER, derive_family, render_trace
+from .algebra import CBIT, I_AE, dual, vec
+from .derivation import FAMILY_ORDER, derive_family, render_trace, waste
 from .entropy import ValidationError, random_tripartite_state, evaluate_raw
 from .rng import SplitMix64
 
 IDENTITY_TOLERANCE = 1e-9
+
+# Duality claims (a, b, wasted) printed by `family`: the dual of b, with
+# `wasted` (if any) added to its inputs, states a.  A claim is printed only
+# when it holds.
+DUALITY_CLAIMS = (
+    ("mother", "father", None),
+    ("eq3", "eq4", None),
+    ("sd", "sd", None),
+    ("tp", "qe", vec(2, CBIT)),
+    ("eq2", "eq5", vec(I_AE, CBIT)),
+)
 
 
 class CliError(Exception):
@@ -36,8 +47,25 @@ def _load_objects(args) -> dict:
     return objects
 
 
-def _family_and_derivations():
-    return derive_family()
+def _positive_trials(args) -> int:
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
+    return args.trials
+
+
+def _holding_dualities(full) -> list[str]:
+    held = []
+    for a, b, wasted in DUALITY_CLAIMS:
+        other = full[b] if wasted is None else waste(full[b], wasted)
+        if not dual(other).same_statement(full[a]):
+            continue
+        if a == b:
+            held.append(f"{a} self-dual")
+        elif wasted is None:
+            held.append(f"{a} <-> {b}")
+        else:
+            held.append(f"{a} <-> {b} after wasting {grammar.format_vector(wasted)}")
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +74,7 @@ def _family_and_derivations():
 
 
 def cmd_family(args) -> int:
-    full = _family_and_derivations()
+    full = derive_family()
     if args.json:
         payload = {name: grammar.ri_to_json(full[name]) for name in FAMILY_ORDER}
         print(json.dumps(payload, indent=2))
@@ -59,15 +87,14 @@ def cmd_family(args) -> int:
         ri = full[name]
         print(f"  {name:8s} {grammar.format_ri(ri)}")
         print(render_trace(ri, indent="           | "))
-    print(
-        "duality: mother <-> father; eq3 <-> eq4; sd self-dual; "
-        "tp <-> qe after wasting 2 [c->c]; eq2 <-> eq5 after wasting I(A:E) [c->c]"
-    )
+    held = _holding_dualities(full)
+    if held:
+        print("duality: " + "; ".join(held))
     return 0
 
 
 def cmd_derive(args) -> int:
-    full = _family_and_derivations()
+    full = derive_family()
     if args.target not in full:
         raise CliError(f"unknown derivation target {args.target!r}; known: {', '.join(sorted(full))}")
     ri = full[args.target]
@@ -99,7 +126,7 @@ def _pick_object(args, objects):
 
 
 def cmd_rates(args) -> int:
-    full = _family_and_derivations()
+    full = derive_family()
     if args.ri not in full:
         raise CliError(f"unknown inequality {args.ri!r}; known: {', '.join(sorted(full))}")
     obj = _pick_object(args, _load_objects(args))
@@ -142,16 +169,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_circuits(args) -> int:
-    report = circuits.verify_all(trials=args.trials, seed=args.seed)
+    report = circuits.verify_all(trials=_positive_trials(args), seed=args.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["pass"] else 1
 
 
 def cmd_check_identities(args) -> int:
+    trials = _positive_trials(args)
     rng = SplitMix64(args.seed)
     worst_sum = 0.0
     worst_diff = 0.0
-    for _ in range(args.trials):
+    for _ in range(trials):
         d_a = rng.randint(2, 4)
         d_b = rng.randint(2, 4)
         psi = random_tripartite_state(rng, d_a, d_b)
@@ -173,7 +201,7 @@ def cmd_dual(args) -> int:
     if bool(args.ri) == bool(args.text):
         raise CliError("exactly one of --ri or --text is required")
     if args.ri:
-        full = _family_and_derivations()
+        full = derive_family()
         if args.ri not in full:
             raise CliError(f"unknown inequality {args.ri!r}")
         ri = full[args.ri]

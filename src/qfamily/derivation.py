@@ -9,11 +9,12 @@ The five registered primitives are
     qe:      [q->q]                      >=! [qq]
 
 and every child is produced by a short script of rewrites: sequential
-composition (append/prepend a tool protocol at some rate), catalytic
-cancellation of equal terms on both sides (licensed only asymptotically),
-wasting (adding unused inputs), and the two coherentification rules that
-trade classical bits for half a qubit channel plus or minus half an ebit.
-Each operation records a replayable trace step.
+composition (append/prepend a tool protocol at some rate, both through the
+one primitive `_compose`), catalytic cancellation of equal terms on both
+sides (licensed only asymptotically), wasting (adding unused inputs), and
+the two coherentification rules, held as data in the one table `RULES` built
+from a cobit's worth `COBIT_WORTH`.  Each operation records a replayable
+trace step.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from .algebra import (
     COBIT,
     ResourceInequality,
     ResourceKind,
+    ResourceTag,
     ResourceVector,
     as_expr,
     vec,
-    vec_scale,
 )
 
 
@@ -94,12 +95,7 @@ def _add(side: dict[ResourceKind, EntropicExpr], kind: ResourceKind, coeff: Entr
 
 def _build(name: str, lhs: dict, rhs: dict, mode: Mode) -> ResourceInequality:
     try:
-        return ResourceInequality(
-            name=name,
-            lhs=ResourceVector.of(lhs),
-            rhs=ResourceVector.of(rhs),
-            mode=mode,
-        )
+        return ResourceInequality(name, ResourceVector.of(lhs), ResourceVector.of(rhs), mode)
     except AlgebraError as exc:
         raise DerivationError(str(exc)) from exc
 
@@ -125,63 +121,59 @@ def _match_into(target: dict, other: dict, kind: ResourceKind, amount: EntropicE
         target[kind] = remainder
 
 
-def _composed_mode(a: ResourceInequality, b: ResourceInequality) -> Mode:
-    if a.mode is Mode.EXACT and b.mode is Mode.EXACT:
-        return Mode.EXACT
-    return Mode.ASYMPTOTIC
+# Step kind of each composition -> the verb that names its result.  The
+# names are part of the JSON wire format.
+_COMPOSITIONS = {
+    StepKind.APPEND: "append",
+    StepKind.APPLY_QE_FRACTION: "append",
+    StepKind.PREPEND: "prepend",
+}
+
+
+def _compose(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike,
+             step_kind: StepKind) -> ResourceInequality:
+    """Compose `tool`, scaled by k, with `base`: after it for APPEND and
+    APPLY_QE_FRACTION, before it for PREPEND.
+
+    The side of the tool that meets the base (its inputs when appended, its
+    outputs when prepended) is matched kind by kind against the facing side
+    of the base; whatever the facing side cannot cover moves to the base's
+    other side.  The tool's far side joins the facing side.  A matched term
+    keeps its formal remainder (e.g. consuming 1/2*I(A:E) of a 1/2*I(A:B)
+    output leaves Ic(A>B)).
+    """
+    k = as_expr(k)
+    if k.is_zero:
+        return base
+    _check_multiplier(k)
+    try:
+        need, supply = tool.lhs.scale(k), tool.rhs.scale(k)
+    except AlgebraError as exc:
+        raise DerivationError(str(exc)) from exc
+    lhs, rhs = base.lhs.as_dict(), base.rhs.as_dict()
+    verb = _COMPOSITIONS[step_kind]
+    meets, far, facing, other = ((supply, need, lhs, rhs) if verb == "prepend"
+                                 else (need, supply, rhs, lhs))
+    for kind, amount in meets.terms:
+        _match_into(facing, other, kind, amount)
+    for kind, amount in far.terms:
+        _add(facing, kind, amount)
+    mode = Mode.EXACT if base.mode is Mode.EXACT and tool.mode is Mode.EXACT else Mode.ASYMPTOTIC
+    result = _build(f"{verb}({base.name},{tool.name})", lhs, rhs, mode)
+    return _with_step(base, result, step_kind, tool.name, k)
 
 
 def append(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike,
            step_kind: StepKind = StepKind.APPEND) -> ResourceInequality:
-    """Run `tool` (scaled by k) on the outputs of `base`.
-
-    Tool inputs are matched against base outputs kind by kind; whatever the
-    outputs cannot cover is added to the composite's input side.  A matched
-    output keeps its formal remainder (e.g. consuming 1/2*I(A:E) of a
-    1/2*I(A:B) output leaves Ic(A>B)).
-    """
-    k = as_expr(k)
-    if k.is_zero:
-        return base
-    _check_multiplier(k)
-    try:
-        need = vec_scale(tool.lhs, k)
-        supply = vec_scale(tool.rhs, k)
-    except AlgebraError as exc:
-        raise DerivationError(str(exc)) from exc
-    lhs = base.lhs.as_dict()
-    rhs = base.rhs.as_dict()
-    for kind, amount in need.terms:
-        _match_into(rhs, lhs, kind, amount)
-    for kind, amount in supply.terms:
-        _add(rhs, kind, amount)
-    result = _build(f"append({base.name},{tool.name})", lhs, rhs, _composed_mode(base, tool))
-    return _with_step(base, result, step_kind, tool.name, k)
+    """Run `tool` (scaled by k) on the outputs of `base`; tool inputs the
+    outputs cannot cover become inputs of the composite."""
+    return _compose(base, tool, k, step_kind)
 
 
 def prepend(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike) -> ResourceInequality:
-    """Run `tool` (scaled by k) first, feeding its outputs into `base`.
-
-    Mirror of append: tool outputs are matched against base inputs; tool
-    outputs the base does not consume become outputs of the composite.
-    """
-    k = as_expr(k)
-    if k.is_zero:
-        return base
-    _check_multiplier(k)
-    try:
-        need = vec_scale(tool.lhs, k)
-        supply = vec_scale(tool.rhs, k)
-    except AlgebraError as exc:
-        raise DerivationError(str(exc)) from exc
-    lhs = base.lhs.as_dict()
-    rhs = base.rhs.as_dict()
-    for kind, amount in supply.terms:
-        _match_into(lhs, rhs, kind, amount)
-    for kind, amount in need.terms:
-        _add(lhs, kind, amount)
-    result = _build(f"prepend({base.name},{tool.name})", lhs, rhs, _composed_mode(base, tool))
-    return _with_step(base, result, StepKind.PREPEND, tool.name, k)
+    """Run `tool` (scaled by k) first, feeding its outputs into `base`; tool
+    outputs the base does not consume become outputs of the composite."""
+    return _compose(base, tool, k, StepKind.PREPEND)
 
 
 def cancel(ri: ResourceInequality, kind: ResourceKind, amount: CoeffLike) -> ResourceInequality:
@@ -196,8 +188,7 @@ def cancel(ri: ResourceInequality, kind: ResourceKind, amount: CoeffLike) -> Res
     if ri.mode is Mode.EXACT:
         raise DerivationError("catalysis requires asymptotic mode")
     _check_multiplier(amount)
-    lhs = ri.lhs.as_dict()
-    rhs = ri.rhs.as_dict()
+    lhs, rhs = ri.lhs.as_dict(), ri.rhs.as_dict()
     for side_name, side in (("left", lhs), ("right", rhs)):
         if kind not in side:
             raise DerivationError(f"cannot cancel {kind.token}: absent from {side_name} side")
@@ -221,66 +212,73 @@ def waste(ri: ResourceInequality, vector: ResourceVector) -> ResourceInequality:
     for kind, coeff in vector.terms:
         if coeff.is_definitely_negative():
             raise DerivationError(f"waste vector has negative {kind.token} coefficient")
-    lhs = ri.lhs.as_dict()
-    for kind, coeff in vector.terms:
-        _add(lhs, kind, coeff)
-    result = _build(f"waste({ri.name})", lhs, ri.rhs.as_dict(), ri.mode)
+    result = _build(f"waste({ri.name})", (ri.lhs + vector).as_dict(), ri.rhs.as_dict(), ri.mode)
     return _with_step(ri, result, StepKind.WASTE, grammar.format_vector(vector), EntropicExpr.constant(1))
 
 
-def apply_rule_I(ri: ResourceInequality) -> ResourceInequality:
-    """Coherentify input classical bits: c [c->c] on the left becomes
-    c/2 [q->q] on the left plus c/2 [qq] on the right.
+# A cobit [q->qq] is worth half a qubit channel plus half an ebit, by the
+# catalytic equivalence 2 [q->qq] == [q->q] + [qq].
+COBIT_WORTH = vec(HALF, QUBIT_CHANNEL) + vec(HALF, EBIT)
+_SPENT_CBIT = vec(-1, CBIT)
 
-    Requires the rule_I_ok certification (uniform message, decoupled at the
-    end); the generated entanglement is what re-homes the formal -c/2 [qq]
-    input.  An inequality with no classical input passes through unchanged.
-    """
-    if not ri.flags.rule_I_ok:
-        raise DerivationError("protocol not certified uniform+decoupled (rule I)")
-    c = ri.lhs.coeff(CBIT)
+
+@dataclass(frozen=True)
+class _Rule:
+    """A coherentification rule as data: per unit of [c->c] it replaces, the
+    vectors added to the left and right sides.  Rule I makes an input bit a
+    cobit and re-homes the cobit's ebit half as an output; rule O makes an
+    output bit a cobit."""
+
+    name: str       # prefix of the result's name (JSON wire format) and of its flag
+    certified: str  # the condition the rule's RuleFlags field certifies
+    lhs: ResourceVector
+    rhs: ResourceVector
+
+
+RULES = {
+    StepKind.RULE_I: _Rule(
+        "rule_I", "uniform+decoupled",
+        COBIT_WORTH.restricted([ResourceTag.QUBIT_CHANNEL]) + _SPENT_CBIT,
+        COBIT_WORTH.restricted([ResourceTag.EBIT]),
+    ),
+    StepKind.RULE_O: _Rule("rule_O", "decoupled", ResourceVector(), COBIT_WORTH + _SPENT_CBIT),
+}
+
+
+def _apply_rule(ri: ResourceInequality, step_kind: StepKind) -> ResourceInequality:
+    rule = RULES[step_kind]
+    if not getattr(ri.flags, f"{rule.name}_ok"):
+        raise DerivationError(f"protocol not certified {rule.certified} ({rule.name.replace('_', ' ')})")
+    c = (ri.rhs if rule.lhs.coeff(CBIT).is_zero else ri.lhs).coeff(CBIT)
     if c.is_zero:
         return ri
-    lhs = ri.lhs.as_dict()
-    rhs = ri.rhs.as_dict()
-    del lhs[CBIT]
-    _add(lhs, QUBIT_CHANNEL, c * HALF)
-    _add(rhs, EBIT, c * HALF)
-    result = _build(f"rule_I({ri.name})", lhs, rhs, Mode.ASYMPTOTIC)
-    return _with_step(ri, result, StepKind.RULE_I, "", c)
+    lhs, rhs = ri.lhs + rule.lhs.scale(c), ri.rhs + rule.rhs.scale(c)
+    result = ResourceInequality(f"{rule.name}({ri.name})", lhs, rhs, Mode.ASYMPTOTIC)
+    return _with_step(ri, result, step_kind, "", c)
+
+
+def apply_rule_I(ri: ResourceInequality) -> ResourceInequality:
+    """Coherentify input classical bits by the RULES entry for rule I.
+
+    Requires the rule_I_ok certification (uniform message, decoupled at the
+    end).  An inequality with no classical input passes through unchanged.
+    """
+    return _apply_rule(ri, StepKind.RULE_I)
 
 
 def apply_rule_O(ri: ResourceInequality) -> ResourceInequality:
-    """Coherentify output classical bits: c [c->c] on the right becomes
-    c/2 [q->q] + c/2 [qq] on the right.
+    """Coherentify output classical bits by the RULES entry for rule O.
 
     Requires the rule_O_ok certification (message decoupled from the
     remaining quantum system, hence private).  No classical output: no-op.
     """
-    if not ri.flags.rule_O_ok:
-        raise DerivationError("protocol not certified decoupled (rule O)")
-    c = ri.rhs.coeff(CBIT)
-    if c.is_zero:
-        return ri
-    rhs = ri.rhs.as_dict()
-    del rhs[CBIT]
-    _add(rhs, QUBIT_CHANNEL, c * HALF)
-    _add(rhs, EBIT, c * HALF)
-    result = _build(f"rule_O({ri.name})", ri.lhs.as_dict(), rhs, Mode.ASYMPTOTIC)
-    return _with_step(ri, result, StepKind.RULE_O, "", c)
+    return _apply_rule(ri, StepKind.RULE_O)
 
 
 def expand_cobits(vector: ResourceVector) -> ResourceVector:
-    """Replace c [q->qq] by c/2 [q->q] + c/2 [qq] (the cobit's asymptotic
-    worth, established by the catalytic equivalence 2 [q->qq] == [q->q]+[qq])."""
+    """Replace c [q->qq] by c times COBIT_WORTH."""
     c = vector.coeff(COBIT)
-    if c.is_zero:
-        return vector
-    terms = vector.as_dict()
-    del terms[COBIT]
-    _add(terms, QUBIT_CHANNEL, c * HALF)
-    _add(terms, EBIT, c * HALF)
-    return ResourceVector.of(terms)
+    return vector + (COBIT_WORTH + vec(-1, COBIT)).scale(c)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +361,8 @@ def derive_family(registry: dict[str, ResourceInequality] | None = None) -> dict
     eq3 = append(mother, sd, I_AB * HALF).with_name("eq3").with_flags(rule_O_ok=True)
     eq4 = append(father, sd, I_AB * HALF).with_name("eq4").with_flags(rule_O_ok=True)
 
-    eq5 = cancel(
-        append(father, qe, I_AE * HALF, step_kind=StepKind.APPLY_QE_FRACTION),
-        EBIT,
-        I_AE * HALF,
-    ).with_name("eq5")
+    eq5 = append(father, qe, I_AE * HALF, step_kind=StepKind.APPLY_QE_FRACTION)
+    eq5 = cancel(eq5, EBIT, I_AE * HALF).with_name("eq5")
 
     eq1_via_eq2 = append(eq2, tp, I_COH).with_name("eq1_via_eq2")
     mother_via_rule_I = apply_rule_I(eq2).with_name("mother_via_rule_I")
@@ -399,21 +394,15 @@ def family_table(registry: dict[str, ResourceInequality] | None = None) -> dict[
 
 def _execute_step(step: DerivationStep, registry: dict[str, ResourceInequality]) -> ResourceInequality:
     base = step.before
-    if step.kind in (StepKind.APPEND, StepKind.APPLY_QE_FRACTION):
+    if step.kind in _COMPOSITIONS:
         if step.tool not in registry:
             raise DerivationError(f"trace references unknown tool {step.tool!r}")
-        return append(base, registry[step.tool], step.multiplier, step_kind=step.kind)
-    if step.kind is StepKind.PREPEND:
-        if step.tool not in registry:
-            raise DerivationError(f"trace references unknown tool {step.tool!r}")
-        return prepend(base, registry[step.tool], step.multiplier)
+        return _compose(base, registry[step.tool], step.multiplier, step.kind)
+    if step.kind in RULES:
+        return _apply_rule(base, step.kind)
     if step.kind is StepKind.CANCEL:
         kind = grammar.parse_vector(step.tool).kinds()[0]
         return cancel(base, kind, step.multiplier)
-    if step.kind is StepKind.RULE_I:
-        return apply_rule_I(base)
-    if step.kind is StepKind.RULE_O:
-        return apply_rule_O(base)
     if step.kind is StepKind.WASTE:
         return waste(base, grammar.parse_vector(step.tool))
     raise DerivationError(f"unknown step kind {step.kind}")
@@ -447,48 +436,27 @@ def step_flow_discrepancy(step: DerivationStep,
     with coefficients mapped to floats by `value_fn`.
 
     Every rewrite obeys (lhs_after - lhs_before) + (rhs_before - rhs_after)
-    = net resources injected by the step (tool inputs minus tool outputs for
-    compositions, the classical-bit substitution for the rules, the wasted
-    vector for WASTE, zero for CANCEL), independently of how matching was
-    resolved.
+    = k * (L - R), the net resources the step injects: L and R are the tool's
+    inputs and outputs for compositions, the rule's table entries for the
+    rules, the wasted vector and nothing for WASTE (k = 1), and nothing for
+    CANCEL.  This holds independently of how matching was resolved.
     """
-    kinds = set()
+    injected_lhs = injected_rhs = ResourceVector()
+    if step.kind in _COMPOSITIONS:
+        injected_lhs, injected_rhs = registry[step.tool].lhs, registry[step.tool].rhs
+    elif step.kind in RULES:
+        injected_lhs, injected_rhs = RULES[step.kind].lhs, RULES[step.kind].rhs
+    elif step.kind is StepKind.WASTE:
+        injected_lhs = grammar.parse_vector(step.tool)
+    k = value_fn(step.multiplier)
     sides = (step.before.lhs, step.before.rhs, step.after.lhs, step.after.rhs)
-    for side in sides:
-        kinds.update(side.kinds())
-
-    def injected(kind: ResourceKind) -> float:
-        k = value_fn(step.multiplier)
-        if step.kind in (StepKind.APPEND, StepKind.PREPEND, StepKind.APPLY_QE_FRACTION):
-            tool = registry[step.tool]
-            return k * (value_fn(tool.lhs.coeff(kind)) - value_fn(tool.rhs.coeff(kind)))
-        if step.kind is StepKind.CANCEL:
-            return 0.0
-        if step.kind is StepKind.RULE_I:
-            if kind == CBIT:
-                return -k
-            if kind == QUBIT_CHANNEL:
-                return k / 2
-            if kind == EBIT:
-                return -k / 2
-            return 0.0
-        if step.kind is StepKind.RULE_O:
-            if kind == CBIT:
-                return k
-            if kind == QUBIT_CHANNEL:
-                return -k / 2
-            if kind == EBIT:
-                return -k / 2
-            return 0.0
-        if step.kind is StepKind.WASTE:
-            return value_fn(grammar.parse_vector(step.tool).coeff(kind))
-        raise DerivationError(f"unknown step kind {step.kind}")
-
+    kinds = {kind for side in sides for kind in side.kinds()}
     worst = 0.0
     for kind in kinds:
         lhs_delta = value_fn(step.after.lhs.coeff(kind)) - value_fn(step.before.lhs.coeff(kind))
         rhs_delta = value_fn(step.before.rhs.coeff(kind)) - value_fn(step.after.rhs.coeff(kind))
-        worst = max(worst, abs(lhs_delta + rhs_delta - injected(kind)))
+        injected = k * (value_fn(injected_lhs.coeff(kind)) - value_fn(injected_rhs.coeff(kind)))
+        worst = max(worst, abs(lhs_delta + rhs_delta - injected))
     return worst
 
 
@@ -523,7 +491,7 @@ def render_trace(ri: ResourceInequality, indent: str = "  ") -> str:
         return f"{indent}(primitive)"
     lines = [f"{indent}start: {grammar.format_ri(ri.trace[0].before)}"]
     for step in ri.trace:
-        if step.kind in (StepKind.APPEND, StepKind.PREPEND, StepKind.APPLY_QE_FRACTION):
+        if step.kind in _COMPOSITIONS:
             what = f"{step.kind.value.lower()} {step.tool} x {grammar.format_expr(step.multiplier)}"
         elif step.kind is StepKind.CANCEL:
             what = f"cancel {grammar.format_expr(step.multiplier)} {step.tool} on both sides"

@@ -38,6 +38,8 @@ class DensityOp:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density operator must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValidationError("density operator has NaN or infinite entries")
         herm = np.max(np.abs(m - m.conj().T))
         if herm > HERMITIAN_TOL:
             raise ValidationError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e} > {HERMITIAN_TOL}")
@@ -70,6 +72,8 @@ class TripartitePureState:
             raise ValidationError(
                 f"amplitude length {amps.size} does not match dims {self.dims}"
             )
+        if not np.isfinite(amps).all():
+            raise ValidationError("amplitude vector has NaN or infinite entries")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"norm {norm!r} differs from 1 by more than {NORM_TOL}")
@@ -94,6 +98,8 @@ class QuantumChannel:
         for k in ops:
             if k.shape != (d_out, d_in):
                 raise ValidationError("all Kraus operators must share one shape")
+            if not np.isfinite(k).all():
+                raise ValidationError("Kraus operator has NaN or infinite entries")
         total = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(total - np.eye(d_in)))
         if dev > HERMITIAN_TOL:

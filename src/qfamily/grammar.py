@@ -232,7 +232,10 @@ class _Parser:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
-            value = Fraction(token.text)
+            try:
+                value = Fraction(token.text)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {token.text!r}", token.position) from None
             if self.current.kind == "STAR":
                 self.advance()
                 symbol = self.expect("SYMBOL")

@@ -29,8 +29,6 @@ from qfamily.algebra import (
     dual,
     noisy_state,
     vec,
-    vec_add,
-    vec_scale,
 )
 from qfamily.derivation import standard_registry
 
@@ -107,34 +105,34 @@ def test_nonlinear_product_rejected():
 
 
 def test_vec_add_merges_and_drops_zeros():
-    assert vec_add(vec(1, EBIT), vec(1, EBIT)) == vec(2, EBIT)
-    assert vec_add(vec(1, EBIT), vec(-1, EBIT)).is_empty
+    assert vec(1, EBIT) + vec(1, EBIT) == vec(2, EBIT)
+    assert (vec(1, EBIT) + vec(-1, EBIT)).is_empty
 
 
 def test_vec_add_canonicalizes_entropic_sum():
-    total = vec_add(vec(I_AE * HALF, QUBIT_CHANNEL), vec(I_AB * HALF, QUBIT_CHANNEL))
+    total = vec(I_AE * HALF, QUBIT_CHANNEL) + vec(I_AB * HALF, QUBIT_CHANNEL)
     assert total == vec(H_A, QUBIT_CHANNEL)
 
 
 def test_scaling_teleportation_inputs():
     tp = standard_registry()["tp"]
-    scaled = vec_scale(tp.lhs, I_AB * HALF)
+    scaled = tp.lhs.scale(I_AB * HALF)
     assert scaled.coeff(CBIT) == I_AB
     assert scaled.coeff(EBIT) == I_AB * HALF
 
 
 def test_scale_by_zero_empties():
-    assert vec_scale(vec(3, CBIT) + vec(H_A, EBIT), 0).is_empty
+    assert (vec(3, CBIT) + vec(H_A, EBIT)).scale(0).is_empty
 
 
 def test_scale_ebit_by_coherent_information():
-    assert vec_scale(vec(1, EBIT), I_COH) == vec(H_B - H_E, EBIT)
+    assert vec(1, EBIT).scale(I_COH) == vec(H_B - H_E, EBIT)
 
 
 def test_noisy_copies_cannot_scale_entropically():
     with pytest.raises(AlgebraError):
-        vec_scale(vec(1, NOISY_STATE), H_A)
-    assert vec_scale(vec(2, NOISY_STATE), 2) == vec(4, NOISY_STATE)
+        vec(1, NOISY_STATE).scale(H_A)
+    assert vec(2, NOISY_STATE).scale(2) == vec(4, NOISY_STATE)
 
 
 def test_noisy_coefficients_must_be_whole_nonnegative():
@@ -204,14 +202,14 @@ noiseless_vectors = st.builds(
 @settings(derandomize=True, max_examples=60)
 @given(noiseless_vectors, rationals, rationals)
 def test_noiseless_vectors_form_a_module_over_constants(v, r, s):
-    assert vec_scale(vec_scale(v, r), s) == vec_scale(v, r * s)
-    assert vec_scale(v, r) + vec_scale(v, s) == vec_scale(v, r + s)
+    assert v.scale(r).scale(s) == v.scale(r * s)
+    assert v.scale(r) + v.scale(s) == v.scale(r + s)
 
 
 @settings(derandomize=True, max_examples=60)
 @given(vectors, st.integers(min_value=0, max_value=4))
 def test_whole_copy_scaling_keeps_noisy_counts_integral(v, n):
-    scaled = vec_scale(v, n)
+    scaled = v.scale(n)
     for kind, coeff in scaled.terms:
         if kind.is_noisy:
             assert coeff.as_constant().denominator == 1

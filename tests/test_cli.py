@@ -158,3 +158,27 @@ def test_registry_env_var(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "rates", "--ri", "mother", "--state", "env_bell")
     assert code == 0
     assert "env_bell" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("dual", "--text", "1/0 [qq] >= [qq]"),
+    ("check-identities", "--trials", "0"),
+    ("check-identities", "--trials", "-5"),
+    ("verify-circuits", "--trials", "-3"),
+])
+def test_boundary_errors_exit_2_with_an_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_family_prints_only_duality_claims_that_hold(capsys, monkeypatch):
+    _, out, _ = run_cli(capsys, "family")
+    line = out.splitlines()[-1]
+    false_claims = (("tp", "sd", None), ("eq1", "eq5", None))
+    monkeypatch.setattr(cli, "DUALITY_CLAIMS", cli.DUALITY_CLAIMS + false_claims)
+    _, out_with_false, _ = run_cli(capsys, "family")
+    assert out_with_false == out
+    assert line.startswith("duality: mother <-> father; ")
+    assert "tp <-> sd" not in line and "eq1 <-> eq5" not in line

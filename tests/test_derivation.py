@@ -1,13 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfamily.algebra import (
     CBIT,
+    COBIT,
     EBIT,
     Gen,
     HALF,
     H_A,
+    H_B,
+    H_E,
     I_AB,
     I_AE,
     I_COH,
@@ -33,9 +37,12 @@ from qfamily.derivation import (
     prepend,
     replay,
     standard_registry,
+    step_flow_discrepancy,
     waste,
 )
+from qfamily.entropy import evaluate, random_tripartite_state
 from qfamily.grammar import parse_ri
+from qfamily.rng import SplitMix64
 
 
 @pytest.fixture(scope="module")
@@ -264,3 +271,57 @@ def test_noisy_handles_must_match_for_composition():
     assert composed.lhs.coeff(noisy_state("alpha")).as_constant() == 1
     assert composed.lhs.coeff(EBIT).as_constant() == 1
     assert composed.rhs.coeff(noisy_state("beta")).as_constant() == 1
+
+
+# -- random rewrite scripts --------------------------------------------------
+
+REGISTRY = standard_registry()
+STARTS = derive_family()
+MULTIPLIERS = st.one_of(
+    st.fractions(min_value=0, max_value=3, max_denominator=4),
+    st.sampled_from([I_AB * HALF, I_AE * HALF, I_AE, I_COH, H_A]),
+)
+SCRIPT_STEPS = st.one_of(
+    st.tuples(st.just("append"), st.sampled_from(sorted(REGISTRY)), MULTIPLIERS),
+    st.tuples(st.just("prepend"), st.sampled_from(sorted(REGISTRY)), MULTIPLIERS),
+    st.tuples(st.just("cancel"), st.integers(0, 5), st.sampled_from([1, HALF, Fraction(1, 3)])),
+    st.tuples(st.just("waste"), st.sampled_from([CBIT, QUBIT_CHANNEL, EBIT, COBIT]), MULTIPLIERS),
+    st.tuples(st.just("rule_I"), st.none(), st.none()),
+    st.tuples(st.just("rule_O"), st.none(), st.none()),
+)
+
+
+def _run_step(ri, step):
+    op, what, k = step
+    if op == "append":
+        return append(ri, REGISTRY[what], k)
+    if op == "prepend":
+        return prepend(ri, REGISTRY[what], k)
+    if op == "cancel":
+        shared = [kind for kind in ri.lhs.kinds() if kind in ri.rhs.kinds()] or [CBIT]
+        kind = shared[what % len(shared)]
+        return cancel(ri, kind, ri.lhs.coeff(kind) * k)
+    if op == "waste":
+        return waste(ri, vec(k, what))
+    if op == "rule_I":
+        return apply_rule_I(ri.with_flags(rule_I_ok=True))
+    return apply_rule_O(ri.with_flags(rule_O_ok=True))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(STARTS)), st.lists(SCRIPT_STEPS, max_size=6), st.integers(0, 2**32))
+def test_random_rewrite_scripts_replay_and_balance(start, script, seed):
+    ri = STARTS[start]
+    for step in script:
+        try:
+            ri = _run_step(ri, step)
+        except DerivationError:
+            continue
+    if not ri.trace:
+        return
+    assert replay(ri.trace, REGISTRY).same_statement(ri)
+    rng = SplitMix64(seed)
+    psi = random_tripartite_state(rng, rng.randint(2, 3), rng.randint(2, 3))
+    entropies = tuple(evaluate(h, psi) for h in (H_A, H_B, H_E))
+    for step in ri.trace:
+        assert step_flow_discrepancy(step, REGISTRY, lambda e: e.value(*entropies)) <= 1e-9

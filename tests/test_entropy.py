@@ -65,6 +65,24 @@ def test_channel_trace_preservation_enforced():
         QuantumChannel((np.array([[1.0, 0.0], [0.0, 0.5]]),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("build", [
+    lambda x: DensityOp(np.full((2, 2), x)),
+    lambda x: DensityOp(np.array([[1.0, x], [x, 0.0]])),
+    lambda x: TripartitePureState((2, 1, 1), np.array([1.0, x])),
+    lambda x: QuantumChannel((np.array([[1.0, 0.0], [0.0, x]]),)),
+], ids=["density-all", "density-offdiagonal", "state", "channel"])
+def test_validators_reject_nan_and_inf(build, bad):
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        build(bad)
+
+
+def test_package_attribute_entropy_is_the_module():
+    import qfamily
+
+    assert qfamily.entropy.entropy(np.eye(2) / 2) == pytest.approx(1.0)
+
+
 # -- entropy -----------------------------------------------------------------
 
 
