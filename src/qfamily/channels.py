@@ -161,9 +161,13 @@ def builtin_objects() -> dict[str, RegisteredObject]:
 
 
 def _complex_array(pairs: Sequence, count: int, what: str) -> np.ndarray:
-    if len(pairs) != count:
-        raise ValidationError(f"{what}: expected {count} complex pairs, got {len(pairs)}")
-    return np.array([complex(re, im) for re, im in pairs])
+    try:
+        values = [complex(re, im) for re, im in pairs]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what}: data must be a list of [re, im] number pairs") from None
+    if len(values) != count:
+        raise ValidationError(f"{what}: expected {count} complex pairs, got {len(values)}")
+    return np.array(values)
 
 
 def load_registry(path) -> dict[str, RegisteredObject]:
@@ -172,24 +176,39 @@ def load_registry(path) -> dict[str, RegisteredObject]:
     [re, im] pairs — the full density matrix for states (dims [dA, dB]),
     concatenated Kraus operators for channels (dims [d_in, d_out, n_kraus]).
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read registry {path}: {exc.strerror}") from None
     entries = raw if isinstance(raw, list) else [raw]
     registry: dict[str, RegisteredObject] = {}
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"registry entry {entry!r} is not an object")
+        missing = [key for key in ("name", "kind", "dims", "data") if key not in entry]
+        if missing:
+            raise ValidationError(f"registry entry {entry.get('name')!r} lacks {', '.join(missing)}")
         name, kind, dims = entry["name"], entry["kind"], entry["dims"]
+        if not isinstance(name, str):
+            raise ValidationError(f"registry entry name {name!r} is not a string")
+        if kind not in ("state", "channel"):
+            raise ValidationError(f"entry {name!r} has unknown kind {kind!r}")
+        arity = 2 if kind == "state" else 3
+        if not (isinstance(dims, list) and len(dims) == arity
+                and all(type(d) is int and d > 0 for d in dims)):
+            raise ValidationError(f"entry {name!r}: dims must be {arity} positive integers, "
+                                  f"got {dims!r}")
         if kind == "state":
             d_a, d_b = dims
             dim = d_a * d_b
             data = _complex_array(entry["data"], dim * dim, name)
             registry[name] = RegisteredState(name, DensityOp(data.reshape(dim, dim)), (d_a, d_b))
-        elif kind == "channel":
+        else:
             d_in, d_out, n_kraus = dims
             data = _complex_array(entry["data"], d_in * d_out * n_kraus, name)
             kraus = tuple(data.reshape(n_kraus, d_out, d_in))
             registry[name] = RegisteredChannel(name, QuantumChannel(kraus))
-        else:
-            raise ValidationError(f"entry {name!r} has unknown kind {kind!r}")
     return registry
 
 
@@ -309,6 +328,8 @@ def sweep_csv(family: str, params: Sequence[float | Fraction],
               extra_exprs: Sequence[Mapping[str, object]] = ()) -> str:
     """CSV rendering with 12 significant digits, rows in grid order."""
     lines = [",".join((*SWEEP_HEADER, *extra_headers))]
-    for row in sweep(family, params, extra_exprs):
-        lines.append(",".join(f"{value:.12g}" for value in row))
+    for param, *values in sweep(family, params, extra_exprs):
+        # A computed |x| < 1e-12 is rounding noise: print it as 0, never as -0.
+        cells = (f"{v if abs(v) >= 1e-12 else 0.0:.12g}" for v in values)
+        lines.append(",".join((f"{param:.12g}", *cells)))
     return "\n".join(lines) + "\n"

@@ -3,18 +3,26 @@
 Teleportation, super-dense coding, entanglement distribution, the coherent
 bit channel, and the coherent versions of teleportation and super-dense
 coding are Clifford circuits on at most five qubits; every run keeps the
-global state pure (measurements enumerate branches instead of sampling)
-and books consumed/produced resources in an integer ledger that must match
-the corresponding exact resource inequality at coefficient one.
+global state pure (measurements enumerate branches instead of sampling).
 
 Party discipline: each qubit is owned by Alice or Bob, and gates may not
-span parties.  Cross-party effects happen only through the declared
-resources: sending a qubit (a channel use), a preshared ebit, or a cobit
-(the one licensed cross-party controlled-copy).
+span parties.  Each party holds a set of classical bits: its inputs, its own
+measurement outcomes and the bits sent to it.  A gate conditioned on a bit
+runs only if the acting party holds that bit.
+
+Ledgers: each run books its resources in an integer ledger that must match
+the protocol's exact resource inequality at coefficient one.  Only the
+booking primitives write it.  `share_ebit` (a preshared ebit), `send` (a
+qubit channel use), `cobit` (the one licensed cross-party controlled copy)
+and `communicate` (one classical bit channel use per bit) book what is
+consumed.  The checked claims `claim_qubit`, `claim_ebits`, `claim_cobits`
+and `claim_cbits` book what is produced, and only when the claimed state
+reaches the run's fidelity threshold.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,10 +31,10 @@ from enum import Enum
 import numpy as np
 
 from .algebra import (
+    CBIT,
     COBIT,
     EBIT,
     QUBIT_CHANNEL,
-    CBIT,
     ResourceInequality,
     ResourceKind,
 )
@@ -55,6 +63,10 @@ class LocalityError(ValueError):
     """A gate spanning parties outside the declared resources."""
 
 
+def _by_kind(counts) -> dict:
+    return {k.token: n for k, n in sorted(counts.items(), key=lambda kv: kv[0].sort_key())}
+
+
 @dataclass
 class Ledger:
     """Whole-protocol resource counts (noiseless kinds only)."""
@@ -76,38 +88,51 @@ class Ledger:
                 return False
         return True
 
+    def copy(self) -> "Ledger":
+        return Ledger(Counter(self.consumed), Counter(self.produced))
+
     def net(self) -> dict[ResourceKind, int]:
         kinds = set(self.consumed) | set(self.produced)
         return {k: self.produced[k] - self.consumed[k] for k in kinds}
 
     def as_json(self) -> dict:
-        return {
-            "consumed": {k.token: n for k, n in sorted(self.consumed.items(), key=lambda kv: kv[0].sort_key())},
-            "produced": {k.token: n for k, n in sorted(self.produced.items(), key=lambda kv: kv[0].sort_key())},
-        }
+        return {"consumed": _by_kind(self.consumed), "produced": _by_kind(self.produced)}
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(np.asarray(a).reshape(-1), np.asarray(b).reshape(-1))) ** 2)
 
 
-class Register:
-    """Pure state over owned qubits; qubit i is axis i of the amplitude tensor."""
+def _unit(amplitudes) -> np.ndarray:
+    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    return v / np.linalg.norm(v)
 
-    def __init__(self):
+
+class Register:
+    """Pure state over owned qubits; qubit i is axis i of the amplitude tensor.
+
+    `known[party]` maps the names of the classical bits that party holds to
+    their values.  A claim books its resource when its fidelity reaches
+    `threshold`.
+    """
+
+    def __init__(self, threshold: float = PROTOCOL_FIDELITY):
         self.amps = np.array([1.0 + 0.0j])
         self.owners: list[Party] = []
+        self.known: dict[Party, dict[str, int]] = {Party.ALICE: {}, Party.BOB: {}}
         self.ledger = Ledger()
+        self.threshold = threshold
 
     @property
     def n(self) -> int:
         return len(self.owners)
 
     def copy(self) -> "Register":
-        dup = Register()
+        dup = Register(self.threshold)
         dup.amps = self.amps.copy()
         dup.owners = list(self.owners)
-        dup.ledger = Ledger(Counter(self.ledger.consumed), Counter(self.ledger.produced))
+        dup.known = {party: dict(bits) for party, bits in self.known.items()}
+        dup.ledger = self.ledger.copy()
         return dup
 
     def _tensor(self) -> np.ndarray:
@@ -118,29 +143,35 @@ class Register:
         if abs(norm - 1.0) > NORM_TOL:
             raise AssertionError(f"norm drifted to {norm!r}")
 
-    # -- allocation and declared resources ----------------------------------
+    def _require_owner(self, qubit: int, party: Party):
+        if self.owners[qubit] is not party:
+            raise LocalityError(f"qubit {qubit} must be held by {party.name.title()}")
 
-    def add_qubit(self, owner: Party, amplitudes=(1.0, 0.0)) -> int:
-        q = np.asarray(amplitudes, dtype=complex)
-        q = q / np.linalg.norm(q)
-        self.amps = np.kron(self.amps, q)
-        self.owners.append(owner)
-        return self.n - 1
+    def _require_one_party(self, qubits: tuple[int, ...]):
+        parties = {self.owners[q] for q in qubits}
+        if len(parties) > 1:
+            raise LocalityError(
+                f"gate on qubits {qubits} spans parties; only declared resources cross the cut"
+            )
 
-    def add_pair(self, owner: Party, amplitudes) -> tuple[int, int]:
-        """Two fresh qubits of one party in a joint (possibly entangled) state."""
-        q = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        q = q / np.linalg.norm(q)
-        self.amps = np.kron(self.amps, q)
-        self.owners.extend([owner, owner])
-        return self.n - 2, self.n - 1
+    # -- allocation and the consuming primitives ------------------------------
+
+    def add_qubit(self, owner: Party, amplitudes=(1.0, 0.0)):
+        """Fresh qubits of one party in a joint state of 2^k amplitudes: the
+        new qubit's index, or a tuple of the k new indices."""
+        q = _unit(amplitudes)
+        k = q.size.bit_length() - 1
+        self.amps = np.outer(self.amps, q).reshape(-1)  # kron of vectors, ~6x cheaper
+        self.owners.extend([owner] * k)
+        new = tuple(range(self.n - k, self.n))
+        return new[0] if k == 1 else new
 
     def share_ebit(self) -> tuple[int, int]:
         """Preshared EPR pair: one half each.  Books one ebit consumed."""
-        self.amps = np.kron(self.amps, BELL)
-        self.owners.extend([Party.ALICE, Party.BOB])
+        a_half, b_half = self.add_qubit(Party.ALICE, BELL)
+        self.owners[b_half] = Party.BOB
         self.ledger.consume(EBIT)
-        return self.n - 2, self.n - 1
+        return a_half, b_half
 
     def send(self, qubit: int, to: Party):
         """Transfer a qubit through the noiseless channel (one use booked)."""
@@ -151,35 +182,39 @@ class Register:
 
     def cobit(self, source: int) -> int:
         """Controlled copy |x>^A -> |x>^A |x>^B onto a fresh Bob qubit."""
-        if self.owners[source] is not Party.ALICE:
-            raise LocalityError("cobit source must be held by Alice")
+        self._require_owner(source, Party.ALICE)
         target = self.add_qubit(Party.BOB)
         self._cnot_unchecked(source, target)
         self.ledger.consume(COBIT)
         return target
 
-    # -- local gates ---------------------------------------------------------
+    def communicate(self, bits, to: Party):
+        """Send classical bits the other party holds to `to`: one [c->c] each."""
+        sender = self.known[Party.BOB if to is Party.ALICE else Party.ALICE]
+        for bit in bits:
+            if bit not in sender:
+                raise LocalityError(f"bit {bit!r} is not held by the sender")
+            self.known[to][bit] = sender[bit]
+        self.ledger.consume(CBIT, len(bits))
 
-    def _require_one_party(self, qubits: tuple[int, ...]):
-        parties = {self.owners[q] for q in qubits}
-        if len(parties) > 1:
-            raise LocalityError(
-                f"gate on qubits {qubits} spans parties; only declared resources cross the cut"
-            )
+    # -- local gates ---------------------------------------------------------
 
     def apply_single(self, matrix: np.ndarray, qubit: int):
         t = np.tensordot(matrix, self._tensor(), axes=([1], [qubit]))
         self.amps = np.moveaxis(t, 0, qubit).reshape(-1)
         self._check_norm()
 
+    def apply_if(self, bit: str, matrix: np.ndarray, qubit: int):
+        """`matrix` on `qubit` if the classical `bit` is 1; the qubit's owner
+        must hold the bit."""
+        held = self.known[self.owners[qubit]]
+        if bit not in held:
+            raise LocalityError(f"{self.owners[qubit].name.title()} does not hold bit {bit!r}")
+        if held[bit]:
+            self.apply_single(matrix, qubit)
+
     def h(self, qubit: int):
         self.apply_single(_H, qubit)
-
-    def x(self, qubit: int):
-        self.apply_single(_X, qubit)
-
-    def z(self, qubit: int):
-        self.apply_single(_Z, qubit)
 
     def _index(self, fixed: dict[int, int]) -> tuple:
         idx: list = [slice(None)] * self.n
@@ -210,12 +245,15 @@ class Register:
 
     def measure(self, qubits: list[int]) -> list["Branch"]:
         """All outcome branches with nonzero probability; measured qubits
-        collapse in place, everything stays pure."""
+        collapse in place, everything stays pure.  The outcome of qubit q is
+        the classical bit "m<q>", held by the measuring party."""
         self._require_one_party(tuple(qubits))
+        party = self.owners[qubits[0]]
+        names = tuple(f"m{q}" for q in qubits)
         t = self._tensor()
         branches = []
-        for bits in itertools.product((0, 1), repeat=len(qubits)):
-            fixed = dict(zip(qubits, bits))
+        for outcome in itertools.product((0, 1), repeat=len(qubits)):
+            fixed = dict(zip(qubits, outcome))
             sub = t[self._index(fixed)]
             probability = float(np.sum(np.abs(sub) ** 2))
             if probability < 1e-15:
@@ -224,7 +262,8 @@ class Register:
             collapsed[self._index(fixed)] = sub / np.sqrt(probability)
             register = self.copy()
             register.amps = collapsed.reshape(-1)
-            branches.append(Branch(bits, probability, register))
+            register.known[party].update(zip(names, outcome))
+            branches.append(Branch(outcome, probability, register, names))
         return branches
 
     def reduced_dm(self, qubits: list[int]) -> np.ndarray:
@@ -238,10 +277,47 @@ class Register:
         rho = np.transpose(rho, [*order, *[o + k for o in order]])
         return rho.reshape(2 ** k, 2 ** k)
 
-    def qubit_fidelity(self, qubit: int, target: np.ndarray) -> float:
-        rho = self.reduced_dm([qubit])
-        target = np.asarray(target, dtype=complex).reshape(-1)
-        return float((target.conj() @ rho @ target).real)
+    def fidelity(self, qubits: list[int], target) -> float:
+        """<t| rho |t> / <t|t> for the reduced state rho of `qubits`, in
+        that order, and the target amplitudes t."""
+        rho = self.reduced_dm(list(qubits))
+        t = np.asarray(target, dtype=complex).reshape(-1)
+        return float((t.conj() @ rho @ t).real / (t.conj() @ t).real)
+
+    # -- checked claims: the only way to book a produced resource -------------
+
+    def _claim(self, kind: ResourceKind, n: int, fidelity: float) -> float:
+        if fidelity >= self.threshold:
+            self.ledger.produce(kind, n)
+        return fidelity
+
+    def claim_qubit(self, qubit: int, state) -> float:
+        """Bob's `qubit` carries `state`: one [q->q] produced."""
+        self._require_owner(qubit, Party.BOB)
+        return self._claim(QUBIT_CHANNEL, 1, self.fidelity([qubit], state))
+
+    def claim_ebits(self, pairs) -> float:
+        """Every (Alice qubit, Bob qubit) pair is |Phi+>: one [qq] produced each."""
+        for a, b in pairs:
+            self._require_owner(a, Party.ALICE)
+            self._require_owner(b, Party.BOB)
+        qubits = [q for pair in pairs for q in pair]
+        target = functools.reduce(np.kron, [BELL] * len(pairs))
+        return self._claim(EBIT, len(pairs), self.fidelity(qubits, target))
+
+    def claim_cobits(self, sources, copies, message) -> float:
+        """Alice's `sources` and Bob's `copies` hold sum_x c_x |x>|x> for the
+        message amplitudes c: one [q->qq] produced per source."""
+        for a, b in zip(sources, copies):
+            self._require_owner(a, Party.ALICE)
+            self._require_owner(b, Party.BOB)
+        target = np.diag(np.asarray(message).reshape(-1))
+        return self._claim(COBIT, len(sources), self.fidelity([*sources, *copies], target))
+
+    def claim_cbits(self, bits, sent) -> float:
+        """Bob holds `bits` and they read `sent`: one [c->c] produced each."""
+        got = tuple(self.known[Party.BOB].get(bit) for bit in bits)
+        return self._claim(CBIT, len(bits), float(got == tuple(sent)))
 
 
 @dataclass
@@ -249,185 +325,156 @@ class Branch:
     outcome: tuple[int, ...]
     probability: float
     register: Register
+    bits: tuple[str, ...]  # the names of the outcome bits
 
 
 # ---------------------------------------------------------------------------
-# Protocols
+# Protocols and rule demonstrations
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class TeleportationRun:
-    branch_fidelities: dict[tuple[int, int], float]
-    min_fidelity: float
-    bob_premeasurement_dm: np.ndarray
-    ledger: Ledger
+class Run:
+    """One run of a protocol or a demonstration.
 
-
-def run_teleportation(input_amplitudes=(1.0, 0.0)) -> TeleportationRun:
-    """Teleport one qubit: Bell measurement, two classical bits, Pauli fixup.
-
-    Every outcome branch must hand Bob the input state exactly; the two
-    outcome bits are the consumed classical communication.
+    `ledgers` holds the ledger of every final branch, `fidelities` every
+    state comparison the run made (claims included), `holds` whether its
+    exact side conditions held, `report` the keys it adds to its entry in
+    `verify_all`, and `values` what else it measured.
     """
-    reg = Register()
-    msg = reg.add_qubit(Party.ALICE, input_amplitudes)
-    target = np.asarray(input_amplitudes, dtype=complex)
-    target = target / np.linalg.norm(target)
-    a_half, b_half = reg.share_ebit()
+
+    threshold: float
+    ledgers: list[Ledger]
+    fidelities: dict
+    holds: bool = True
+    report: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
+
+    @property
+    def ledger(self) -> Ledger:
+        return self.ledgers[0]
+
+    @property
+    def fidelity(self) -> float:
+        return min(self.fidelities.values())
+
+    @property
+    def passed(self) -> bool:
+        return self.holds and self.fidelity >= self.threshold
+
+
+def _fix_up(reg: Register, target: int, z: str, x: str):
+    """Z^z X^x on `target` for the classical bits z, x its owner holds."""
+    reg.apply_if(x, _X, target)
+    reg.apply_if(z, _Z, target)
+
+
+def _controlled_fix_up(reg: Register, target: int, z: int, x: int):
+    """Z^z X^x on `target` controlled by the qubits z, x of its owner."""
+    reg.cnot(x, target)
+    reg.cz(z, target)
+
+
+def _teleport(reg: Register, msg: int, a_half: int, b_half: int):
+    """Alice's Bell measurement of (msg, a_half), her outcome bits (z, x)
+    sent to Bob, and his Z^z X^x fix-up on b_half.  Returns Bob's state
+    before the measurement and one final branch per outcome."""
     reg.cnot(msg, a_half)
     reg.h(msg)
     premeasurement = reg.reduced_dm([b_half])
     branches = reg.measure([msg, a_half])
-    reg.ledger.consume(CBIT, 2)
-    fidelities = {}
     for branch in branches:
-        z, x = branch.outcome
-        out = branch.register
-        if x:
-            out.x(b_half)
-        if z:
-            out.z(b_half)
-        fidelities[(z, x)] = out.qubit_fidelity(b_half, target)
-    reg.ledger.produce(QUBIT_CHANNEL)
-    return TeleportationRun(
-        branch_fidelities=fidelities,
-        min_fidelity=min(fidelities.values()),
-        bob_premeasurement_dm=premeasurement,
-        ledger=reg.ledger,
-    )
+        branch.register.communicate(branch.bits, Party.BOB)
+        _fix_up(branch.register, b_half, *branch.bits)
+    return premeasurement, branches
 
 
-@dataclass
-class SuperdenseRun:
-    sent: tuple[int, int]
-    decoded: tuple[int, int]
-    ledger: Ledger
-
-
-def run_superdense(bits: tuple[int, int]) -> SuperdenseRun:
-    """Send two classical bits with one qubit use and one ebit.
-
-    Alice applies Z^b0 X^b1 to her half; Bob's Bell-basis decoding is
-    deterministic, so exactly one branch survives.
-    """
-    reg = Register()
+def _superdense(reg: Register, encode, z, x) -> tuple[int, int]:
+    """Share an ebit, apply `encode(reg, a_half, z, x)` (one of the fix-ups)
+    to Alice's half, send it, and rotate Bob's pair from the Bell basis to
+    the computational basis."""
     a_half, b_half = reg.share_ebit()
-    b0, b1 = bits
-    if b1:
-        reg.x(a_half)
-    if b0:
-        reg.z(a_half)
+    encode(reg, a_half, z, x)
     reg.send(a_half, Party.BOB)
     reg.cnot(a_half, b_half)
     reg.h(a_half)
-    branches = reg.measure([a_half, b_half])
-    if len(branches) != 1:
-        raise AssertionError(f"decoding not deterministic: {len(branches)} branches")
-    reg.ledger.produce(CBIT, 2)
-    return SuperdenseRun(sent=bits, decoded=branches[0].outcome, ledger=reg.ledger)
+    return a_half, b_half
 
 
-@dataclass
-class EntanglementRun:
-    fidelity: float
-    bob_entropy: float
-    ledger: Ledger
+def run_teleportation(input_amplitudes=(1.0, 0.0)) -> Run:
+    """Teleport one qubit: Bell measurement, two classical bits, Pauli fixup.
+
+    Every outcome branch must hand Bob the input state, and Bob's state
+    before the measurement must be maximally mixed (no signalling).
+    """
+    reg = Register(PROTOCOL_FIDELITY)
+    msg = reg.add_qubit(Party.ALICE, input_amplitudes)
+    a_half, b_half = reg.share_ebit()
+    premeasurement, branches = _teleport(reg, msg, a_half, b_half)
+    fidelities = {b.outcome: b.register.claim_qubit(b_half, input_amplitudes) for b in branches}
+    return Run(PROTOCOL_FIDELITY, [b.register.ledger for b in branches], fidelities,
+               holds=bool(np.max(np.abs(premeasurement - np.eye(2) / 2)) <= 1e-12),
+               values={"bob_premeasurement_dm": premeasurement})
 
 
-def run_entanglement_distribution() -> EntanglementRun:
+def run_superdense(bits: tuple[int, int]) -> Run:
+    """Send Alice's two input bits (z, x) with one qubit use and one ebit.
+
+    She applies Z^z X^x to her half; Bob's Bell-basis decoding must read the
+    bits back in every branch (it is deterministic: one branch survives).
+    """
+    reg = Register(PROTOCOL_FIDELITY)
+    reg.known[Party.ALICE].update(z=bits[0], x=bits[1])
+    branches = reg.measure(list(_superdense(reg, _fix_up, "z", "x")))
+    fidelities = {b.outcome: b.register.claim_cbits(b.bits, bits) for b in branches}
+    decoded = branches[0].outcome if len(branches) == 1 else None
+    return Run(PROTOCOL_FIDELITY, [b.register.ledger for b in branches], fidelities,
+               values={"decoded": decoded})
+
+
+def run_entanglement_distribution() -> Run:
     """Make an EPR pair locally and send half: one channel use buys one ebit."""
-    reg = Register()
-    q0 = reg.add_qubit(Party.ALICE)
-    q1 = reg.add_qubit(Party.ALICE)
+    reg = Register(EXACT_FIDELITY)
+    q0, q1 = reg.add_qubit(Party.ALICE, (1.0, 0.0, 0.0, 0.0))
     reg.h(q0)
     reg.cnot(q0, q1)
     reg.send(q1, Party.BOB)
-    reg.ledger.produce(EBIT)
-    fidelity = state_fidelity(reg.amps, BELL)
+    fidelity = reg.claim_ebits([(q0, q1)])
     bob_entropy = entropy(DensityOp(reg.reduced_dm([q1])))
-    return EntanglementRun(fidelity=fidelity, bob_entropy=bob_entropy, ledger=reg.ledger)
+    return Run(EXACT_FIDELITY, [reg.ledger], {"ebit": fidelity}, holds=abs(bob_entropy - 1.0) <= 1e-9,
+               values={"bob_entropy": bob_entropy})
 
 
-@dataclass
-class CobitRun:
-    basis_fidelities: tuple[float, float]
-    plus_bell_fidelity: float
-    bob_entropy_on_plus: float
-    ledger: Ledger
-
-
-def run_cobit_checks() -> CobitRun:
-    """The defining isometry on basis states, plus entanglement creation on |+>."""
-    basis = []
+def run_cobit_checks() -> Run:
+    """The defining isometry on basis states, plus entanglement creation on
+    |+>; the ledger is that of the |+> run."""
+    fidelities = {}
     for value in (0, 1):
-        reg = Register()
-        src = reg.add_qubit(Party.ALICE, (1.0, 0.0) if value == 0 else (0.0, 1.0))
-        reg.cobit(src)
-        want = np.zeros(4, dtype=complex)
-        want[value * 2 + value] = 1.0
-        basis.append(state_fidelity(reg.amps, want))
-
-    reg = Register()
+        reg = Register(EXACT_FIDELITY)
+        reg.cobit(reg.add_qubit(Party.ALICE, (1 - value, value)))
+        fidelities[f"basis {value}"] = state_fidelity(reg.amps, np.eye(4)[3 * value])
+    reg = Register(EXACT_FIDELITY)
     src = reg.add_qubit(Party.ALICE, PLUS)
     copy = reg.cobit(src)
-    reg.ledger.produce(EBIT)
-    plus_fidelity = state_fidelity(reg.amps, BELL)
+    fidelities["plus"] = reg.claim_ebits([(src, copy)])
     bob_entropy = entropy(DensityOp(reg.reduced_dm([copy])))
-    return CobitRun(
-        basis_fidelities=(basis[0], basis[1]),
-        plus_bell_fidelity=plus_fidelity,
-        bob_entropy_on_plus=bob_entropy,
-        ledger=reg.ledger,
-    )
+    return Run(EXACT_FIDELITY, [reg.ledger], fidelities, holds=abs(bob_entropy - 1.0) <= 1e-9,
+               values={"bob_entropy_on_plus": bob_entropy})
 
 
-def _double_cobit_target(message: np.ndarray) -> np.ndarray:
-    """Two ideal cobits applied to a two-qubit message: sum_zx c_zx |zx>|zx>."""
-    c = np.asarray(message, dtype=complex).reshape(2, 2)
-    t = np.zeros((2, 2, 2, 2), dtype=complex)
-    for z in (0, 1):
-        for x in (0, 1):
-            t[z, x, z, x] = c[z, x]
-    return t.reshape(-1)
-
-
-@dataclass
-class CoherentSDRun:
-    fidelity: float
-    ledger: Ledger
-    final_state: np.ndarray
-
-
-def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> CoherentSDRun:
+def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> Run:
     """Super-dense coding with controlled encodings instead of a classical
     choice: one qubit use plus one ebit realize two cobits.
 
     Qubit order (m0, m1, a, b): the message register stays with Alice, the
     decoded pair (a, b) at Bob carries the copies.
     """
-    message = np.asarray(message, dtype=complex)
-    message = message / np.linalg.norm(message)
-    reg = Register()
-    m0, m1 = reg.add_pair(Party.ALICE, message)
-    a_half, b_half = reg.share_ebit()
-    reg.cnot(m1, a_half)   # controlled X^x
-    reg.cz(m0, a_half)     # controlled Z^z
-    reg.send(a_half, Party.BOB)
-    reg.cnot(a_half, b_half)
-    reg.h(a_half)
-    reg.ledger.produce(COBIT, 2)
-    fidelity = state_fidelity(reg.amps, _double_cobit_target(message))
-    return CoherentSDRun(fidelity=fidelity, ledger=reg.ledger, final_state=reg.amps.copy())
-
-
-@dataclass
-class CoherentTPRun:
-    output_fidelity: float
-    residual_fidelity: float
-    total_fidelity: float
-    ledger: Ledger
-    final_state: np.ndarray
+    reg = Register(PROTOCOL_FIDELITY)
+    m0, m1 = reg.add_qubit(Party.ALICE, message)
+    pair = _superdense(reg, _controlled_fix_up, m0, m1)
+    fidelity = reg.claim_cobits((m0, m1), pair, message)
+    return Run(PROTOCOL_FIDELITY, [reg.ledger], {"cobits": fidelity},
+               values={"final_state": reg.amps.copy()})
 
 
 def _coherent_tp_target(message: np.ndarray) -> np.ndarray:
@@ -439,174 +486,95 @@ def _coherent_tp_target(message: np.ndarray) -> np.ndarray:
     return t.reshape(-1)
 
 
-def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> CoherentTPRun:
+def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> Run:
     """Teleportation with the measurement replaced by two cobits.
 
     Bob's controlled corrections deliver the input on his half and leave
     each (message bit, copy) pair in an EPR state: entanglement out for
     free, modulo the one catalytic ebit.
     """
-    message = np.asarray(input_amplitudes, dtype=complex)
-    message = message / np.linalg.norm(message)
-    reg = Register()
+    message = _unit(input_amplitudes)
+    reg = Register(PROTOCOL_FIDELITY)
     q0 = reg.add_qubit(Party.ALICE, message)
     q1, q2 = reg.share_ebit()
     reg.cnot(q0, q1)
     reg.h(q0)
-    c1 = reg.cobit(q0)
-    c2 = reg.cobit(q1)
-    reg.cnot(c2, q2)   # X^x correction
-    reg.cz(c1, q2)     # Z^z correction
-    reg.ledger.produce(QUBIT_CHANNEL)
-    reg.ledger.produce(EBIT, 2)
-    output_fidelity = reg.qubit_fidelity(q2, message)
-    residual = reg.reduced_dm([q0, c1, q1, c2])
-    double_bell = np.kron(BELL, BELL)
-    residual_fidelity = float((double_bell.conj() @ residual @ double_bell).real)
-    total_fidelity = state_fidelity(reg.amps, _coherent_tp_target(message))
-    return CoherentTPRun(
-        output_fidelity=output_fidelity,
-        residual_fidelity=residual_fidelity,
-        total_fidelity=total_fidelity,
-        ledger=reg.ledger,
-        final_state=reg.amps.copy(),
-    )
+    c1, c2 = reg.cobit(q0), reg.cobit(q1)
+    _controlled_fix_up(reg, q2, c1, c2)
+    fidelities = {
+        "output": reg.claim_qubit(q2, message),
+        "residual": reg.claim_ebits([(q0, c1), (q1, c2)]),
+        "total": state_fidelity(reg.amps, _coherent_tp_target(message)),
+    }
+    return Run(PROTOCOL_FIDELITY, [reg.ledger], fidelities, values={"final_state": reg.amps.copy()})
 
 
-@dataclass
-class EquivalenceReport:
-    forward: Ledger
-    reverse: Ledger
-    net: dict[ResourceKind, int]
-    min_fidelity: float
-    passed: bool
-
-
-def verify_cobit_equivalence() -> EquivalenceReport:
+def verify_cobit_equivalence() -> Run:
     """Two cobits and a qubit-plus-ebit simulate each other with the one
     ebit catalyst conserved: composing both ledgers nets to zero."""
-    forward = run_coherent_superdense(PLUS.reshape(2, 1) * PLUS.reshape(1, 2))
+    forward = run_coherent_superdense(np.kron(PLUS, PLUS))
     reverse = run_coherent_teleportation(PLUS)
-    net: dict[ResourceKind, int] = {}
-    for ledger in (forward.ledger, reverse.ledger):
-        for kind, delta in ledger.net().items():
-            net[kind] = net.get(kind, 0) + delta
-    min_fidelity = min(forward.fidelity, reverse.total_fidelity)
-    passed = (
+    net = Counter()
+    for run in (forward, reverse):
+        net.update(run.ledger.net())
+    holds = (
         forward.ledger.matches(COHERENT_SD)
         and reverse.ledger.matches(COHERENT_TP)
         and all(v == 0 for v in net.values())
-        and min_fidelity >= PROTOCOL_FIDELITY
     )
-    return EquivalenceReport(forward.ledger, reverse.ledger, net, min_fidelity, passed)
+    return Run(PROTOCOL_FIDELITY, [], {"forward": forward.fidelity, "reverse": reverse.fidelity}, holds,
+               report={"ledger": {"forward": forward.ledger.as_json(),
+                                  "reverse": reverse.ledger.as_json(), "net": _by_kind(net)}},
+               values={"forward": forward.ledger, "reverse": reverse.ledger, "net": net})
 
 
-# ---------------------------------------------------------------------------
-# Rule demonstrations
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RuleIDemo:
-    outcome_probabilities: dict[tuple[int, int], float]
-    min_pairwise_overlap: float
-    coherent_fidelity: float
-    passed: bool
-
-
-def demo_rule_I_on_teleportation(input_amplitudes=PLUS) -> RuleIDemo:
+def demo_rule_I_on_teleportation(input_amplitudes=PLUS) -> Run:
     """Teleportation meets the input-coherentification conditions exactly:
     the Bell outcome is uniform on four values, and after Bob's correction
     his system is the same state on every branch, so replacing the
     measurement with cobits leaves (sum_x 1/2 |x>|x>) tensor the payload."""
-    message = np.asarray(input_amplitudes, dtype=complex)
-    message = message / np.linalg.norm(message)
-    reg = Register()
-    msg = reg.add_qubit(Party.ALICE, message)
-    a_half, b_half = reg.share_ebit()
-    reg.cnot(msg, a_half)
-    reg.h(msg)
-    branch_states = {}
-    probabilities = {}
-    for branch in reg.measure([msg, a_half]):
-        z, x = branch.outcome
-        out = branch.register
-        if x:
-            out.x(b_half)
-        if z:
-            out.z(b_half)
-        probabilities[(z, x)] = branch.probability
-        branch_states[(z, x)] = out._tensor()[z, x, :]
-    overlaps = [
-        abs(np.vdot(branch_states[a], branch_states[b]))
-        for a in branch_states
-        for b in branch_states
-    ]
-    coherent = run_coherent_teleportation(message)
-    min_overlap = min(overlaps)
-    passed = (
-        len(probabilities) == 4
-        and all(abs(p - 0.25) <= 1e-12 for p in probabilities.values())
-        and min_overlap >= EXACT_FIDELITY
-        and coherent.total_fidelity >= EXACT_FIDELITY
-    )
-    return RuleIDemo(probabilities, min_overlap, coherent.total_fidelity, passed)
+    reg = Register(EXACT_FIDELITY)
+    msg = reg.add_qubit(Party.ALICE, input_amplitudes)
+    _, branches = _teleport(reg, msg, *reg.share_ebit())
+    probabilities = {b.outcome: b.probability for b in branches}
+    states = [b.register._tensor()[b.outcome] for b in branches]
+    overlap = min(abs(np.vdot(s, t)) for s in states for t in states)
+    coherent = run_coherent_teleportation(input_amplitudes)
+    uniform = len(probabilities) == 4 and all(abs(p - 0.25) <= 1e-12 for p in probabilities.values())
+    reported = {f"{z}{x}": p for (z, x), p in sorted(probabilities.items())}
+    return Run(EXACT_FIDELITY, [], {"coherent": coherent.fidelity, "overlap": overlap}, uniform,
+               report={"outcome_probabilities": reported, "min_pairwise_overlap": overlap},
+               values={"outcome_probabilities": probabilities})
 
 
-@dataclass
-class RuleODemo:
-    all_decoded: bool
-    residual_bell_fidelities: dict[tuple[int, int], float]
-    min_pairwise_residual_overlap: float
-    coherent_fidelity: float
-    passed: bool
-
-
-def demo_rule_O_on_superdense() -> RuleODemo:
+def demo_rule_O_on_superdense() -> Run:
     """Super-dense coding decouples its message from the quantum system:
-    with the Bell pair retained, undoing Alice's encoding by U_x^T on the
-    kept half returns |Phi_+> regardless of x, and the controlled-encoding
-    version runs with no measurement at all."""
-    all_decoded = all(
-        run_superdense(bits).decoded == bits
-        for bits in itertools.product((0, 1), repeat=2)
-    )
-    residual_fidelities = {}
-    residual_states = {}
-    for b0, b1 in itertools.product((0, 1), repeat=2):
-        reg = Register()
-        a_half, b_half = reg.share_ebit()
-        encoding = (np.linalg.matrix_power(_Z, b0) @ np.linalg.matrix_power(_X, b1))
-        reg.apply_single(encoding, a_half)
-        reg.send(a_half, Party.BOB)
-        # Bob learned x (deterministically, without disturbance); undo the
-        # encoding from his own half via the transpose trick.
-        reg.apply_single(encoding.T, b_half)
-        residual_fidelities[(b0, b1)] = state_fidelity(reg.amps, BELL)
-        residual_states[(b0, b1)] = reg.amps
-    overlaps = [
-        abs(np.vdot(residual_states[a], residual_states[b]))
-        for a in residual_states
-        for b in residual_states
-    ]
-    coherent_fidelity = min(
-        run_coherent_superdense(_basis_message(z, x)).fidelity
-        for z, x in itertools.product((0, 1), repeat=2)
-    )
-    min_overlap = min(overlaps)
-    passed = (
-        all_decoded
-        and all(f >= EXACT_FIDELITY for f in residual_fidelities.values())
-        and min_overlap >= EXACT_FIDELITY
-        and coherent_fidelity >= EXACT_FIDELITY
-    )
-    return RuleODemo(all_decoded, residual_fidelities, min_overlap, coherent_fidelity, passed)
-
-
-def _basis_message(z: int, x: int) -> np.ndarray:
-    message = np.zeros(4, dtype=complex)
-    message[z * 2 + x] = 1.0
-    return message
+    Bob reads (z, x) without disturbing the state, so undoing his decoding
+    and applying Z^z X^x to his own half returns |Phi_+> whatever the
+    message, and the controlled-encoding version runs with no measurement
+    at all.  `fidelities[(z, x)]` is the residual |Phi_+> fidelity."""
+    fidelities, states, decoded = {}, [], []
+    for bits in itertools.product((0, 1), repeat=2):
+        reg = Register(EXACT_FIDELITY)
+        reg.known[Party.ALICE].update(z=bits[0], x=bits[1])
+        a_half, b_half = _superdense(reg, _fix_up, "z", "x")
+        for branch in reg.measure([a_half, b_half]):
+            out = branch.register
+            decoded.append(branch.outcome == bits)
+            out.h(a_half)
+            out.cnot(a_half, b_half)
+            _fix_up(out, b_half, *branch.bits)
+            fidelities[bits] = state_fidelity(out.amps, BELL)
+            states.append(out.amps)
+    residual = min(fidelities.values())
+    fidelities["overlap"] = min(abs(np.vdot(s, t)) for s in states for t in states)
+    fidelities["coherent"] = min(run_coherent_superdense(m).fidelity for m in np.eye(4))
+    return Run(EXACT_FIDELITY, [], fidelities, holds=all(decoded),
+               report={
+                   "min_residual_bell_fidelity": residual,
+                   "min_pairwise_residual_overlap": fidelities["overlap"],
+               },
+               values={"all_decoded": all(decoded)})
 
 
 # ---------------------------------------------------------------------------
@@ -617,100 +585,44 @@ def _basis_message(z: int, x: int) -> np.ndarray:
 def verify_all(trials: int = 50, seed: int = 0) -> dict:
     """Run the seven protocols plus the two rule demonstrations.
 
-    Returns a JSON-ready report; overall `pass` is True only if every entry
-    passed at its required fidelity with a matching ledger.
+    Each row of the table is (report section, name, target inequality or
+    None, argument tuples, runner).  An entry passes when every run passes
+    at its own threshold and, where the row has a target, the ledger of
+    every branch matches it.  Returns a JSON-ready report; overall `pass` is
+    True only if every entry passed.
     """
     registry = standard_registry()
     rng = SplitMix64(seed)
-    protocols = []
 
-    tp_inputs = [np.array([1.0, 0.0]), PLUS] + [random_pure(rng, 2) for _ in range(trials)]
-    tp_runs = [run_teleportation(v) for v in tp_inputs]
-    tp_fidelity = min(run.min_fidelity for run in tp_runs)
-    tp_ok = (
-        tp_fidelity >= PROTOCOL_FIDELITY
-        and all(run.ledger.matches(registry["tp"]) for run in tp_runs)
-        and all(
-            np.max(np.abs(run.bob_premeasurement_dm - np.eye(2) / 2)) <= 1e-12
-            for run in tp_runs
+    def draws(fixed, dim, count):
+        return [(v,) for v in [*fixed, *(random_pure(rng, dim) for _ in range(count))]]
+
+    protocol, demo = "protocols", "rule_demos"
+    rows = (
+        (protocol, "teleportation", registry["tp"], draws([(1.0, 0.0), PLUS], 2, trials),
+         run_teleportation),
+        (protocol, "superdense", registry["sd"],
+         [(bits,) for bits in itertools.product((0, 1), repeat=2)], run_superdense),
+        (protocol, "entanglement_distribution", registry["qe"], [()], run_entanglement_distribution),
+        (protocol, "cobit", None, [()], run_cobit_checks),
+        (protocol, "coherent_superdense", COHERENT_SD, draws([np.eye(4)[2], np.full(4, 0.5)], 4, 1),
+         run_coherent_superdense),
+        (protocol, "coherent_teleportation", COHERENT_TP, draws([(0.0, 1.0), PLUS], 2, trials),
+         run_coherent_teleportation),
+        (protocol, "cobit_equivalence", None, [()], verify_cobit_equivalence),
+        (demo, "rule_I_on_teleportation", None, [()], demo_rule_I_on_teleportation),
+        (demo, "rule_O_on_superdense", None, [()], demo_rule_O_on_superdense),
+    )
+    report: dict = {protocol: [], demo: []}
+    for section, name, target, inputs, runner in rows:
+        runs = [runner(*args) for args in inputs]
+        entry = {"name": name, "fidelity": min(run.fidelity for run in runs)}
+        if runs[0].ledgers:
+            entry["ledger"] = runs[0].ledger.as_json()
+        passed = all(
+            run.passed and (target is None or all(ledger.matches(target) for ledger in run.ledgers))
+            for run in runs
         )
-    )
-    protocols.append(_entry("teleportation", tp_fidelity, tp_runs[0].ledger, tp_ok))
-
-    sd_runs = [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]
-    sd_ok = all(r.decoded == r.sent for r in sd_runs) and all(
-        r.ledger.matches(registry["sd"]) for r in sd_runs
-    )
-    protocols.append(_entry("superdense", 1.0 if sd_ok else 0.0, sd_runs[0].ledger, sd_ok))
-
-    qe_run = run_entanglement_distribution()
-    qe_ok = (
-        qe_run.fidelity >= EXACT_FIDELITY
-        and abs(qe_run.bob_entropy - 1.0) <= 1e-9
-        and qe_run.ledger.matches(registry["qe"])
-    )
-    protocols.append(_entry("entanglement_distribution", qe_run.fidelity, qe_run.ledger, qe_ok))
-
-    cobit_run = run_cobit_checks()
-    cobit_fidelity = min(*cobit_run.basis_fidelities, cobit_run.plus_bell_fidelity)
-    cobit_ok = cobit_fidelity >= EXACT_FIDELITY and abs(cobit_run.bob_entropy_on_plus - 1.0) <= 1e-9
-    protocols.append(_entry("cobit", cobit_fidelity, cobit_run.ledger, cobit_ok))
-
-    csd_messages = [_basis_message(1, 0), np.full(4, 0.5, dtype=complex), random_pure(rng, 4)]
-    csd_runs = [run_coherent_superdense(m) for m in csd_messages]
-    csd_fidelity = min(r.fidelity for r in csd_runs)
-    csd_ok = csd_fidelity >= PROTOCOL_FIDELITY and all(
-        r.ledger.matches(COHERENT_SD) for r in csd_runs
-    )
-    protocols.append(_entry("coherent_superdense", csd_fidelity, csd_runs[0].ledger, csd_ok))
-
-    ctp_inputs = [np.array([0.0, 1.0]), PLUS] + [random_pure(rng, 2) for _ in range(trials)]
-    ctp_runs = [run_coherent_teleportation(v) for v in ctp_inputs]
-    ctp_fidelity = min(
-        min(r.output_fidelity, r.residual_fidelity, r.total_fidelity) for r in ctp_runs
-    )
-    ctp_ok = ctp_fidelity >= PROTOCOL_FIDELITY and all(
-        r.ledger.matches(COHERENT_TP) for r in ctp_runs
-    )
-    protocols.append(_entry("coherent_teleportation", ctp_fidelity, ctp_runs[0].ledger, ctp_ok))
-
-    equivalence = verify_cobit_equivalence()
-    protocols.append({
-        "name": "cobit_equivalence",
-        "fidelity": equivalence.min_fidelity,
-        "ledger": {
-            "forward": equivalence.forward.as_json(),
-            "reverse": equivalence.reverse.as_json(),
-            "net": {k.token: v for k, v in sorted(equivalence.net.items(), key=lambda kv: kv[0].sort_key())},
-        },
-        "pass": equivalence.passed,
-    })
-
-    rule_i = demo_rule_I_on_teleportation()
-    rule_o = demo_rule_O_on_superdense()
-    rule_demos = [
-        {
-            "name": "rule_I_on_teleportation",
-            "fidelity": rule_i.coherent_fidelity,
-            "outcome_probabilities": {f"{z}{x}": p for (z, x), p in sorted(rule_i.outcome_probabilities.items())},
-            "min_pairwise_overlap": rule_i.min_pairwise_overlap,
-            "pass": rule_i.passed,
-        },
-        {
-            "name": "rule_O_on_superdense",
-            "fidelity": rule_o.coherent_fidelity,
-            "min_residual_bell_fidelity": min(rule_o.residual_bell_fidelities.values()),
-            "min_pairwise_residual_overlap": rule_o.min_pairwise_residual_overlap,
-            "pass": rule_o.passed,
-        },
-    ]
-
-    return {
-        "protocols": protocols,
-        "rule_demos": rule_demos,
-        "pass": all(e["pass"] for e in protocols) and all(e["pass"] for e in rule_demos),
-    }
-
-
-def _entry(name: str, fidelity: float, ledger: Ledger, passed: bool) -> dict:
-    return {"name": name, "fidelity": fidelity, "ledger": ledger.as_json(), "pass": passed}
+        report[section].append({**entry, **runs[0].report, "pass": passed})
+    report["pass"] = all(entry["pass"] for entry in [*report[protocol], *report[demo]])
+    return report

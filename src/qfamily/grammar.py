@@ -338,7 +338,10 @@ def expr_from_json(data: dict) -> EntropicExpr:
             gen = Gen(key)
         except ValueError:
             raise ParseError(f"unknown generator {key!r} in coefficient map", 0) from None
-        terms.append((gen, Fraction(str(value))))
+        try:
+            terms.append((gen, Fraction(str(value))))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad coefficient {value!r} for {key}", 0) from None
     return EntropicExpr(tuple(terms))
 
 

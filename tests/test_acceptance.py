@@ -19,7 +19,7 @@ from qfamily.algebra import (
     dual,
     vec,
 )
-from qfamily.channels import builtin_objects, rate_table, sweep
+from qfamily.channels import builtin_objects, rate_table, sweep, sweep_csv
 from qfamily.circuits import (
     run_coherent_superdense,
     run_coherent_teleportation,
@@ -140,18 +140,24 @@ def test_criterion_4_channel_rates():
     identity_row = sweep("identity", [0.0])[0]
     assert abs(identity_row[4] - 2.0) <= 1e-9
     assert abs(identity_row[6] - 1.0) <= 1e-9
+    # H(E) and I(A:E) of the identity are rounding noise, printed as 0
+    csv_rows = sweep_csv("identity", [0, 0.5, 1]).splitlines()[1:]
+    assert csv_rows == ["0,1,1,0,2,0,1", "0.5,1,1,0,2,0,1", "1,1,1,0,2,0,1"]
+    # the parameter column is the user's input and is printed as given
+    csv_rows = sweep_csv("identity", [1e-13, 0.5]).splitlines()[1:]
+    assert csv_rows == ["1e-13,1,1,0,2,0,1", "0.5,1,1,0,2,0,1"]
     _announce(4, "erasure sweep matches Ic = 1-2p and I(A:B) = 2-2p; identity exact")
 
 
 def test_criterion_5_circuit_suite():
     rng = SplitMix64(5)
     tp_fidelity = min(
-        run_teleportation(random_pure(rng, 2)).min_fidelity for _ in range(50)
+        run_teleportation(random_pure(rng, 2)).fidelity for _ in range(50)
     )
     assert tp_fidelity >= 1 - 1e-10
 
     for bits in itertools.product((0, 1), repeat=2):
-        assert run_superdense(bits).decoded == bits
+        assert run_superdense(bits).values["decoded"] == bits
 
     qe = run_entanglement_distribution()
     assert qe.fidelity >= 1 - 1e-12
@@ -161,17 +167,17 @@ def test_criterion_5_circuit_suite():
     assert coherent_sd.ledger.matches(COHERENT_SD)
 
     coherent_tp = run_coherent_teleportation(random_pure(rng, 2))
-    assert min(coherent_tp.output_fidelity, coherent_tp.residual_fidelity) >= 1 - 1e-10
+    assert min(coherent_tp.fidelities["output"], coherent_tp.fidelities["residual"]) >= 1 - 1e-10
     assert coherent_tp.ledger.matches(COHERENT_TP)
 
     rule_i = demo_rule_I_on_teleportation()
-    assert all(abs(p - 0.25) <= 1e-12 for p in rule_i.outcome_probabilities.values())
-    assert len(rule_i.outcome_probabilities) == 4
-    assert rule_i.min_pairwise_overlap >= 1 - 1e-12
+    assert all(abs(p - 0.25) <= 1e-12 for p in rule_i.values["outcome_probabilities"].values())
+    assert len(rule_i.values["outcome_probabilities"]) == 4
+    assert rule_i.fidelities["overlap"] >= 1 - 1e-12
 
     rule_o = demo_rule_O_on_superdense()
-    assert rule_o.min_pairwise_residual_overlap >= 1 - 1e-12
-    assert min(rule_o.residual_bell_fidelities.values()) >= 1 - 1e-12
+    assert rule_o.fidelities["overlap"] >= 1 - 1e-12
+    assert min(rule_o.fidelities[bits] for bits in itertools.product((0, 1), repeat=2)) >= 1 - 1e-12
 
     report = verify_all(trials=50, seed=5)
     assert report["pass"]

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qfamily.algebra import COBIT, EBIT, QUBIT_CHANNEL
+from qfamily.algebra import CBIT, COBIT, EBIT, QUBIT_CHANNEL
 from qfamily.circuits import (
     BELL,
     PLUS,
@@ -66,19 +66,88 @@ def test_measurement_branches_and_norms():
         assert np.linalg.norm(branch.register.amps) == pytest.approx(1.0, abs=1e-12)
 
 
+X = np.array([[0, 1], [1, 0]])
+
+
+def _bell_measured_teleportation():
+    """Alice's half of teleportation: her Bell measurement, one branch each."""
+    reg = Register()
+    msg = reg.add_qubit(Party.ALICE, (0.6, 0.8))
+    a_half, b_half = reg.share_ebit()
+    reg.cnot(msg, a_half)
+    reg.h(msg)
+    return reg.measure([msg, a_half]), b_half
+
+
+def test_fix_up_without_communication_is_a_locality_error():
+    branches, b_half = _bell_measured_teleportation()
+    for branch in branches:
+        with pytest.raises(LocalityError, match="Bob does not hold"):
+            branch.register.apply_if(branch.bits[1], X, b_half)
+
+
+def test_communicate_books_one_cbit_per_bit_and_lets_bob_act():
+    branches, b_half = _bell_measured_teleportation()
+    for branch in branches:
+        out = branch.register
+        out.communicate(branch.bits, Party.BOB)
+        assert out.ledger.consumed[CBIT] == 2
+        assert out.known[Party.BOB] == dict(zip(branch.bits, branch.outcome))
+        out.apply_if(branch.bits[1], X, b_half)
+
+
+def test_only_held_bits_can_be_communicated():
+    reg = Register()
+    reg.known[Party.BOB]["b"] = 1
+    with pytest.raises(LocalityError, match="not held by the sender"):
+        reg.communicate(["b"], Party.BOB)
+    with pytest.raises(LocalityError):
+        reg.communicate(["nobody's"], Party.ALICE)
+    assert not reg.ledger.consumed
+
+
+def test_failed_ebit_claim_on_a_product_state_books_nothing():
+    reg = Register()
+    a = reg.add_qubit(Party.ALICE)
+    b = reg.add_qubit(Party.BOB)
+    assert reg.claim_ebits([(a, b)]) == pytest.approx(0.5, abs=1e-12)
+    assert not +reg.ledger.produced
+
+
+def test_claims_book_their_resource_only_at_threshold():
+    reg = Register()
+    q = reg.add_qubit(Party.BOB, PLUS)
+    assert reg.claim_qubit(q, (1, 0)) == pytest.approx(0.5, abs=1e-12)
+    assert not +reg.ledger.produced
+    assert reg.claim_qubit(q, PLUS) >= 1 - 1e-12
+    assert reg.ledger.produced == {QUBIT_CHANNEL: 1}
+    assert reg.claim_cbits(["m0"], [1]) == 0.0
+    assert reg.ledger.produced == {QUBIT_CHANNEL: 1}
+
+
+def test_claims_need_the_right_holders():
+    reg = Register()
+    a = reg.add_qubit(Party.ALICE)
+    b = reg.add_qubit(Party.BOB)
+    with pytest.raises(LocalityError, match="Bob"):
+        reg.claim_qubit(a, (1, 0))
+    with pytest.raises(LocalityError, match="Alice"):
+        reg.claim_ebits([(b, a)])
+
+
 # -- teleportation ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("amplitudes", [(1, 0), (0, 1), PLUS])
 def test_teleportation_exact_on_fixed_inputs(amplitudes):
     run = run_teleportation(amplitudes)
-    assert len(run.branch_fidelities) == 4
-    assert run.min_fidelity >= 1 - 1e-10
+    assert len(run.fidelities) == 4
+    assert run.fidelity >= 1 - 1e-10
 
 
 def test_teleportation_on_random_inputs():
     rng = SplitMix64(21)
-    worst = min(run_teleportation(random_pure(rng, 2)).min_fidelity for _ in range(50))
+    worst = min(run_teleportation(random_pure(rng, 2)).fidelity for _ in range(50))
     assert worst >= 1 - 1e-10
 
 
@@ -86,9 +155,16 @@ def test_teleportation_ledger_matches_its_inequality():
     assert run_teleportation(PLUS).ledger.matches(REGISTRY["tp"])
 
 
+def test_every_teleportation_branch_ends_with_the_same_ledger():
+    run = run_teleportation((0.6, 0.8))
+    assert len(run.ledgers) == 4
+    assert all(ledger == run.ledger for ledger in run.ledgers)
+    assert run.ledger.matches(REGISTRY["tp"])
+
+
 def test_no_signalling_before_the_classical_bits():
     run = run_teleportation((0.6, 0.8))
-    assert np.max(np.abs(run.bob_premeasurement_dm - np.eye(2) / 2)) < 1e-12
+    assert np.max(np.abs(run.values["bob_premeasurement_dm"] - np.eye(2) / 2)) < 1e-12
 
 
 # -- superdense coding ------------------------------------------------------------
@@ -97,7 +173,7 @@ def test_no_signalling_before_the_classical_bits():
 def test_superdense_decodes_all_messages():
     for bits in itertools.product((0, 1), repeat=2):
         run = run_superdense(bits)
-        assert run.decoded == bits
+        assert run.values["decoded"] == bits
         assert run.ledger.matches(REGISTRY["sd"])
 
 
@@ -107,7 +183,7 @@ def test_superdense_decodes_all_messages():
 def test_entanglement_distribution():
     run = run_entanglement_distribution()
     assert run.fidelity >= 1 - 1e-12
-    assert abs(run.bob_entropy - 1.0) < 1e-9
+    assert abs(run.values["bob_entropy"] - 1.0) < 1e-9
     assert run.ledger.matches(REGISTRY["qe"])
 
 
@@ -129,13 +205,13 @@ def test_three_rounds_give_three_bell_pairs():
 
 def test_cobit_copies_basis_states():
     run = run_cobit_checks()
-    assert min(run.basis_fidelities) >= 1 - 1e-12
+    assert min(run.fidelities["basis 0"], run.fidelities["basis 1"]) >= 1 - 1e-12
 
 
 def test_cobit_creates_entanglement_from_plus():
     run = run_cobit_checks()
-    assert run.plus_bell_fidelity >= 1 - 1e-12
-    assert abs(run.bob_entropy_on_plus - 1.0) < 1e-9
+    assert run.fidelities["plus"] >= 1 - 1e-12
+    assert abs(run.values["bob_entropy_on_plus"] - 1.0) < 1e-9
 
 
 def test_cobit_applied_twice_copies_twice():
@@ -168,20 +244,20 @@ def test_coherent_superdense_on_uniform_message_makes_two_ebits():
     for z in (0, 1):
         for x in (0, 1):
             paired[z, x, z, x] = 0.5
-    assert state_fidelity(run.final_state, paired.reshape(-1)) >= 1 - 1e-10
+    assert state_fidelity(run.values["final_state"], paired.reshape(-1)) >= 1 - 1e-10
 
 
 def test_coherent_superdense_product_message_stays_product():
     run = run_coherent_superdense((1, 0, 0, 0))
     want = np.zeros(16, dtype=complex)
     want[0] = 1.0
-    assert state_fidelity(run.final_state, want) >= 1 - 1e-12
+    assert state_fidelity(run.values["final_state"], want) >= 1 - 1e-12
 
 
 def test_coherent_teleportation_fixed_input():
     run = run_coherent_teleportation((0, 1))
-    assert run.output_fidelity >= 1 - 1e-10
-    assert run.residual_fidelity >= 1 - 1e-10
+    assert run.fidelities["output"] >= 1 - 1e-10
+    assert run.fidelities["residual"] >= 1 - 1e-10
     assert run.ledger.matches(COHERENT_TP)
 
 
@@ -189,7 +265,7 @@ def test_coherent_teleportation_random_inputs():
     rng = SplitMix64(22)
     for _ in range(50):
         run = run_coherent_teleportation(random_pure(rng, 2))
-        assert min(run.output_fidelity, run.residual_fidelity) >= 1 - 1e-10
+        assert min(run.fidelities["output"], run.fidelities["residual"]) >= 1 - 1e-10
 
 
 def test_coherent_teleportation_net_is_the_catalytic_identity():
@@ -200,9 +276,9 @@ def test_coherent_teleportation_net_is_the_catalytic_identity():
 def test_cobit_equivalence_composes_to_zero():
     report = verify_cobit_equivalence()
     assert report.passed
-    assert report.forward.net() == {COBIT: 2, QUBIT_CHANNEL: -1, EBIT: -1}
-    assert report.reverse.net() == {COBIT: -2, QUBIT_CHANNEL: 1, EBIT: 1}
-    assert all(v == 0 for v in report.net.values())
+    assert report.values["forward"].net() == {COBIT: 2, QUBIT_CHANNEL: -1, EBIT: -1}
+    assert report.values["reverse"].net() == {COBIT: -2, QUBIT_CHANNEL: 1, EBIT: 1}
+    assert all(v == 0 for v in report.values["net"].values())
 
 
 # -- rule demonstrations -----------------------------------------------------------------
@@ -211,19 +287,19 @@ def test_cobit_equivalence_composes_to_zero():
 def test_rule_I_demo_uniform_and_decoupled():
     demo = demo_rule_I_on_teleportation()
     assert demo.passed
-    assert sorted(demo.outcome_probabilities) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for p in demo.outcome_probabilities.values():
+    assert sorted(demo.values["outcome_probabilities"]) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for p in demo.values["outcome_probabilities"].values():
         assert abs(p - 0.25) <= 1e-12
-    assert demo.min_pairwise_overlap >= 1 - 1e-12
-    assert demo.coherent_fidelity >= 1 - 1e-12
+    assert demo.fidelities["overlap"] >= 1 - 1e-12
+    assert demo.fidelities["coherent"] >= 1 - 1e-12
 
 
 def test_rule_O_demo_residual_is_message_independent():
     demo = demo_rule_O_on_superdense()
     assert demo.passed
-    assert demo.all_decoded
-    assert min(demo.residual_bell_fidelities.values()) >= 1 - 1e-12
-    assert demo.min_pairwise_residual_overlap >= 1 - 1e-12
+    assert demo.values["all_decoded"]
+    assert min(demo.fidelities[bits] for bits in itertools.product((0, 1), repeat=2)) >= 1 - 1e-12
+    assert demo.fidelities["overlap"] >= 1 - 1e-12
 
 
 # -- suite -------------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,13 @@ def test_sweep_five_rows(capsys):
     assert ic_values == pytest.approx([1, 0.5, 0, -0.5, -1], abs=1e-9)
 
 
+def test_sweep_prints_a_tiny_parameter_as_given(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--channel", "erasure",
+                           "--param", "1e-13,0.5")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1e-13", "0.5"]
+
+
 def test_verify_circuits_passes(capsys):
     code, out, _ = run_cli(capsys, "verify-circuits", "--trials", "5", "--seed", "1")
     assert code == 0
@@ -171,6 +182,37 @@ def test_boundary_errors_exit_2_with_an_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("registry", [
+    [{"name": "x", "kind": "state", "data": [[1, 0]]}],
+    [{"name": "x", "kind": "state", "dims": [1, 1]}],
+    [5],
+    None,
+    [{"name": "x", "kind": "state", "dims": 5, "data": [[1, 0]]}],
+    [{"name": "x", "kind": "state", "dims": [True, True], "data": [[1, 0]]}],
+], ids=["no-dims", "no-data", "not-an-object", "missing-file", "scalar-dims", "boolean-dims"])
+def test_malformed_registry_exits_2_with_an_error_line(capsys, tmp_path, registry):
+    path = tmp_path / "f.json"
+    if registry is not None:
+        path.write_text(json.dumps(registry))
+    code, out, err = run_cli(capsys, "rates", "--ri", "mother", "--state", "x",
+                             "--registry", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_closed_stdout_exits_nonzero_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen([sys.executable, "-m", "qfamily.cli", "family", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the first write, as after `| head -c 10`
+    err = proc.stderr.read()
+    assert proc.wait() != 0
+    assert err == b""
 
 
 def test_family_prints_only_duality_claims_that_hold(capsys, monkeypatch):

@@ -6,6 +6,11 @@ wire form of every derivation (the only output that carries the names of
 rule-derived intermediates such as `rule_I(eq2)`).  A refactor of the
 symbolic layer must leave all of them unchanged.
 
+`verify-circuits.json` holds the report of `verify-circuits --trials 5
+--seed 1`.  Its fidelities come out of BLAS, so it is compared by structure:
+names, key order, `pass` values and ledgers exactly, every float within
+1e-12.
+
 To record the files again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
@@ -23,6 +28,8 @@ from qfamily.grammar import ri_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = tuple(derive_family())
+CIRCUIT_REPORT = "verify-circuits.json"
+FLOAT_TOLERANCE = 1e-12
 
 
 def _stdout(*argv: str) -> str:
@@ -43,6 +50,7 @@ def golden_outputs() -> dict[str, object]:
         "family.txt": lambda: _stdout("family"),
         "family.json": lambda: _stdout("family", "--json"),
         "derivations.json": _derivations_json,
+        CIRCUIT_REPORT: lambda: _stdout("verify-circuits", "--trials", "5", "--seed", "1"),
     }
     for name in NAMES:
         outputs[f"derive-{name}.txt"] = lambda name=name: _stdout("derive", "--target", name)
@@ -55,10 +63,32 @@ def test_fourteen_derivations_are_recorded():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(golden_outputs())
 
 
-@pytest.mark.parametrize("filename", sorted(golden_outputs()))
+@pytest.mark.parametrize("filename", sorted(set(golden_outputs()) - {CIRCUIT_REPORT}))
 def test_output_matches_golden_bytes(filename):
     expected = (GOLDEN / filename).read_bytes()
     assert golden_outputs()[filename]().encode() == expected
+
+
+def _same_report(got, want, path="report"):
+    """Exact equality, except that floats agree within FLOAT_TOLERANCE."""
+    assert type(got) is type(want), f"{path}: {got!r} vs {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys {list(got)} vs {list(want)}"
+        for key in want:
+            _same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: {len(got)} entries vs {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_report(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= FLOAT_TOLERANCE, f"{path}: {got!r} vs {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} vs {want!r}"
+
+
+def test_circuit_report_matches_golden():
+    want = json.loads((GOLDEN / CIRCUIT_REPORT).read_text())
+    _same_report(json.loads(golden_outputs()[CIRCUIT_REPORT]()), want)
 
 
 if __name__ == "__main__":

@@ -101,3 +101,10 @@ def test_json_round_trip_preserves_everything():
             assert ours.multiplier == theirs.multiplier
             assert ours.before.same_statement(theirs.before)
             assert ours.after.same_statement(theirs.after)
+
+
+def test_json_coefficient_with_zero_denominator_is_a_parse_error():
+    data = ri_to_json(standard_registry()["tp"])
+    data["lhs"][0]["coeff"] = {"CONST": "1/0"}
+    with pytest.raises(ParseError, match="1/0"):
+        ri_from_json(data)
