@@ -19,18 +19,22 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import ResourceInequality, ResourceTag, ResourceVector
+from .algebra import ResourceInequality, ResourceTag, ResourceVector, canonicalize
 from .entropy import (
     DensityOp,
     QuantumChannel,
     TripartitePureState,
     ValidationError,
     channel_state,
-    evaluate,
+    entropy_triple,
     maximally_entangled,
     purify,
     reduced,
 )
+
+# A computed number with |x| below this is rounding noise: it prints as 0 in
+# a sweep, and a rate above -NOISE_FLOOR counts as achievable.
+NOISE_FLOOR = 1e-12
 
 _QUBIT_PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -181,6 +185,9 @@ def load_registry(path) -> dict[str, RegisteredObject]:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read registry {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"registry {path} is not valid JSON: {exc.msg} "
+                              f"at line {exc.lineno} column {exc.colno}") from None
     entries = raw if isinstance(raw, list) else [raw]
     registry: dict[str, RegisteredObject] = {}
     for entry in entries:
@@ -240,12 +247,14 @@ class RateEntry:
     kind_token: str
     rate: float | None       # evaluated coefficient for noiseless resources
     copies: int | None       # whole copies for noisy resources
+    achievable: bool         # False for a noiseless rate below -NOISE_FLOOR
 
     def render(self) -> str:
         if self.copies is not None:
             noun = "copy" if self.copies == 1 else "copies"
             return f"{self.copies} {noun} of {self.kind_token}"
-        return f"{self.rate:.12g} {self.kind_token}"
+        note = "" if self.achievable else " (not achievable)"
+        return f"{self.rate:.12g} {self.kind_token}{note}"
 
 
 @dataclass(frozen=True)
@@ -255,6 +264,8 @@ class RateTable:
     object_name: str
     lhs: tuple[RateEntry, ...]
     rhs: tuple[RateEntry, ...]
+    dims: tuple[int, int, int]             # (d_A, d_B, d_E) of the state used
+    entropies: tuple[float, float, float]  # its (H(A), H(B), H(E)) in bits
 
     def render(self) -> str:
         lines = [f"{self.ri_name} [{self.mode}] on {self.object_name}"]
@@ -264,7 +275,7 @@ class RateTable:
 
 
 def _side_entries(side: ResourceVector, obj: RegisteredObject,
-                  psi: TripartitePureState) -> tuple[RateEntry, ...]:
+                  entropies: tuple[float, float, float]) -> tuple[RateEntry, ...]:
     entries = []
     for kind, coeff in side.terms:
         if kind.is_noisy:
@@ -277,21 +288,25 @@ def _side_entries(side: ResourceVector, obj: RegisteredObject,
                 raise ValidationError(
                     f"{kind.token} is pinned to {kind.handle!r}, got {obj.name!r}"
                 )
-            entries.append(RateEntry(kind.token, None, int(coeff.as_constant())))
+            entries.append(RateEntry(kind.token, None, int(coeff.as_constant()), True))
         else:
-            entries.append(RateEntry(kind.token, evaluate(coeff, psi), None))
+            rate = coeff.value(*entropies)
+            entries.append(RateEntry(kind.token, rate, None, rate >= -NOISE_FLOOR))
     return tuple(entries)
 
 
 def rate_table(ri: ResourceInequality, obj: RegisteredObject) -> RateTable:
     """Numeric instantiation of an inequality on a registered object."""
     psi = obj.tripartite()
+    entropies = entropy_triple(psi)
     return RateTable(
         ri_name=ri.name,
         mode=ri.mode.value,
         object_name=f"{obj.kind} {obj.name}",
-        lhs=_side_entries(ri.lhs, obj, psi),
-        rhs=_side_entries(ri.rhs, obj, psi),
+        lhs=_side_entries(ri.lhs, obj, entropies),
+        rhs=_side_entries(ri.rhs, obj, entropies),
+        dims=psi.dims,
+        entropies=entropies,
     )
 
 
@@ -315,11 +330,11 @@ def sweep(family: str, params: Sequence[float | Fraction],
           extra_exprs: Sequence[Mapping[str, object]] = ()) -> list[tuple[float, ...]]:
     """One row per parameter: the six standard quantities (plus any extra
     expressions) on the channel state with maximally entangled input."""
+    exprs = [canonicalize(expr) for expr in (*_SWEEP_EXPRS, *extra_exprs)]
     rows = []
     for p in params:
-        psi = channel_state(family_channel(family, float(p)))
-        values = [evaluate(expr, psi) for expr in (*_SWEEP_EXPRS, *extra_exprs)]
-        rows.append((float(p), *values))
+        entropies = entropy_triple(channel_state(family_channel(family, float(p))))
+        rows.append((float(p), *(expr.value(*entropies) for expr in exprs)))
     return rows
 
 
@@ -329,7 +344,7 @@ def sweep_csv(family: str, params: Sequence[float | Fraction],
     """CSV rendering with 12 significant digits, rows in grid order."""
     lines = [",".join((*SWEEP_HEADER, *extra_headers))]
     for param, *values in sweep(family, params, extra_exprs):
-        # A computed |x| < 1e-12 is rounding noise: print it as 0, never as -0.
-        cells = (f"{v if abs(v) >= 1e-12 else 0.0:.12g}" for v in values)
+        # Print rounding noise as 0, never as -0.
+        cells = (f"{v if abs(v) >= NOISE_FLOOR else 0.0:.12g}" for v in values)
         lines.append(",".join((f"{param:.12g}", *cells)))
     return "\n".join(lines) + "\n"

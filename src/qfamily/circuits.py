@@ -67,6 +67,12 @@ def _by_kind(counts) -> dict:
     return {k.token: n for k, n in sorted(counts.items(), key=lambda kv: kv[0].sort_key())}
 
 
+def _wanted_counts(ri: ResourceInequality) -> tuple[dict, dict]:
+    """The (consumed, produced) counts of a ledger matching `ri` at coefficient 1."""
+    return tuple({kind: int(coeff.as_constant()) for kind, coeff in side.terms}
+                 for side in (ri.lhs, ri.rhs))
+
+
 @dataclass
 class Ledger:
     """Whole-protocol resource counts (noiseless kinds only)."""
@@ -80,13 +86,14 @@ class Ledger:
     def produce(self, kind: ResourceKind, n: int = 1):
         self.produced[kind] += n
 
+    def counts(self) -> tuple[dict, dict]:
+        """Nonzero (consumed, produced) counts, in the form of `_wanted_counts`."""
+        return tuple({k: n for k, n in counts.items() if n}
+                     for counts in (self.consumed, self.produced))
+
     def matches(self, ri: ResourceInequality) -> bool:
         """Exact integer match against an inequality at coefficient 1."""
-        for side, counts in ((ri.lhs, self.consumed), (ri.rhs, self.produced)):
-            wanted = {kind: int(coeff.as_constant()) for kind, coeff in side.terms}
-            if wanted != {k: n for k, n in counts.items() if n}:
-                return False
-        return True
+        return self.counts() == _wanted_counts(ri)
 
     def copy(self) -> "Ledger":
         return Ledger(Counter(self.consumed), Counter(self.produced))
@@ -619,8 +626,9 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
         entry = {"name": name, "fidelity": min(run.fidelity for run in runs)}
         if runs[0].ledgers:
             entry["ledger"] = runs[0].ledger.as_json()
+        wanted = None if target is None else _wanted_counts(target)
         passed = all(
-            run.passed and (target is None or all(ledger.matches(target) for ledger in run.ledgers))
+            run.passed and (wanted is None or all(ledger.counts() == wanted for ledger in run.ledgers))
             for run in runs
         )
         report[section].append({**entry, **runs[0].report, "pass": passed})

@@ -138,6 +138,8 @@ def cmd_rates(args) -> int:
             "object": table.object_name,
             "inputs": [vars(e) for e in table.lhs],
             "outputs": [vars(e) for e in table.rhs],
+            "entropies": dict(zip(("H(A)", "H(B)", "H(E)"), table.entropies)),
+            "dims": list(table.dims),
         }
         print(json.dumps(payload, indent=2))
     else:

@@ -223,15 +223,33 @@ def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> Densit
     return DensityOp(rho.reshape(dim, dim))
 
 
-def subsystem_entropies(psi: TripartitePureState) -> dict[str, float]:
-    return {name: entropy(reduced(psi, name)) for name in ("A", "B", "E")}
+def entropy_triple(psi: TripartitePureState) -> tuple[float, float, float]:
+    """(H(A), H(B), H(E)) in bits from the Schmidt spectra of the three cuts.
+
+    For a pure state the spectrum of a one-party marginal is the squared
+    singular values of the amplitude tensor with that party's axis as rows
+    and the other two as columns (Schmidt decomposition), so no reduced
+    state is formed.  Weights below 1e-12 contribute nothing, as in
+    `entropy`.
+    """
+    d_a, d_b, d_e = psi.dims
+    t = psi.tensor()
+    cuts = (
+        t.reshape(d_a, d_b * d_e),
+        t.transpose(1, 0, 2).reshape(d_b, d_a * d_e),
+        t.reshape(d_a * d_b, d_e),
+    )
+    triple = []
+    for cut in cuts:
+        weights = np.linalg.svd(cut, compute_uv=False) ** 2
+        kept = weights[weights > EIGENVALUE_FLOOR]
+        triple.append(float(-np.sum(kept * np.log2(kept))))
+    return tuple(triple)
 
 
 def evaluate(expr: EntropicExpr | Mapping[str, object], psi: TripartitePureState) -> float:
     """Numeric value (bits) of an entropic expression on a concrete state."""
-    expr = canonicalize(expr) if not isinstance(expr, EntropicExpr) else expr
-    h = subsystem_entropies(psi)
-    return expr.value(h["A"], h["B"], h["E"])
+    return canonicalize(expr).value(*entropy_triple(psi))
 
 
 def evaluate_raw(symbol: str, psi: TripartitePureState) -> float:

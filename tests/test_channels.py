@@ -48,6 +48,21 @@ def test_erasure_sweep_matches_linear_formulas():
         assert abs(row[4] + row[5] - 2 * row[1]) < 1e-9  # I_AB + I_AE = 2 H_A
 
 
+def test_sweep_makes_at_most_three_spectral_calls_per_row(monkeypatch):
+    calls = []
+    for name in ("svd", "eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rows = sweep("erasure", [i / 10 for i in range(11)])
+    assert len(rows) == 11
+    assert len(calls) <= 3 * 11
+
+
 def test_any_family_at_zero_is_the_identity_channel():
     for family in ("erasure", "depolarizing", "dephasing", "amplitude_damping"):
         psi = channel_state(family_channel(family, 0.0))

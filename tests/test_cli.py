@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +55,7 @@ def test_rates_on_erasure(capsys):
                            "--channel", "erasure", "--param", "0.25")
     assert code == 0
     assert "0.5 [q->q]" in out
+    assert "not achievable" not in out
 
 
 def test_rates_on_identity(capsys):
@@ -71,6 +73,34 @@ def test_rates_mother_on_bell_is_trivial(capsys):
     ebit_rate = next(e["rate"] for e in payload["outputs"] if e["kind_token"] == "[qq]")
     assert abs(qubit_rate) < 1e-9
     assert abs(ebit_rate - 1.0) < 1e-9
+
+
+def test_negative_rate_is_marked_not_achievable(capsys):
+    argv = ("rates", "--ri", "eq5", "--channel", "erasure", "--param", "0.75")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "  outputs: -0.5 [q->q] (not achievable)\n" in out
+    assert "  inputs:  1 copy of {q->q}\n" in out
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert [e["achievable"] for e in payload["inputs"]] == [True]
+    assert [e["achievable"] for e in payload["outputs"]] == [False]
+    assert payload["outputs"][0]["rate"] == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_rates_json_shows_the_entropies_and_dims_used(capsys):
+    code, out, _ = run_cli(capsys, "rates", "--ri", "eq5",
+                           "--channel", "erasure", "--param", "0.25", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["ri", "mode", "object", "inputs", "outputs", "entropies", "dims"]
+    assert payload["dims"] == [2, 3, 3]
+    h_p = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
+    assert payload["entropies"] == pytest.approx(
+        {"H(A)": 1.0, "H(B)": 0.75 + h_p, "H(E)": 0.25 + h_p}, abs=1e-12)
+    h = payload["entropies"]
+    # eq5's output rate is Ic(A>B) = H(B) - H(E), from these very numbers
+    assert payload["outputs"][0]["rate"] == pytest.approx(h["H(B)"] - h["H(E)"], abs=1e-15)
 
 
 def test_rates_param_out_of_domain_fails(capsys):
@@ -191,16 +221,20 @@ def test_boundary_errors_exit_2_with_an_error_line(capsys, argv):
     None,
     [{"name": "x", "kind": "state", "dims": 5, "data": [[1, 0]]}],
     [{"name": "x", "kind": "state", "dims": [True, True], "data": [[1, 0]]}],
-], ids=["no-dims", "no-data", "not-an-object", "missing-file", "scalar-dims", "boolean-dims"])
+    "{bad",
+], ids=["no-dims", "no-data", "not-an-object", "missing-file", "scalar-dims", "boolean-dims",
+        "not-json"])
 def test_malformed_registry_exits_2_with_an_error_line(capsys, tmp_path, registry):
     path = tmp_path / "f.json"
     if registry is not None:
-        path.write_text(json.dumps(registry))
+        path.write_text(registry if isinstance(registry, str) else json.dumps(registry))
     code, out, err = run_cli(capsys, "rates", "--ri", "mother", "--state", "x",
                              "--registry", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    if isinstance(registry, str):  # raw text: the error names the file and the place
+        assert str(path) in err and "line 1 column 2" in err
 
 
 def test_closed_stdout_exits_nonzero_without_a_traceback():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfamily.algebra import HALF, H_A, canonicalize
 from qfamily.entropy import (
@@ -11,6 +12,7 @@ from qfamily.entropy import (
     ValidationError,
     channel_state,
     entropy,
+    entropy_triple,
     evaluate,
     evaluate_raw,
     maximally_entangled,
@@ -239,6 +241,19 @@ def test_purity_symmetry_on_random_states():
         for pair, solo in (("AB", "E"), ("AE", "B"), ("BE", "A")):
             gap = abs(entropy(reduced(psi, pair)) - entropy(reduced(psi, solo)))
             assert gap < 1e-9
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 4), st.integers(1, 4), st.booleans())
+def test_entropy_triple_matches_reduced_states(seed, d_a, d_b, product):
+    rng = SplitMix64(seed)
+    if product:
+        psi = TripartitePureState(
+            (d_a, d_b, 1), np.kron(random_pure(rng, d_a), random_pure(rng, d_b)))
+    else:
+        psi = random_tripartite_state(rng, d_a, d_b)
+    for value, name in zip(entropy_triple(psi), "ABE"):
+        assert abs(value - entropy(reduced(psi, name))) < 1e-10
 
 
 def test_evaluate_mutual_information_on_bell():

@@ -11,6 +11,11 @@ symbolic layer must leave all of them unchanged.
 names, key order, `pass` values and ledgers exactly, every float within
 1e-12.
 
+`sweep-<family>.csv` holds the stdout of `sweep --channel <family> --param
+0:1:0.01` for each channel family.  Its entropies come out of LAPACK, so the
+header and the `param` column are compared exactly and every other cell
+within 1e-12.
+
 To record the files again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
@@ -23,12 +28,14 @@ from pathlib import Path
 import pytest
 
 from qfamily import cli
+from qfamily.channels import CHANNEL_FAMILIES
 from qfamily.derivation import derive_family
 from qfamily.grammar import ri_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = tuple(derive_family())
 CIRCUIT_REPORT = "verify-circuits.json"
+SWEEPS = {f"sweep-{family}.csv": family for family in sorted(CHANNEL_FAMILIES)}
 FLOAT_TOLERANCE = 1e-12
 
 
@@ -52,6 +59,9 @@ def golden_outputs() -> dict[str, object]:
         "derivations.json": _derivations_json,
         CIRCUIT_REPORT: lambda: _stdout("verify-circuits", "--trials", "5", "--seed", "1"),
     }
+    for filename, family in SWEEPS.items():
+        outputs[filename] = lambda family=family: _stdout(
+            "sweep", "--channel", family, "--param", "0:1:0.01")
     for name in NAMES:
         outputs[f"derive-{name}.txt"] = lambda name=name: _stdout("derive", "--target", name)
         outputs[f"dual-{name}.txt"] = lambda name=name: _stdout("dual", "--ri", name)
@@ -63,7 +73,7 @@ def test_fourteen_derivations_are_recorded():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(golden_outputs())
 
 
-@pytest.mark.parametrize("filename", sorted(set(golden_outputs()) - {CIRCUIT_REPORT}))
+@pytest.mark.parametrize("filename", sorted(set(golden_outputs()) - {CIRCUIT_REPORT, *SWEEPS}))
 def test_output_matches_golden_bytes(filename):
     expected = (GOLDEN / filename).read_bytes()
     assert golden_outputs()[filename]().encode() == expected
@@ -89,6 +99,18 @@ def _same_report(got, want, path="report"):
 def test_circuit_report_matches_golden():
     want = json.loads((GOLDEN / CIRCUIT_REPORT).read_text())
     _same_report(json.loads(golden_outputs()[CIRCUIT_REPORT]()), want)
+
+
+@pytest.mark.parametrize("filename", sorted(SWEEPS))
+def test_sweep_matches_golden(filename):
+    want = [line.split(",") for line in (GOLDEN / filename).read_text().splitlines()]
+    got = [line.split(",") for line in golden_outputs()[filename]().splitlines()]
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for row, (g, w) in enumerate(zip(got[1:], want[1:]), start=1):
+        assert len(g) == len(w) and g[0] == w[0], f"row {row}: {g} vs {w}"
+        for column, (x, y) in enumerate(zip(g[1:], w[1:]), start=1):
+            assert abs(float(x) - float(y)) <= FLOAT_TOLERANCE, f"row {row} {want[0][column]}: {x} vs {y}"
 
 
 if __name__ == "__main__":
