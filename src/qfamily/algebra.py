@@ -16,8 +16,12 @@ which makes identities such as
     1/2 I(A:B) + 1/2 I(A:E) = H(A)
     1/2 I(A:B) - 1/2 I(A:E) = Ic(A>B)
 
-hold by construction.  Everything here is an immutable value with exact
-rational arithmetic; no floats enter the symbolic layer.
+hold by construction.  An `EntropicExpr` stores exactly four `Fraction`s,
+its coefficients in the fixed slot order (1, H(A), H(B), H(E)), so equality
+is slot equality and evaluation one dot product.  Only this module relies on
+that layout; other modules read coefficients by generator (`coeff`,
+`as_dict`).  Everything here is an immutable value with exact rational
+arithmetic; no floats enter the symbolic layer.
 """
 
 from __future__ import annotations
@@ -63,83 +67,74 @@ class Gen(Enum):
     H_E = "H_E"
 
 
-_GEN_ORDER = {Gen.CONST: 0, Gen.H_A: 1, Gen.H_B: 2, Gen.H_E: 3}
+# Slot order of an expression's four coefficients.
+_GENS = tuple(Gen)
 
-# Raw vocabulary -> canonical expansion.  The two-party entropies collapse
-# via purity of |psi>^ABE; information quantities expand by definition.
-_RAW_SYMBOLS: dict[str, dict[Gen, int]] = {
-    "1": {Gen.CONST: 1},
-    "CONST": {Gen.CONST: 1},
-    "H(A)": {Gen.H_A: 1},
-    "H(B)": {Gen.H_B: 1},
-    "H(E)": {Gen.H_E: 1},
-    "H(AB)": {Gen.H_E: 1},
-    "H(AE)": {Gen.H_B: 1},
-    "H(BE)": {Gen.H_A: 1},
-    "H(ABE)": {},
-    "I(A:B)": {Gen.H_A: 1, Gen.H_B: 1, Gen.H_E: -1},
-    "I(A:E)": {Gen.H_A: 1, Gen.H_B: -1, Gen.H_E: 1},
-    "Ic(A>B)": {Gen.H_B: 1, Gen.H_E: -1},
+# Raw vocabulary -> canonical expansion, as weights of the slots
+# (1, H(A), H(B), H(E)).  The two-party entropies collapse via purity of
+# |psi>^ABE; information quantities expand by definition.
+_RAW_SYMBOLS: dict[str, Tuple[int, int, int, int]] = {
+    "1": (1, 0, 0, 0),
+    "CONST": (1, 0, 0, 0),
+    "H(A)": (0, 1, 0, 0),
+    "H(B)": (0, 0, 1, 0),
+    "H(E)": (0, 0, 0, 1),
+    "H(AB)": (0, 0, 0, 1),
+    "H(AE)": (0, 0, 1, 0),
+    "H(BE)": (0, 1, 0, 0),
+    "H(ABE)": (0, 0, 0, 0),
+    "I(A:B)": (0, 1, 1, -1),
+    "I(A:E)": (0, 1, -1, 1),
+    "Ic(A>B)": (0, 0, 1, -1),
 }
+
+_NO_SLOTS = (Fraction(0),) * 4
 
 
 @dataclass(frozen=True)
 class EntropicExpr:
-    """Rational linear combination of {1, H(A), H(B), H(E)} in canonical form."""
+    """Rational linear combination of {1, H(A), H(B), H(E)}.
 
-    coeffs: Tuple[Tuple[Gen, Fraction], ...] = ()
+    `slots` holds exactly four `Fraction`s, the coefficients of 1, H(A),
+    H(B) and H(E) in that order; zeros stay in place, so equal expressions
+    have equal slots.  Other modules read coefficients through `coeff` and
+    `as_dict` and never rely on this layout.
+    """
+
+    slots: Tuple[Fraction, Fraction, Fraction, Fraction] = _NO_SLOTS
 
     def __post_init__(self):
-        cleaned: dict[Gen, Fraction] = {}
-        for gen, value in self.coeffs:
-            if not isinstance(gen, Gen):
-                raise AlgebraError(f"not a canonical generator: {gen!r}")
-            value = as_fraction(value)
-            if value != 0:
-                cleaned[gen] = cleaned.get(gen, Fraction(0)) + value
-        ordered = tuple(
-            (gen, cleaned[gen])
-            for gen in sorted(cleaned, key=_GEN_ORDER.__getitem__)
-            if cleaned[gen] != 0
-        )
-        object.__setattr__(self, "coeffs", ordered)
+        if not isinstance(self.slots, tuple) or len(self.slots) != 4:
+            raise AlgebraError(f"an entropic expression has four slots, got {self.slots!r}")
+        object.__setattr__(self, "slots", tuple(map(as_fraction, self.slots)))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(value: RationalLike) -> "EntropicExpr":
-        return EntropicExpr(((Gen.CONST, as_fraction(value)),))
+        return EntropicExpr((value,) + _NO_SLOTS[1:])
 
     @staticmethod
-    def generator(gen: Gen) -> "EntropicExpr":
-        return EntropicExpr(((gen, Fraction(1)),))
-
-    @staticmethod
-    def zero() -> "EntropicExpr":
-        return EntropicExpr()
+    def from_dict(coeffs: Mapping[Gen, RationalLike]) -> "EntropicExpr":
+        """The inverse of `as_dict`: absent generators have coefficient 0."""
+        return EntropicExpr(tuple(coeffs.get(gen, _NO_SLOTS[0]) for gen in _GENS))
 
     # -- inspection --------------------------------------------------------
 
     def coeff(self, gen: Gen) -> Fraction:
-        for g, v in self.coeffs:
-            if g is gen:
-                return v
-        return Fraction(0)
+        return self.slots[_GENS.index(gen)]
 
     def as_dict(self) -> dict[Gen, Fraction]:
-        return dict(self.coeffs)
+        """The nonzero coefficients, keyed by generator in slot order."""
+        return {gen: c for gen, c in zip(_GENS, self.slots) if c}
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.slots)
 
     def as_constant(self) -> Fraction | None:
         """The value if this expression is a pure constant, else None."""
-        if self.is_zero:
-            return Fraction(0)
-        if len(self.coeffs) == 1 and self.coeffs[0][0] is Gen.CONST:
-            return self.coeffs[0][1]
-        return None
+        return None if any(self.slots[1:]) else self.slots[0]
 
     def is_definitely_negative(self) -> bool:
         """True when every canonical coefficient is <= 0 and some is < 0.
@@ -148,22 +143,22 @@ class EntropicExpr:
         negative wherever it is nonzero.  Mixed-sign expressions (e.g. the
         coherent information) are sign-indefinite and not flagged.
         """
-        return bool(self.coeffs) and all(v < 0 for _, v in self.coeffs)
+        return max(self.slots) <= 0 and min(self.slots) < 0
 
     # -- arithmetic (module over the rationals) ----------------------------
 
     def __add__(self, other: "EntropicExpr") -> "EntropicExpr":
         if not isinstance(other, EntropicExpr):
             return NotImplemented
-        return EntropicExpr(self.coeffs + other.coeffs)
+        return EntropicExpr(tuple(a + b if b else a for a, b in zip(self.slots, other.slots)))
 
     def __sub__(self, other: "EntropicExpr") -> "EntropicExpr":
         if not isinstance(other, EntropicExpr):
             return NotImplemented
-        return self + (-other)
+        return EntropicExpr(tuple(a - b if b else a for a, b in zip(self.slots, other.slots)))
 
     def __neg__(self) -> "EntropicExpr":
-        return EntropicExpr(tuple((g, -v) for g, v in self.coeffs))
+        return EntropicExpr(tuple(-a for a in self.slots))
 
     def __mul__(self, other) -> "EntropicExpr":
         if isinstance(other, EntropicExpr):
@@ -178,7 +173,7 @@ class EntropicExpr:
                 return other * c_self
             return self * c
         scalar = as_fraction(other)
-        return EntropicExpr(tuple((g, v * scalar) for g, v in self.coeffs))
+        return EntropicExpr(tuple(a * scalar if a else a for a in self.slots))
 
     __rmul__ = __mul__
 
@@ -187,11 +182,8 @@ class EntropicExpr:
 
     def value(self, h_a: float, h_b: float, h_e: float) -> float:
         """Numeric value given the three one-party entropies (in bits)."""
-        total = 0.0
-        for gen, coeff in self.coeffs:
-            basis = {Gen.CONST: 1.0, Gen.H_A: h_a, Gen.H_B: h_b, Gen.H_E: h_e}[gen]
-            total += float(coeff) * basis
-        return total
+        c, a, b, e = self.slots
+        return float(c) + float(a) * h_a + float(b) * h_b + float(e) * h_e
 
     def __str__(self) -> str:
         from . import grammar
@@ -199,11 +191,11 @@ class EntropicExpr:
         return grammar.format_expr(self)
 
 
-ZERO = EntropicExpr.zero()
+ZERO = EntropicExpr()
 ONE = EntropicExpr.constant(1)
-H_A = EntropicExpr.generator(Gen.H_A)
-H_B = EntropicExpr.generator(Gen.H_B)
-H_E = EntropicExpr.generator(Gen.H_E)
+H_A = EntropicExpr((0, 1, 0, 0))
+H_B = EntropicExpr((0, 0, 1, 0))
+H_E = EntropicExpr((0, 0, 0, 1))
 
 
 def canonicalize(raw: Union["EntropicExpr", Mapping[str, RationalLike]]) -> EntropicExpr:
@@ -215,15 +207,14 @@ def canonicalize(raw: Union["EntropicExpr", Mapping[str, RationalLike]]) -> Entr
     """
     if isinstance(raw, EntropicExpr):
         return raw
-    terms: list[Tuple[Gen, Fraction]] = []
+    slots = _NO_SLOTS
     for symbol, coeff in raw.items():
         key = symbol.replace(";", ":").replace(" ", "")
         if key not in _RAW_SYMBOLS:
             raise SymbolError(f"unknown entropic symbol: {symbol!r}")
         c = as_fraction(coeff)
-        for gen, weight in _RAW_SYMBOLS[key].items():
-            terms.append((gen, c * weight))
-    return EntropicExpr(tuple(terms))
+        slots = tuple(s + c * w if w else s for s, w in zip(slots, _RAW_SYMBOLS[key]))
+    return EntropicExpr(slots)
 
 
 I_AB = canonicalize({"I(A:B)": 1})
@@ -334,7 +325,7 @@ class ResourceVector:
         merged: dict[ResourceKind, EntropicExpr] = {}
         for kind, coeff in self.terms:
             coeff = as_expr(coeff)
-            merged[kind] = merged.get(kind, ZERO) + coeff
+            merged[kind] = merged[kind] + coeff if kind in merged else coeff
         for kind, coeff in merged.items():
             if kind.is_noisy and not coeff.is_zero:
                 c = coeff.as_constant()

@@ -15,11 +15,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import ResourceInequality, ResourceTag, ResourceVector, canonicalize
+from .algebra import (
+    H_A, H_B, H_E, I_AB, I_AE, I_COH, ResourceInequality, ResourceTag, ResourceVector,
+)
 from .entropy import (
     DensityOp,
     QuantumChannel,
@@ -219,24 +221,6 @@ def load_registry(path) -> dict[str, RegisteredObject]:
     return registry
 
 
-def registry_entry_json(obj: RegisteredObject) -> dict:
-    if isinstance(obj, RegisteredState):
-        flat = obj.rho.matrix.reshape(-1)
-        return {
-            "name": obj.name,
-            "kind": "state",
-            "dims": list(obj.split),
-            "data": [[z.real, z.imag] for z in flat],
-        }
-    flat = np.concatenate([k.reshape(-1) for k in obj.channel.kraus])
-    return {
-        "name": obj.name,
-        "kind": "channel",
-        "dims": [obj.channel.d_in, obj.channel.d_out, obj.channel.d_env],
-        "data": [[z.real, z.imag] for z in flat],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Rate tables
 # ---------------------------------------------------------------------------
@@ -316,34 +300,23 @@ def rate_table(ri: ResourceInequality, obj: RegisteredObject) -> RateTable:
 
 SWEEP_HEADER = ("param", "H_A", "H_B", "H_E", "I_AB", "I_AE", "Ic")
 
-_SWEEP_EXPRS = (
-    {"H(A)": 1},
-    {"H(B)": 1},
-    {"H(E)": 1},
-    {"I(A:B)": 1},
-    {"I(A:E)": 1},
-    {"Ic(A>B)": 1},
-)
+_SWEEP_EXPRS = (H_A, H_B, H_E, I_AB, I_AE, I_COH)
 
 
-def sweep(family: str, params: Sequence[float | Fraction],
-          extra_exprs: Sequence[Mapping[str, object]] = ()) -> list[tuple[float, ...]]:
-    """One row per parameter: the six standard quantities (plus any extra
-    expressions) on the channel state with maximally entangled input."""
-    exprs = [canonicalize(expr) for expr in (*_SWEEP_EXPRS, *extra_exprs)]
+def sweep(family: str, params: Sequence[float | Fraction]) -> list[tuple[float, ...]]:
+    """One row per parameter: the six standard quantities on the channel
+    state with maximally entangled input."""
     rows = []
     for p in params:
         entropies = entropy_triple(channel_state(family_channel(family, float(p))))
-        rows.append((float(p), *(expr.value(*entropies) for expr in exprs)))
+        rows.append((float(p), *(expr.value(*entropies) for expr in _SWEEP_EXPRS)))
     return rows
 
 
-def sweep_csv(family: str, params: Sequence[float | Fraction],
-              extra_headers: Sequence[str] = (),
-              extra_exprs: Sequence[Mapping[str, object]] = ()) -> str:
+def sweep_csv(family: str, params: Sequence[float | Fraction]) -> str:
     """CSV rendering with 12 significant digits, rows in grid order."""
-    lines = [",".join((*SWEEP_HEADER, *extra_headers))]
-    for param, *values in sweep(family, params, extra_exprs):
+    lines = [",".join(SWEEP_HEADER)]
+    for param, *values in sweep(family, params):
         # Print rounding noise as 0, never as -0.
         cells = (f"{v if abs(v) >= NOISE_FLOOR else 0.0:.12g}" for v in values)
         lines.append(",".join((f"{param:.12g}", *cells)))

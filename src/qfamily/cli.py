@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import channels, circuits, grammar
 from .algebra import CBIT, I_AE, dual, vec
 from .derivation import FAMILY_ORDER, derive_family, render_trace, waste
-from .entropy import ValidationError, random_tripartite_state, evaluate_raw
+from .entropy import random_tripartite_state, evaluate_raw
 from .rng import SplitMix64
 
 IDENTITY_TOLERANCE = 1e-9
@@ -35,7 +35,7 @@ DUALITY_CLAIMS = (
 )
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """User-facing error: message printed, nonzero exit."""
 
 
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (CliError, ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

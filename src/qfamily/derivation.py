@@ -43,6 +43,7 @@ from .algebra import (
     ResourceKind,
     ResourceTag,
     ResourceVector,
+    ZERO,
     as_expr,
     vec,
 )
@@ -86,7 +87,7 @@ def _with_step(base: ResourceInequality, result: ResourceInequality,
 
 
 def _add(side: dict[ResourceKind, EntropicExpr], kind: ResourceKind, coeff: EntropicExpr):
-    total = side.get(kind, EntropicExpr.zero()) + coeff
+    total = side.get(kind, ZERO) + coeff
     if total.is_zero:
         side.pop(kind, None)
     else:
@@ -273,12 +274,6 @@ def apply_rule_O(ri: ResourceInequality) -> ResourceInequality:
     remaining quantum system, hence private).  No classical output: no-op.
     """
     return _apply_rule(ri, StepKind.RULE_O)
-
-
-def expand_cobits(vector: ResourceVector) -> ResourceVector:
-    """Replace c [q->qq] by c times COBIT_WORTH."""
-    c = vector.coeff(COBIT)
-    return vector + (COBIT_WORTH + vec(-1, COBIT)).scale(c)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,12 @@ from .algebra import (
     EBIT,
     EntropicExpr,
     Gen,
+    H_A,
+    H_B,
+    H_E,
+    I_AB,
+    I_AE,
+    I_COH,
     Mode,
     NOISY_CHANNEL,
     NOISY_STATE,
@@ -50,6 +56,7 @@ from .algebra import (
     ResourceTag,
     ResourceVector,
     RuleFlags,
+    ZERO,
     canonicalize,
 )
 
@@ -69,12 +76,12 @@ class ParseError(ValueError):
 # Preferred spellings, tried in order: plain generators first, then the
 # information quantities.
 _NAMED_EXPRS: list[tuple[str, EntropicExpr]] = [
-    ("H(A)", canonicalize({"H(A)": 1})),
-    ("H(B)", canonicalize({"H(B)": 1})),
-    ("H(E)", canonicalize({"H(E)": 1})),
-    ("I(A:B)", canonicalize({"I(A:B)": 1})),
-    ("I(A:E)", canonicalize({"I(A:E)": 1})),
-    ("Ic(A>B)", canonicalize({"Ic(A>B)": 1})),
+    ("H(A)", H_A),
+    ("H(B)", H_B),
+    ("H(E)", H_E),
+    ("I(A:B)", I_AB),
+    ("I(A:E)", I_AE),
+    ("Ic(A>B)", I_COH),
 ]
 
 _GEN_NAMES = {Gen.CONST: "1", Gen.H_A: "H(A)", Gen.H_B: "H(B)", Gen.H_E: "H(E)"}
@@ -106,7 +113,7 @@ def format_expr(expr: EntropicExpr) -> str:
             text = f"{format_rational(ratio)}*{name}"
             return text if ratio > 0 else f"({text})"
     parts: list[str] = []
-    for gen, coeff in expr.coeffs:
+    for gen, coeff in expr.as_dict().items():
         sign = "-" if coeff < 0 else "+"
         magnitude = abs(coeff)
         if gen is Gen.CONST:
@@ -121,8 +128,8 @@ def format_expr(expr: EntropicExpr) -> str:
 
 def _multiple_of(expr: EntropicExpr, base: EntropicExpr) -> Fraction | None:
     """The rational r with expr == r*base, if one exists."""
-    first = base.coeffs[0]
-    ratio = expr.coeff(first[0]) / first[1]
+    gen, first = next(iter(base.as_dict().items()))
+    ratio = expr.coeff(gen) / first
     if ratio != 0 and expr == base * ratio:
         return ratio
     return None
@@ -156,11 +163,15 @@ class _Token(NamedTuple):
     position: int
 
 
+_RESOURCE_RE = re.compile(
+    r"\[c->c\]|\[q->qq\]|\[q->q\]|\[qq\]"
+    r"|\{qq(?::[A-Za-z_][\w.-]*)?\}|\{q->q(?::[A-Za-z_][\w.-]*)?\}"
+)
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<WS>\s+)
-  | (?P<RESOURCE>\[c->c\]|\[q->qq\]|\[q->q\]|\[qq\]
-      |\{qq(?::[A-Za-z_][\w.-]*)?\}|\{q->q(?::[A-Za-z_][\w.-]*)?\})
+  | (?P<RESOURCE>{_RESOURCE_RE.pattern})
   | (?P<SYMBOL>H\(ABE\)|H\(AB\)|H\(AE\)|H\(BE\)|H\(A\)|H\(B\)|H\(E\)
       |I\(A[:;]B\)|I\(A[:;]E\)|Ic\(A>B\))
   | (?P<CMP>>=!|>=)
@@ -185,6 +196,8 @@ _RESOURCE_BY_TOKEN = {
 
 
 def _resource_from_token(text: str) -> ResourceKind:
+    if not (isinstance(text, str) and _RESOURCE_RE.fullmatch(text)):
+        raise ParseError(f"unknown resource token {text!r}", 0)
     if text in _RESOURCE_BY_TOKEN:
         return _RESOURCE_BY_TOKEN[text]
     body, handle = text[1:-1].split(":", 1)
@@ -252,7 +265,7 @@ class _Parser:
         raise ParseError(f"expected a coefficient, found {token.text!r}", token.position)
 
     def parse_signed_sum(self) -> EntropicExpr:
-        total = EntropicExpr.zero()
+        total = ZERO
         sign = Fraction(1)
         if self.current.kind == "MINUS":
             self.advance()
@@ -328,21 +341,21 @@ def parse_ri(text: str, name: str = "parsed") -> ResourceInequality:
 
 
 def expr_to_json(expr: EntropicExpr) -> dict[str, str]:
-    return {gen.value: format_rational(coeff) for gen, coeff in expr.coeffs}
+    return {gen.value: format_rational(coeff) for gen, coeff in expr.as_dict().items()}
 
 
 def expr_from_json(data: dict) -> EntropicExpr:
-    terms = []
+    coeffs = {}
     for key, value in data.items():
         try:
             gen = Gen(key)
         except ValueError:
             raise ParseError(f"unknown generator {key!r} in coefficient map", 0) from None
         try:
-            terms.append((gen, Fraction(str(value))))
+            coeffs[gen] = Fraction(str(value))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad coefficient {value!r} for {key}", 0) from None
-    return EntropicExpr(tuple(terms))
+    return EntropicExpr.from_dict(coeffs)
 
 
 def vector_to_json(vector: ResourceVector) -> list[dict]:

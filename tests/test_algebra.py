@@ -54,13 +54,28 @@ def test_global_entropy_vanishes():
 
 def test_coherent_information_plus_half_environment_information():
     lhs = canonicalize({"Ic(A>B)": 1, "I(A:E)": HALF})
-    expected = EntropicExpr((
-        (Gen.H_A, Fraction(1, 2)),
-        (Gen.H_B, Fraction(1, 2)),
-        (Gen.H_E, Fraction(-1, 2)),
-    ))
+    expected = EntropicExpr((0, Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)))
     assert lhs == expected
     assert lhs == I_AB * HALF
+
+
+def test_expression_is_four_exact_slots():
+    expr = EntropicExpr((1, Fraction(1, 2), 0, -2))
+    assert expr.coeff(Gen.CONST) == 1 and expr.coeff(Gen.H_B) == 0
+    assert expr.as_dict() == {Gen.CONST: 1, Gen.H_A: Fraction(1, 2), Gen.H_E: -2}
+    assert EntropicExpr.from_dict(expr.as_dict()) == expr
+
+
+@pytest.mark.parametrize("slots", [
+    (0.5, 0, 0, 0),
+    (0, True, 0, 0),
+    (1, 0, 0),
+    (1, 0, 0, 0, 0),
+    [1, 0, 0, 0],
+])
+def test_expression_rejects_anything_but_four_exact_slots(slots):
+    with pytest.raises(AlgebraError):
+        EntropicExpr(slots)
 
 
 def test_two_party_entropies_collapse_by_purity():

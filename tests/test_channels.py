@@ -1,23 +1,43 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qfamily.channels import (
     RegisteredChannel,
+    RegisteredState,
     builtin_objects,
     erasure_channel,
     family_channel,
     identity_channel,
     load_registry,
     rate_table,
-    registry_entry_json,
     sweep,
     sweep_csv,
 )
 from qfamily.derivation import derive_family
 from qfamily.entropy import ValidationError, channel_state, entropy, reduced
+
+
+def registry_entry_json(obj) -> dict:
+    """A registered object in the JSON layout `load_registry` reads."""
+    if isinstance(obj, RegisteredState):
+        flat = obj.rho.matrix.reshape(-1)
+        return {
+            "name": obj.name,
+            "kind": "state",
+            "dims": list(obj.split),
+            "data": [[z.real, z.imag] for z in flat],
+        }
+    flat = np.concatenate([k.reshape(-1) for k in obj.channel.kraus])
+    return {
+        "name": obj.name,
+        "kind": "channel",
+        "dims": [obj.channel.d_in, obj.channel.d_out, obj.channel.d_env],
+        "data": [[z.real, z.imag] for z in flat],
+    }
 
 
 def erasure_marginal_entropies(p: float) -> tuple[float, float]:
@@ -46,6 +66,38 @@ def test_erasure_sweep_matches_linear_formulas():
         p = row[0]
         assert abs(row[4] - (2 - 2 * p)) < 1e-9       # I_AB
         assert abs(row[4] + row[5] - 2 * row[1]) < 1e-9  # I_AB + I_AE = 2 H_A
+
+
+def shannon(*probabilities: float) -> float:
+    return -sum(q * math.log2(q) for q in probabilities if q > 0)
+
+
+def binary_entropy(q: float) -> float:
+    return shannon(q, 1 - q)
+
+
+# (H(B), H(E)) of each family's channel state with maximally entangled
+# input, from the spectra of B's output and of the Choi state.
+CLOSED_FORMS = {
+    "dephasing": lambda p: (1.0, binary_entropy(p / 2)),
+    "depolarizing": lambda p: (1.0, shannon(1 - 3 * p / 4, p / 4, p / 4, p / 4)),
+    "amplitude_damping": lambda p: (binary_entropy((1 - p) / 2), binary_entropy(p / 2)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+def test_sweep_matches_closed_forms(family):
+    rows = sweep(family, [Fraction(k, 100) for k in range(101)])
+    assert [row[0] for row in rows] == [k / 100 for k in range(101)]
+    for p, h_a, h_b, h_e, i_ab, i_ae, i_coh in rows:
+        want_b, want_e = CLOSED_FORMS[family](p)
+        assert abs(h_a - 1.0) < 1e-10
+        assert abs(h_b - want_b) < 1e-10
+        assert abs(h_e - want_e) < 1e-10
+        # pure-state relations with H(A) = 1
+        assert abs(i_ab - (1.0 + want_b - want_e)) < 1e-10
+        assert abs(i_ae - (1.0 + want_e - want_b)) < 1e-10
+        assert abs(i_coh - (want_b - want_e)) < 1e-10
 
 
 def test_sweep_makes_at_most_three_spectral_calls_per_row(monkeypatch):

@@ -176,7 +176,8 @@ def test_dual_of_parsed_text(capsys):
 
 
 def test_registry_file_provides_objects(capsys, tmp_path):
-    from qfamily.channels import builtin_objects, registry_entry_json
+    from qfamily.channels import builtin_objects
+    from test_channels import registry_entry_json
 
     entry = registry_entry_json(builtin_objects()["erasure_state_p25"])
     entry["name"] = "my_state"
@@ -189,7 +190,8 @@ def test_registry_file_provides_objects(capsys, tmp_path):
 
 
 def test_registry_env_var(capsys, tmp_path, monkeypatch):
-    from qfamily.channels import builtin_objects, registry_entry_json
+    from qfamily.channels import builtin_objects
+    from test_channels import registry_entry_json
 
     entry = registry_entry_json(builtin_objects()["bell"])
     entry["name"] = "env_bell"

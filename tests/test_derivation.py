@@ -31,8 +31,8 @@ from qfamily.derivation import (
     apply_rule_I,
     apply_rule_O,
     cancel,
+    COBIT_WORTH,
     derive_family,
-    expand_cobits,
     family_table,
     prepend,
     replay,
@@ -43,6 +43,12 @@ from qfamily.derivation import (
 from qfamily.entropy import evaluate, random_tripartite_state
 from qfamily.grammar import parse_ri
 from qfamily.rng import SplitMix64
+
+
+def expand_cobits(vector):
+    """Replace c [q->qq] by c times COBIT_WORTH."""
+    c = vector.coeff(COBIT)
+    return vector + (COBIT_WORTH + vec(-1, COBIT)).scale(c)
 
 
 @pytest.fixture(scope="module")

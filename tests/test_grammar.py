@@ -1,12 +1,15 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfamily.algebra import EBIT, Mode, ResourceInequality, ResourceVector, canonicalize
+from qfamily.algebra import EBIT, Gen, Mode, ResourceInequality, ResourceVector, canonicalize
 from qfamily.derivation import derive_family, standard_registry
 from qfamily.grammar import (
     ParseError,
+    expr_from_json,
+    expr_to_json,
     format_expr,
     format_ri,
     format_vector,
@@ -15,6 +18,7 @@ from qfamily.grammar import (
     parse_vector,
     ri_from_json,
     ri_to_json,
+    vector_from_json,
 )
 
 from test_algebra import vectors
@@ -84,6 +88,10 @@ def test_format_parse_round_trip(lhs, rhs, mode):
 def test_expr_formatting_round_trips(vector):
     for _, coeff in vector.terms:
         assert parse_expr(format_expr(coeff)) == coeff
+        data = json.loads(json.dumps(expr_to_json(coeff)))
+        assert expr_from_json(data) == coeff
+        assert list(data) == [gen.value for gen in (Gen.CONST, Gen.H_A, Gen.H_B, Gen.H_E)
+                              if coeff.coeff(gen) != 0]
 
 
 def test_json_round_trip_preserves_everything():
@@ -101,6 +109,12 @@ def test_json_round_trip_preserves_everything():
             assert ours.multiplier == theirs.multiplier
             assert ours.before.same_statement(theirs.before)
             assert ours.after.same_statement(theirs.after)
+
+
+@pytest.mark.parametrize("token", ["[c->c:foo]", "qq:y", "[zz]"])
+def test_json_rejects_malformed_resource_tokens(token):
+    with pytest.raises(ParseError, match=re.escape(repr(token))):
+        vector_from_json([{"kind": token, "coeff": {"CONST": "1"}}])
 
 
 def test_json_coefficient_with_zero_denominator_is_a_parse_error():
