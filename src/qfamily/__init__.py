@@ -48,16 +48,15 @@ from .derivation import (
     COHERENT_SD,
     COHERENT_TP,
     DerivationStep,
+    PRIMITIVES,
     StepKind,
     append,
     apply_rule_I,
     apply_rule_O,
     cancel,
     derive_family,
-    family_table,
     prepend,
     replay,
-    standard_registry,
     waste,
 )
 from .entropy import (

@@ -341,12 +341,6 @@ class ResourceVector:
         )
         object.__setattr__(self, "terms", ordered)
 
-    @staticmethod
-    def of(entries: Union[Mapping[ResourceKind, CoeffLike],
-                          Iterable[Tuple[ResourceKind, CoeffLike]]]) -> "ResourceVector":
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        return ResourceVector(tuple((k, as_expr(v)) for k, v in items))
-
     def coeff(self, kind: ResourceKind) -> EntropicExpr:
         for k, v in self.terms:
             if k == kind:
@@ -355,9 +349,6 @@ class ResourceVector:
 
     def kinds(self) -> tuple[ResourceKind, ...]:
         return tuple(k for k, _ in self.terms)
-
-    def as_dict(self) -> dict[ResourceKind, EntropicExpr]:
-        return dict(self.terms)
 
     @property
     def is_empty(self) -> bool:
@@ -372,6 +363,13 @@ class ResourceVector:
         if not isinstance(other, ResourceVector):
             return NotImplemented
         return ResourceVector(self.terms + other.terms)
+
+    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
+        """Termwise difference; like `+`, terms merge before the noisy counts
+        are validated, so taking copies a side does not hold raises."""
+        if not isinstance(other, ResourceVector):
+            return NotImplemented
+        return ResourceVector(self.terms + tuple((kind, -coeff) for kind, coeff in other.terms))
 
     def scale(self, k: CoeffLike) -> "ResourceVector":
         """Multiply every coefficient by k (rational, or entropic when no

@@ -46,14 +46,25 @@ _QUBIT_PAULI = {
 }
 
 
+def _check_parameter(family: str, p: float):
+    """Each family's parameter is a probability; NaN fails the test too."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"{family} parameter {p} outside [0, 1]")
+
+
 def identity_channel(dim: int = 2) -> QuantumChannel:
     return QuantumChannel((np.eye(dim, dtype=complex),))
 
 
+def _identity_family(p: float) -> QuantumChannel:
+    """The qubit identity channel; its parameter is checked and unused."""
+    _check_parameter("identity", p)
+    return identity_channel(2)
+
+
 def erasure_channel(p: float) -> QuantumChannel:
     """With probability p the qubit is replaced by a flag state |2>."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"erasure parameter {p} outside [0, 1]")
+    _check_parameter("erasure", p)
     keep = np.zeros((3, 2), dtype=complex)
     keep[0, 0] = keep[1, 1] = math.sqrt(1.0 - p)
     erase0 = np.zeros((3, 2), dtype=complex)
@@ -65,8 +76,7 @@ def erasure_channel(p: float) -> QuantumChannel:
 
 def depolarizing_channel(p: float) -> QuantumChannel:
     """rho -> (1-p) rho + p I/2 (fully depolarizing at p=1)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"depolarizing parameter {p} outside [0, 1]")
+    _check_parameter("depolarizing", p)
     weights = {"I": 1.0 - 3.0 * p / 4.0, "X": p / 4.0, "Y": p / 4.0, "Z": p / 4.0}
     return QuantumChannel(tuple(
         math.sqrt(w) * _QUBIT_PAULI[name] for name, w in weights.items()
@@ -75,8 +85,7 @@ def depolarizing_channel(p: float) -> QuantumChannel:
 
 def dephasing_channel(p: float) -> QuantumChannel:
     """Off-diagonal terms scaled by 1-p (complete dephasing at p=1)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"dephasing parameter {p} outside [0, 1]")
+    _check_parameter("dephasing", p)
     return QuantumChannel((
         math.sqrt(1.0 - p / 2.0) * _QUBIT_PAULI["I"],
         math.sqrt(p / 2.0) * _QUBIT_PAULI["Z"],
@@ -84,15 +93,14 @@ def dephasing_channel(p: float) -> QuantumChannel:
 
 
 def amplitude_damping_channel(p: float) -> QuantumChannel:
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"amplitude damping parameter {p} outside [0, 1]")
+    _check_parameter("amplitude damping", p)
     k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
     k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
     return QuantumChannel((k0, k1))
 
 
 CHANNEL_FAMILIES: dict[str, Callable[[float], QuantumChannel]] = {
-    "identity": lambda p: identity_channel(2),
+    "identity": _identity_family,
     "erasure": erasure_channel,
     "depolarizing": depolarizing_channel,
     "dephasing": dephasing_channel,

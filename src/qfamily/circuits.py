@@ -38,7 +38,7 @@ from .algebra import (
     ResourceInequality,
     ResourceKind,
 )
-from .derivation import COHERENT_SD, COHERENT_TP, standard_registry
+from .derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
 from .entropy import DensityOp, entropy
 from .rng import SplitMix64, random_pure
 
@@ -598,7 +598,6 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
     every branch matches it.  Returns a JSON-ready report; overall `pass` is
     True only if every entry passed.
     """
-    registry = standard_registry()
     rng = SplitMix64(seed)
 
     def draws(fixed, dim, count):
@@ -606,16 +605,19 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
 
     protocol, demo = "protocols", "rule_demos"
     rows = (
-        (protocol, "teleportation", registry["tp"], draws([(1.0, 0.0), PLUS], 2, trials),
+        (protocol, "teleportation", PRIMITIVES["tp"], draws([(1.0, 0.0), PLUS], 2, trials),
          run_teleportation),
-        (protocol, "superdense", registry["sd"],
+        (protocol, "superdense", PRIMITIVES["sd"],
          [(bits,) for bits in itertools.product((0, 1), repeat=2)], run_superdense),
-        (protocol, "entanglement_distribution", registry["qe"], [()], run_entanglement_distribution),
-        (protocol, "cobit", None, [()], run_cobit_checks),
+        (protocol, "entanglement_distribution", PRIMITIVES["qe"], [()], run_entanglement_distribution),
+        (protocol, "cobit", COBIT_EBIT, [()], run_cobit_checks),
         (protocol, "coherent_superdense", COHERENT_SD, draws([np.eye(4)[2], np.full(4, 0.5)], 4, 1),
          run_coherent_superdense),
         (protocol, "coherent_teleportation", COHERENT_TP, draws([(0.0, 1.0), PLUS], 2, trials),
          run_coherent_teleportation),
+        # No target on the last three: the equivalence run matches its two
+        # runs against COHERENT_SD and COHERENT_TP itself, and the rule
+        # demos book no ledger.
         (protocol, "cobit_equivalence", None, [()], verify_cobit_equivalence),
         (demo, "rule_I_on_teleportation", None, [()], demo_rule_I_on_teleportation),
         (demo, "rule_O_on_superdense", None, [()], demo_rule_O_on_superdense),

@@ -147,12 +147,19 @@ def cmd_rates(args) -> int:
     return 0
 
 
+def _grid_value(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise CliError(f"grid value {text!r} has a zero denominator") from None
+
+
 def _parse_grid(text: str) -> list[Fraction]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise CliError(f"grid {text!r} is not start:stop:step")
-        start, stop, step = (Fraction(p) for p in parts)
+        start, stop, step = (_grid_value(p) for p in parts)
         if step <= 0:
             raise CliError("grid step must be positive")
         values = []
@@ -160,8 +167,10 @@ def _parse_grid(text: str) -> list[Fraction]:
         while value <= stop:
             values.append(value)
             value += step
+        if not values:
+            raise CliError(f"grid {text!r} has no points")
         return values
-    return [Fraction(p) for p in text.split(",")]
+    return [_grid_value(p) for p in text.split(",")]
 
 
 def cmd_sweep(args) -> int:

@@ -1,6 +1,6 @@
 """Mechanical derivation of the protocol family by composition and rewriting.
 
-The five registered primitives are
+The five primitives, held in the read-only mapping `PRIMITIVES`, are
 
     mother:  1/2*I(A:E) [q->q] + {qq}    >=  1/2*I(A:B) [qq]
     father:  1/2*I(A:E) [qq]   + {q->q}  >=  1/2*I(A:B) [q->q]
@@ -8,20 +8,23 @@ The five registered primitives are
     sd:      [q->q] + [qq]               >=! 2 [c->c]
     qe:      [q->q]                      >=! [qq]
 
-and every child is produced by a short script of rewrites: sequential
-composition (append/prepend a tool protocol at some rate, both through the
-one primitive `_compose`), catalytic cancellation of equal terms on both
-sides (licensed only asymptotically), wasting (adding unused inputs), and
-the two coherentification rules, held as data in the one table `RULES` built
-from a cobit's worth `COBIT_WORTH`.  Each operation records a replayable
-trace step.
+and every child is produced by a short script of rewrites, each of which is
+arithmetic on the two resource vectors: sequential composition
+(append/prepend a tool protocol at some rate, both through the one primitive
+`_compose`, which subtracts the covered part of the facing side and moves
+the rest across), catalytic cancellation of equal terms on both sides
+(licensed only asymptotically), wasting (adding unused inputs), and the two
+coherentification rules, held as data in the one table `RULES` built from a
+cobit's worth `COBIT_WORTH`.  Each operation records a replayable trace
+step.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
+from types import MappingProxyType
 
 from . import grammar
 from .algebra import (
@@ -43,7 +46,6 @@ from .algebra import (
     ResourceKind,
     ResourceTag,
     ResourceVector,
-    ZERO,
     as_expr,
     vec,
 )
@@ -67,7 +69,7 @@ class StepKind(Enum):
 class DerivationStep:
     """One rewrite: `after` is obtained from `before` by the named operation.
 
-    `tool` identifies what was used: a registry name for APPEND/PREPEND/
+    `tool` identifies what was used: a primitive's name for APPEND/PREPEND/
     APPLY_QE_FRACTION, a resource token for CANCEL, a vector in grammar text
     for WASTE, and "" for the rules.  `before`/`after` are trace-free
     snapshots, so replaying a trace reproduces the stored inequality.
@@ -86,17 +88,12 @@ def _with_step(base: ResourceInequality, result: ResourceInequality,
     return replace(result, trace=base.trace + (step,))
 
 
-def _add(side: dict[ResourceKind, EntropicExpr], kind: ResourceKind, coeff: EntropicExpr):
-    total = side.get(kind, ZERO) + coeff
-    if total.is_zero:
-        side.pop(kind, None)
-    else:
-        side[kind] = total
-
-
-def _build(name: str, lhs: dict, rhs: dict, mode: Mode) -> ResourceInequality:
+@contextmanager
+def _algebra_errors():
+    """Report an invalid vector (e.g. a fractional count of noisy copies)
+    met inside a rewrite as a failed precondition of that rewrite."""
     try:
-        return ResourceInequality(name, ResourceVector.of(lhs), ResourceVector.of(rhs), mode)
+        yield
     except AlgebraError as exc:
         raise DerivationError(str(exc)) from exc
 
@@ -106,20 +103,11 @@ def _check_multiplier(k: EntropicExpr):
         raise DerivationError(f"multiplier {k} is negative")
 
 
-def _match_into(target: dict, other: dict, kind: ResourceKind, amount: EntropicExpr):
-    """Consume `amount` of `kind` from `target`, re-homing any definite
-    deficit (and unmatched amount for absent kinds) into `other`."""
-    if kind not in target:
-        _add(other, kind, amount)
-        return
-    remainder = target[kind] - amount
-    if remainder.is_zero:
-        del target[kind]
-    elif remainder.is_definitely_negative():
-        del target[kind]
-        _add(other, kind, -remainder)
-    else:
-        target[kind] = remainder
+def _covered(have: EntropicExpr, amount: EntropicExpr) -> EntropicExpr:
+    """How much of `amount` a side holding `have` of the same kind covers:
+    all of it, unless the side lacks the kind or would be left definitely
+    negative, in which case everything the side has."""
+    return have if have.is_zero or (have - amount).is_definitely_negative() else amount
 
 
 # Step kind of each composition -> the verb that names its result.  The
@@ -147,20 +135,17 @@ def _compose(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike,
     if k.is_zero:
         return base
     _check_multiplier(k)
-    try:
-        need, supply = tool.lhs.scale(k), tool.rhs.scale(k)
-    except AlgebraError as exc:
-        raise DerivationError(str(exc)) from exc
-    lhs, rhs = base.lhs.as_dict(), base.rhs.as_dict()
     verb = _COMPOSITIONS[step_kind]
-    meets, far, facing, other = ((supply, need, lhs, rhs) if verb == "prepend"
-                                 else (need, supply, rhs, lhs))
-    for kind, amount in meets.terms:
-        _match_into(facing, other, kind, amount)
-    for kind, amount in far.terms:
-        _add(facing, kind, amount)
+    with _algebra_errors():
+        need, supply = tool.lhs.scale(k), tool.rhs.scale(k)
+        meets, far, facing, other = ((supply, need, base.lhs, base.rhs) if verb == "prepend"
+                                     else (need, supply, base.rhs, base.lhs))
+        covered = ResourceVector(tuple((kind, _covered(facing.coeff(kind), amount))
+                                       for kind, amount in meets.terms))
+        facing, other = facing - covered + far, other + (meets - covered)
+    lhs, rhs = (facing, other) if verb == "prepend" else (other, facing)
     mode = Mode.EXACT if base.mode is Mode.EXACT and tool.mode is Mode.EXACT else Mode.ASYMPTOTIC
-    result = _build(f"{verb}({base.name},{tool.name})", lhs, rhs, mode)
+    result = ResourceInequality(f"{verb}({base.name},{tool.name})", lhs, rhs, mode)
     return _with_step(base, result, step_kind, tool.name, k)
 
 
@@ -189,20 +174,17 @@ def cancel(ri: ResourceInequality, kind: ResourceKind, amount: CoeffLike) -> Res
     if ri.mode is Mode.EXACT:
         raise DerivationError("catalysis requires asymptotic mode")
     _check_multiplier(amount)
-    lhs, rhs = ri.lhs.as_dict(), ri.rhs.as_dict()
-    for side_name, side in (("left", lhs), ("right", rhs)):
-        if kind not in side:
+    for side_name, side in (("left", ri.lhs), ("right", ri.rhs)):
+        have = side.coeff(kind)
+        if have.is_zero:
             raise DerivationError(f"cannot cancel {kind.token}: absent from {side_name} side")
-        remainder = side[kind] - amount
-        if remainder.is_definitely_negative():
+        if (have - amount).is_definitely_negative():
             raise DerivationError(
-                f"cannot cancel {amount} of {kind.token}: {side_name} side only has {side[kind]}"
+                f"cannot cancel {amount} of {kind.token}: {side_name} side only has {have}"
             )
-        if remainder.is_zero:
-            del side[kind]
-        else:
-            side[kind] = remainder
-    result = _build(ri.name, lhs, rhs, ri.mode)
+    with _algebra_errors():
+        spent = vec(amount, kind)
+        result = ResourceInequality(ri.name, ri.lhs - spent, ri.rhs - spent, ri.mode)
     return _with_step(ri, result, StepKind.CANCEL, kind.token, amount)
 
 
@@ -213,7 +195,7 @@ def waste(ri: ResourceInequality, vector: ResourceVector) -> ResourceInequality:
     for kind, coeff in vector.terms:
         if coeff.is_definitely_negative():
             raise DerivationError(f"waste vector has negative {kind.token} coefficient")
-    result = _build(f"waste({ri.name})", (ri.lhs + vector).as_dict(), ri.rhs.as_dict(), ri.mode)
+    result = ResourceInequality(f"waste({ri.name})", ri.lhs + vector, ri.rhs, ri.mode)
     return _with_step(ri, result, StepKind.WASTE, grammar.format_vector(vector), EntropicExpr.constant(1))
 
 
@@ -277,46 +259,54 @@ def apply_rule_O(ri: ResourceInequality) -> ResourceInequality:
 
 
 # ---------------------------------------------------------------------------
-# The registry and the scripted family
+# The primitives and the scripted family
 # ---------------------------------------------------------------------------
 
 
-def standard_registry() -> dict[str, ResourceInequality]:
-    """The five primitives, keyed by name."""
-    mother = ResourceInequality(
+# The five primitives, keyed by name; read-only, as every derivation and
+# every replayed trace shares them.
+PRIMITIVES = MappingProxyType({ri.name: ri for ri in (
+    ResourceInequality(
         name="mother",
         lhs=vec(I_AE * HALF, QUBIT_CHANNEL) + vec(1, NOISY_STATE),
         rhs=vec(I_AB * HALF, EBIT),
-    )
-    father = ResourceInequality(
+    ),
+    ResourceInequality(
         name="father",
         lhs=vec(I_AE * HALF, EBIT) + vec(1, NOISY_CHANNEL),
         rhs=vec(I_AB * HALF, QUBIT_CHANNEL),
-    )
-    tp = ResourceInequality(
+    ),
+    ResourceInequality(
         name="tp",
         lhs=vec(2, CBIT) + vec(1, EBIT),
         rhs=vec(1, QUBIT_CHANNEL),
         mode=Mode.EXACT,
-    )
-    sd = ResourceInequality(
+    ),
+    ResourceInequality(
         name="sd",
         lhs=vec(1, QUBIT_CHANNEL) + vec(1, EBIT),
         rhs=vec(2, CBIT),
         mode=Mode.EXACT,
-    )
-    qe = ResourceInequality(
+    ),
+    ResourceInequality(
         name="qe",
         lhs=vec(1, QUBIT_CHANNEL),
         rhs=vec(1, EBIT),
         mode=Mode.EXACT,
-    )
-    return {ri.name: ri for ri in (mother, father, tp, sd, qe)}
+    ),
+)})
 
 
 # Cobit identities (exact, single-shot; verified gate by gate in circuits):
-# making super-dense coding coherent yields two cobits, and teleporting
-# through cobits returns the two message registers as ebits.
+# a cobit applied to |+> makes an ebit, making super-dense coding coherent
+# yields two cobits, and teleporting through cobits returns the two message
+# registers as ebits.
+COBIT_EBIT = ResourceInequality(
+    name="cobit_ebit",
+    lhs=vec(1, COBIT),
+    rhs=vec(1, EBIT),
+    mode=Mode.EXACT,
+)
 COHERENT_SD = ResourceInequality(
     name="coherent_sd",
     lhs=vec(1, QUBIT_CHANNEL) + vec(1, EBIT),
@@ -331,7 +321,7 @@ COHERENT_TP = ResourceInequality(
 )
 
 
-def derive_family(registry: dict[str, ResourceInequality] | None = None) -> dict[str, ResourceInequality]:
+def derive_family() -> dict[str, ResourceInequality]:
     """All scripted derivations, traces included.
 
     Children: eq1 (classical-communication-assisted quantum transmission
@@ -343,9 +333,8 @@ def derive_family(registry: dict[str, ResourceInequality] | None = None) -> dict
     carry rule_I_ok, eq3 and eq4 carry rule_O_ok, eq5 carries none (an
     irreversible transformation cannot regenerate its parent).
     """
-    reg = standard_registry() if registry is None else dict(registry)
-    mother, father = reg["mother"], reg["father"]
-    tp, sd, qe = reg["tp"], reg["sd"], reg["qe"]
+    mother, father = PRIMITIVES["mother"], PRIMITIVES["father"]
+    tp, sd, qe = PRIMITIVES["tp"], PRIMITIVES["sd"], PRIMITIVES["qe"]
 
     eq1 = cancel(append(mother, tp, I_AB * HALF), QUBIT_CHANNEL, I_AE * HALF)
     eq1 = eq1.with_name("eq1").with_flags(rule_I_ok=True)
@@ -366,7 +355,7 @@ def derive_family(registry: dict[str, ResourceInequality] | None = None) -> dict
     father_via_rule_O = cancel(apply_rule_O(eq4), EBIT, I_AB * HALF)
     father_via_rule_O = father_via_rule_O.with_name("father_via_rule_O")
 
-    out = dict(reg)
+    out = dict(PRIMITIVES)
     for ri in (eq1, eq2, eq3, eq4, eq5, eq1_via_eq2,
                mother_via_rule_I, mother_via_rule_O, father_via_rule_O):
         out[ri.name] = ri
@@ -376,23 +365,17 @@ def derive_family(registry: dict[str, ResourceInequality] | None = None) -> dict
 FAMILY_ORDER = ("mother", "father", "tp", "sd", "qe", "eq1", "eq2", "eq3", "eq4", "eq5")
 
 
-def family_table(registry: dict[str, ResourceInequality] | None = None) -> dict[str, ResourceInequality]:
-    """The canonical ten inequalities (five primitives, five children)."""
-    full = derive_family(registry)
-    return {name: full[name] for name in FAMILY_ORDER}
-
-
 # ---------------------------------------------------------------------------
 # Trace replay
 # ---------------------------------------------------------------------------
 
 
-def _execute_step(step: DerivationStep, registry: dict[str, ResourceInequality]) -> ResourceInequality:
+def _execute_step(step: DerivationStep) -> ResourceInequality:
     base = step.before
     if step.kind in _COMPOSITIONS:
-        if step.tool not in registry:
+        if step.tool not in PRIMITIVES:
             raise DerivationError(f"trace references unknown tool {step.tool!r}")
-        return _compose(base, registry[step.tool], step.multiplier, step.kind)
+        return _compose(base, PRIMITIVES[step.tool], step.multiplier, step.kind)
     if step.kind in RULES:
         return _apply_rule(base, step.kind)
     if step.kind is StepKind.CANCEL:
@@ -403,8 +386,7 @@ def _execute_step(step: DerivationStep, registry: dict[str, ResourceInequality])
     raise DerivationError(f"unknown step kind {step.kind}")
 
 
-def replay(trace: tuple[DerivationStep, ...],
-           registry: dict[str, ResourceInequality] | None = None) -> ResourceInequality:
+def replay(trace: tuple[DerivationStep, ...]) -> ResourceInequality:
     """Re-execute a trace from its first snapshot, checking every step.
 
     Raises DerivationError if any re-executed step disagrees with its stored
@@ -412,21 +394,18 @@ def replay(trace: tuple[DerivationStep, ...],
     """
     if not trace:
         raise DerivationError("empty trace")
-    reg = standard_registry() if registry is None else registry
     state = trace[0].before
     for i, step in enumerate(trace):
         if not state.same_statement(step.before):
             raise DerivationError(f"step {i}: chained state disagrees with snapshot")
-        redone = _execute_step(step, reg)
+        redone = _execute_step(step)
         if not redone.same_statement(step.after):
             raise DerivationError(f"step {i}: replayed {step.kind.value} disagrees with snapshot")
         state = redone.bare()
     return state
 
 
-def step_flow_discrepancy(step: DerivationStep,
-                          registry: dict[str, ResourceInequality],
-                          value_fn) -> float:
+def step_flow_discrepancy(step: DerivationStep, value_fn) -> float:
     """Largest per-kind violation of the step's resource-flow arithmetic,
     with coefficients mapped to floats by `value_fn`.
 
@@ -438,7 +417,7 @@ def step_flow_discrepancy(step: DerivationStep,
     """
     injected_lhs = injected_rhs = ResourceVector()
     if step.kind in _COMPOSITIONS:
-        injected_lhs, injected_rhs = registry[step.tool].lhs, registry[step.tool].rhs
+        injected_lhs, injected_rhs = PRIMITIVES[step.tool].lhs, PRIMITIVES[step.tool].rhs
     elif step.kind in RULES:
         injected_lhs, injected_rhs = RULES[step.kind].lhs, RULES[step.kind].rhs
     elif step.kind is StepKind.WASTE:

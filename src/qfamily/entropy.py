@@ -153,9 +153,7 @@ def purify(rho: DensityOp | np.ndarray, split: tuple[int, int]) -> TripartitePur
     keep = eigenvalues > EIGENVALUE_FLOOR
     eigenvalues, vectors = eigenvalues[keep], vectors[:, keep]
     d_e = int(eigenvalues.size)
-    amps = np.zeros((rho.dim, d_e), dtype=complex)
-    for k in range(d_e):
-        amps[:, k] = np.sqrt(eigenvalues[k]) * vectors[:, k]
+    amps = vectors * np.sqrt(eigenvalues)
     return TripartitePureState((d_a, d_b, d_e), amps.reshape(d_a, d_b, d_e))
 
 
@@ -164,10 +162,7 @@ def stinespring(channel: QuantumChannel) -> np.ndarray:
     U[b*d_env + e, a] = K_e[b, a].  Tracing out the environment recovers
     the Kraus action."""
     d_out, d_in, d_env = channel.d_out, channel.d_in, channel.d_env
-    u = np.zeros((d_out * d_env, d_in), dtype=complex)
-    for e, k in enumerate(channel.kraus):
-        for b in range(d_out):
-            u[b * d_env + e, :] = k[b, :]
+    u = np.stack(channel.kraus, axis=1).reshape(d_out * d_env, d_in)
     dev = np.max(np.abs(u.conj().T @ u - np.eye(d_in)))
     if dev > ISOMETRY_TOL:
         raise ValidationError(f"dilation not isometric: max|U^dag U - I| = {dev:.3e}")

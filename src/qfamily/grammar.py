@@ -36,9 +36,6 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .algebra import (
-    CBIT,
-    COBIT,
-    EBIT,
     EntropicExpr,
     Gen,
     H_A,
@@ -48,9 +45,6 @@ from .algebra import (
     I_AE,
     I_COH,
     Mode,
-    NOISY_CHANNEL,
-    NOISY_STATE,
-    QUBIT_CHANNEL,
     ResourceInequality,
     ResourceKind,
     ResourceTag,
@@ -185,14 +179,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_RESOURCE_BY_TOKEN = {
-    "[c->c]": CBIT,
-    "[q->q]": QUBIT_CHANNEL,
-    "[qq]": EBIT,
-    "[q->qq]": COBIT,
-    "{qq}": NOISY_STATE,
-    "{q->q}": NOISY_CHANNEL,
-}
+_RESOURCE_BY_TOKEN = {tag.value: ResourceKind(tag) for tag in ResourceTag}
 
 
 def _resource_from_token(text: str) -> ResourceKind:

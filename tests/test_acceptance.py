@@ -33,12 +33,12 @@ from qfamily.circuits import (
 from qfamily.derivation import (
     COHERENT_SD,
     COHERENT_TP,
+    PRIMITIVES,
     apply_rule_I,
     apply_rule_O,
     cancel,
     derive_family,
     replay,
-    standard_registry,
     step_flow_discrepancy,
     waste,
 )
@@ -46,7 +46,6 @@ from qfamily.entropy import evaluate, evaluate_raw, random_tripartite_state
 from qfamily.rng import SplitMix64, random_pure
 
 FAMILY = derive_family()
-REGISTRY = standard_registry()
 
 
 def _announce(number: int, text: str):
@@ -92,7 +91,7 @@ def test_criterion_1_family_tree_exact():
 
 
 def test_criterion_2_coherentification_round_trips():
-    mother, father = REGISTRY["mother"], REGISTRY["father"]
+    mother, father = PRIMITIVES["mother"], PRIMITIVES["father"]
 
     regained = apply_rule_I(FAMILY["eq2"])
     assert regained.lhs == mother.lhs and regained.rhs == mother.rhs
@@ -202,7 +201,7 @@ def test_criterion_6_cross_layer_consistency():
     worst = 0.0
     for name in derived:
         ri = FAMILY[name]
-        replayed = replay(ri.trace, REGISTRY)
+        replayed = replay(ri.trace)
         assert replayed.lhs == ri.lhs and replayed.rhs == ri.rhs
         for obj in _compatible_objects(ri, objects):
             psi = obj.tripartite()
@@ -211,7 +210,7 @@ def test_criterion_6_cross_layer_consistency():
                 return evaluate(expr, psi)
 
             for step in ri.trace:
-                worst = max(worst, step_flow_discrepancy(step, REGISTRY, value))
+                worst = max(worst, step_flow_discrepancy(step, value))
             for side, replayed_side in ((ri.lhs, replayed.lhs), (ri.rhs, replayed.rhs)):
                 for kind, coeff in side.terms:
                     assert abs(value(coeff) - value(replayed_side.coeff(kind))) <= 1e-9

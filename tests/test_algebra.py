@@ -30,7 +30,7 @@ from qfamily.algebra import (
     noisy_state,
     vec,
 )
-from qfamily.derivation import standard_registry
+from qfamily.derivation import PRIMITIVES
 
 RAW_SYMBOLS = [
     "1", "H(A)", "H(B)", "H(E)", "H(AB)", "H(AE)", "H(BE)", "H(ABE)",
@@ -130,7 +130,7 @@ def test_vec_add_canonicalizes_entropic_sum():
 
 
 def test_scaling_teleportation_inputs():
-    tp = standard_registry()["tp"]
+    tp = PRIMITIVES["tp"]
     scaled = tp.lhs.scale(I_AB * HALF)
     assert scaled.coeff(CBIT) == I_AB
     assert scaled.coeff(EBIT) == I_AB * HALF
@@ -175,17 +175,16 @@ def test_dual_mapping_on_kinds():
 
 
 def test_dual_of_mother_is_father():
-    registry = standard_registry()
-    assert dual(registry["mother"]).same_statement(registry["father"])
-    assert dual(registry["father"]).same_statement(registry["mother"])
+    assert dual(PRIMITIVES["mother"]).same_statement(PRIMITIVES["father"])
+    assert dual(PRIMITIVES["father"]).same_statement(PRIMITIVES["mother"])
 
 
 noiseless_kinds = st.sampled_from([CBIT, QUBIT_CHANNEL, EBIT, COBIT])
 vectors = st.builds(
-    lambda noiseless, state_copies, channel_copies: ResourceVector.of(
+    lambda noiseless, state_copies, channel_copies: ResourceVector(tuple(
         [(kind, canonicalize(expr)) for kind, expr in noiseless.items()]
         + [(NOISY_STATE, state_copies), (NOISY_CHANNEL, channel_copies)]
-    ),
+    )),
     st.dictionaries(noiseless_kinds, raw_exprs, max_size=4),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=3),
@@ -207,9 +206,9 @@ def test_dual_commutes_with_addition(a, b):
 # -- module laws ------------------------------------------------------------
 
 noiseless_vectors = st.builds(
-    lambda noiseless: ResourceVector.of(
-        [(kind, canonicalize(expr)) for kind, expr in noiseless.items()]
-    ),
+    lambda noiseless: ResourceVector(tuple(
+        (kind, canonicalize(expr)) for kind, expr in noiseless.items()
+    )),
     st.dictionaries(noiseless_kinds, raw_exprs, max_size=4),
 )
 
@@ -219,6 +218,21 @@ noiseless_vectors = st.builds(
 def test_noiseless_vectors_form_a_module_over_constants(v, r, s):
     assert v.scale(r).scale(s) == v.scale(r * s)
     assert v.scale(r) + v.scale(s) == v.scale(r + s)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(noiseless_vectors, noiseless_vectors, vectors)
+def test_subtraction_undoes_addition(a, b, c):
+    assert (a + b) - b == a
+    assert (c - c).is_empty
+
+
+def test_taking_a_copy_from_an_empty_noisy_kind_raises():
+    with pytest.raises(AlgebraError, match="qq"):
+        ResourceVector() - vec(1, NOISY_STATE)
+    with pytest.raises(AlgebraError):
+        vec(1, NOISY_CHANNEL) - vec(2, NOISY_CHANNEL)
+    assert vec(2, NOISY_CHANNEL) - vec(1, NOISY_CHANNEL) == vec(1, NOISY_CHANNEL)
 
 
 @settings(derandomize=True, max_examples=60)

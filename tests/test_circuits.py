@@ -22,10 +22,9 @@ from qfamily.circuits import (
     verify_all,
     verify_cobit_equivalence,
 )
-from qfamily.derivation import COHERENT_SD, COHERENT_TP, standard_registry
+from qfamily import circuits
+from qfamily.derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
 from qfamily.rng import SplitMix64, random_pure
-
-REGISTRY = standard_registry()
 
 
 # -- register discipline -------------------------------------------------------
@@ -152,14 +151,14 @@ def test_teleportation_on_random_inputs():
 
 
 def test_teleportation_ledger_matches_its_inequality():
-    assert run_teleportation(PLUS).ledger.matches(REGISTRY["tp"])
+    assert run_teleportation(PLUS).ledger.matches(PRIMITIVES["tp"])
 
 
 def test_every_teleportation_branch_ends_with_the_same_ledger():
     run = run_teleportation((0.6, 0.8))
     assert len(run.ledgers) == 4
     assert all(ledger == run.ledger for ledger in run.ledgers)
-    assert run.ledger.matches(REGISTRY["tp"])
+    assert run.ledger.matches(PRIMITIVES["tp"])
 
 
 def test_no_signalling_before_the_classical_bits():
@@ -174,7 +173,7 @@ def test_superdense_decodes_all_messages():
     for bits in itertools.product((0, 1), repeat=2):
         run = run_superdense(bits)
         assert run.values["decoded"] == bits
-        assert run.ledger.matches(REGISTRY["sd"])
+        assert run.ledger.matches(PRIMITIVES["sd"])
 
 
 # -- entanglement distribution ----------------------------------------------------
@@ -184,7 +183,7 @@ def test_entanglement_distribution():
     run = run_entanglement_distribution()
     assert run.fidelity >= 1 - 1e-12
     assert abs(run.values["bob_entropy"] - 1.0) < 1e-9
-    assert run.ledger.matches(REGISTRY["qe"])
+    assert run.ledger.matches(PRIMITIVES["qe"])
 
 
 def test_three_rounds_give_three_bell_pairs():
@@ -212,6 +211,21 @@ def test_cobit_creates_entanglement_from_plus():
     run = run_cobit_checks()
     assert run.fidelities["plus"] >= 1 - 1e-12
     assert abs(run.values["bob_entropy_on_plus"] - 1.0) < 1e-9
+    assert run.ledger.matches(COBIT_EBIT)
+
+
+def test_cobit_row_fails_when_its_run_books_no_ebit(monkeypatch):
+    real = circuits.run_cobit_checks
+
+    def no_ebit():
+        run = real()
+        run.ledger.produced.clear()
+        return run
+
+    monkeypatch.setattr(circuits, "run_cobit_checks", no_ebit)
+    report = verify_all(trials=1)
+    assert [e["pass"] for e in report["protocols"] if e["name"] == "cobit"] == [False]
+    assert not report["pass"]
 
 
 def test_cobit_applied_twice_copies_twice():

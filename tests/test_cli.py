@@ -208,6 +208,12 @@ def test_registry_env_var(capsys, tmp_path, monkeypatch):
     ("check-identities", "--trials", "0"),
     ("check-identities", "--trials", "-5"),
     ("verify-circuits", "--trials", "-3"),
+    ("sweep", "--channel", "erasure", "--param", "1/0"),
+    ("sweep", "--channel", "erasure", "--param", "0:1:1/0"),
+    ("sweep", "--channel", "erasure", "--param", "0.5:0.4:0.1"),
+    ("rates", "--ri", "eq5", "--channel", "identity", "--param", "nan"),
+    ("rates", "--ri", "eq5", "--channel", "identity", "--param", "-7"),
+    ("sweep", "--channel", "identity", "--param", "5,-3"),
 ])
 def test_boundary_errors_exit_2_with_an_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

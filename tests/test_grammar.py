@@ -4,8 +4,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfamily.algebra import EBIT, Gen, Mode, ResourceInequality, ResourceVector, canonicalize
-from qfamily.derivation import derive_family, standard_registry
+from qfamily.algebra import EBIT, Gen, Mode, ResourceInequality, canonicalize, vec
+from qfamily.derivation import PRIMITIVES, derive_family
 from qfamily.grammar import (
     ParseError,
     expr_from_json,
@@ -26,14 +26,14 @@ from test_algebra import vectors
 
 def test_mother_text_round_trip():
     text = "1/2*I(A:E) [q->q] + {qq} >= 1/2*I(A:B) [qq]"
-    mother = standard_registry()["mother"]
+    mother = PRIMITIVES["mother"]
     assert parse_ri(text).same_statement(mother)
     assert format_ri(mother) == text
 
 
 def test_teleportation_exact_marker():
     text = "2 [c->c] + [qq] >=! [q->q]"
-    tp = standard_registry()["tp"]
+    tp = PRIMITIVES["tp"]
     parsed = parse_ri(text)
     assert parsed.mode is Mode.EXACT
     assert parsed.same_statement(tp)
@@ -78,7 +78,7 @@ def test_raw_symbols_accepted_in_coefficients():
 @given(vectors, vectors, st.sampled_from([Mode.EXACT, Mode.ASYMPTOTIC]))
 def test_format_parse_round_trip(lhs, rhs, mode):
     if rhs.is_empty:
-        rhs = ResourceVector.of({EBIT: 1})
+        rhs = vec(1, EBIT)
     ri = ResourceInequality(name="t", lhs=lhs, rhs=rhs, mode=mode)
     assert parse_ri(format_ri(ri)).same_statement(ri)
 
@@ -118,7 +118,7 @@ def test_json_rejects_malformed_resource_tokens(token):
 
 
 def test_json_coefficient_with_zero_denominator_is_a_parse_error():
-    data = ri_to_json(standard_registry()["tp"])
+    data = ri_to_json(PRIMITIVES["tp"])
     data["lhs"][0]["coeff"] = {"CONST": "1/0"}
     with pytest.raises(ParseError, match="1/0"):
         ri_from_json(data)
