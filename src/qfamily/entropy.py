@@ -9,7 +9,7 @@ tripartite state is row-major over (A, B, E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -58,26 +58,38 @@ class DensityOp:
 
 @dataclass(frozen=True)
 class TripartitePureState:
-    """Unit vector on A x B x E with an explicit dimension split."""
+    """Unit vector on A x B x E with an explicit dimension split.
+
+    The amplitudes are a read-only copy of the caller's array, so the state
+    cannot change after it is validated.
+    """
 
     dims: tuple[int, int, int]
     amplitudes: np.ndarray
+    # entropy of each marginal evaluate_raw has formed, keyed by sorted names
+    _marginal_entropies: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d_a, d_b, d_e = self.dims
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if any(d < 1 for d in self.dims):
-            raise ValidationError(f"dimensions must be positive, got {self.dims}")
+        if not (isinstance(self.dims, (tuple, list)) and len(self.dims) == 3
+                and all(type(d) is int for d in self.dims)):
+            raise ValidationError(f"dimensions must be three integers, got {self.dims!r}")
+        dims = tuple(self.dims)
+        if any(d < 1 for d in dims):
+            raise ValidationError(f"dimensions must be positive, got {dims}")
+        d_a, d_b, d_e = dims
+        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != d_a * d_b * d_e:
             raise ValidationError(
-                f"amplitude length {amps.size} does not match dims {self.dims}"
+                f"amplitude length {amps.size} does not match dims {dims}"
             )
         if not np.isfinite(amps).all():
             raise ValidationError("amplitude vector has NaN or infinite entries")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"norm {norm!r} differs from 1 by more than {NORM_TOL}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        amps.flags.writeable = False
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
 
     def tensor(self) -> np.ndarray:
@@ -203,19 +215,36 @@ def maximally_entangled(dim: int) -> np.ndarray:
 _SUBSYSTEM_AXIS = {"A": 0, "B": 1, "E": 2}
 
 
-def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> DensityOp:
-    """Partial trace onto the named subsystems (subset of {A, B, E})."""
-    names = list(subsystems)
-    axes = sorted({_SUBSYSTEM_AXIS[n] for n in names})
+def _axes(subsystems: Iterable[str] | str) -> list[int]:
+    """Sorted axes of the named subsystems (subset of {A, B, E})."""
+    axes = set()
+    for name in subsystems:
+        if name not in _SUBSYSTEM_AXIS:
+            raise ValidationError(f"unknown subsystem {name!r}: expected A, B or E")
+        axes.add(_SUBSYSTEM_AXIS[name])
     if not axes:
         raise ValidationError("need at least one subsystem")
-    keep = axes
+    return sorted(axes)
+
+
+def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> DensityOp:
+    """Partial trace onto the named subsystems (subset of {A, B, E})."""
+    keep = _axes(subsystems)
     drop = [ax for ax in range(3) if ax not in keep]
     t = psi.tensor()
     rho = np.tensordot(t, t.conj(), axes=(drop, drop))
     dim = int(np.prod([psi.dims[ax] for ax in keep]))
     # tensordot leaves kept-axes of t first, then kept-axes of conj(t)
     return DensityOp(rho.reshape(dim, dim))
+
+
+def _marginal_entropy(psi: TripartitePureState, subsystems: str) -> float:
+    """entropy(reduced(psi, subsystems)), formed once per state and marginal."""
+    key = "".join("ABE"[ax] for ax in _axes(subsystems))
+    memo = psi._marginal_entropies
+    if key not in memo:
+        memo[key] = entropy(reduced(psi, key))
+    return memo[key]
 
 
 def entropy_triple(psi: TripartitePureState) -> tuple[float, float, float]:
@@ -249,15 +278,16 @@ def evaluate(expr: EntropicExpr | Mapping[str, object], psi: TripartitePureState
 
 def evaluate_raw(symbol: str, psi: TripartitePureState) -> float:
     """Evaluate a raw symbol directly from reduced-state entropies, without
-    the pure-state eliminations (independent check of canonicalize)."""
+    the pure-state eliminations (independent check of canonicalize).  Each
+    marginal is formed once per state, however many symbols use it."""
     key = symbol.replace(";", ":").replace(" ", "")
     if key in ("1", "CONST"):
         return 1.0
     if key.startswith("H(") and key.endswith(")"):
-        return entropy(reduced(psi, key[2:-1]))
+        return _marginal_entropy(psi, key[2:-1])
 
     def h(s: str) -> float:
-        return entropy(reduced(psi, s))
+        return _marginal_entropy(psi, s)
 
     if key == "I(A:B)":
         return h("A") + h("B") - h("AB")

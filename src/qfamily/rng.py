@@ -5,6 +5,13 @@ any platform: splitmix64 (Steele/Lea/Flood) drives 64-bit states, uniforms
 take the top 53 bits, and normal deviates come from the polar method.
 Everything downstream (random states, random unitaries) is deterministic
 given the seed.
+
+splitmix64 is counter-based (draw k after state s is mix(s + k*gamma)), so
+`SplitMix64.normals` draws a block of deviates with wrapping uint64 numpy
+operations and reproduces the scalar stream bit for bit: the same values,
+and the same `state` and pending spare afterwards.  Each accepted pair's
+polar factor still comes from `math.log`/`math.sqrt`, because numpy's
+vectorised `log` is not guaranteed to round like `math.log`.
 """
 
 from __future__ import annotations
@@ -14,6 +21,16 @@ import math
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_UNIT = 1.0 / (1 << 53)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function on an array of uint64 states."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 class SplitMix64:
@@ -24,15 +41,15 @@ class SplitMix64:
         self._spare: float | None = None
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return (z ^ (z >> 31)) & _MASK
 
     def uniform(self) -> float:
         """Uniform in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        return (self.next_u64() >> 11) * _UNIT
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] (inclusive, modulo-reduced)."""
@@ -52,15 +69,43 @@ class SplitMix64:
                 self._spare = v * factor
                 return u * factor
 
+    def normals(self, count: int) -> np.ndarray:
+        """`count` deviates, bitwise equal to `count` calls of `normal`,
+        leaving the same `state` and spare."""
+        out = np.empty(count)
+        filled = 0
+        if count and self._spare is not None:
+            out[0], self._spare = self._spare, None
+            filled = 1
+        while filled < count:
+            pairs = (count - filled + 1) // 2
+            batch = pairs + pairs // 3 + 4  # a pair is accepted with probability pi/4
+            steps = np.arange(1, 2 * batch + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+            uniforms = (_mix(steps + np.uint64(self.state)) >> np.uint64(11)) * _UNIT
+            u = 2.0 * uniforms[0::2] - 1.0
+            v = 2.0 * uniforms[1::2] - 1.0
+            s = u * u + v * v
+            accepted = np.flatnonzero((0.0 < s) & (s < 1.0))[:pairs]
+            used = int(accepted[-1]) + 1 if accepted.size == pairs else batch
+            self.state = (self.state + 2 * used * _GAMMA) & _MASK
+            factors = [math.sqrt(-2.0 * math.log(x) / x) for x in s[accepted].tolist()]
+            deviates = np.empty(2 * accepted.size)
+            deviates[0::2] = u[accepted] * factors
+            deviates[1::2] = v[accepted] * factors
+            take = min(deviates.size, count - filled)
+            out[filled:filled + take] = deviates[:take]
+            filled += take
+            if take < deviates.size:
+                self._spare = float(deviates[take])
+        return out
+
     def complex_normal(self) -> complex:
         return complex(self.normal(), self.normal())
 
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
-        out = np.empty((rows, cols), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = self.complex_normal()
-        return out
+        """Row-major complex Gaussians, the same stream as `complex_normal`
+        entry by entry (real part drawn first)."""
+        return self.normals(2 * rows * cols).view(complex).reshape(rows, cols)
 
 
 def random_density(rng: SplitMix64, dim: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -60,6 +61,29 @@ def test_density_invariants_enforced():
 def test_state_norm_enforced():
     with pytest.raises(ValidationError, match="norm"):
         TripartitePureState((2, 2, 1), np.array([1.0, 0, 0, 1.0]))
+
+
+@pytest.mark.parametrize("dims", [
+    (2.5, 2, 1), (True, 2, 2), (2, 2, np.int64(1)), (2, 2), (1, 1, 1, 1), "ABE",
+], ids=["float", "bool", "numpy-int", "two", "four", "string"])
+def test_state_dims_must_be_three_ints(dims):
+    with pytest.raises(ValidationError, match="three integers"):
+        TripartitePureState(dims, np.ones(4) / 2)
+
+
+def test_state_amplitudes_are_a_read_only_copy():
+    amps = BELL.copy()
+    psi = TripartitePureState((2, 2, 1), amps)
+    before = evaluate_raw("I(A:B)", psi)
+    with pytest.raises(ValueError, match="read-only"):
+        psi.amplitudes[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        psi.tensor()[0, 0, 0] = 1.0
+    amps[:] = np.array([1.0, 0.0, 0.0, 0.0])
+    assert psi.amplitudes.tobytes() == BELL.tobytes()
+    assert evaluate_raw("I(A:B)", psi) == before
+    assert evaluate_raw("H(AB)", psi) == entropy(
+        reduced(TripartitePureState((2, 2, 1), BELL), "AB"))
 
 
 def test_channel_trace_preservation_enforced():
@@ -287,3 +311,60 @@ def test_raw_symbols_match_canonical_numerically():
         expr = canonicalize({symbol: 1})
         for psi in states:
             assert abs(evaluate_raw(symbol, psi) - evaluate(expr, psi)) < 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda psi: reduced(psi, "X"),
+    lambda psi: reduced(psi, ["A", "BE"]),
+    lambda psi: evaluate_raw("H(AX)", psi),
+    lambda psi: evaluate_raw("H(a)", psi),
+], ids=["reduced-X", "reduced-BE-as-one-name", "H(AX)", "H(a)"])
+def test_unknown_subsystem_is_a_validation_error_naming_it(call):
+    psi = TripartitePureState((2, 2, 1), BELL)
+    with pytest.raises(ValidationError, match="unknown subsystem"):
+        call(psi)
+    with pytest.raises(ValidationError, match="unknown subsystem"):
+        call(psi)
+    assert psi._marginal_entropies == {}
+
+
+RAW_COMBINATIONS = {
+    "H(A)": lambda h: h("A"),
+    "H(BA)": lambda h: h("AB"),
+    "H(E B)": lambda h: h("BE"),
+    "I(A:B)": lambda h: h("A") + h("B") - h("AB"),
+    "I(A;E)": lambda h: h("A") + h("E") - h("AE"),
+    "Ic(A>B)": lambda h: h("B") - h("AB"),
+}
+
+
+def test_evaluate_raw_equals_fresh_reduced_entropies_in_any_order():
+    rng = SplitMix64(19)
+    states = [random_tripartite_state(rng, rng.randint(2, 4), rng.randint(2, 4))
+              for _ in range(3)]
+    for psi in states:
+        def fresh(names):
+            return entropy(reduced(psi, names))
+
+        expected = {symbol: combine(fresh) for symbol, combine in RAW_COMBINATIONS.items()}
+        for order in itertools.permutations(RAW_COMBINATIONS):
+            copy = TripartitePureState(psi.dims, psi.amplitudes)
+            assert {symbol: evaluate_raw(symbol, copy) for symbol in order} == expected
+
+
+def test_evaluate_raw_forms_each_marginal_once_per_state(monkeypatch):
+    from qfamily import entropy as module
+
+    formed = []
+    real_reduced = module.reduced
+
+    def counting_reduced(psi, names):
+        formed.append("".join(sorted(names)))
+        return real_reduced(psi, names)
+
+    monkeypatch.setattr(module, "reduced", counting_reduced)
+    psi = random_tripartite_state(SplitMix64(20), 2, 3)
+    for _ in range(3):
+        for symbol in ("I(A:B)", "I(A:E)", "H(A)", "Ic(A>B)"):
+            evaluate_raw(symbol, psi)
+    assert sorted(formed) == ["A", "AB", "AE", "B", "E"]

@@ -1,0 +1,67 @@
+"""Block draws of `SplitMix64` against the scalar generator they replace."""
+
+import numpy as np
+import pytest
+
+from qfamily.rng import SplitMix64, random_density
+
+DIMS = (1, 2, 3, 4, 5, 9, 16)
+
+
+def scalar_complex_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
+    """Reference: one `complex_normal` per entry, row-major."""
+    out = np.empty((rows, cols), dtype=complex)
+    for i in range(rows):
+        for j in range(cols):
+            out[i, j] = rng.complex_normal()
+    return out
+
+
+def twin_generators(seed: int, pending_spare: bool) -> tuple[SplitMix64, SplitMix64]:
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    if pending_spare:
+        scalar.normal()
+        block.normal()
+        assert block._spare is not None
+    return scalar, block
+
+
+def assert_same_stream(scalar: SplitMix64, block: SplitMix64, expected, got):
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    assert block.state == scalar.state
+    assert block._spare == scalar._spare
+
+
+@pytest.mark.parametrize("pending_spare", [False, True], ids=["no-spare", "spare"])
+def test_complex_matrix_reproduces_the_scalar_stream(pending_spare):
+    for seed in range(300):
+        for dim in DIMS:
+            scalar, block = twin_generators(seed, pending_spare)
+            expected = scalar_complex_matrix(scalar, dim, dim)
+            assert_same_stream(scalar, block, expected, block.complex_matrix(dim, dim))
+
+
+@pytest.mark.parametrize("pending_spare", [False, True], ids=["no-spare", "spare"])
+def test_normals_of_any_count_reproduce_the_scalar_stream(pending_spare):
+    for seed in range(40):
+        for count in (0, 1, 2, 3, 7, 30, 31):
+            scalar, block = twin_generators(seed, pending_spare)
+            expected = [scalar.normal() for _ in range(count)]
+            assert_same_stream(scalar, block, expected, block.normals(count))
+
+
+def test_rectangular_matrix_and_later_draws_follow_the_scalar_stream():
+    for seed in range(50):
+        scalar, block = SplitMix64(seed), SplitMix64(seed)
+        expected = scalar_complex_matrix(scalar, 3, 5)
+        assert_same_stream(scalar, block, expected, block.complex_matrix(3, 5))
+        assert [block.uniform(), block.randint(2, 4), block.normal()] == [
+            scalar.uniform(), scalar.randint(2, 4), scalar.normal()]
+
+
+def test_random_density_is_built_from_the_scalar_stream():
+    for seed in range(20):
+        scalar, block = SplitMix64(seed), SplitMix64(seed)
+        g = scalar_complex_matrix(scalar, 4, 4)
+        rho = g @ g.conj().T
+        assert random_density(block, 4).tobytes() == (rho / np.trace(rho).real).tobytes()
