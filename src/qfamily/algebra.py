@@ -236,6 +236,10 @@ class ResourceTag(Enum):
     NOISY_STATE = "{qq}"
     NOISY_CHANNEL = "{q->q}"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with `==` and, unlike Enum's, runs in C.
+    __hash__ = object.__hash__
+
 
 _TAG_ORDER = {tag: i for i, tag in enumerate(ResourceTag)}
 _NOISY_TAGS = frozenset({ResourceTag.NOISY_STATE, ResourceTag.NOISY_CHANNEL})

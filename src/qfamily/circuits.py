@@ -5,6 +5,12 @@ bit channel, and the coherent versions of teleportation and super-dense
 coding are Clifford circuits on at most five qubits; every run keeps the
 global state pure (measurements enumerate branches instead of sampling).
 
+Kernels act on the flat amplitude vector, where qubit i is bit n-1-i of an
+index: a one-qubit gate is one batched matmul, CNOT a gather through an index
+permutation and CZ a product with a +-1 mask (both tables cached on first
+use), and a fidelity |t^dag M|^2 / |t|^2, where the rows of M are the compared
+qubits' values; no density matrix is formed.
+
 Party discipline: each qubit is owned by Alice or Bob, and gates may not
 span parties.  Each party holds a set of classical bits: its inputs, its own
 measurement outcomes and the bits sent to it.  A gate conditioned on a bit
@@ -57,6 +63,8 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 class Party(Enum):
     ALICE = "alice"
     BOB = "bob"
+
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs in Python
 
 
 class LocalityError(ValueError):
@@ -115,6 +123,29 @@ def _unit(amplitudes) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+@functools.lru_cache(maxsize=64)
+def _two_qubit_tables(n: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, signs) on n qubits: amps[perm] is CNOT, flipping the target bit
+    where the control bit is 1, and amps * signs is CZ, -1 where both are 1."""
+    if control == target:
+        raise ValueError(f"a two-qubit gate needs two qubits, got {control} twice")
+    index = np.arange(1 << n)
+    c, t = (index >> (n - 1 - control)) & 1, (index >> (n - 1 - target)) & 1
+    perm, signs = index ^ (c << (n - 1 - target)), 1.0 - 2.0 * (c & t)
+    perm.flags.writeable = signs.flags.writeable = False
+    return perm, signs
+
+
+@functools.lru_cache(maxsize=64)
+def _cut(n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the amplitudes as a (2^k, 2^(n-k)) matrix M: rows
+    indexed by the listed qubits in that order, columns by the others."""
+    rest = [q for q in range(n) if q not in qubits]
+    cut = np.arange(1 << n).reshape([2] * n).transpose([*qubits, *rest]).reshape(1 << len(qubits), -1)
+    cut.flags.writeable = False
+    return cut
+
+
 class Register:
     """Pure state over owned qubits; qubit i is axis i of the amplitude tensor.
 
@@ -146,8 +177,8 @@ class Register:
         return self.amps.reshape([2] * self.n)
 
     def _check_norm(self):
-        norm = np.linalg.norm(self.amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = float(np.vdot(self.amps, self.amps).real) ** 0.5
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise AssertionError(f"norm drifted to {norm!r}")
 
     def _require_owner(self, qubit: int, party: Party):
@@ -207,8 +238,8 @@ class Register:
     # -- local gates ---------------------------------------------------------
 
     def apply_single(self, matrix: np.ndarray, qubit: int):
-        t = np.tensordot(matrix, self._tensor(), axes=([1], [qubit]))
-        self.amps = np.moveaxis(t, 0, qubit).reshape(-1)
+        """`matrix` on `qubit`: one batched matmul with the qubit as the middle axis."""
+        self.amps = (matrix @ self.amps.reshape(1 << qubit, 2, -1)).reshape(-1)
         self._check_norm()
 
     def apply_if(self, bit: str, matrix: np.ndarray, qubit: int):
@@ -223,18 +254,8 @@ class Register:
     def h(self, qubit: int):
         self.apply_single(_H, qubit)
 
-    def _index(self, fixed: dict[int, int]) -> tuple:
-        idx: list = [slice(None)] * self.n
-        for axis, value in fixed.items():
-            idx[axis] = value
-        return tuple(idx)
-
     def _cnot_unchecked(self, control: int, target: int):
-        t = self._tensor()
-        out = t.copy()
-        out[self._index({control: 1, target: 0})] = t[self._index({control: 1, target: 1})]
-        out[self._index({control: 1, target: 1})] = t[self._index({control: 1, target: 0})]
-        self.amps = out.reshape(-1)
+        self.amps = self.amps[_two_qubit_tables(self.n, control, target)[0]]
         self._check_norm()
 
     def cnot(self, control: int, target: int):
@@ -243,9 +264,7 @@ class Register:
 
     def cz(self, control: int, target: int):
         self._require_one_party((control, target))
-        t = self._tensor().copy()
-        t[self._index({control: 1, target: 1})] *= -1
-        self.amps = t.reshape(-1)
+        self.amps = self.amps * _two_qubit_tables(self.n, control, target)[1]
         self._check_norm()
 
     # -- measurement (branch enumeration) and inspection ---------------------
@@ -257,39 +276,32 @@ class Register:
         self._require_one_party(tuple(qubits))
         party = self.owners[qubits[0]]
         names = tuple(f"m{q}" for q in qubits)
-        t = self._tensor()
+        cut = _cut(self.n, tuple(qubits))
+        rows = self.amps[cut]
         branches = []
-        for outcome in itertools.product((0, 1), repeat=len(qubits)):
-            fixed = dict(zip(qubits, outcome))
-            sub = t[self._index(fixed)]
-            probability = float(np.sum(np.abs(sub) ** 2))
+        for row, outcome in enumerate(itertools.product((0, 1), repeat=len(qubits))):
+            sub = rows[row]
+            probability = float(np.vdot(sub, sub).real)
             if probability < 1e-15:
                 continue
-            collapsed = np.zeros_like(t)
-            collapsed[self._index(fixed)] = sub / np.sqrt(probability)
             register = self.copy()
-            register.amps = collapsed.reshape(-1)
+            register.amps = np.zeros_like(self.amps)
+            register.amps[cut[row]] = sub / np.sqrt(probability)
             register.known[party].update(zip(names, outcome))
             branches.append(Branch(outcome, probability, register, names))
         return branches
 
     def reduced_dm(self, qubits: list[int]) -> np.ndarray:
-        """Reduced density matrix on the listed qubits, in the listed order."""
-        t = self._tensor()
-        drop = [q for q in range(self.n) if q not in qubits]
-        rho = np.tensordot(t, t.conj(), axes=(drop, drop))
-        kept_sorted = [q for q in range(self.n) if q in qubits]
-        order = [kept_sorted.index(q) for q in qubits]
-        k = len(qubits)
-        rho = np.transpose(rho, [*order, *[o + k for o in order]])
-        return rho.reshape(2 ** k, 2 ** k)
+        """Reduced density matrix M M^dag on the listed qubits, in the listed order."""
+        m = self.amps[_cut(self.n, tuple(qubits))]
+        return m @ m.conj().T
 
     def fidelity(self, qubits: list[int], target) -> float:
-        """<t| rho |t> / <t|t> for the reduced state rho of `qubits`, in
-        that order, and the target amplitudes t."""
-        rho = self.reduced_dm(list(qubits))
+        """<t| rho |t> / <t|t> = |t^dag M|^2 / |t|^2 for the reduced state
+        rho = M M^dag of `qubits`, in that order, and the target amplitudes t."""
         t = np.asarray(target, dtype=complex).reshape(-1)
-        return float((t.conj() @ rho @ t).real / (t.conj() @ t).real)
+        overlap = t.conj() @ self.amps[_cut(self.n, tuple(qubits))]
+        return float(np.vdot(overlap, overlap).real / np.vdot(t, t).real)
 
     # -- checked claims: the only way to book a produced resource -------------
 
@@ -484,15 +496,6 @@ def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> Run:
                values={"final_state": reg.amps.copy()})
 
 
-def _coherent_tp_target(message: np.ndarray) -> np.ndarray:
-    """Phi_+ on (q0, c1), Phi_+ on (q1, c2), message on q2 — axes (0..4)."""
-    t = np.zeros((2, 2, 2, 2, 2), dtype=complex)
-    for z in (0, 1):
-        for x in (0, 1):
-            t[z, x, :, z, x] = 0.5 * message
-    return t.reshape(-1)
-
-
 def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> Run:
     """Teleportation with the measurement replaced by two cobits.
 
@@ -511,7 +514,8 @@ def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> Run:
     fidelities = {
         "output": reg.claim_qubit(q2, message),
         "residual": reg.claim_ebits([(q0, c1), (q1, c2)]),
-        "total": state_fidelity(reg.amps, _coherent_tp_target(message)),
+        # the whole register: Phi_+ on (q0, c1) and on (q1, c2), the message on q2
+        "total": reg.fidelity([q0, c1, q1, c2, q2], np.kron(np.kron(BELL, BELL), message)),
     }
     return Run(PROTOCOL_FIDELITY, [reg.ledger], fidelities, values={"final_state": reg.amps.copy()})
 
@@ -595,8 +599,11 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
     Each row of the table is (report section, name, target inequality or
     None, argument tuples, runner).  An entry passes when every run passes
     at its own threshold and, where the row has a target, the ledger of
-    every branch matches it.  Returns a JSON-ready report; overall `pass` is
-    True only if every entry passed.
+    every branch matches it.  Each entry also states its number of runs
+    (`cases`), the input index of its lowest-fidelity run (`worst_case`; the
+    first within 1e-12 of the lowest, so float noise cannot move it) and that
+    fidelity minus the run's threshold (`margin`).  Returns a JSON-ready
+    report; overall `pass` is True only if every entry passed.
     """
     rng = SplitMix64(seed)
 
@@ -625,7 +632,9 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
     report: dict = {protocol: [], demo: []}
     for section, name, target, inputs, runner in rows:
         runs = [runner(*args) for args in inputs]
-        entry = {"name": name, "fidelity": min(run.fidelity for run in runs)}
+        low = min(run.fidelity for run in runs)
+        worst = next(i for i, run in enumerate(runs) if run.fidelity - low <= 1e-12)
+        entry = {"name": name, "fidelity": low}
         if runs[0].ledgers:
             entry["ledger"] = runs[0].ledger.as_json()
         wanted = None if target is None else _wanted_counts(target)
@@ -633,6 +642,7 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
             run.passed and (wanted is None or all(ledger.counts() == wanted for ledger in run.ledgers))
             for run in runs
         )
-        report[section].append({**entry, **runs[0].report, "pass": passed})
+        report[section].append({**entry, **runs[0].report, "pass": passed, "cases": len(runs),
+                                "worst_case": worst, "margin": low - runs[worst].threshold})
     report["pass"] = all(entry["pass"] for entry in [*report[protocol], *report[demo]])
     return report

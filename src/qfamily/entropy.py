@@ -28,9 +28,13 @@ class ValidationError(ValueError):
     """A numeric object violating its defining invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOp:
-    """Validated density operator (Hermitian, unit trace, PSD within tolerance)."""
+    """Validated density operator (Hermitian, unit trace, PSD within tolerance).
+
+    Compared and hashed by identity, as are the other numeric objects: their
+    fields are arrays, which have no single truth value.
+    """
 
     matrix: np.ndarray
 
@@ -56,7 +60,7 @@ class DensityOp:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripartitePureState:
     """Unit vector on A x B x E with an explicit dimension split.
 
@@ -67,8 +71,7 @@ class TripartitePureState:
     dims: tuple[int, int, int]
     amplitudes: np.ndarray
     # entropy of each marginal evaluate_raw has formed, keyed by sorted names
-    _marginal_entropies: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _marginal_entropies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not (isinstance(self.dims, (tuple, list)) and len(self.dims) == 3
@@ -96,7 +99,7 @@ class TripartitePureState:
         return self.amplitudes.reshape(self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """CPTP map given by Kraus operators (d_out x d_in each)."""
 

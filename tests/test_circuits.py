@@ -1,7 +1,10 @@
+import functools
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfamily.algebra import CBIT, COBIT, EBIT, QUBIT_CHANNEL
 from qfamily.circuits import (
@@ -24,7 +27,7 @@ from qfamily.circuits import (
 )
 from qfamily import circuits
 from qfamily.derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
-from qfamily.rng import SplitMix64, random_pure
+from qfamily.rng import SplitMix64, random_pure, random_unitary
 
 
 # -- register discipline -------------------------------------------------------
@@ -132,6 +135,80 @@ def test_claims_need_the_right_holders():
         reg.claim_qubit(a, (1, 0))
     with pytest.raises(LocalityError, match="Alice"):
         reg.claim_ebits([(b, a)])
+
+
+def test_two_qubit_gates_need_two_qubits():
+    reg = Register()
+    q = reg.add_qubit(Party.ALICE)
+    with pytest.raises(ValueError, match="two qubits"):
+        reg.cnot(q, q)
+
+
+@pytest.mark.parametrize("matrix", [np.diag([1.0, 0.5]), np.full((2, 2), np.nan)],
+                         ids=["non-unitary", "nan"])
+def test_gate_that_breaks_the_norm_is_caught(matrix):
+    reg = Register()
+    q = reg.add_qubit(Party.ALICE, PLUS)
+    with pytest.raises(AssertionError, match="norm drifted"):
+        reg.apply_single(matrix, q)
+
+
+# -- kernels against a dense reference -----------------------------------------------
+
+DENSE_SINGLE = {
+    "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "x": np.array([[0, 1], [1, 0]]),
+    "z": np.diag([1, -1]),
+}
+P0, P1 = np.diag([1, 0]), np.diag([0, 1])
+
+
+def _dense(n, ops):
+    """The 2^n x 2^n matrix of `ops` (qubit -> 2x2) by np.kron, qubit 0 leftmost."""
+    return functools.reduce(np.kron, [ops.get(q, np.eye(2)) for q in range(n)])
+
+
+def _dense_controlled(n, control, target, gate):
+    return _dense(n, {control: P0}) + _dense(n, {control: P1, target: gate})
+
+
+def _partial_trace(amps, n, keep):
+    """rho of the qubits `keep`, in that order, by einsum over the others."""
+    letters = "abcdefghij"
+    bra = "".join(letters[n + q] if q in keep else letters[q] for q in range(n))
+    out = "".join(letters[q] for q in keep) + "".join(letters[n + q] for q in keep)
+    t = amps.reshape([2] * n)
+    return np.einsum(f"{letters[:n]},{bra}->{out}", t, t.conj()).reshape(2 ** len(keep), -1)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_kernels_match_a_dense_reference(n, seed, data):
+    rng = SplitMix64(seed)
+    reg = Register()
+    reg.add_qubit(Party.ALICE, random_pure(rng, 2 ** n))
+    want = reg.amps.copy()
+    gates = ["h", "x", "z", "u"] + (["cnot", "cz"] if n > 1 else [])
+    for _ in range(data.draw(st.integers(0, 12))):
+        name, before = data.draw(st.sampled_from(gates)), reg.amps
+        if name in ("cnot", "cz"):
+            control, target = data.draw(st.permutations(range(n)))[:2]
+            getattr(reg, name)(control, target)
+            full = _dense_controlled(n, control, target, DENSE_SINGLE["x" if name == "cnot" else "z"])
+            assert np.array_equal(reg.amps, full @ before)  # exact: a permutation or signs
+        else:
+            qubit = data.draw(st.integers(0, n - 1))
+            matrix = random_unitary(rng, 2) if name == "u" else DENSE_SINGLE[name]
+            reg.apply_single(matrix, qubit)
+            full = _dense(n, {qubit: matrix})
+        want = full @ want
+        assert np.max(np.abs(reg.amps - want)) <= 1e-12
+    for k in range(1, min(n, 3) + 1):
+        for keep in itertools.permutations(range(n), k):
+            rho = _partial_trace(reg.amps, n, keep)
+            assert np.max(np.abs(reg.reduced_dm(list(keep)) - rho)) <= 1e-12
+            t = 1.5 * random_pure(rng, 2 ** k)
+            assert abs(reg.fidelity(keep, t) - (t.conj() @ rho @ t).real / (t.conj() @ t).real) <= 1e-12
 
 
 # -- teleportation ---------------------------------------------------------------
@@ -319,6 +396,50 @@ def test_rule_O_demo_residual_is_message_independent():
 # -- suite -------------------------------------------------------------------------------
 
 
+RUNNERS = ("run_teleportation", "run_superdense", "run_entanglement_distribution",
+           "run_cobit_checks", "run_coherent_superdense", "run_coherent_teleportation")
+
+
+def test_verify_all_makes_the_same_gates_branches_and_runs(monkeypatch):
+    """What the benchmark's tracer counts through these names, for one pass."""
+    counts = Counter()
+
+    def count(owner, name, key, by_length=False):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            result = real(*args, **kwargs)
+            counts[key] += len(result) if by_length else 1
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("apply_single", "_cnot_unchecked", "cz"):
+        count(Register, name, name)
+    count(Register, "measure", "branches", by_length=True)
+    for name in RUNNERS:
+        count(circuits, name, "runs")
+    verify_all(trials=20, seed=7)
+    # 355 gates in all
+    assert counts == {"apply_single": 172, "_cnot_unchecked": 151, "cz": 32, "branches": 100, "runs": 60}
+
+
+def test_report_names_the_worst_case_and_its_margin(monkeypatch):
+    real, calls = circuits.run_teleportation, []
+
+    def one_bad_run(amplitudes):
+        run = real(amplitudes)
+        calls.append(amplitudes)
+        if len(calls) == 4:
+            run.fidelities["degraded"] = 0.75
+        return run
+
+    monkeypatch.setattr(circuits, "run_teleportation", one_bad_run)
+    entry = verify_all(trials=3, seed=0)["protocols"][0]
+    assert (entry["cases"], entry["worst_case"], entry["pass"]) == (5, 3, False)
+    assert entry["margin"] == 0.75 - circuits.PROTOCOL_FIDELITY
+
+
 def test_verify_all_reports_seven_protocols_and_two_demos():
     report = verify_all(trials=10, seed=3)
     names = [entry["name"] for entry in report["protocols"]]
@@ -337,3 +458,9 @@ def test_verify_all_reports_seven_protocols_and_two_demos():
         "rule_O_on_superdense",
     ]
     assert report["pass"]
+    cases = {e["name"]: e["cases"] for e in [*report["protocols"], *report["rule_demos"]]}
+    assert [cases["teleportation"], cases["superdense"], cases["coherent_superdense"],
+            cases["coherent_teleportation"]] == [12, 4, 3, 12]
+    for entry in [*report["protocols"], *report["rule_demos"]]:
+        assert list(entry)[-4:] == ["pass", "cases", "worst_case", "margin"]
+        assert 0 <= entry["worst_case"] < entry["cases"] and entry["margin"] >= 0

@@ -103,6 +103,19 @@ def test_validators_reject_nan_and_inf(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DensityOp(np.eye(2) / 2),
+    lambda: TripartitePureState((2, 2, 1), BELL),
+    lambda: QuantumChannel((np.eye(2),)),
+], ids=["density", "state", "channel"])
+def test_numeric_objects_compare_and_hash_by_identity(build):
+    a, b = build(), build()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
 def test_package_attribute_entropy_is_the_module():
     import qfamily
 
