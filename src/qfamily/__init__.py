@@ -1,6 +1,6 @@
 """qfamily: a calculus for the two-party quantum protocol family.
 
-Layers:
+Layers, each imported as its module (`from qfamily.grammar import parse_ri`):
 
 - `algebra`: exact-rational resource vectors and inequalities over the
   entropic generators {1, H(A), H(B), H(E)}, canonicalization, duality.
@@ -15,62 +15,3 @@ Layers:
   resource ledgers.
 - `cli`: the `qfamily` command.
 """
-
-from .algebra import (
-    CBIT,
-    COBIT,
-    EBIT,
-    EntropicExpr,
-    Gen,
-    HALF,
-    H_A,
-    H_B,
-    H_E,
-    I_AB,
-    I_AE,
-    I_COH,
-    Mode,
-    NOISY_CHANNEL,
-    NOISY_STATE,
-    QUBIT_CHANNEL,
-    ResourceInequality,
-    ResourceKind,
-    ResourceTag,
-    ResourceVector,
-    RuleFlags,
-    canonicalize,
-    dual,
-    noisy_channel,
-    noisy_state,
-    vec,
-)
-from .derivation import (
-    COHERENT_SD,
-    COHERENT_TP,
-    DerivationStep,
-    PRIMITIVES,
-    StepKind,
-    append,
-    apply_rule_I,
-    apply_rule_O,
-    cancel,
-    derive_family,
-    prepend,
-    replay,
-    waste,
-)
-from .entropy import (
-    DensityOp,
-    QuantumChannel,
-    TripartitePureState,
-    channel_state,
-    evaluate,
-    evaluate_raw,
-    maximally_entangled,
-    purify,
-    reduced,
-    stinespring,
-)
-from .grammar import format_ri, parse_ri, ri_from_json, ri_to_json
-
-__version__ = "0.1.0"

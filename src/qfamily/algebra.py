@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
 
@@ -66,27 +67,11 @@ class Gen(Enum):
     H_B = "H_B"
     H_E = "H_E"
 
+    __hash__ = object.__hash__  # identity, as for `ResourceTag`
+
 
 # Slot order of an expression's four coefficients.
 _GENS = tuple(Gen)
-
-# Raw vocabulary -> canonical expansion, as weights of the slots
-# (1, H(A), H(B), H(E)).  The two-party entropies collapse via purity of
-# |psi>^ABE; information quantities expand by definition.
-_RAW_SYMBOLS: dict[str, Tuple[int, int, int, int]] = {
-    "1": (1, 0, 0, 0),
-    "CONST": (1, 0, 0, 0),
-    "H(A)": (0, 1, 0, 0),
-    "H(B)": (0, 0, 1, 0),
-    "H(E)": (0, 0, 0, 1),
-    "H(AB)": (0, 0, 0, 1),
-    "H(AE)": (0, 0, 1, 0),
-    "H(BE)": (0, 1, 0, 0),
-    "H(ABE)": (0, 0, 0, 0),
-    "I(A:B)": (0, 1, 1, -1),
-    "I(A:E)": (0, 1, -1, 1),
-    "Ic(A>B)": (0, 0, 1, -1),
-}
 
 _NO_SLOTS = (Fraction(0),) * 4
 
@@ -192,34 +177,48 @@ class EntropicExpr:
 
 
 ZERO = EntropicExpr()
-ONE = EntropicExpr.constant(1)
-H_A = EntropicExpr((0, 1, 0, 0))
-H_B = EntropicExpr((0, 0, 1, 0))
-H_E = EntropicExpr((0, 0, 0, 1))
+
+# The raw vocabulary, the one list of entropic spellings: each symbol's
+# canonical expansion.  The two-party entropies collapse via purity of
+# |psi>^ABE; information quantities expand by definition.  `grammar` spells
+# each expansion by its first symbol here.
+SYMBOLS: Mapping[str, EntropicExpr] = MappingProxyType({
+    "1": EntropicExpr((1, 0, 0, 0)),
+    "CONST": EntropicExpr((1, 0, 0, 0)),
+    "H(A)": EntropicExpr((0, 1, 0, 0)),
+    "H(B)": EntropicExpr((0, 0, 1, 0)),
+    "H(E)": EntropicExpr((0, 0, 0, 1)),
+    "H(AB)": EntropicExpr((0, 0, 0, 1)),
+    "H(AE)": EntropicExpr((0, 0, 1, 0)),
+    "H(BE)": EntropicExpr((0, 1, 0, 0)),
+    "H(ABE)": EntropicExpr((0, 0, 0, 0)),
+    "I(A:B)": EntropicExpr((0, 1, 1, -1)),
+    "I(A:E)": EntropicExpr((0, 1, -1, 1)),
+    "Ic(A>B)": EntropicExpr((0, 0, 1, -1)),
+})
 
 
 def canonicalize(raw: Union["EntropicExpr", Mapping[str, RationalLike]]) -> EntropicExpr:
     """Project a raw entropic expression onto the canonical generator set.
 
-    `raw` maps symbol names ("1", "H(A)".."H(ABE)", "I(A:B)", "I(A:E)",
-    "Ic(A>B)"; ';' is accepted for ':') to rational coefficients.  Canonical
-    expressions pass through unchanged, making the map idempotent.
+    `raw` maps symbol names of `SYMBOLS` (';' is accepted for ':') to
+    rational coefficients.  Canonical expressions pass through unchanged,
+    making the map idempotent.
     """
     if isinstance(raw, EntropicExpr):
         return raw
     slots = _NO_SLOTS
     for symbol, coeff in raw.items():
         key = symbol.replace(";", ":").replace(" ", "")
-        if key not in _RAW_SYMBOLS:
+        if key not in SYMBOLS:
             raise SymbolError(f"unknown entropic symbol: {symbol!r}")
         c = as_fraction(coeff)
-        slots = tuple(s + c * w if w else s for s, w in zip(slots, _RAW_SYMBOLS[key]))
+        slots = tuple(s + c * w if w else s for s, w in zip(slots, SYMBOLS[key].slots))
     return EntropicExpr(slots)
 
 
-I_AB = canonicalize({"I(A:B)": 1})
-I_AE = canonicalize({"I(A:E)": 1})
-I_COH = canonicalize({"Ic(A>B)": 1})
+H_A, H_B, H_E = SYMBOLS["H(A)"], SYMBOLS["H(B)"], SYMBOLS["H(E)"]
+I_AB, I_AE, I_COH = SYMBOLS["I(A:B)"], SYMBOLS["I(A:E)"], SYMBOLS["Ic(A>B)"]
 HALF = Fraction(1, 2)
 
 
@@ -295,10 +294,6 @@ NOISY_CHANNEL = ResourceKind(ResourceTag.NOISY_CHANNEL)
 
 def noisy_state(handle: str | None = None) -> ResourceKind:
     return ResourceKind(ResourceTag.NOISY_STATE, handle)
-
-
-def noisy_channel(handle: str | None = None) -> ResourceKind:
-    return ResourceKind(ResourceTag.NOISY_CHANNEL, handle)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +400,8 @@ def vec(coeff: CoeffLike, kind: ResourceKind) -> ResourceVector:
 class Mode(Enum):
     EXACT = "exact"          # '>=!': single-shot, zero-error simulation
     ASYMPTOTIC = "asymptotic"  # '>=': vanishing trace-distance error per copy
+
+    __hash__ = object.__hash__  # identity, as for `ResourceTag`
 
 
 @dataclass(frozen=True)

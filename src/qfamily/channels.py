@@ -35,7 +35,8 @@ from .entropy import (
 )
 
 # A computed number with |x| below this is rounding noise: it prints as 0 in
-# a sweep, and a rate above -NOISE_FLOOR counts as achievable.
+# a sweep and is stored as 0.0 in a rate table, and a rate above -NOISE_FLOOR
+# counts as achievable.
 NOISE_FLOOR = 1e-12
 
 _QUBIT_PAULI = {
@@ -283,6 +284,7 @@ def _side_entries(side: ResourceVector, obj: RegisteredObject,
             entries.append(RateEntry(kind.token, None, int(coeff.as_constant()), True))
         else:
             rate = coeff.value(*entropies)
+            rate = rate if abs(rate) >= NOISE_FLOOR else 0.0
             entries.append(RateEntry(kind.token, rate, None, rate >= -NOISE_FLOOR))
     return tuple(entries)
 

@@ -149,11 +149,10 @@ def _compose(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike,
     return _with_step(base, result, step_kind, tool.name, k)
 
 
-def append(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike,
-           step_kind: StepKind = StepKind.APPEND) -> ResourceInequality:
+def append(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike) -> ResourceInequality:
     """Run `tool` (scaled by k) on the outputs of `base`; tool inputs the
     outputs cannot cover become inputs of the composite."""
-    return _compose(base, tool, k, step_kind)
+    return _compose(base, tool, k, StepKind.APPEND)
 
 
 def prepend(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike) -> ResourceInequality:
@@ -345,7 +344,7 @@ def derive_family() -> dict[str, ResourceInequality]:
     eq3 = append(mother, sd, I_AB * HALF).with_name("eq3").with_flags(rule_O_ok=True)
     eq4 = append(father, sd, I_AB * HALF).with_name("eq4").with_flags(rule_O_ok=True)
 
-    eq5 = append(father, qe, I_AE * HALF, step_kind=StepKind.APPLY_QE_FRACTION)
+    eq5 = _compose(father, qe, I_AE * HALF, StepKind.APPLY_QE_FRACTION)
     eq5 = cancel(eq5, EBIT, I_AE * HALF).with_name("eq5")
 
     eq1_via_eq2 = append(eq2, tp, I_COH).with_name("eq1_via_eq2")

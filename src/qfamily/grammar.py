@@ -38,18 +38,13 @@ from typing import Iterator, NamedTuple
 from .algebra import (
     EntropicExpr,
     Gen,
-    H_A,
-    H_B,
-    H_E,
-    I_AB,
-    I_AE,
-    I_COH,
     Mode,
     ResourceInequality,
     ResourceKind,
     ResourceTag,
     ResourceVector,
     RuleFlags,
+    SYMBOLS,
     ZERO,
     canonicalize,
 )
@@ -67,18 +62,20 @@ class ParseError(ValueError):
 # Formatting
 # ---------------------------------------------------------------------------
 
-# Preferred spellings, tried in order: plain generators first, then the
-# information quantities.
-_NAMED_EXPRS: list[tuple[str, EntropicExpr]] = [
-    ("H(A)", H_A),
-    ("H(B)", H_B),
-    ("H(E)", H_E),
-    ("I(A:B)", I_AB),
-    ("I(A:E)", I_AE),
-    ("Ic(A>B)", I_COH),
-]
+def _first_spellings() -> dict[EntropicExpr, str]:
+    """Each distinct expansion in `SYMBOLS`, spelled by its first symbol
+    there, in table order."""
+    spellings: dict[EntropicExpr, str] = {}
+    for name, expr in SYMBOLS.items():
+        spellings.setdefault(expr, name)
+    return spellings
 
-_GEN_NAMES = {Gen.CONST: "1", Gen.H_A: "H(A)", Gen.H_B: "H(B)", Gen.H_E: "H(E)"}
+
+_SPELLINGS = _first_spellings()
+# Named spellings, tried in table order: H(A), H(B), H(E), I(A:B), I(A:E),
+# Ic(A>B).
+_NAMED_EXPRS = [(name, expr) for expr, name in _SPELLINGS.items() if expr.as_constant() is None]
+_GEN_NAMES = {gen: _SPELLINGS[EntropicExpr.from_dict({gen: 1})] for gen in Gen}
 
 
 def format_rational(value: Fraction) -> str:
@@ -162,12 +159,16 @@ _RESOURCE_RE = re.compile(
     r"|\{qq(?::[A-Za-z_][\w.-]*)?\}|\{q->q(?::[A-Za-z_][\w.-]*)?\}"
 )
 
+# The entropies of `SYMBOLS` (no constant part), ':' also matching ';'.
+# Every name ends in ')', so none is a prefix of another.
+_SYMBOL_PATTERN = "|".join(re.escape(name).replace(":", "[:;]")
+                           for name, expr in SYMBOLS.items() if not expr.coeff(Gen.CONST))
+
 _TOKEN_RE = re.compile(
     rf"""
     (?P<WS>\s+)
   | (?P<RESOURCE>{_RESOURCE_RE.pattern})
-  | (?P<SYMBOL>H\(ABE\)|H\(AB\)|H\(AE\)|H\(BE\)|H\(A\)|H\(B\)|H\(E\)
-      |I\(A[:;]B\)|I\(A[:;]E\)|Ic\(A>B\))
+  | (?P<SYMBOL>{_SYMBOL_PATTERN})
   | (?P<CMP>>=!|>=)
   | (?P<NUMBER>\d+(?:/\d+)?)
   | (?P<PLUS>\+)

@@ -1,6 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per criterion."""
 
+import argparse
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -227,6 +230,13 @@ def test_criterion_6_cross_layer_consistency():
 
 def test_criterion_7_finite_blocklength_out_of_scope():
     import qfamily
+    from qfamily import cli
 
-    assert not any("blocklength" in name or "coding" in name for name in dir(qfamily))
+    layers = {info.name for info in pkgutil.iter_modules(qfamily.__path__)}
+    assert {"algebra", "grammar", "derivation", "entropy", "channels", "circuits", "cli"} <= layers
+    names = [name for layer in layers for name in dir(importlib.import_module(f"qfamily.{layer}"))]
+    verbs = next(action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert "family" in verbs
+    assert not any("blocklength" in name or "coding" in name for name in [*names, *verbs])
     _announce(7, "finite-n parent coding intentionally absent; nothing claims it")

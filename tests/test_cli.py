@@ -222,6 +222,24 @@ def test_boundary_errors_exit_2_with_an_error_line(capsys, argv):
     assert err.startswith("error: ")
 
 
+# Tables whose entropies leave a rate within rounding noise of zero: on the
+# Bell state H(E) comes out near 6.4e-16, on the fully dephasing channel
+# Ic(A>B) near -1.1e-16.
+@pytest.mark.parametrize("argv, side, line", [
+    (("--ri", "eq2", "--state", "bell"), "inputs", "  inputs:  0 [c->c] + 1 copy of {qq}"),
+    (("--ri", "mother", "--state", "bell"), "inputs", "  inputs:  0 [q->q] + 1 copy of {qq}"),
+    (("--ri", "eq5", "--channel", "dephasing", "--param", "1"), "outputs", "  outputs: 0 [q->q]"),
+], ids=["eq2-bell", "mother-bell", "eq5-dephasing-1"])
+def test_rates_below_the_noise_floor_are_zero_in_text_and_json(capsys, argv, side, line):
+    code, out, _ = run_cli(capsys, "rates", *argv)
+    assert code == 0
+    assert line in out.splitlines()
+    code, out, _ = run_cli(capsys, "rates", *argv, "--json")
+    rates = [entry["rate"] for entry in json.loads(out)[side] if entry["rate"] is not None]
+    assert code == 0
+    assert rates == [0.0] and math.copysign(1.0, rates[0]) == 1.0
+
+
 @pytest.mark.parametrize("registry", [
     [{"name": "x", "kind": "state", "data": [[1, 0]]}],
     [{"name": "x", "kind": "state", "dims": [1, 1]}],
@@ -245,12 +263,16 @@ def test_malformed_registry_exits_2_with_an_error_line(capsys, tmp_path, registr
         assert str(path) in err and "line 1 column 2" in err
 
 
-def test_closed_stdout_exits_nonzero_without_a_traceback():
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this tree's qfamily."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_closed_stdout_exits_nonzero_without_a_traceback():
     proc = subprocess.Popen([sys.executable, "-m", "qfamily.cli", "family", "--json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
     proc.stdout.close()  # the reader is gone before the first write, as after `| head -c 10`
     err = proc.stderr.read()
     assert proc.wait() != 0
@@ -266,3 +288,11 @@ def test_family_prints_only_duality_claims_that_hold(capsys, monkeypatch):
     assert out_with_false == out
     assert line.startswith("duality: mother <-> father; ")
     assert "tp <-> sd" not in line and "eq1 <-> eq5" not in line
+
+
+@pytest.mark.parametrize("modules", ["qfamily", "qfamily.algebra, qfamily.grammar, qfamily.derivation"])
+def test_package_and_symbolic_layer_load_no_numpy(modules):
+    code = f"import sys, {modules}; print(sorted({{'numpy', 'qfamily.entropy'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), check=True)
+    assert proc.stdout == "[]\n"

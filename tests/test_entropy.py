@@ -117,7 +117,7 @@ def test_numeric_objects_compare_and_hash_by_identity(build):
 
 
 def test_package_attribute_entropy_is_the_module():
-    import qfamily
+    import qfamily.entropy
 
     assert qfamily.entropy.entropy(np.eye(2) / 2) == pytest.approx(1.0)
 

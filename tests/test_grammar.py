@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfamily.algebra import EBIT, Gen, Mode, ResourceInequality, canonicalize, vec
+from qfamily.algebra import EBIT, SYMBOLS, Gen, Mode, ResourceInequality, canonicalize, vec
 from qfamily.derivation import PRIMITIVES, derive_family
 from qfamily.grammar import (
     ParseError,
@@ -92,6 +92,29 @@ def test_expr_formatting_round_trips(vector):
         assert expr_from_json(data) == coeff
         assert list(data) == [gen.value for gen in (Gen.CONST, Gen.H_A, Gen.H_B, Gen.H_E)
                               if coeff.coeff(gen) != 0]
+
+
+# Every raw symbol and the spelling it formats to.  "CONST" names the constant
+# only in `canonicalize`'s input; grammar text writes it as a number.
+PREFERRED_SPELLINGS = {
+    "1": "1", "CONST": "1",
+    "H(A)": "H(A)", "H(B)": "H(B)", "H(E)": "H(E)",
+    "H(AB)": "H(E)", "H(AE)": "H(B)", "H(BE)": "H(A)", "H(ABE)": "0",
+    "I(A:B)": "I(A:B)", "I(A:E)": "I(A:E)", "Ic(A>B)": "Ic(A>B)",
+}
+
+
+def test_every_raw_symbol_parses_and_formats_to_its_preferred_spelling():
+    assert set(PREFERRED_SPELLINGS) == set(SYMBOLS)
+    for symbol, preferred in PREFERRED_SPELLINGS.items():
+        expr = canonicalize({symbol: 1})
+        assert format_expr(expr) == preferred
+        assert parse_expr(preferred) == expr
+        if symbol != "CONST":
+            for spelling in (symbol, symbol.replace(":", ";")):
+                assert format_expr(parse_expr(spelling)) == preferred
+    with pytest.raises(ParseError):
+        parse_expr("CONST")
 
 
 def test_json_round_trip_preserves_everything():
