@@ -15,11 +15,15 @@ import os
 import sys
 from fractions import Fraction
 
-from . import channels, circuits, grammar
+# qfamily's matrices are at most 16x16, so a BLAS thread pool only costs CPU.
+# Unless the user chose a thread count, give OpenBLAS one; numpy reads it on import.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import channels, grammar
 from .algebra import CBIT, I_AE, dual, vec
 from .derivation import FAMILY_ORDER, derive_family, render_trace, waste
 from .entropy import random_tripartite_state, evaluate_raw
-from .rng import SplitMix64
 
 IDENTITY_TOLERANCE = 1e-9
 
@@ -180,12 +184,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_circuits(args) -> int:
+    from . import circuits
+
     report = circuits.verify_all(trials=_positive_trials(args), seed=args.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["pass"] else 1
 
 
 def cmd_check_identities(args) -> int:
+    from .rng import SplitMix64
+
     trials = _positive_trials(args)
     rng = SplitMix64(args.seed)
     worst_sum = 0.0

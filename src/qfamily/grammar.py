@@ -73,8 +73,9 @@ def _first_spellings() -> dict[EntropicExpr, str]:
 
 _SPELLINGS = _first_spellings()
 # Named spellings, tried in table order: H(A), H(B), H(E), I(A:B), I(A:E),
-# Ic(A>B).
-_NAMED_EXPRS = [(name, expr) for expr, name in _SPELLINGS.items() if expr.as_constant() is None]
+# Ic(A>B); each with its coefficients in `Gen` order.
+_NAMED_EXPRS = [(name, tuple(expr.coeff(gen) for gen in Gen))
+                for expr, name in _SPELLINGS.items() if expr.as_constant() is None]
 _GEN_NAMES = {gen: _SPELLINGS[EntropicExpr.from_dict({gen: 1})] for gen in Gen}
 
 
@@ -96,8 +97,9 @@ def format_expr(expr: EntropicExpr) -> str:
     if constant is not None:
         text = format_rational(constant)
         return text if constant >= 0 else f"({text})"
+    coeffs = tuple(expr.coeff(gen) for gen in Gen)
     for name, base in _NAMED_EXPRS:
-        ratio = _multiple_of(expr, base)
+        ratio = _multiple_of(coeffs, base)
         if ratio is not None:
             if ratio == 1:
                 return name
@@ -117,13 +119,19 @@ def format_expr(expr: EntropicExpr) -> str:
     return "(" + " ".join(parts) + ")"
 
 
-def _multiple_of(expr: EntropicExpr, base: EntropicExpr) -> Fraction | None:
-    """The rational r with expr == r*base, if one exists."""
-    gen, first = next(iter(base.as_dict().items()))
-    ratio = expr.coeff(gen) / first
-    if ratio != 0 and expr == base * ratio:
-        return ratio
-    return None
+def _multiple_of(coeffs: tuple[Fraction, ...], base: tuple[Fraction, ...]) -> Fraction | None:
+    """The rational r with coeffs == r*base entry by entry, if one exists
+    (`base` is not all zero)."""
+    ratio = None
+    for c, b in zip(coeffs, base):
+        if not b:
+            if c:
+                return None
+        elif ratio is None:
+            ratio = c / b
+        elif c != ratio * b:
+            return None
+    return ratio
 
 
 def format_vector(vector: ResourceVector) -> str:

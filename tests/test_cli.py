@@ -296,3 +296,130 @@ def test_package_and_symbolic_layer_load_no_numpy(modules):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_src_env(), check=True)
     assert proc.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# The entry point's BLAS thread choice and its deferred modules
+# ---------------------------------------------------------------------------
+
+# The variables this numpy's OpenBLAS reads for its thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_fresh(argv, **thread_vars) -> str:
+    """Stdout of a fresh interpreter run with only the given thread variables set."""
+    env = {k: v for k, v in _src_env().items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**env, **thread_vars}, check=True)
+    return proc.stdout
+
+
+_OPENBLAS_AFTER_IMPORT = "import os, qfamily.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+def test_entry_point_runs_openblas_on_one_thread():
+    code = ("import os, qfamily.cli, numpy as np; np.linalg.eigvalsh(np.eye(4));"
+            "status = open('/proc/self/status').read() if os.path.exists('/proc/self/status') else '';"
+            "threads = [line.split()[1] for line in status.splitlines() if line.startswith('Threads:')];"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), *threads)")
+    out = _run_fresh(["-c", code]).split()
+    assert out[0] == "1"
+    if sys.platform.startswith("linux"):
+        assert out[1:] == ["1"]
+
+
+@pytest.mark.parametrize("user_vars, expected", [
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"GOTO_NUM_THREADS": "2"}, "None"),
+    ({"OMP_NUM_THREADS": "2"}, "None"),
+], ids=["openblas", "goto", "omp"])
+def test_a_thread_count_the_user_chose_wins(user_vars, expected):
+    # Against the entry point's own choice, made when the user set none.
+    assert _run_fresh(["-c", _OPENBLAS_AFTER_IMPORT]) == "1\n"
+    assert _run_fresh(["-c", _OPENBLAS_AFTER_IMPORT], **user_vars) == expected + "\n"
+
+
+def test_entry_point_defers_the_circuit_lab_and_the_rng():
+    code = "import sys, qfamily.cli; print(sorted({'qfamily.circuits', 'qfamily.rng'} & set(sys.modules)))"
+    assert _run_fresh(["-c", code]) == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--channel", "depolarizing", "--param", "0:1:0.01"),
+    ("check-identities", "--seed", "3", "--trials", "7"),
+], ids=["sweep", "check-identities"])
+def test_blas_thread_count_never_moves_output_bytes(argv):
+    cli_argv = ["-m", "qfamily.cli", *argv]
+    assert _run_fresh(cli_argv) == _run_fresh(cli_argv, OPENBLAS_NUM_THREADS="2")
+
+
+# ---------------------------------------------------------------------------
+# Rate tables against the paper's closed forms
+# ---------------------------------------------------------------------------
+
+
+def _h(*probs: float) -> float:
+    """Shannon entropy in bits."""
+    return -sum(q * math.log2(q) for q in probs if q > 0)
+
+
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+# (derivation, channel family, table side, resource) -> the rate as a function
+# of the family's parameter p, on the channel state with a maximally
+# entangled input.  eq5 is the quantum capacity through Ic(A>B); eq4 is the
+# entanglement-assisted classical capacity I(A:B), per ebit H(A) = 1.
+CHANNEL_FORMS = {
+    ("eq5", "erasure", "outputs", "[q->q]"): lambda p: 1 - 2 * p,
+    ("eq5", "dephasing", "outputs", "[q->q]"): lambda p: 1 - _h(p / 2, 1 - p / 2),
+    ("eq5", "depolarizing", "outputs", "[q->q]"):
+        lambda p: 1 - _h(1 - 3 * p / 4, p / 4, p / 4, p / 4),
+    ("eq4", "erasure", "outputs", "[c->c]"): lambda p: 2 * (1 - p),
+}
+
+# The hashing inequality eq2 on two built-in states, with the closed form of
+# each noiseless rate: I(A:E) cbits in, Ic(A>B) ebits out.
+STATE_FORMS = {
+    ("eq2", "erasure_state_p25"): {("inputs", "[c->c]"): 0.5, ("outputs", "[qq]"): 0.5},
+    ("eq2", "depolarizing_state_p50"): {
+        ("inputs", "[c->c]"): _h(5 / 8, 1 / 8, 1 / 8, 1 / 8),
+        ("outputs", "[qq]"): 1 - _h(5 / 8, 1 / 8, 1 / 8, 1 / 8),
+    },
+}
+
+CASES = [((ri, "--channel", family, "--param", str(p)), {(side, token): form(p)})
+         for (ri, family, side, token), form in CHANNEL_FORMS.items() for p in GRID]
+CASES += [((ri, "--state", state), forms) for (ri, state), forms in STATE_FORMS.items()]
+
+
+def _text_rates(out: str) -> dict:
+    """(side, token) -> (printed rate, marked not achievable) of a rate table's text."""
+    rates = {}
+    for line in out.splitlines()[1:]:
+        side, terms = line.split(":", 1)
+        for term in terms.split(" + "):
+            words = term.split()
+            if "copy" not in words and "copies" not in words:
+                rates[(side.strip(), words[1])] = (words[0], "(not achievable)" in term)
+    return rates
+
+
+@pytest.mark.parametrize("args, forms", CASES, ids=[" ".join(args) for args, _ in CASES])
+def test_rate_tables_match_the_closed_forms(capsys, args, forms):
+    ri, *obj = args
+    code, out, _ = run_cli(capsys, "rates", "--ri", ri, *obj)
+    assert code == 0
+    text = _text_rates(out)
+    code, out, _ = run_cli(capsys, "rates", "--ri", ri, *obj, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    entries = {(side, e["kind_token"]): e for side in ("inputs", "outputs") for e in payload[side]}
+    for key, expected in forms.items():
+        printed, marked = text[key]
+        entry = entries[key]
+        assert marked == (expected < 0) == (not entry["achievable"]), key
+        if expected == 0:  # noise never reaches the output
+            assert (printed, entry["rate"]) == ("0", 0.0), key
+        else:
+            assert float(printed) == pytest.approx(expected, abs=5e-12), key
+            assert entry["rate"] == pytest.approx(expected, abs=1e-12), key
