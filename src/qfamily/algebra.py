@@ -76,6 +76,15 @@ _GENS = tuple(Gen)
 _NO_SLOTS = (Fraction(0),) * 4
 
 
+def _built(cls, value):
+    """An instance of the one-field frozen dataclass `cls` holding `value`
+    as is: how arithmetic builds results whose field is already in normal
+    form (four `Fraction`s, or normalized terms), skipping the coercion."""
+    built = object.__new__(cls)
+    object.__setattr__(built, cls.__match_args__[0], value)
+    return built
+
+
 @dataclass(frozen=True)
 class EntropicExpr:
     """Rational linear combination of {1, H(A), H(B), H(E)}.
@@ -135,15 +144,15 @@ class EntropicExpr:
     def __add__(self, other: "EntropicExpr") -> "EntropicExpr":
         if not isinstance(other, EntropicExpr):
             return NotImplemented
-        return EntropicExpr(tuple(a + b if b else a for a, b in zip(self.slots, other.slots)))
+        return _built(EntropicExpr, tuple(a + b if b else a for a, b in zip(self.slots, other.slots)))
 
     def __sub__(self, other: "EntropicExpr") -> "EntropicExpr":
         if not isinstance(other, EntropicExpr):
             return NotImplemented
-        return EntropicExpr(tuple(a - b if b else a for a, b in zip(self.slots, other.slots)))
+        return _built(EntropicExpr, tuple(a - b if b else a for a, b in zip(self.slots, other.slots)))
 
     def __neg__(self) -> "EntropicExpr":
-        return EntropicExpr(tuple(-a for a in self.slots))
+        return _built(EntropicExpr, tuple(-a for a in self.slots))
 
     def __mul__(self, other) -> "EntropicExpr":
         if isinstance(other, EntropicExpr):
@@ -158,7 +167,7 @@ class EntropicExpr:
                 return other * c_self
             return self * c
         scalar = as_fraction(other)
-        return EntropicExpr(tuple(a * scalar if a else a for a in self.slots))
+        return _built(EntropicExpr, tuple(a * scalar if a else a for a in self.slots))
 
     __rmul__ = __mul__
 
@@ -214,7 +223,7 @@ def canonicalize(raw: Union["EntropicExpr", Mapping[str, RationalLike]]) -> Entr
             raise SymbolError(f"unknown entropic symbol: {symbol!r}")
         c = as_fraction(coeff)
         slots = tuple(s + c * w if w else s for s, w in zip(slots, SYMBOLS[key].slots))
-    return EntropicExpr(slots)
+    return _built(EntropicExpr, slots)
 
 
 H_A, H_B, H_E = SYMBOLS["H(A)"], SYMBOLS["H(B)"], SYMBOLS["H(E)"]
@@ -252,36 +261,43 @@ _DUAL_TAG = {
 }
 
 
-@dataclass(frozen=True)
 class ResourceKind:
     """One of the six resource kinds; noisy kinds may carry an object handle.
 
     Handles are opaque names resolved against a concrete state/channel
-    registry only at numeric-evaluation time.
+    registry only at numeric-evaluation time.  Kinds are interned, one
+    immutable instance per (tag, handle), so they compare and hash by
+    identity, like `ResourceTag`.
     """
 
-    tag: ResourceTag
-    handle: str | None = None
+    __slots__ = ("tag", "handle", "token", "is_noisy", "sort_key")
 
-    def __post_init__(self):
-        if self.handle is not None and self.tag not in _NOISY_TAGS:
-            raise AlgebraError(f"{self.tag.value} cannot carry a handle")
+    def __new__(cls, tag: ResourceTag, handle: str | None = None):
+        kind = _KINDS.get((tag, handle))
+        if kind is None:
+            if handle is not None and tag not in _NOISY_TAGS:
+                raise AlgebraError(f"{tag.value} cannot carry a handle")
+            kind = _KINDS[tag, handle] = object.__new__(cls)
+            token = tag.value if handle is None else f"{tag.value[:-1]}:{handle}{tag.value[-1]}"
+            for name, value in zip(cls.__slots__, (tag, handle, token, tag in _NOISY_TAGS,
+                                                   (_TAG_ORDER[tag], handle or ""))):
+                object.__setattr__(kind, name, value)
+        return kind
 
-    @property
-    def is_noisy(self) -> bool:
-        return self.tag in _NOISY_TAGS
+    def __setattr__(self, name, value):
+        raise AttributeError(f"resource kinds are immutable; cannot set {name!r}")
 
-    @property
-    def token(self) -> str:
-        if self.handle is None:
-            return self.tag.value
-        return self.tag.value[:-1] + ":" + self.handle + self.tag.value[-1]
+    def __reduce__(self):
+        return ResourceKind, (self.tag, self.handle)
 
-    def sort_key(self) -> tuple:
-        return (_TAG_ORDER[self.tag], self.handle or "")
+    def __repr__(self) -> str:
+        return f"ResourceKind({self.tag}, {self.handle!r})"
 
     def __str__(self) -> str:
         return self.token
+
+
+_KINDS: dict[tuple[ResourceTag, str | None], ResourceKind] = {}
 
 
 CBIT = ResourceKind(ResourceTag.CBIT)
@@ -321,24 +337,7 @@ class ResourceVector:
     terms: Tuple[Tuple[ResourceKind, EntropicExpr], ...] = ()
 
     def __post_init__(self):
-        merged: dict[ResourceKind, EntropicExpr] = {}
-        for kind, coeff in self.terms:
-            coeff = as_expr(coeff)
-            merged[kind] = merged[kind] + coeff if kind in merged else coeff
-        for kind, coeff in merged.items():
-            if kind.is_noisy and not coeff.is_zero:
-                c = coeff.as_constant()
-                if c is None or c.denominator != 1 or c < 0:
-                    raise AlgebraError(
-                        f"noisy resource {kind.token} requires a nonnegative "
-                        f"integer coefficient, got {coeff}"
-                    )
-        ordered = tuple(
-            (kind, merged[kind])
-            for kind in sorted(merged, key=ResourceKind.sort_key)
-            if not merged[kind].is_zero
-        )
-        object.__setattr__(self, "terms", ordered)
+        object.__setattr__(self, "terms", _merged({}, ((k, as_expr(c)) for k, c in self.terms)))
 
     def coeff(self, kind: ResourceKind) -> EntropicExpr:
         for k, v in self.terms:
@@ -356,19 +355,19 @@ class ResourceVector:
     def restricted(self, tags: Iterable[ResourceTag]) -> "ResourceVector":
         """Sub-vector keeping only the given resource tags."""
         keep = frozenset(tags)
-        return ResourceVector(tuple((k, v) for k, v in self.terms if k.tag in keep))
+        return _built(ResourceVector, tuple((k, v) for k, v in self.terms if k.tag in keep))
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        return ResourceVector(self.terms + other.terms)
+        return _built(ResourceVector, _merged(dict(self.terms), other.terms))
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         """Termwise difference; like `+`, terms merge before the noisy counts
         are validated, so taking copies a side does not hold raises."""
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        return ResourceVector(self.terms + tuple((kind, -coeff) for kind, coeff in other.terms))
+        return _built(ResourceVector, _merged(dict(self.terms), other.terms, negate=True))
 
     def scale(self, k: CoeffLike) -> "ResourceVector":
         """Multiply every coefficient by k (rational, or entropic when no
@@ -379,12 +378,34 @@ class ResourceVector:
                 "scaling a vector with noisy resources requires a rational "
                 "constant; entropic multiples of whole copies are undefined"
             )
-        return ResourceVector(tuple((kind, coeff * k) for kind, coeff in self.terms))
+        return _built(ResourceVector, _merged({}, ((kind, coeff * k) for kind, coeff in self.terms)))
 
     def __str__(self) -> str:
         from . import grammar
 
         return grammar.format_vector(self)
+
+
+def _merged(merged: dict, terms: Iterable, negate: bool = False) -> tuple:
+    """Normal form of `merged` plus (or, with `negate`, minus) `terms`, every
+    coefficient an expression: nonzero terms in kind order, once the noisy
+    counts are checked in merge order, so an error names the first bad term
+    met.  Kinds hash by identity, and sums of `Fraction`s need no coercion."""
+    for kind, coeff in terms:
+        if kind in merged:
+            merged[kind] = merged[kind] - coeff if negate else merged[kind] + coeff
+        else:
+            merged[kind] = -coeff if negate else coeff
+    for kind, coeff in merged.items():
+        if kind.is_noisy and not coeff.is_zero:
+            c = coeff.as_constant()
+            if c is None or c.denominator != 1 or c < 0:
+                raise AlgebraError(
+                    f"noisy resource {kind.token} requires a nonnegative "
+                    f"integer coefficient, got {coeff}"
+                )
+    return tuple(sorted((term for term in merged.items() if not term[1].is_zero),
+                        key=lambda term: term[0].sort_key))
 
 
 def vec(coeff: CoeffLike, kind: ResourceKind) -> ResourceVector:
@@ -441,7 +462,7 @@ class ResourceInequality:
 
     def bare(self) -> "ResourceInequality":
         """Copy without its trace (used for snapshots inside traces)."""
-        return replace(self, trace=())
+        return ResourceInequality(self.name, self.lhs, self.rhs, self.mode, self.flags)
 
     def with_name(self, name: str) -> "ResourceInequality":
         return replace(self, name=name)

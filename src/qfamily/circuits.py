@@ -72,7 +72,7 @@ class LocalityError(ValueError):
 
 
 def _by_kind(counts) -> dict:
-    return {k.token: n for k, n in sorted(counts.items(), key=lambda kv: kv[0].sort_key())}
+    return {k.token: n for k, n in sorted(counts.items(), key=lambda kv: kv[0].sort_key)}
 
 
 def _wanted_counts(ri: ResourceInequality) -> tuple[dict, dict]:

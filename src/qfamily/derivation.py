@@ -22,7 +22,7 @@ step.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
@@ -84,8 +84,9 @@ class DerivationStep:
 
 def _with_step(base: ResourceInequality, result: ResourceInequality,
                kind: StepKind, tool: str, multiplier: EntropicExpr) -> ResourceInequality:
-    step = DerivationStep(kind, tool, multiplier, base.bare(), result.bare())
-    return replace(result, trace=base.trace + (step,))
+    step = DerivationStep(kind, tool, multiplier, base.bare(), result)
+    return ResourceInequality(result.name, result.lhs, result.rhs, result.mode, result.flags,
+                              base.trace + (step,))
 
 
 @contextmanager
@@ -265,34 +266,13 @@ def apply_rule_O(ri: ResourceInequality) -> ResourceInequality:
 # The five primitives, keyed by name; read-only, as every derivation and
 # every replayed trace shares them.
 PRIMITIVES = MappingProxyType({ri.name: ri for ri in (
-    ResourceInequality(
-        name="mother",
-        lhs=vec(I_AE * HALF, QUBIT_CHANNEL) + vec(1, NOISY_STATE),
-        rhs=vec(I_AB * HALF, EBIT),
-    ),
-    ResourceInequality(
-        name="father",
-        lhs=vec(I_AE * HALF, EBIT) + vec(1, NOISY_CHANNEL),
-        rhs=vec(I_AB * HALF, QUBIT_CHANNEL),
-    ),
-    ResourceInequality(
-        name="tp",
-        lhs=vec(2, CBIT) + vec(1, EBIT),
-        rhs=vec(1, QUBIT_CHANNEL),
-        mode=Mode.EXACT,
-    ),
-    ResourceInequality(
-        name="sd",
-        lhs=vec(1, QUBIT_CHANNEL) + vec(1, EBIT),
-        rhs=vec(2, CBIT),
-        mode=Mode.EXACT,
-    ),
-    ResourceInequality(
-        name="qe",
-        lhs=vec(1, QUBIT_CHANNEL),
-        rhs=vec(1, EBIT),
-        mode=Mode.EXACT,
-    ),
+    ResourceInequality("mother", vec(I_AE * HALF, QUBIT_CHANNEL) + vec(1, NOISY_STATE),
+                       vec(I_AB * HALF, EBIT)),
+    ResourceInequality("father", vec(I_AE * HALF, EBIT) + vec(1, NOISY_CHANNEL),
+                       vec(I_AB * HALF, QUBIT_CHANNEL)),
+    ResourceInequality("tp", vec(2, CBIT) + vec(1, EBIT), vec(1, QUBIT_CHANNEL), Mode.EXACT),
+    ResourceInequality("sd", vec(1, QUBIT_CHANNEL) + vec(1, EBIT), vec(2, CBIT), Mode.EXACT),
+    ResourceInequality("qe", vec(1, QUBIT_CHANNEL), vec(1, EBIT), Mode.EXACT),
 )})
 
 
@@ -300,24 +280,11 @@ PRIMITIVES = MappingProxyType({ri.name: ri for ri in (
 # a cobit applied to |+> makes an ebit, making super-dense coding coherent
 # yields two cobits, and teleporting through cobits returns the two message
 # registers as ebits.
-COBIT_EBIT = ResourceInequality(
-    name="cobit_ebit",
-    lhs=vec(1, COBIT),
-    rhs=vec(1, EBIT),
-    mode=Mode.EXACT,
-)
-COHERENT_SD = ResourceInequality(
-    name="coherent_sd",
-    lhs=vec(1, QUBIT_CHANNEL) + vec(1, EBIT),
-    rhs=vec(2, COBIT),
-    mode=Mode.EXACT,
-)
-COHERENT_TP = ResourceInequality(
-    name="coherent_tp",
-    lhs=vec(2, COBIT) + vec(1, EBIT),
-    rhs=vec(1, QUBIT_CHANNEL) + vec(2, EBIT),
-    mode=Mode.EXACT,
-)
+COBIT_EBIT = ResourceInequality("cobit_ebit", vec(1, COBIT), vec(1, EBIT), Mode.EXACT)
+COHERENT_SD = ResourceInequality("coherent_sd", vec(1, QUBIT_CHANNEL) + vec(1, EBIT), vec(2, COBIT),
+                                 Mode.EXACT)
+COHERENT_TP = ResourceInequality("coherent_tp", vec(2, COBIT) + vec(1, EBIT),
+                                 vec(1, QUBIT_CHANNEL) + vec(2, EBIT), Mode.EXACT)
 
 
 def derive_family() -> dict[str, ResourceInequality]:

@@ -42,22 +42,40 @@ class DensityOp:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density operator must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValidationError("density operator has NaN or infinite entries")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERMITIAN_TOL:
-            raise ValidationError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e} > {HERMITIAN_TOL}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
-        lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-        if lo < -PSD_TOL:
-            raise ValidationError(f"negative eigenvalue {lo:.3e} below -{PSD_TOL}")
+        _check_densities(m[None])
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_densities(stack: np.ndarray) -> None:
+    """Raise ValidationError unless every matrix of the (k, n, n) stack is
+    Hermitian, of unit trace and PSD within tolerance; the first failing
+    matrix of the first failing check is named.
+
+    PSD is certified by one Cholesky factorisation of sym + PSD_TOL/2 * I.
+    Its success proves lambda_min(sym) > -PSD_TOL/2 - O(n eps) for a
+    unit-trace matrix, so only when it fails is the spectrum computed, and
+    the verdict is then eigvalsh's, as if it had run on every matrix.
+    """
+    if not np.isfinite(stack).all():
+        raise ValidationError("density operator has NaN or infinite entries")
+    adjoint = stack.conj().swapaxes(-1, -2)
+    for herm in np.abs(stack - adjoint).max(axis=(-2, -1)):
+        if herm > HERMITIAN_TOL:
+            raise ValidationError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e} > {HERMITIAN_TOL}")
+    for tr in np.trace(stack, axis1=-2, axis2=-1).real.tolist():
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValidationError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
+    sym = (stack + adjoint) / 2
+    try:
+        np.linalg.cholesky(sym + PSD_TOL / 2 * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        for lo in np.linalg.eigvalsh(sym).min(axis=-1).tolist():
+            if lo < -PSD_TOL:
+                raise ValidationError(f"negative eigenvalue {lo:.3e} below -{PSD_TOL}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +106,7 @@ class TripartitePureState:
             )
         if not np.isfinite(amps).all():
             raise ValidationError("amplitude vector has NaN or infinite entries")
-        norm = np.linalg.norm(amps)
+        norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"norm {norm!r} differs from 1 by more than {NORM_TOL}")
         amps.flags.writeable = False
@@ -148,8 +166,12 @@ def entropy(rho: DensityOp | np.ndarray) -> float:
     """von Neumann entropy in bits; eigenvalues < 1e-12 contribute nothing."""
     if not isinstance(rho, DensityOp):
         rho = DensityOp(rho)
-    eigenvalues = np.linalg.eigvalsh(rho.matrix)
-    kept = eigenvalues[eigenvalues > EIGENVALUE_FLOOR]
+    return _bits(np.linalg.eigvalsh(rho.matrix))
+
+
+def _bits(spectrum: np.ndarray) -> float:
+    """-sum p log2 p over the weights above EIGENVALUE_FLOOR."""
+    kept = spectrum[spectrum > EIGENVALUE_FLOOR]
     return float(-np.sum(kept * np.log2(kept)))
 
 
@@ -230,21 +252,45 @@ def _axes(subsystems: Iterable[str] | str) -> list[int]:
     return sorted(axes)
 
 
-def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> DensityOp:
-    """Partial trace onto the named subsystems (subset of {A, B, E})."""
-    keep = _axes(subsystems)
+def _marginal(psi: TripartitePureState, keep: list[int]) -> np.ndarray:
+    """The unvalidated partial trace onto the sorted axes `keep`."""
     drop = [ax for ax in range(3) if ax not in keep]
     t = psi.tensor()
     rho = np.tensordot(t, t.conj(), axes=(drop, drop))
     dim = int(np.prod([psi.dims[ax] for ax in keep]))
     # tensordot leaves kept-axes of t first, then kept-axes of conj(t)
-    return DensityOp(rho.reshape(dim, dim))
+    return rho.reshape(dim, dim)
+
+
+def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> DensityOp:
+    """Partial trace onto the named subsystems (subset of {A, B, E})."""
+    return DensityOp(_marginal(psi, _axes(subsystems)))
+
+
+# The marginals the raw symbols use, formed together on a state's first
+# `evaluate_raw`.
+_RAW_MARGINALS = ("A", "B", "E", "AB", "AE")
 
 
 def _marginal_entropy(psi: TripartitePureState, subsystems: str) -> float:
-    """entropy(reduced(psi, subsystems)), formed once per state and marginal."""
+    """entropy(reduced(psi, subsystems)), formed once per state and marginal.
+
+    The first call forms all of `_RAW_MARGINALS` and, one stack per matrix
+    size, validates them and takes their spectra with one eigvalsh, which
+    gives each matrix the spectrum a call of its own would.
+    """
     key = "".join("ABE"[ax] for ax in _axes(subsystems))
     memo = psi._marginal_entropies
+    if not memo:
+        stacks: dict[int, list] = {}
+        for name in _RAW_MARGINALS:
+            m = _marginal(psi, _axes(name))
+            stacks.setdefault(m.shape[0], []).append((name, m))
+        for group in stacks.values():
+            stack = np.stack([m for _, m in group])
+            _check_densities(stack)
+            for (name, _), spectrum in zip(group, np.linalg.eigvalsh(stack)):
+                memo[name] = _bits(spectrum)
     if key not in memo:
         memo[key] = entropy(reduced(psi, key))
     return memo[key]
@@ -266,12 +312,7 @@ def entropy_triple(psi: TripartitePureState) -> tuple[float, float, float]:
         t.transpose(1, 0, 2).reshape(d_b, d_a * d_e),
         t.reshape(d_a * d_b, d_e),
     )
-    triple = []
-    for cut in cuts:
-        weights = np.linalg.svd(cut, compute_uv=False) ** 2
-        kept = weights[weights > EIGENVALUE_FLOOR]
-        triple.append(float(-np.sum(kept * np.log2(kept))))
-    return tuple(triple)
+    return tuple(_bits(np.linalg.svd(cut, compute_uv=False) ** 2) for cut in cuts)
 
 
 def evaluate(expr: EntropicExpr | Mapping[str, object], psi: TripartitePureState) -> float:

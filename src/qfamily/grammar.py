@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .algebra import (
@@ -340,15 +341,19 @@ def expr_to_json(expr: EntropicExpr) -> dict[str, str]:
     return {gen.value: format_rational(coeff) for gen, coeff in expr.as_dict().items()}
 
 
+_GEN_BY_NAME = {gen.value: gen for gen in Gen}
+# Wire coefficients repeat ("1/2", "-1", ...), so each spelling is parsed once.
+_rational = lru_cache(maxsize=1024)(Fraction)
+
+
 def expr_from_json(data: dict) -> EntropicExpr:
     coeffs = {}
     for key, value in data.items():
+        gen = _GEN_BY_NAME.get(key) if isinstance(key, str) else None
+        if gen is None:
+            raise ParseError(f"unknown generator {key!r} in coefficient map", 0)
         try:
-            gen = Gen(key)
-        except ValueError:
-            raise ParseError(f"unknown generator {key!r} in coefficient map", 0) from None
-        try:
-            coeffs[gen] = Fraction(str(value))
+            coeffs[gen] = _rational(str(value))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad coefficient {value!r} for {key}", 0) from None
     return EntropicExpr.from_dict(coeffs)

@@ -233,6 +233,9 @@ def test_taking_a_copy_from_an_empty_noisy_kind_raises():
     with pytest.raises(AlgebraError):
         vec(1, NOISY_CHANNEL) - vec(2, NOISY_CHANNEL)
     assert vec(2, NOISY_CHANNEL) - vec(1, NOISY_CHANNEL) == vec(1, NOISY_CHANNEL)
+    # with two bad counts, the error names the first met in merge order
+    with pytest.raises(AlgebraError, match=r"\{q->q\}"):
+        vec(1, NOISY_CHANNEL) - (vec(2, NOISY_STATE) + vec(2, NOISY_CHANNEL))
 
 
 @settings(derandomize=True, max_examples=60)
@@ -242,3 +245,88 @@ def test_whole_copy_scaling_keeps_noisy_counts_integral(v, n):
     for kind, coeff in scaled.terms:
         if kind.is_noisy:
             assert coeff.as_constant().denominator == 1
+
+
+# -- normal-form fast paths -------------------------------------------------
+# `+`, `-` and `scale` merge terms that are already in normal form; each must
+# give what the general constructor gave on the concatenated terms, errors
+# included.  That constructor is written out here as the reference.
+
+def _outcome(build):
+    try:
+        return build().terms
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def _general_constructor(terms):
+    """Merge equal kinds, check the noisy counts in order of first
+    appearance, drop zero terms, sort by tag then handle."""
+    merged = {}
+    for kind, coeff in terms:
+        merged[kind] = merged[kind] + coeff if kind in merged else coeff
+    for kind, coeff in merged.items():
+        c = coeff.as_constant()
+        if kind.is_noisy and not coeff.is_zero and (c is None or c.denominator != 1 or c < 0):
+            return AlgebraError, f"noisy resource {kind.token} requires a nonnegative integer coefficient, got {coeff}"
+    tags = list(ResourceTag)
+    return tuple(sorted(((k, v) for k, v in merged.items() if not v.is_zero),
+                        key=lambda term: (tags.index(term[0].tag), term[0].handle or "")))
+
+
+handled_noisy_kinds = [NOISY_STATE, NOISY_CHANNEL, noisy_state("bell"),
+                       ResourceKind(ResourceTag.NOISY_CHANNEL, "erasure_p25")]
+mixed_vectors = st.builds(
+    lambda noiseless, copies: ResourceVector(tuple(
+        [(kind, canonicalize(expr)) for kind, expr in noiseless.items()] + list(copies.items()))),
+    st.dictionaries(noiseless_kinds, raw_exprs, max_size=4),
+    st.dictionaries(st.sampled_from(handled_noisy_kinds), st.integers(0, 3), max_size=4),
+)
+factors = st.one_of(rationals, st.integers(-2, 3), raw_exprs.map(canonicalize))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(mixed_vectors, mixed_vectors, factors)
+def test_arithmetic_agrees_with_the_general_constructor(a, b, k):
+    assert _outcome(lambda: a + b) == _general_constructor(a.terms + b.terms)
+    assert _outcome(lambda: a - b) == _general_constructor(a.terms + tuple((kind, -c) for kind, c in b.terms))
+    if isinstance(k, EntropicExpr) and k.as_constant() is None and any(kind.is_noisy for kind in a.kinds()):
+        assert _outcome(lambda: a.scale(k))[0] is AlgebraError  # refused before any product
+        return
+    try:
+        want = _general_constructor(tuple((kind, c * k) for kind, c in a.terms))
+    except LinearityError as exc:
+        want = LinearityError, str(exc)
+    assert _outcome(lambda: a.scale(k)) == want
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.sampled_from(list(ResourceTag)), st.sampled_from([None, "bell", "erasure_p25", "x.y-1"]))
+def test_kinds_are_interned_and_rejected_kinds_are_not(tag, handle):
+    import copy
+    import pickle
+
+    from qfamily import algebra
+
+    if handle is not None and tag not in (ResourceTag.NOISY_STATE, ResourceTag.NOISY_CHANNEL):
+        with pytest.raises(AlgebraError, match="cannot carry a handle"):
+            ResourceKind(tag, handle)
+        assert (tag, handle) not in algebra._KINDS
+        return
+    kind = ResourceKind(tag, handle)
+    assert ResourceKind(tag, handle) is kind
+    assert copy.deepcopy(kind) is kind and pickle.loads(pickle.dumps(kind)) is kind
+    assert (kind.tag, kind.handle) == (tag, handle)
+    with pytest.raises(AttributeError):
+        kind.handle = "other"
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.integers(0, 3), st.one_of(st.floats(allow_nan=False), st.booleans()))
+def test_expressions_reject_floats_and_bools_everywhere(slot, value):
+    slots = [0, 0, 0, 0]
+    slots[slot] = value
+    for build in (lambda: EntropicExpr(tuple(slots)), lambda: EntropicExpr.constant(value),
+                  lambda: H_A * value, lambda: vec(value, CBIT), lambda: vec(1, EBIT).scale(value)):
+        with pytest.raises(AlgebraError):
+            build()

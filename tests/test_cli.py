@@ -279,6 +279,17 @@ def test_closed_stdout_exits_nonzero_without_a_traceback():
     assert err == b""
 
 
+def test_registry_state_off_unit_trace_is_reported_with_a_plain_float(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([{"name": "s", "kind": "state", "dims": [1, 1], "data": [[1.01, 0]]}]))
+    proc = subprocess.run([sys.executable, "-m", "qfamily.cli", "rates", "--ri", "mother",
+                           "--state", "s", "--registry", str(path)],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: trace 1.01 differs from 1 by more than 1e-10\n"
+
+
 def test_family_prints_only_duality_claims_that_hold(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, "family")
     line = out.splitlines()[-1]

@@ -59,8 +59,41 @@ def test_density_invariants_enforced():
 
 
 def test_state_norm_enforced():
-    with pytest.raises(ValidationError, match="norm"):
+    with pytest.raises(ValidationError, match=r"^norm 1\.4142135623730951 differs from 1 by more than 1e-10$"):
         TripartitePureState((2, 2, 1), np.array([1.0, 0, 0, 1.0]))
+
+
+def _density_verdict_by_eigvalsh(m):
+    """The density-operator rule with one eigvalsh per matrix, written out:
+    the message DensityOp raises, or None where it accepts."""
+    herm = np.max(np.abs(m - m.conj().T))
+    if herm > 1e-10:
+        return f"not Hermitian: max|rho - rho^dag| = {herm:.3e} > 1e-10"
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > 1e-10:
+        return f"trace {tr!r} differs from 1 by more than 1e-10"
+    lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+    if lo < -1e-10:
+        return f"negative eigenvalue {lo:.3e} below -1e-10"
+    return None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(2, 64), st.floats(-3e-10, 1e-10), st.data())
+def test_density_check_decides_as_eigvalsh_does(n, lowest, data):
+    # a unit-trace Hermitian matrix with smallest eigenvalue `lowest`, and
+    # possibly a run of zero eigenvalues as in a rank-deficient marginal
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    weights = rng.random(n - 1)
+    weights[:data.draw(st.integers(0, n - 2))] = 0.0
+    m = (u * np.concatenate([[lowest], weights / weights.sum() * (1 - lowest)])) @ u.conj().T
+    try:
+        DensityOp(m)
+        verdict = None
+    except ValidationError as exc:
+        verdict = str(exc)
+    assert verdict == _density_verdict_by_eigvalsh(m)
 
 
 @pytest.mark.parametrize("dims", [
@@ -368,16 +401,23 @@ def test_evaluate_raw_equals_fresh_reduced_entropies_in_any_order():
 def test_evaluate_raw_forms_each_marginal_once_per_state(monkeypatch):
     from qfamily import entropy as module
 
-    formed = []
-    real_reduced = module.reduced
+    formed, spectra = [], []
+    real_marginal, real_eigvalsh = module._marginal, np.linalg.eigvalsh
 
-    def counting_reduced(psi, names):
-        formed.append("".join(sorted(names)))
-        return real_reduced(psi, names)
+    def counting_marginal(psi, keep):
+        formed.append("".join("ABE"[ax] for ax in keep))
+        return real_marginal(psi, keep)
 
-    monkeypatch.setattr(module, "reduced", counting_reduced)
+    def counting_eigvalsh(matrices):
+        spectra.append(matrices.shape)
+        return real_eigvalsh(matrices)
+
+    monkeypatch.setattr(module, "_marginal", counting_marginal)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     psi = random_tripartite_state(SplitMix64(20), 2, 3)
     for _ in range(3):
         for symbol in ("I(A:B)", "I(A:E)", "H(A)", "Ic(A>B)"):
             evaluate_raw(symbol, psi)
     assert sorted(formed) == ["A", "AB", "AE", "B", "E"]
+    # one stacked spectrum per marginal size: A, B, then E with AB, then AE
+    assert spectra == [(1, 2, 2), (1, 3, 3), (2, 6, 6), (1, 12, 12)]

@@ -16,6 +16,16 @@ names, key order, `pass` values and ledgers exactly, every float within
 header and the `param` column are compared exactly and every other cell
 within 1e-12.
 
+`check-identities.json` holds the stdout and exit code of `check-identities
+--seed S --trials T` for seeds 0-20 and trials 1, 7 and 100.  The verb prints
+its worst deviations to three digits, which a change in the last bit of an
+entropy can move, so it is compared byte for byte.
+
+`rates.json` holds `rates --ri N`, text and `--json`, for every derivation N
+on every built-in object and on every channel family at p = 0, 0.25, 0.5,
+0.75 and 1, keyed by the object arguments, wherever the verb exits 0.  The
+text is compared exactly and the JSON like `verify-circuits.json`.
+
 To record the files again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
@@ -28,7 +38,7 @@ from pathlib import Path
 import pytest
 
 from qfamily import cli
-from qfamily.channels import CHANNEL_FAMILIES
+from qfamily.channels import CHANNEL_FAMILIES, builtin_objects
 from qfamily.derivation import derive_family
 from qfamily.grammar import ri_to_json
 
@@ -36,15 +46,51 @@ GOLDEN = Path(__file__).parent / "golden"
 NAMES = tuple(derive_family())
 CIRCUIT_REPORT = "verify-circuits.json"
 SWEEPS = {f"sweep-{family}.csv": family for family in sorted(CHANNEL_FAMILIES)}
+IDENTITY_RUNS = tuple((seed, trials) for seed in range(21) for trials in (1, 7, 100))
+RATES = "rates.json"
+RATE_PARAMS = ("0", "0.25", "0.5", "0.75", "1")
 FLOAT_TOLERANCE = 1e-12
 
 
-def _stdout(*argv: str) -> str:
+def _run(*argv: str) -> tuple[int, str]:
+    """Exit code and stdout of one verb; stderr is dropped."""
     buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(list(argv))
+    return code, buffer.getvalue()
+
+
+def _stdout(*argv: str) -> str:
+    code, out = _run(*argv)
     assert code == 0, argv
-    return buffer.getvalue()
+    return out
+
+
+def _check_identities_json() -> str:
+    runs = {}
+    for seed, trials in IDENTITY_RUNS:
+        code, out = _run("check-identities", "--seed", str(seed), "--trials", str(trials))
+        runs[f"--seed {seed} --trials {trials}"] = {"exit": code, "stdout": out}
+    return json.dumps(runs, indent=2) + "\n"
+
+
+def _rate_objects() -> list[tuple[str, ...]]:
+    """The object arguments of every recorded rate table."""
+    objects = [(f"--{obj.kind}", name) for name, obj in builtin_objects().items()]
+    objects += [("--channel", family, "--param", p)
+                for family in sorted(CHANNEL_FAMILIES) for p in RATE_PARAMS]
+    return objects
+
+
+def _rates_json() -> str:
+    tables = {}
+    for name in NAMES:
+        for objects in _rate_objects():
+            code, text = _run("rates", "--ri", name, *objects)
+            if code == 0:
+                tables[" ".join(("--ri", name, *objects))] = {
+                    "text": text, "json": json.loads(_stdout("rates", "--ri", name, *objects, "--json"))}
+    return json.dumps(tables, indent=2) + "\n"
 
 
 def _derivations_json() -> str:
@@ -58,6 +104,8 @@ def golden_outputs() -> dict[str, object]:
         "family.json": lambda: _stdout("family", "--json"),
         "derivations.json": _derivations_json,
         CIRCUIT_REPORT: lambda: _stdout("verify-circuits", "--trials", "5", "--seed", "1"),
+        "check-identities.json": _check_identities_json,
+        RATES: _rates_json,
     }
     for filename, family in SWEEPS.items():
         outputs[filename] = lambda family=family: _stdout(
@@ -73,7 +121,7 @@ def test_fourteen_derivations_are_recorded():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(golden_outputs())
 
 
-@pytest.mark.parametrize("filename", sorted(set(golden_outputs()) - {CIRCUIT_REPORT, *SWEEPS}))
+@pytest.mark.parametrize("filename", sorted(set(golden_outputs()) - {CIRCUIT_REPORT, RATES, *SWEEPS}))
 def test_output_matches_golden_bytes(filename):
     expected = (GOLDEN / filename).read_bytes()
     assert golden_outputs()[filename]().encode() == expected
@@ -99,6 +147,16 @@ def _same_report(got, want, path="report"):
 def test_circuit_report_matches_golden():
     want = json.loads((GOLDEN / CIRCUIT_REPORT).read_text())
     _same_report(json.loads(golden_outputs()[CIRCUIT_REPORT]()), want)
+
+
+def test_rate_tables_match_golden():
+    want = json.loads((GOLDEN / RATES).read_text())
+    got = json.loads(golden_outputs()[RATES]())
+    assert len(want) == 233
+    assert list(got) == list(want)
+    for case, table in want.items():
+        assert got[case]["text"] == table["text"], case
+        _same_report(got[case]["json"], table["json"], case)
 
 
 @pytest.mark.parametrize("filename", sorted(SWEEPS))
