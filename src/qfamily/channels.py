@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,9 +34,8 @@ from .entropy import (
     reduced,
 )
 
-# A computed number with |x| below this is rounding noise: it prints as 0 in
-# a sweep and is stored as 0.0 in a rate table, and a rate above -NOISE_FLOOR
-# counts as achievable.
+# A computed number with |x| below this is rounding noise: `_floored` makes it
+# 0.0, in a sweep and in a rate table, and a floored rate >= 0 is achievable.
 NOISE_FLOOR = 1e-12
 
 _QUBIT_PAULI = {
@@ -45,6 +44,11 @@ _QUBIT_PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def _floored(x: float) -> float:
+    """x, or 0.0 (never -0.0) when |x| is below NOISE_FLOOR."""
+    return x if abs(x) >= NOISE_FLOOR else 0.0
 
 
 def _check_parameter(family: str, p: float):
@@ -199,6 +203,8 @@ def load_registry(path) -> dict[str, RegisteredObject]:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"registry {path} is not valid JSON: {exc.msg} "
                               f"at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise ValidationError(f"registry {path} nests too deeply to read") from None
     entries = raw if isinstance(raw, list) else [raw]
     registry: dict[str, RegisteredObject] = {}
     for entry in entries:
@@ -240,7 +246,7 @@ class RateEntry:
     kind_token: str
     rate: float | None       # evaluated coefficient for noiseless resources
     copies: int | None       # whole copies for noisy resources
-    achievable: bool         # False for a noiseless rate below -NOISE_FLOOR
+    achievable: bool         # False for a noiseless rate below 0 after the floor
 
     def render(self) -> str:
         if self.copies is not None:
@@ -283,9 +289,8 @@ def _side_entries(side: ResourceVector, obj: RegisteredObject,
                 )
             entries.append(RateEntry(kind.token, None, int(coeff.as_constant()), True))
         else:
-            rate = coeff.value(*entropies)
-            rate = rate if abs(rate) >= NOISE_FLOOR else 0.0
-            entries.append(RateEntry(kind.token, rate, None, rate >= -NOISE_FLOOR))
+            rate = _floored(coeff.value(*entropies))
+            entries.append(RateEntry(kind.token, rate, None, rate >= 0))
     return tuple(entries)
 
 
@@ -313,7 +318,7 @@ SWEEP_HEADER = ("param", "H_A", "H_B", "H_E", "I_AB", "I_AE", "Ic")
 _SWEEP_EXPRS = (H_A, H_B, H_E, I_AB, I_AE, I_COH)
 
 
-def sweep(family: str, params: Sequence[float | Fraction]) -> list[tuple[float, ...]]:
+def sweep(family: str, params: Iterable[float | Fraction]) -> list[tuple[float, ...]]:
     """One row per parameter: the six standard quantities on the channel
     state with maximally entangled input."""
     rows = []
@@ -323,11 +328,10 @@ def sweep(family: str, params: Sequence[float | Fraction]) -> list[tuple[float, 
     return rows
 
 
-def sweep_csv(family: str, params: Sequence[float | Fraction]) -> str:
+def sweep_csv(family: str, params: Iterable[float | Fraction]) -> str:
     """CSV rendering with 12 significant digits, rows in grid order."""
     lines = [",".join(SWEEP_HEADER)]
     for param, *values in sweep(family, params):
-        # Print rounding noise as 0, never as -0.
-        cells = (f"{v if abs(v) >= NOISE_FLOOR else 0.0:.12g}" for v in values)
+        cells = (f"{_floored(v):.12g}" for v in values)
         lines.append(",".join((f"{param:.12g}", *cells)))
     return "\n".join(lines) + "\n"

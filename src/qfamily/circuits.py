@@ -45,7 +45,7 @@ from .algebra import (
     ResourceKind,
 )
 from .derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
-from .entropy import DensityOp, entropy
+from .entropy import entropy
 from .rng import SplitMix64, random_pure
 
 NORM_TOL = 1e-12
@@ -459,7 +459,7 @@ def run_entanglement_distribution() -> Run:
     reg.cnot(q0, q1)
     reg.send(q1, Party.BOB)
     fidelity = reg.claim_ebits([(q0, q1)])
-    bob_entropy = entropy(DensityOp(reg.reduced_dm([q1])))
+    bob_entropy = entropy(reg.reduced_dm([q1]))
     return Run(EXACT_FIDELITY, [reg.ledger], {"ebit": fidelity}, holds=abs(bob_entropy - 1.0) <= 1e-9,
                values={"bob_entropy": bob_entropy})
 
@@ -476,7 +476,7 @@ def run_cobit_checks() -> Run:
     src = reg.add_qubit(Party.ALICE, PLUS)
     copy = reg.cobit(src)
     fidelities["plus"] = reg.claim_ebits([(src, copy)])
-    bob_entropy = entropy(DensityOp(reg.reduced_dm([copy])))
+    bob_entropy = entropy(reg.reduced_dm([copy]))
     return Run(EXACT_FIDELITY, [reg.ledger], fidelities, holds=abs(bob_entropy - 1.0) <= 1e-9,
                values={"bob_entropy_on_plus": bob_entropy})
 

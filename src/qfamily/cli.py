@@ -10,10 +10,12 @@ from the built-in examples plus an optional JSON registry given by
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 # qfamily's matrices are at most 16x16, so a BLAS thread pool only costs CPU.
 # Unless the user chose a thread count, give OpenBLAS one; numpy reads it on import.
@@ -45,7 +47,7 @@ class CliError(ValueError):
 
 def _load_objects(args) -> dict:
     objects = channels.builtin_objects()
-    path = getattr(args, "registry", None) or os.environ.get("QFAMILY_REGISTRY")
+    path = args.registry or os.environ.get("QFAMILY_REGISTRY")
     if path:
         objects.update(channels.load_registry(path))
     return objects
@@ -110,23 +112,18 @@ def cmd_derive(args) -> int:
 def _pick_object(args, objects):
     if bool(args.state) == bool(args.channel):
         raise CliError("exactly one of --state or --channel is required")
-    if args.state:
-        if args.state not in objects or objects[args.state].kind != "state":
-            raise CliError(f"unknown state {args.state!r}")
-        if args.param is not None:
-            raise CliError("--param applies to channel families only")
-        return objects[args.state]
     name = args.channel
     if name in channels.CHANNEL_FAMILIES:
         return channels.RegisteredChannel(
             name if args.param is None else f"{name}(p={args.param})",
-            channels.family_channel(name, args.param if args.param is not None else 0.0),
+            channels.CHANNEL_FAMILIES[name](0.0 if args.param is None else args.param),
         )
-    if name in objects and objects[name].kind == "channel":
-        if args.param is not None:
-            raise CliError("--param applies to channel families only")
-        return objects[name]
-    raise CliError(f"unknown channel {name!r}")
+    kind, name = ("state", args.state) if args.state else ("channel", name)
+    if name not in objects or objects[name].kind != kind:
+        raise CliError(f"unknown {kind} {name!r}")
+    if args.param is not None:
+        raise CliError("--param applies to channel families only")
+    return objects[name]
 
 
 def cmd_rates(args) -> int:
@@ -153,12 +150,16 @@ def cmd_rates(args) -> int:
 
 def _grid_value(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        float(value)
     except ZeroDivisionError:
         raise CliError(f"grid value {text!r} has a zero denominator") from None
+    except OverflowError:
+        raise CliError(f"grid value {text!r} does not fit a float") from None
+    return value
 
 
-def _parse_grid(text: str) -> list[Fraction]:
+def _parse_grid(text: str) -> Iterable[Fraction]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -166,14 +167,10 @@ def _parse_grid(text: str) -> list[Fraction]:
         start, stop, step = (_grid_value(p) for p in parts)
         if step <= 0:
             raise CliError("grid step must be positive")
-        values = []
-        value = start
-        while value <= stop:
-            values.append(value)
-            value += step
-        if not values:
+        if start > stop:
             raise CliError(f"grid {text!r} has no points")
-        return values
+        # One point at a time: a range may hold more points than fit in memory.
+        return itertools.takewhile(lambda value: value <= stop, itertools.count(start, step))
     return [_grid_value(p) for p in text.split(",")]
 
 

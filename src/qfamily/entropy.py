@@ -10,17 +10,16 @@ tripartite state is row-major over (A, B, E).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .algebra import EntropicExpr, Gen, canonicalize
+from .algebra import EntropicExpr, canonicalize
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-10
-ISOMETRY_TOL = 1e-9
 EIGENVALUE_FLOOR = 1e-12
 
 
@@ -32,17 +31,19 @@ class ValidationError(ValueError):
 class DensityOp:
     """Validated density operator (Hermitian, unit trace, PSD within tolerance).
 
-    Compared and hashed by identity, as are the other numeric objects: their
-    fields are arrays, which have no single truth value.
+    The matrix is a read-only copy of the caller's array.  Compared and
+    hashed by identity, as are the other numeric objects: their fields are
+    arrays, which have no single truth value.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density operator must be square, got shape {m.shape}")
         _check_densities(m[None])
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -119,12 +120,12 @@ class TripartitePureState:
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """CPTP map given by Kraus operators (d_out x d_in each)."""
+    """CPTP map given by Kraus operators (d_out x d_in each, read-only copies)."""
 
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
         d_out, d_in = ops[0].shape
@@ -133,6 +134,7 @@ class QuantumChannel:
                 raise ValidationError("all Kraus operators must share one shape")
             if not np.isfinite(k).all():
                 raise ValidationError("Kraus operator has NaN or infinite entries")
+            k.flags.writeable = False
         total = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(total - np.eye(d_in)))
         if dev > HERMITIAN_TOL:
@@ -197,37 +199,19 @@ def purify(rho: DensityOp | np.ndarray, split: tuple[int, int]) -> TripartitePur
 def stinespring(channel: QuantumChannel) -> np.ndarray:
     """Isometry U: d_in -> d_out * d_env with row index b*d_env + e,
     U[b*d_env + e, a] = K_e[b, a].  Tracing out the environment recovers
-    the Kraus action."""
+    the Kraus action; U^dag U = sum_e K_e^dag K_e, which QuantumChannel checked."""
     d_out, d_in, d_env = channel.d_out, channel.d_in, channel.d_env
-    u = np.stack(channel.kraus, axis=1).reshape(d_out * d_env, d_in)
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(d_in)))
-    if dev > ISOMETRY_TOL:
-        raise ValidationError(f"dilation not isometric: max|U^dag U - I| = {dev:.3e}")
-    return u
+    return np.stack(channel.kraus, axis=1).reshape(d_out * d_env, d_in)
 
 
-def channel_state(channel: QuantumChannel, phi: np.ndarray | None = None,
-                  d_a: int | None = None) -> TripartitePureState:
-    """Send the A' half of |phi>^AA' through the channel's dilation.
-
-    phi is a pure state on A x A' (flat, row-major) with dim(A') = d_in;
-    by default the maximally entangled state of full input dimension.
-    Returns |psi>^ABE with dims (d_A, d_out, d_env).
-    """
+def channel_state(channel: QuantumChannel) -> TripartitePureState:
+    """Send the A' half of |Phi_+>^AA' (maximally entangled, dim(A) = d_in)
+    through the channel's dilation: |psi>^ABE with dims (d_in, d_out, d_env)."""
     d_in = channel.d_in
-    if phi is None:
-        phi = maximally_entangled(d_in)
-        d_a = d_in
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if d_a is None:
-        if phi.size % d_in != 0:
-            raise ValidationError(f"state of size {phi.size} has no A x {d_in} split")
-        d_a = phi.size // d_in
-    if phi.size != d_a * d_in:
-        raise ValidationError(f"state size {phi.size} does not match {d_a} x {d_in}")
+    phi = maximally_entangled(d_in).reshape(d_in, d_in)
     u = stinespring(channel)
-    psi = (u @ phi.reshape(d_a, d_in).T).T  # (d_a, d_out*d_env)
-    return TripartitePureState((d_a, channel.d_out, channel.d_env), psi)
+    psi = (u @ phi.T).T  # (d_in, d_out*d_env)
+    return TripartitePureState((d_in, channel.d_out, channel.d_env), psi)
 
 
 def maximally_entangled(dim: int) -> np.ndarray:

@@ -7,12 +7,15 @@ ASCII grammar::
     term        :=  [coefficient] resource
     resource    :=  '[c->c]' | '[q->q]' | '[qq]' | '[q->qq]'
                   | '{qq}' | '{q->q}' | '{qq:NAME}' | '{q->q:NAME}'
-    coefficient :=  rational | [rational '*'] symbol | '(' signed_sum ')'
+    coefficient :=  atom | '(' signed_sum ')'
+    signed_sum  :=  ['-'] atom (('+' | '-') atom)*
+    atom        :=  rational | [rational '*'] symbol
     symbol      :=  'H(A)' | 'H(B)' | 'H(E)' | 'H(AB)' | 'H(AE)' | 'H(BE)'
                   | 'H(ABE)' | 'I(A:B)' | 'I(A:E)' | 'Ic(A>B)'
     rational    :=  INT | INT '/' INT
 
-so e.g. ``1/2*I(A:E) [q->q] + {qq} >= 1/2*I(A:B) [qq]``.  Formatting picks
+so e.g. ``1/2*I(A:E) [q->q] + {qq} >= 1/2*I(A:B) [qq]``; parentheses never
+nest.  `parse_expr` reads a signed sum of coefficients.  Formatting picks
 the shortest faithful spelling (a named symbol when the expression is a
 rational multiple of one, a parenthesized signed sum otherwise) so that
 ``parse_ri(format_ri(ri))`` reproduces the statement exactly.
@@ -237,8 +240,8 @@ class _Parser:
             )
         return self.advance()
 
-    # coefficient := rational ['*' symbol] | symbol | '(' signed_sum ')'
-    def parse_coefficient(self) -> EntropicExpr:
+    # coefficient := atom | '(' signed_sum ')'; inside parentheses, an atom only
+    def parse_coefficient(self, in_parens: bool = False) -> EntropicExpr:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
@@ -255,20 +258,22 @@ class _Parser:
             self.advance()
             return canonicalize({token.text: 1})
         if token.kind == "LPAREN":
+            if in_parens:
+                raise ParseError("nested parentheses", token.position)
             self.advance()
-            expr = self.parse_signed_sum()
+            expr = self.parse_signed_sum(in_parens=True)
             self.expect("RPAREN")
             return expr
         raise ParseError(f"expected a coefficient, found {token.text!r}", token.position)
 
-    def parse_signed_sum(self) -> EntropicExpr:
+    def parse_signed_sum(self, in_parens: bool = False) -> EntropicExpr:
         total = ZERO
         sign = Fraction(1)
         if self.current.kind == "MINUS":
             self.advance()
             sign = Fraction(-1)
         while True:
-            total = total + self.parse_coefficient() * sign
+            total = total + self.parse_coefficient(in_parens) * sign
             if self.current.kind == "PLUS":
                 sign = Fraction(1)
                 self.advance()

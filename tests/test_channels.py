@@ -206,6 +206,20 @@ def test_rate_table_respects_handle_pinning(objects):
         rate_table(pinned, objects["bell"])
 
 
+@pytest.mark.parametrize("rate, rendered", [
+    (Fraction(-1, 10**12), "-1e-12 [q->q] (not achievable)"),
+    (Fraction(1, 10**12), "1e-12 [q->q]"),
+    (Fraction(-999, 10**15), "0 [q->q]"),
+], ids=["minus-floor", "floor", "below-floor"])
+def test_rates_at_the_noise_floor(objects, rate, rendered):
+    from qfamily.algebra import EBIT, QUBIT_CHANNEL, ResourceInequality, vec
+
+    edge = ResourceInequality("edge", vec(1, EBIT), vec(rate, QUBIT_CHANNEL))
+    (entry,) = rate_table(edge, objects["bell"]).rhs
+    assert entry.render() == rendered
+    assert entry.achievable == (rendered[0] != "-")
+
+
 # -- registry ------------------------------------------------------------------
 
 

@@ -222,6 +222,34 @@ def test_boundary_errors_exit_2_with_an_error_line(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_a_grid_value_beyond_float_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--channel", "erasure", "--param", "1e400")
+    assert (code, out, err) == (2, "", "error: grid value '1e400' does not fit a float\n")
+
+
+def test_a_grid_range_is_walked_one_point_at_a_time(capsys):
+    # 1e300 points would never fit in memory: the sweep ends at p = 2, the
+    # first point outside the family's domain, with the family's own error
+    code, out, err = run_cli(capsys, "sweep", "--channel", "erasure", "--param", "0:1e300:1")
+    assert (code, out, err) == (2, "", "error: erasure parameter 2.0 outside [0, 1]\n")
+
+
+@pytest.mark.parametrize("argv, registry, message", [
+    (["dual", "--text", "(" * 600 + "H(A)" + ")" * 600 + " [qq] >= [qq]"], None,
+     "error: nested parentheses (at position 1)\n"),
+    (["rates", "--ri", "mother", "--state", "x"], "[" * 100000 + "]" * 100000, None),
+], ids=["dual-text", "registry"])
+def test_deep_nesting_exits_2_with_one_error_line(tmp_path, argv, registry, message):
+    if registry is not None:
+        path = tmp_path / "deep.json"
+        path.write_text(registry)
+        argv = [*argv, "--registry", str(path)]
+        message = f"error: registry {path} nests too deeply to read\n"
+    proc = subprocess.run([sys.executable, "-m", "qfamily.cli", *argv],
+                          capture_output=True, text=True, env=_src_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
 # Tables whose entropies leave a rate within rounding noise of zero: on the
 # Bell state H(E) comes out near 6.4e-16, on the fully dephasing channel
 # Ic(A>B) near -1.1e-16.

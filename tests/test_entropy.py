@@ -23,10 +23,13 @@ from qfamily.entropy import (
     stinespring,
 )
 from qfamily.channels import (
+    CHANNEL_FAMILIES,
     amplitude_damping_channel,
+    builtin_objects,
     dephasing_channel,
     depolarizing_channel,
     erasure_channel,
+    family_channel,
     identity_channel,
 )
 from qfamily.rng import SplitMix64, random_density, random_pure, random_unitary
@@ -258,7 +261,7 @@ def test_fully_depolarizing_output_is_maximally_mixed():
     channel = depolarizing_channel(1.0)
     for _ in range(5):
         phi = random_pure(rng, 2)
-        psi = channel_state(channel, phi, d_a=1)
+        psi = TripartitePureState((1, 2, 4), stinespring(channel) @ phi)
         assert abs(entropy(reduced(psi, "B")) - 1.0) < 1e-9
 
 
@@ -286,9 +289,53 @@ def test_dephasing_at_zero_matches_identity():
     assert abs(evaluate_raw("Ic(A>B)", psi) - 1.0) < 1e-9
 
 
-def test_channel_state_dimension_mismatch_rejected():
-    with pytest.raises(ValidationError):
-        channel_state(erasure_channel(0.5), np.ones(6) / np.sqrt(6), d_a=2)
+def _channels_with_states():
+    """The five families at p in {0, 1/4, 1/2, 3/4, 1} and the built-in channels."""
+    for family in sorted(CHANNEL_FAMILIES):
+        for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+            yield f"{family}(p={p})", family_channel(family, p)
+    for name, obj in builtin_objects().items():
+        if obj.kind == "channel":
+            yield name, obj.channel
+
+
+def test_channel_state_is_the_dilation_applied_to_half_a_maximally_entangled_pair():
+    for name, channel in _channels_with_states():
+        d_in, d_out, d_env = channel.d_in, channel.d_out, channel.d_env
+        u = np.zeros((d_out * d_env, d_in), dtype=complex)
+        for e, k in enumerate(channel.kraus):
+            for b in range(d_out):
+                u[b * d_env + e] = k[b]
+        phi = maximally_entangled(d_in)
+        expected = (u @ phi.reshape(d_in, d_in).T).T
+        psi = channel_state(channel)
+        assert psi.dims == (d_in, d_out, d_env), name
+        assert psi.amplitudes.tobytes() == expected.reshape(-1).tobytes(), name
+
+
+def test_density_and_channel_keep_what_was_validated():
+    m = np.eye(2, dtype=complex) / 2
+    rho = DensityOp(m)
+    m[0, 0] = 5
+    assert entropy(rho) == 1.0
+    assert np.array_equal(rho.matrix, np.eye(2) / 2)
+    ks = [k.copy() for k in depolarizing_channel(0.5).kraus]
+    channel = QuantumChannel(ks)
+    before = channel_state(channel)
+    ks[0][:] = 0
+    after = channel_state(channel)
+    assert after.amplitudes.tobytes() == before.amplitudes.tobytes()
+    assert entropy_triple(after) == entropy_triple(before)
+
+
+def test_validated_arrays_are_read_only():
+    rho = DensityOp(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="read-only"):
+        rho.matrix[0, 0] = 5
+    channel = erasure_channel(0.5)
+    for k in channel.kraus:
+        with pytest.raises(ValueError, match="read-only"):
+            k[0, 0] = 1
 
 
 # -- reduced states and evaluation -------------------------------------------

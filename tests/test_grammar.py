@@ -69,6 +69,16 @@ def test_general_coefficients_round_trip():
     assert parse_vector(format_vector(vector)) == vector
 
 
+def test_parentheses_do_not_nest():
+    with pytest.raises(ParseError, match="nested parentheses") as excinfo:
+        parse_expr("((H(A)))")
+    assert excinfo.value.position == 1
+    with pytest.raises(ParseError, match="nested parentheses") as excinfo:
+        parse_vector("(H(A) - (H(B))) [qq]")
+    assert excinfo.value.position == len("(H(A) - ")
+    assert parse_expr("-(H(A) - H(B)) + (1/2*H(E))") == parse_expr("(-H(A) + H(B) + 1/2*H(E))")
+
+
 def test_raw_symbols_accepted_in_coefficients():
     assert parse_expr("H(AB)") == canonicalize({"H(E)": 1})
     assert parse_expr("1/2*I(A:B) + 1/2*I(A:E)") == canonicalize({"H(A)": 1})
