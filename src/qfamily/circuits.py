@@ -5,19 +5,28 @@ bit channel, and the coherent versions of teleportation and super-dense
 coding are Clifford circuits on at most five qubits; every run keeps the
 global state pure (measurements enumerate branches instead of sampling).
 
-Kernels act on the flat amplitude vector, where qubit i is bit n-1-i of an
-index: a one-qubit gate is one batched matmul, CNOT a gather through an index
-permutation and CZ a product with a +-1 mask (both tables cached on first
-use), and a fidelity |t^dag M|^2 / |t|^2, where the rows of M are the compared
-qubits' values; no density matrix is formed.
+A register holds a batch of B >= 1 states of the same qubits: its amplitudes
+have shape (B, 2^n), row b being state b and qubit i bit n-1-i of a column
+index.  Kernels act on all B states at once: a one-qubit gate is one batched
+matmul, CNOT a gather through an index permutation and CZ a product with a
++-1 mask (both tables cached on first use), and a fidelity |t^dag M|^2 /
+|t|^2 per state, where the rows of M are the compared qubits' values; no
+density matrix is formed.  The runners whose inputs are amplitudes take one
+state or a batch of them and return one Run per input, and `verify_all` runs
+each of their rows as one batch.
+
+Measurement outcomes are classical bits shared by the whole batch, so an
+outcome is a branch only when its probability is >= 1e-15 for every state; a
+measurement whose support differs across the batch raises ValueError.
 
 Party discipline: each qubit is owned by Alice or Bob, and gates may not
 span parties.  Each party holds a set of classical bits: its inputs, its own
 measurement outcomes and the bits sent to it.  A gate conditioned on a bit
 runs only if the acting party holds that bit.
 
-Ledgers: each run books its resources in an integer ledger that must match
-the protocol's exact resource inequality at coefficient one.  Only the
+Ledgers: each run books its resources in an integer ledger, one per state of
+a batch, that must match the protocol's exact resource inequality at
+coefficient one.  Only the
 booking primitives write it.  `share_ebit` (a preshared ebit), `send` (a
 qubit channel use), `cobit` (the one licensed cross-party controlled copy)
 and `communicate` (one classical bit channel use per bit) book what is
@@ -46,7 +55,7 @@ from .algebra import (
 )
 from .derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
 from .entropy import entropy
-from .rng import SplitMix64, random_pure
+from .rng import SplitMix64
 
 NORM_TOL = 1e-12
 PROTOCOL_FIDELITY = 1.0 - 1e-10
@@ -83,16 +92,17 @@ def _wanted_counts(ri: ResourceInequality) -> tuple[dict, dict]:
 
 @dataclass
 class Ledger:
-    """Whole-protocol resource counts (noiseless kinds only)."""
+    """Whole-protocol resource counts (noiseless kinds only), in plain dicts:
+    a register copies one ledger per state at every measurement branch."""
 
-    consumed: Counter = field(default_factory=Counter)
-    produced: Counter = field(default_factory=Counter)
+    consumed: dict = field(default_factory=dict)
+    produced: dict = field(default_factory=dict)
 
     def consume(self, kind: ResourceKind, n: int = 1):
-        self.consumed[kind] += n
+        self.consumed[kind] = self.consumed.get(kind, 0) + n
 
     def produce(self, kind: ResourceKind, n: int = 1):
-        self.produced[kind] += n
+        self.produced[kind] = self.produced.get(kind, 0) + n
 
     def counts(self) -> tuple[dict, dict]:
         """Nonzero (consumed, produced) counts, in the form of `_wanted_counts`."""
@@ -104,11 +114,11 @@ class Ledger:
         return self.counts() == _wanted_counts(ri)
 
     def copy(self) -> "Ledger":
-        return Ledger(Counter(self.consumed), Counter(self.produced))
+        return Ledger(dict(self.consumed), dict(self.produced))
 
     def net(self) -> dict[ResourceKind, int]:
         kinds = set(self.consumed) | set(self.produced)
-        return {k: self.produced[k] - self.consumed[k] for k in kinds}
+        return {k: self.produced.get(k, 0) - self.consumed.get(k, 0) for k in kinds}
 
     def as_json(self) -> dict:
         return {"consumed": _by_kind(self.consumed), "produced": _by_kind(self.produced)}
@@ -119,8 +129,16 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _unit(amplitudes) -> np.ndarray:
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    return v / np.linalg.norm(v)
+    """One state or a batch of states as normalised rows."""
+    v = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
+    return v / np.sqrt(np.vecdot(v, v).real)[:, None]
+
+
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker products of two batches of vectors; a batch of one
+    broadcasts against the other."""
+    out = a[:, :, None] * b[:, None, :]
+    return out.reshape(len(out), -1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -147,39 +165,39 @@ def _cut(n: int, qubits: tuple[int, ...]) -> np.ndarray:
 
 
 class Register:
-    """Pure state over owned qubits; qubit i is axis i of the amplitude tensor.
+    """A batch of `batch` pure states over the same owned qubits.
 
-    `known[party]` maps the names of the classical bits that party holds to
-    their values.  A claim books its resource when its fidelity reaches
-    `threshold`.
+    `amps` has shape (batch, 2^n), and `ledgers[b]` books state b's
+    resources.  `known[party]` maps the names of the classical bits that
+    party holds to their values, shared by the batch.  A claim books its
+    resource for each state whose fidelity reaches `threshold`.
     """
 
-    def __init__(self, threshold: float = PROTOCOL_FIDELITY):
-        self.amps = np.array([1.0 + 0.0j])
+    def __init__(self, threshold: float = PROTOCOL_FIDELITY, batch: int = 1):
+        self.amps = np.ones((batch, 1), dtype=complex)
         self.owners: list[Party] = []
         self.known: dict[Party, dict[str, int]] = {Party.ALICE: {}, Party.BOB: {}}
-        self.ledger = Ledger()
+        self.ledgers = [Ledger() for _ in range(batch)]
         self.threshold = threshold
 
     @property
     def n(self) -> int:
         return len(self.owners)
 
-    def copy(self) -> "Register":
-        dup = Register(self.threshold)
-        dup.amps = self.amps.copy()
+    def _fork(self, amps: np.ndarray) -> "Register":
+        """A register with `amps` and copies of this one's owners, bits and ledgers."""
+        dup = Register(self.threshold, 0)
+        dup.amps = amps
         dup.owners = list(self.owners)
         dup.known = {party: dict(bits) for party, bits in self.known.items()}
-        dup.ledger = self.ledger.copy()
+        dup.ledgers = [ledger.copy() for ledger in self.ledgers]
         return dup
 
-    def _tensor(self) -> np.ndarray:
-        return self.amps.reshape([2] * self.n)
-
     def _check_norm(self):
-        norm = float(np.vdot(self.amps, self.amps).real) ** 0.5
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise AssertionError(f"norm drifted to {norm!r}")
+        norms = np.sqrt(np.vecdot(self.amps, self.amps).real)
+        drift = np.abs(norms - 1.0)
+        if not drift.max() <= NORM_TOL:  # NaN fails too
+            raise AssertionError(f"norm drifted to {float(norms[~(drift <= NORM_TOL)][0])!r}")
 
     def _require_owner(self, qubit: int, party: Party):
         if self.owners[qubit] is not party:
@@ -194,12 +212,19 @@ class Register:
 
     # -- allocation and the consuming primitives ------------------------------
 
+    def _consume(self, kind: ResourceKind, n: int = 1):
+        for ledger in self.ledgers:
+            ledger.consume(kind, n)
+
     def add_qubit(self, owner: Party, amplitudes=(1.0, 0.0)):
-        """Fresh qubits of one party in a joint state of 2^k amplitudes: the
-        new qubit's index, or a tuple of the k new indices."""
+        """Fresh qubits of one party in a joint state of 2^k amplitudes, one
+        state for the whole batch or one row per state: the new qubit's
+        index, or a tuple of the k new indices."""
         q = _unit(amplitudes)
-        k = q.size.bit_length() - 1
-        self.amps = np.outer(self.amps, q).reshape(-1)  # kron of vectors, ~6x cheaper
+        if len(q) not in (1, len(self.amps)):
+            raise ValueError(f"{len(q)} states for a batch of {len(self.amps)}")
+        k = q.shape[1].bit_length() - 1
+        self.amps = _kron_rows(self.amps, q)
         self.owners.extend([owner] * k)
         new = tuple(range(self.n - k, self.n))
         return new[0] if k == 1 else new
@@ -208,14 +233,14 @@ class Register:
         """Preshared EPR pair: one half each.  Books one ebit consumed."""
         a_half, b_half = self.add_qubit(Party.ALICE, BELL)
         self.owners[b_half] = Party.BOB
-        self.ledger.consume(EBIT)
+        self._consume(EBIT)
         return a_half, b_half
 
     def send(self, qubit: int, to: Party):
         """Transfer a qubit through the noiseless channel (one use booked)."""
         if self.owners[qubit] is to:
             raise LocalityError(f"qubit {qubit} already belongs to {to.value}")
-        self.ledger.consume(QUBIT_CHANNEL)
+        self._consume(QUBIT_CHANNEL)
         self.owners[qubit] = to
 
     def cobit(self, source: int) -> int:
@@ -223,7 +248,7 @@ class Register:
         self._require_owner(source, Party.ALICE)
         target = self.add_qubit(Party.BOB)
         self._cnot_unchecked(source, target)
-        self.ledger.consume(COBIT)
+        self._consume(COBIT)
         return target
 
     def communicate(self, bits, to: Party):
@@ -233,13 +258,15 @@ class Register:
             if bit not in sender:
                 raise LocalityError(f"bit {bit!r} is not held by the sender")
             self.known[to][bit] = sender[bit]
-        self.ledger.consume(CBIT, len(bits))
+        self._consume(CBIT, len(bits))
 
     # -- local gates ---------------------------------------------------------
 
     def apply_single(self, matrix: np.ndarray, qubit: int):
-        """`matrix` on `qubit`: one batched matmul with the qubit as the middle axis."""
-        self.amps = (matrix @ self.amps.reshape(1 << qubit, 2, -1)).reshape(-1)
+        """`matrix` on `qubit` of every state: one batched matmul with the
+        qubit as the middle axis."""
+        batch = len(self.amps)
+        self.amps = (matrix @ self.amps.reshape(batch << qubit, 2, -1)).reshape(batch, -1)
         self._check_norm()
 
     def apply_if(self, bit: str, matrix: np.ndarray, qubit: int):
@@ -255,7 +282,7 @@ class Register:
         self.apply_single(_H, qubit)
 
     def _cnot_unchecked(self, control: int, target: int):
-        self.amps = self.amps[_two_qubit_tables(self.n, control, target)[0]]
+        self.amps = self.amps[:, _two_qubit_tables(self.n, control, target)[0]]
         self._check_norm()
 
     def cnot(self, control: int, target: int):
@@ -270,52 +297,60 @@ class Register:
     # -- measurement (branch enumeration) and inspection ---------------------
 
     def measure(self, qubits: list[int]) -> list["Branch"]:
-        """All outcome branches with nonzero probability; measured qubits
-        collapse in place, everything stays pure.  The outcome of qubit q is
-        the classical bit "m<q>", held by the measuring party."""
+        """All outcome branches; measured qubits collapse in place, everything
+        stays pure.  The outcome of qubit q is the classical bit "m<q>", held
+        by the measuring party and shared by the batch, so an outcome is a
+        branch only when its probability is >= 1e-15 for every state, and a
+        ValueError is raised when the states' supports differ."""
         self._require_one_party(tuple(qubits))
         party = self.owners[qubits[0]]
         names = tuple(f"m{q}" for q in qubits)
         cut = _cut(self.n, tuple(qubits))
-        rows = self.amps[cut]
+        rows = self.amps[:, cut]
+        probabilities = np.vecdot(rows, rows).real
+        support = probabilities >= 1e-15
+        if (support != support[0]).any():
+            raise ValueError(f"the outcomes of qubits {list(qubits)} with nonzero probability "
+                             f"differ across the batch")
         branches = []
         for row, outcome in enumerate(itertools.product((0, 1), repeat=len(qubits))):
-            sub = rows[row]
-            probability = float(np.vdot(sub, sub).real)
-            if probability < 1e-15:
+            if not support[0, row]:
                 continue
-            register = self.copy()
-            register.amps = np.zeros_like(self.amps)
-            register.amps[cut[row]] = sub / np.sqrt(probability)
+            amps = np.zeros_like(self.amps)
+            amps[:, cut[row]] = rows[:, row] / np.sqrt(probabilities[:, row, None])
+            register = self._fork(amps)
             register.known[party].update(zip(names, outcome))
-            branches.append(Branch(outcome, probability, register, names))
+            branches.append(Branch(outcome, probabilities[:, row], register, names))
         return branches
 
     def reduced_dm(self, qubits: list[int]) -> np.ndarray:
-        """Reduced density matrix M M^dag on the listed qubits, in the listed order."""
-        m = self.amps[_cut(self.n, tuple(qubits))]
-        return m @ m.conj().T
+        """Reduced density matrices M M^dag on the listed qubits, in the listed
+        order: shape (batch, 2^k, 2^k)."""
+        m = self.amps[:, _cut(self.n, tuple(qubits))]
+        return m @ m.conj().transpose(0, 2, 1)
 
-    def fidelity(self, qubits: list[int], target) -> float:
-        """<t| rho |t> / <t|t> = |t^dag M|^2 / |t|^2 for the reduced state
-        rho = M M^dag of `qubits`, in that order, and the target amplitudes t."""
-        t = np.asarray(target, dtype=complex).reshape(-1)
-        overlap = t.conj() @ self.amps[_cut(self.n, tuple(qubits))]
-        return float(np.vdot(overlap, overlap).real / np.vdot(t, t).real)
+    def fidelity(self, qubits: list[int], target) -> np.ndarray:
+        """<t| rho |t> / <t|t> = |t^dag M|^2 / |t|^2 per state, for the reduced
+        state rho = M M^dag of `qubits`, in that order, and the target
+        amplitudes t: one row for the whole batch or one row per state."""
+        t = np.atleast_2d(np.asarray(target, dtype=complex))
+        overlap = (t.conj()[:, None, :] @ self.amps[:, _cut(self.n, tuple(qubits))])[:, 0]
+        return np.vecdot(overlap, overlap).real / np.vecdot(t, t).real
 
     # -- checked claims: the only way to book a produced resource -------------
 
-    def _claim(self, kind: ResourceKind, n: int, fidelity: float) -> float:
-        if fidelity >= self.threshold:
-            self.ledger.produce(kind, n)
+    def _claim(self, kind: ResourceKind, n: int, fidelity: np.ndarray) -> np.ndarray:
+        for ledger, value in zip(self.ledgers, fidelity):
+            if value >= self.threshold:
+                ledger.produce(kind, n)
         return fidelity
 
-    def claim_qubit(self, qubit: int, state) -> float:
+    def claim_qubit(self, qubit: int, state) -> np.ndarray:
         """Bob's `qubit` carries `state`: one [q->q] produced."""
         self._require_owner(qubit, Party.BOB)
         return self._claim(QUBIT_CHANNEL, 1, self.fidelity([qubit], state))
 
-    def claim_ebits(self, pairs) -> float:
+    def claim_ebits(self, pairs) -> np.ndarray:
         """Every (Alice qubit, Bob qubit) pair is |Phi+>: one [qq] produced each."""
         for a, b in pairs:
             self._require_owner(a, Party.ALICE)
@@ -324,25 +359,26 @@ class Register:
         target = functools.reduce(np.kron, [BELL] * len(pairs))
         return self._claim(EBIT, len(pairs), self.fidelity(qubits, target))
 
-    def claim_cobits(self, sources, copies, message) -> float:
+    def claim_cobits(self, sources, copies, message) -> np.ndarray:
         """Alice's `sources` and Bob's `copies` hold sum_x c_x |x>|x> for the
         message amplitudes c: one [q->qq] produced per source."""
         for a, b in zip(sources, copies):
             self._require_owner(a, Party.ALICE)
             self._require_owner(b, Party.BOB)
-        target = np.diag(np.asarray(message).reshape(-1))
+        c = np.atleast_2d(message)
+        target = (c[:, :, None] * np.eye(c.shape[1])).reshape(len(c), -1)
         return self._claim(COBIT, len(sources), self.fidelity([*sources, *copies], target))
 
-    def claim_cbits(self, bits, sent) -> float:
+    def claim_cbits(self, bits, sent) -> np.ndarray:
         """Bob holds `bits` and they read `sent`: one [c->c] produced each."""
         got = tuple(self.known[Party.BOB].get(bit) for bit in bits)
-        return self._claim(CBIT, len(bits), float(got == tuple(sent)))
+        return self._claim(CBIT, len(bits), np.full(len(self.amps), float(got == tuple(sent))))
 
 
 @dataclass
 class Branch:
     outcome: tuple[int, ...]
-    probability: float
+    probability: np.ndarray  # one per state of the batch
     register: Register
     bits: tuple[str, ...]  # the names of the outcome bits
 
@@ -380,6 +416,19 @@ class Run:
     @property
     def passed(self) -> bool:
         return self.holds and self.fidelity >= self.threshold
+
+
+def _runs(threshold: float, registers: list[Register], fidelities: dict, holds=True,
+          values: dict | None = None) -> list[Run]:
+    """One Run per state of a batch: state b's ledger in each final register
+    (one per branch), and entry b of every array in `fidelities`, `holds`
+    and `values`."""
+    batch = len(registers[0].ledgers)
+    holds = np.broadcast_to(holds, (batch,))
+    return [Run(threshold, [reg.ledgers[b] for reg in registers],
+                {key: float(f[b]) for key, f in fidelities.items()}, bool(holds[b]),
+                values={key: v[b] for key, v in (values or {}).items()})
+            for b in range(batch)]
 
 
 def _fix_up(reg: Register, target: int, z: str, x: str):
@@ -420,20 +469,23 @@ def _superdense(reg: Register, encode, z, x) -> tuple[int, int]:
     return a_half, b_half
 
 
-def run_teleportation(input_amplitudes=(1.0, 0.0)) -> Run:
+def run_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
     """Teleport one qubit: Bell measurement, two classical bits, Pauli fixup.
 
-    Every outcome branch must hand Bob the input state, and Bob's state
-    before the measurement must be maximally mixed (no signalling).
+    `input_amplitudes` is one state or a batch of states, one per row, all
+    teleported at once; one Run per state.  Every outcome branch must hand
+    Bob the input state, and Bob's state before the measurement must be
+    maximally mixed (no signalling).
     """
-    reg = Register(PROTOCOL_FIDELITY)
-    msg = reg.add_qubit(Party.ALICE, input_amplitudes)
+    inputs = _unit(input_amplitudes)
+    reg = Register(PROTOCOL_FIDELITY, len(inputs))
+    msg = reg.add_qubit(Party.ALICE, inputs)
     a_half, b_half = reg.share_ebit()
     premeasurement, branches = _teleport(reg, msg, a_half, b_half)
-    fidelities = {b.outcome: b.register.claim_qubit(b_half, input_amplitudes) for b in branches}
-    return Run(PROTOCOL_FIDELITY, [b.register.ledger for b in branches], fidelities,
-               holds=bool(np.max(np.abs(premeasurement - np.eye(2) / 2)) <= 1e-12),
-               values={"bob_premeasurement_dm": premeasurement})
+    fidelities = {b.outcome: b.register.claim_qubit(b_half, inputs) for b in branches}
+    signalling = np.max(np.abs(premeasurement - np.eye(2) / 2), axis=(1, 2))
+    return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities,
+                 holds=signalling <= 1e-12, values={"bob_premeasurement_dm": premeasurement})
 
 
 def run_superdense(bits: tuple[int, int]) -> Run:
@@ -447,8 +499,8 @@ def run_superdense(bits: tuple[int, int]) -> Run:
     branches = reg.measure(list(_superdense(reg, _fix_up, "z", "x")))
     fidelities = {b.outcome: b.register.claim_cbits(b.bits, bits) for b in branches}
     decoded = branches[0].outcome if len(branches) == 1 else None
-    return Run(PROTOCOL_FIDELITY, [b.register.ledger for b in branches], fidelities,
-               values={"decoded": decoded})
+    return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities,
+                 values={"decoded": [decoded]})[0]
 
 
 def run_entanglement_distribution() -> Run:
@@ -458,53 +510,51 @@ def run_entanglement_distribution() -> Run:
     reg.h(q0)
     reg.cnot(q0, q1)
     reg.send(q1, Party.BOB)
-    fidelity = reg.claim_ebits([(q0, q1)])
-    bob_entropy = entropy(reg.reduced_dm([q1]))
-    return Run(EXACT_FIDELITY, [reg.ledger], {"ebit": fidelity}, holds=abs(bob_entropy - 1.0) <= 1e-9,
-               values={"bob_entropy": bob_entropy})
+    fidelities = {"ebit": reg.claim_ebits([(q0, q1)])}
+    bob_entropy = entropy(reg.reduced_dm([q1])[0])
+    return _runs(EXACT_FIDELITY, [reg], fidelities, holds=abs(bob_entropy - 1.0) <= 1e-9,
+                 values={"bob_entropy": [bob_entropy]})[0]
 
 
 def run_cobit_checks() -> Run:
     """The defining isometry on basis states, plus entanglement creation on
-    |+>; the ledger is that of the |+> run."""
-    fidelities = {}
-    for value in (0, 1):
-        reg = Register(EXACT_FIDELITY)
-        reg.cobit(reg.add_qubit(Party.ALICE, (1 - value, value)))
-        fidelities[f"basis {value}"] = state_fidelity(reg.amps, np.eye(4)[3 * value])
-    reg = Register(EXACT_FIDELITY)
-    src = reg.add_qubit(Party.ALICE, PLUS)
+    |+>, as one batch of three; the ledger is that of the |+> run."""
+    reg = Register(EXACT_FIDELITY, 3)
+    src = reg.add_qubit(Party.ALICE, [(1.0, 0.0), (0.0, 1.0), PLUS])
     copy = reg.cobit(src)
-    fidelities["plus"] = reg.claim_ebits([(src, copy)])
-    bob_entropy = entropy(reg.reduced_dm([copy]))
-    return Run(EXACT_FIDELITY, [reg.ledger], fidelities, holds=abs(bob_entropy - 1.0) <= 1e-9,
+    fidelities = {f"basis {v}": state_fidelity(reg.amps[v], np.eye(4)[3 * v]) for v in (0, 1)}
+    fidelities["plus"] = float(reg.claim_ebits([(src, copy)])[2])
+    bob_entropy = entropy(reg.reduced_dm([copy])[2])
+    return Run(EXACT_FIDELITY, [reg.ledgers[2]], fidelities, holds=abs(bob_entropy - 1.0) <= 1e-9,
                values={"bob_entropy_on_plus": bob_entropy})
 
 
-def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> Run:
+def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> list[Run]:
     """Super-dense coding with controlled encodings instead of a classical
     choice: one qubit use plus one ebit realize two cobits.
 
-    Qubit order (m0, m1, a, b): the message register stays with Alice, the
-    decoded pair (a, b) at Bob carries the copies.
+    `message` is one two-qubit state or a batch of them, one per row; one
+    Run per message.  Qubit order (m0, m1, a, b): the message register stays
+    with Alice, the decoded pair (a, b) at Bob carries the copies.
     """
-    reg = Register(PROTOCOL_FIDELITY)
-    m0, m1 = reg.add_qubit(Party.ALICE, message)
+    messages = _unit(message)
+    reg = Register(PROTOCOL_FIDELITY, len(messages))
+    m0, m1 = reg.add_qubit(Party.ALICE, messages)
     pair = _superdense(reg, _controlled_fix_up, m0, m1)
-    fidelity = reg.claim_cobits((m0, m1), pair, message)
-    return Run(PROTOCOL_FIDELITY, [reg.ledger], {"cobits": fidelity},
-               values={"final_state": reg.amps.copy()})
+    fidelities = {"cobits": reg.claim_cobits((m0, m1), pair, messages)}
+    return _runs(PROTOCOL_FIDELITY, [reg], fidelities, values={"final_state": reg.amps})
 
 
-def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> Run:
+def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
     """Teleportation with the measurement replaced by two cobits.
 
-    Bob's controlled corrections deliver the input on his half and leave
-    each (message bit, copy) pair in an EPR state: entanglement out for
-    free, modulo the one catalytic ebit.
+    `input_amplitudes` is one state or a batch of states, one per row; one
+    Run per state.  Bob's controlled corrections deliver the input on his
+    half and leave each (message bit, copy) pair in an EPR state:
+    entanglement out for free, modulo the one catalytic ebit.
     """
     message = _unit(input_amplitudes)
-    reg = Register(PROTOCOL_FIDELITY)
+    reg = Register(PROTOCOL_FIDELITY, len(message))
     q0 = reg.add_qubit(Party.ALICE, message)
     q1, q2 = reg.share_ebit()
     reg.cnot(q0, q1)
@@ -515,16 +565,16 @@ def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> Run:
         "output": reg.claim_qubit(q2, message),
         "residual": reg.claim_ebits([(q0, c1), (q1, c2)]),
         # the whole register: Phi_+ on (q0, c1) and on (q1, c2), the message on q2
-        "total": reg.fidelity([q0, c1, q1, c2, q2], np.kron(np.kron(BELL, BELL), message)),
+        "total": reg.fidelity([q0, c1, q1, c2, q2], _kron_rows(np.kron(BELL, BELL)[None], message)),
     }
-    return Run(PROTOCOL_FIDELITY, [reg.ledger], fidelities, values={"final_state": reg.amps.copy()})
+    return _runs(PROTOCOL_FIDELITY, [reg], fidelities, values={"final_state": reg.amps})
 
 
 def verify_cobit_equivalence() -> Run:
     """Two cobits and a qubit-plus-ebit simulate each other with the one
     ebit catalyst conserved: composing both ledgers nets to zero."""
-    forward = run_coherent_superdense(np.kron(PLUS, PLUS))
-    reverse = run_coherent_teleportation(PLUS)
+    [forward] = run_coherent_superdense(np.kron(PLUS, PLUS))
+    [reverse] = run_coherent_teleportation(PLUS)
     net = Counter()
     for run in (forward, reverse):
         net.update(run.ledger.net())
@@ -547,10 +597,10 @@ def demo_rule_I_on_teleportation(input_amplitudes=PLUS) -> Run:
     reg = Register(EXACT_FIDELITY)
     msg = reg.add_qubit(Party.ALICE, input_amplitudes)
     _, branches = _teleport(reg, msg, *reg.share_ebit())
-    probabilities = {b.outcome: b.probability for b in branches}
-    states = [b.register._tensor()[b.outcome] for b in branches]
+    probabilities = {b.outcome: float(b.probability[0]) for b in branches}
+    states = [b.register.amps.reshape(2, 2, 2)[b.outcome] for b in branches]
     overlap = min(abs(np.vdot(s, t)) for s in states for t in states)
-    coherent = run_coherent_teleportation(input_amplitudes)
+    [coherent] = run_coherent_teleportation(input_amplitudes)
     uniform = len(probabilities) == 4 and all(abs(p - 0.25) <= 1e-12 for p in probabilities.values())
     reported = {f"{z}{x}": p for (z, x), p in sorted(probabilities.items())}
     return Run(EXACT_FIDELITY, [], {"coherent": coherent.fidelity, "overlap": overlap}, uniform,
@@ -579,7 +629,7 @@ def demo_rule_O_on_superdense() -> Run:
             states.append(out.amps)
     residual = min(fidelities.values())
     fidelities["overlap"] = min(abs(np.vdot(s, t)) for s in states for t in states)
-    fidelities["coherent"] = min(run_coherent_superdense(m).fidelity for m in np.eye(4))
+    fidelities["coherent"] = min(run.fidelity for run in run_coherent_superdense(np.eye(4)))
     return Run(EXACT_FIDELITY, [], fidelities, holds=all(decoded),
                report={
                    "min_residual_bell_fidelity": residual,
@@ -597,7 +647,8 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
     """Run the seven protocols plus the two rule demonstrations.
 
     Each row of the table is (report section, name, target inequality or
-    None, argument tuples, runner).  An entry passes when every run passes
+    None, runs).  The random inputs of a row are drawn as one block and run
+    as one batch, one Run per input.  An entry passes when every run passes
     at its own threshold and, where the row has a target, the ledger of
     every branch matches it.  Each entry also states its number of runs
     (`cases`), the input index of its lowest-fidelity run (`worst_case`; the
@@ -608,30 +659,29 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
     rng = SplitMix64(seed)
 
     def draws(fixed, dim, count):
-        return [(v,) for v in [*fixed, *(random_pure(rng, dim) for _ in range(count))]]
+        return np.vstack([np.asarray(fixed, dtype=complex), rng.complex_matrix(count, dim)])
 
     protocol, demo = "protocols", "rule_demos"
     rows = (
-        (protocol, "teleportation", PRIMITIVES["tp"], draws([(1.0, 0.0), PLUS], 2, trials),
-         run_teleportation),
+        (protocol, "teleportation", PRIMITIVES["tp"],
+         run_teleportation(draws([(1.0, 0.0), PLUS], 2, trials))),
         (protocol, "superdense", PRIMITIVES["sd"],
-         [(bits,) for bits in itertools.product((0, 1), repeat=2)], run_superdense),
-        (protocol, "entanglement_distribution", PRIMITIVES["qe"], [()], run_entanglement_distribution),
-        (protocol, "cobit", COBIT_EBIT, [()], run_cobit_checks),
-        (protocol, "coherent_superdense", COHERENT_SD, draws([np.eye(4)[2], np.full(4, 0.5)], 4, 1),
-         run_coherent_superdense),
-        (protocol, "coherent_teleportation", COHERENT_TP, draws([(0.0, 1.0), PLUS], 2, trials),
-         run_coherent_teleportation),
+         [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]),
+        (protocol, "entanglement_distribution", PRIMITIVES["qe"], [run_entanglement_distribution()]),
+        (protocol, "cobit", COBIT_EBIT, [run_cobit_checks()]),
+        (protocol, "coherent_superdense", COHERENT_SD,
+         run_coherent_superdense(draws([np.eye(4)[2], np.full(4, 0.5)], 4, 1))),
+        (protocol, "coherent_teleportation", COHERENT_TP,
+         run_coherent_teleportation(draws([(0.0, 1.0), PLUS], 2, trials))),
         # No target on the last three: the equivalence run matches its two
         # runs against COHERENT_SD and COHERENT_TP itself, and the rule
         # demos book no ledger.
-        (protocol, "cobit_equivalence", None, [()], verify_cobit_equivalence),
-        (demo, "rule_I_on_teleportation", None, [()], demo_rule_I_on_teleportation),
-        (demo, "rule_O_on_superdense", None, [()], demo_rule_O_on_superdense),
+        (protocol, "cobit_equivalence", None, [verify_cobit_equivalence()]),
+        (demo, "rule_I_on_teleportation", None, [demo_rule_I_on_teleportation()]),
+        (demo, "rule_O_on_superdense", None, [demo_rule_O_on_superdense()]),
     )
     report: dict = {protocol: [], demo: []}
-    for section, name, target, inputs, runner in rows:
-        runs = [runner(*args) for args in inputs]
+    for section, name, target, runs in rows:
         low = min(run.fidelity for run in runs)
         worst = next(i for i, run in enumerate(runs) if run.fidelity - low <= 1e-12)
         entry = {"name": name, "fidelity": low}

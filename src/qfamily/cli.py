@@ -49,7 +49,12 @@ def _load_objects(args) -> dict:
     objects = channels.builtin_objects()
     path = args.registry or os.environ.get("QFAMILY_REGISTRY")
     if path:
-        objects.update(channels.load_registry(path))
+        registry = channels.load_registry(path)
+        shadowed = sorted(set(registry) & set(channels.CHANNEL_FAMILIES))
+        if shadowed:
+            raise CliError(f"registry entry {shadowed[0]!r} is named like a channel family, "
+                           f"which `--channel {shadowed[0]}` would pick instead")
+        objects.update(registry)
     return objects
 
 

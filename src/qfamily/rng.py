@@ -117,7 +117,7 @@ def random_density(rng: SplitMix64, dim: int) -> np.ndarray:
 
 def random_pure(rng: SplitMix64, dim: int) -> np.ndarray:
     """Haar-like random pure state vector (normalized complex Gaussian)."""
-    v = np.array([rng.complex_normal() for _ in range(dim)])
+    v = rng.complex_matrix(1, dim)[0]
     return v / np.linalg.norm(v)
 
 

@@ -154,7 +154,7 @@ def test_criterion_4_channel_rates():
 def test_criterion_5_circuit_suite():
     rng = SplitMix64(5)
     tp_fidelity = min(
-        run_teleportation(random_pure(rng, 2)).fidelity for _ in range(50)
+        run.fidelity for run in run_teleportation([random_pure(rng, 2) for _ in range(50)])
     )
     assert tp_fidelity >= 1 - 1e-10
 
@@ -164,11 +164,11 @@ def test_criterion_5_circuit_suite():
     qe = run_entanglement_distribution()
     assert qe.fidelity >= 1 - 1e-12
 
-    coherent_sd = run_coherent_superdense(random_pure(rng, 4))
+    [coherent_sd] = run_coherent_superdense(random_pure(rng, 4))
     assert coherent_sd.fidelity >= 1 - 1e-10
     assert coherent_sd.ledger.matches(COHERENT_SD)
 
-    coherent_tp = run_coherent_teleportation(random_pure(rng, 2))
+    [coherent_tp] = run_coherent_teleportation(random_pure(rng, 2))
     assert min(coherent_tp.fidelities["output"], coherent_tp.fidelities["residual"]) >= 1 - 1e-10
     assert coherent_tp.ledger.matches(COHERENT_TP)
 

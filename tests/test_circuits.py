@@ -28,6 +28,7 @@ from qfamily.circuits import (
 from qfamily import circuits
 from qfamily.derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
 from qfamily.rng import SplitMix64, random_pure, random_unitary
+from test_golden import _same_report
 
 
 # -- register discipline -------------------------------------------------------
@@ -54,7 +55,7 @@ def test_send_books_a_channel_use():
     reg = Register()
     q = reg.add_qubit(Party.ALICE)
     reg.send(q, Party.BOB)
-    assert reg.ledger.consumed[QUBIT_CHANNEL] == 1
+    assert reg.ledgers[0].consumed[QUBIT_CHANNEL] == 1
     assert reg.owners[q] is Party.BOB
 
 
@@ -93,7 +94,7 @@ def test_communicate_books_one_cbit_per_bit_and_lets_bob_act():
     for branch in branches:
         out = branch.register
         out.communicate(branch.bits, Party.BOB)
-        assert out.ledger.consumed[CBIT] == 2
+        assert out.ledgers[0].consumed[CBIT] == 2
         assert out.known[Party.BOB] == dict(zip(branch.bits, branch.outcome))
         out.apply_if(branch.bits[1], X, b_half)
 
@@ -105,7 +106,7 @@ def test_only_held_bits_can_be_communicated():
         reg.communicate(["b"], Party.BOB)
     with pytest.raises(LocalityError):
         reg.communicate(["nobody's"], Party.ALICE)
-    assert not reg.ledger.consumed
+    assert not reg.ledgers[0].consumed
 
 
 def test_failed_ebit_claim_on_a_product_state_books_nothing():
@@ -113,18 +114,18 @@ def test_failed_ebit_claim_on_a_product_state_books_nothing():
     a = reg.add_qubit(Party.ALICE)
     b = reg.add_qubit(Party.BOB)
     assert reg.claim_ebits([(a, b)]) == pytest.approx(0.5, abs=1e-12)
-    assert not +reg.ledger.produced
+    assert not reg.ledgers[0].produced
 
 
 def test_claims_book_their_resource_only_at_threshold():
     reg = Register()
     q = reg.add_qubit(Party.BOB, PLUS)
     assert reg.claim_qubit(q, (1, 0)) == pytest.approx(0.5, abs=1e-12)
-    assert not +reg.ledger.produced
+    assert not reg.ledgers[0].produced
     assert reg.claim_qubit(q, PLUS) >= 1 - 1e-12
-    assert reg.ledger.produced == {QUBIT_CHANNEL: 1}
+    assert reg.ledgers[0].produced == {QUBIT_CHANNEL: 1}
     assert reg.claim_cbits(["m0"], [1]) == 0.0
-    assert reg.ledger.produced == {QUBIT_CHANNEL: 1}
+    assert reg.ledgers[0].produced == {QUBIT_CHANNEL: 1}
 
 
 def test_claims_need_the_right_holders():
@@ -151,6 +152,35 @@ def test_gate_that_breaks_the_norm_is_caught(matrix):
     q = reg.add_qubit(Party.ALICE, PLUS)
     with pytest.raises(AssertionError, match="norm drifted"):
         reg.apply_single(matrix, q)
+
+
+def test_norm_check_covers_every_state_of_a_batch():
+    reg = Register(batch=2)
+    q = reg.add_qubit(Party.ALICE, [(1.0, 0.0), PLUS])  # diag(1, 1/2) keeps only |0>'s norm
+    with pytest.raises(AssertionError, match=f"norm drifted to {0.625 ** 0.5!r}"):
+        reg.apply_single(np.diag([1.0, 0.5]), q)
+
+
+def test_a_batch_needs_one_state_or_one_per_member():
+    reg = Register(batch=2)
+    with pytest.raises(ValueError, match="3 states for a batch of 2"):
+        reg.add_qubit(Party.ALICE, np.ones((3, 2)))
+
+
+def test_batched_measurement_keeps_each_states_probabilities():
+    reg = Register(batch=2)
+    q = reg.add_qubit(Party.ALICE, [(0.6, 0.8), PLUS])
+    branches = reg.measure([q])
+    assert [b.outcome for b in branches] == [(0,), (1,)]
+    assert np.allclose([b.probability for b in branches], [[0.36, 0.5], [0.64, 0.5]], atol=1e-12, rtol=0)
+    assert np.array_equal(branches[1].register.amps, [[0, 1], [0, 1]])
+
+
+def test_batched_measurement_whose_support_differs_across_the_batch_raises():
+    reg = Register(batch=2)
+    q = reg.add_qubit(Party.ALICE, [(1.0, 0.0), PLUS])  # outcome 1 is possible for |+> only
+    with pytest.raises(ValueError, match="differ across the batch"):
+        reg.measure([q])
 
 
 # -- kernels against a dense reference -----------------------------------------------
@@ -184,9 +214,12 @@ def _partial_trace(amps, n, keep):
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32), data=st.data())
 def test_kernels_match_a_dense_reference(n, seed, data):
+    """Every kernel on a batch of one to three random states, each state
+    against the dense matrix of the gate."""
     rng = SplitMix64(seed)
-    reg = Register()
-    reg.add_qubit(Party.ALICE, random_pure(rng, 2 ** n))
+    batch = data.draw(st.integers(1, 3))
+    reg = Register(batch=batch)
+    reg.add_qubit(Party.ALICE, [random_pure(rng, 2 ** n) for _ in range(batch)])
     want = reg.amps.copy()
     gates = ["h", "x", "z", "u"] + (["cnot", "cz"] if n > 1 else [])
     for _ in range(data.draw(st.integers(0, 12))):
@@ -195,20 +228,26 @@ def test_kernels_match_a_dense_reference(n, seed, data):
             control, target = data.draw(st.permutations(range(n)))[:2]
             getattr(reg, name)(control, target)
             full = _dense_controlled(n, control, target, DENSE_SINGLE["x" if name == "cnot" else "z"])
-            assert np.array_equal(reg.amps, full @ before)  # exact: a permutation or signs
+            assert np.array_equal(reg.amps, before @ full.T)  # exact: a permutation or signs
         else:
             qubit = data.draw(st.integers(0, n - 1))
             matrix = random_unitary(rng, 2) if name == "u" else DENSE_SINGLE[name]
             reg.apply_single(matrix, qubit)
             full = _dense(n, {qubit: matrix})
-        want = full @ want
+        want = want @ full.T
         assert np.max(np.abs(reg.amps - want)) <= 1e-12
     for k in range(1, min(n, 3) + 1):
         for keep in itertools.permutations(range(n), k):
-            rho = _partial_trace(reg.amps, n, keep)
-            assert np.max(np.abs(reg.reduced_dm(list(keep)) - rho)) <= 1e-12
-            t = 1.5 * random_pure(rng, 2 ** k)
-            assert abs(reg.fidelity(keep, t) - (t.conj() @ rho @ t).real / (t.conj() @ t).real) <= 1e-12
+            # one target for the whole batch, then one per state
+            shared = 1.5 * random_pure(rng, 2 ** k)
+            own = 1.5 * np.array([random_pure(rng, 2 ** k) for _ in range(batch)])
+            rhos = reg.reduced_dm(list(keep))
+            for target, rows in ((shared, [shared] * batch), (own, own)):
+                fidelities = reg.fidelity(keep, target)
+                for b, t in enumerate(rows):
+                    rho = _partial_trace(reg.amps[b], n, keep)
+                    assert np.max(np.abs(rhos[b] - rho)) <= 1e-12
+                    assert abs(fidelities[b] - (t.conj() @ rho @ t).real / (t.conj() @ t).real) <= 1e-12
 
 
 # -- teleportation ---------------------------------------------------------------
@@ -216,30 +255,31 @@ def test_kernels_match_a_dense_reference(n, seed, data):
 
 @pytest.mark.parametrize("amplitudes", [(1, 0), (0, 1), PLUS])
 def test_teleportation_exact_on_fixed_inputs(amplitudes):
-    run = run_teleportation(amplitudes)
+    [run] = run_teleportation(amplitudes)
     assert len(run.fidelities) == 4
     assert run.fidelity >= 1 - 1e-10
 
 
 def test_teleportation_on_random_inputs():
     rng = SplitMix64(21)
-    worst = min(run_teleportation(random_pure(rng, 2)).fidelity for _ in range(50))
+    worst = min(run.fidelity for run in run_teleportation([random_pure(rng, 2) for _ in range(50)]))
     assert worst >= 1 - 1e-10
 
 
 def test_teleportation_ledger_matches_its_inequality():
-    assert run_teleportation(PLUS).ledger.matches(PRIMITIVES["tp"])
+    [run] = run_teleportation(PLUS)
+    assert run.ledger.matches(PRIMITIVES["tp"])
 
 
 def test_every_teleportation_branch_ends_with_the_same_ledger():
-    run = run_teleportation((0.6, 0.8))
+    [run] = run_teleportation((0.6, 0.8))
     assert len(run.ledgers) == 4
     assert all(ledger == run.ledger for ledger in run.ledgers)
     assert run.ledger.matches(PRIMITIVES["tp"])
 
 
 def test_no_signalling_before_the_classical_bits():
-    run = run_teleportation((0.6, 0.8))
+    [run] = run_teleportation((0.6, 0.8))
     assert np.max(np.abs(run.values["bob_premeasurement_dm"] - np.eye(2) / 2)) < 1e-12
 
 
@@ -273,7 +313,7 @@ def test_three_rounds_give_three_bell_pairs():
         reg.send(q1, Party.BOB)
     target = np.kron(np.kron(BELL, BELL), BELL)
     assert state_fidelity(reg.amps, target) >= 1 - 1e-12
-    assert reg.ledger.consumed[QUBIT_CHANNEL] == 3
+    assert reg.ledgers[0].consumed[QUBIT_CHANNEL] == 3
 
 
 # -- the cobit channel --------------------------------------------------------------
@@ -313,7 +353,7 @@ def test_cobit_applied_twice_copies_twice():
     want = np.zeros(8, dtype=complex)
     want[7] = 1.0
     assert state_fidelity(reg.amps, want) >= 1 - 1e-12
-    assert reg.ledger.consumed[COBIT] == 2
+    assert reg.ledgers[0].consumed[COBIT] == 2
 
 
 # -- coherent protocols ---------------------------------------------------------------
@@ -322,13 +362,13 @@ def test_cobit_applied_twice_copies_twice():
 def test_coherent_superdense_on_basis_message():
     message = np.zeros(4)
     message[2] = 1.0  # |10>
-    run = run_coherent_superdense(message)
+    [run] = run_coherent_superdense(message)
     assert run.fidelity >= 1 - 1e-10
     assert run.ledger.matches(COHERENT_SD)
 
 
 def test_coherent_superdense_on_uniform_message_makes_two_ebits():
-    run = run_coherent_superdense(np.full(4, 0.5))
+    [run] = run_coherent_superdense(np.full(4, 0.5))
     assert run.fidelity >= 1 - 1e-10
     # across the (message, copy) pairing the state is exactly two EPR pairs
     paired = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -339,14 +379,14 @@ def test_coherent_superdense_on_uniform_message_makes_two_ebits():
 
 
 def test_coherent_superdense_product_message_stays_product():
-    run = run_coherent_superdense((1, 0, 0, 0))
+    [run] = run_coherent_superdense((1, 0, 0, 0))
     want = np.zeros(16, dtype=complex)
     want[0] = 1.0
     assert state_fidelity(run.values["final_state"], want) >= 1 - 1e-12
 
 
 def test_coherent_teleportation_fixed_input():
-    run = run_coherent_teleportation((0, 1))
+    [run] = run_coherent_teleportation((0, 1))
     assert run.fidelities["output"] >= 1 - 1e-10
     assert run.fidelities["residual"] >= 1 - 1e-10
     assert run.ledger.matches(COHERENT_TP)
@@ -354,13 +394,12 @@ def test_coherent_teleportation_fixed_input():
 
 def test_coherent_teleportation_random_inputs():
     rng = SplitMix64(22)
-    for _ in range(50):
-        run = run_coherent_teleportation(random_pure(rng, 2))
+    for run in run_coherent_teleportation([random_pure(rng, 2) for _ in range(50)]):
         assert min(run.fidelities["output"], run.fidelities["residual"]) >= 1 - 1e-10
 
 
 def test_coherent_teleportation_net_is_the_catalytic_identity():
-    run = run_coherent_teleportation(PLUS)
+    [run] = run_coherent_teleportation(PLUS)
     assert run.ledger.net() == {COBIT: -2, QUBIT_CHANNEL: 1, EBIT: 1}
 
 
@@ -393,6 +432,54 @@ def test_rule_O_demo_residual_is_message_independent():
     assert demo.fidelities["overlap"] >= 1 - 1e-12
 
 
+# -- batches against batches of one ----------------------------------------------------
+
+BATCHED_RUNNERS = {"run_teleportation": 2, "run_coherent_superdense": 4,
+                   "run_coherent_teleportation": 2}
+
+
+def _one_at_a_time(runner):
+    """`runner` with each row of its inputs run alone, as a batch of one."""
+    return lambda inputs: [run for row in np.atleast_2d(inputs) for run in runner(row)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(BATCHED_RUNNERS)), seed=st.integers(0, 2 ** 32),
+       size=st.integers(1, 9), angle=st.sampled_from([0.0, 0.1, 0.3]),
+       threshold=st.sampled_from([circuits.PROTOCOL_FIDELITY, 0.994, 0.95, 0.917]))
+def test_a_batch_agrees_with_batches_of_one(name, seed, size, angle, threshold):
+    """With the Hadamard followed by a rotation through `angle` about a
+    generic axis, and a lower threshold, the fidelities, branch ledgers and
+    passes differ from input to input."""
+    axis = np.array([[1, 1 - 1j], [1 + 1j, -1]]) / np.sqrt(3)  # (X + Y + Z) / sqrt(3)
+    rotated = circuits._H @ (np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * axis)
+    inputs = SplitMix64(seed).complex_matrix(size, BATCHED_RUNNERS[name])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circuits, "_H", rotated)
+        patch.setattr(circuits, "PROTOCOL_FIDELITY", threshold)
+        runner = getattr(circuits, name)
+        batch, alone = runner(inputs), _one_at_a_time(runner)(inputs)
+    assert len(batch) == len(alone) == size
+    for together, apart in zip(batch, alone):
+        assert list(together.fidelities) == list(apart.fidelities)
+        assert all(abs(together.fidelities[k] - f) <= 1e-12 for k, f in apart.fidelities.items())
+        assert together.ledgers == apart.ledgers
+        assert (together.passed, together.holds) == (apart.passed, apart.holds)
+        assert list(together.values) == list(apart.values)
+        assert all(np.max(np.abs(together.values[k] - v)) <= 1e-12 for k, v in apart.values.items())
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), trials=st.integers(1, 12))
+def test_verify_all_reports_alike_with_every_input_run_alone(seed, trials):
+    batched = verify_all(trials=trials, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in BATCHED_RUNNERS:
+            patch.setattr(circuits, name, _one_at_a_time(getattr(circuits, name)))
+        alone = verify_all(trials=trials, seed=seed)
+    _same_report(batched, alone)
+
+
 # -- suite -------------------------------------------------------------------------------
 
 
@@ -420,19 +507,17 @@ def test_verify_all_makes_the_same_gates_branches_and_runs(monkeypatch):
     for name in RUNNERS:
         count(circuits, name, "runs")
     verify_all(trials=20, seed=7)
-    # 355 gates in all
-    assert counts == {"apply_single": 172, "_cnot_unchecked": 151, "cz": 32, "branches": 100, "runs": 60}
+    # 81 gates in all; a batched runner is one run however many inputs it takes
+    assert counts == {"apply_single": 41, "_cnot_unchecked": 34, "cz": 6, "branches": 16, "runs": 13}
 
 
 def test_report_names_the_worst_case_and_its_margin(monkeypatch):
-    real, calls = circuits.run_teleportation, []
+    real = circuits.run_teleportation
 
     def one_bad_run(amplitudes):
-        run = real(amplitudes)
-        calls.append(amplitudes)
-        if len(calls) == 4:
-            run.fidelities["degraded"] = 0.75
-        return run
+        runs = real(amplitudes)
+        runs[3].fidelities["degraded"] = 0.75
+        return runs
 
     monkeypatch.setattr(circuits, "run_teleportation", one_bad_run)
     entry = verify_all(trials=3, seed=0)["protocols"][0]

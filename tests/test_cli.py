@@ -291,6 +291,20 @@ def test_malformed_registry_exits_2_with_an_error_line(capsys, tmp_path, registr
         assert str(path) in err and "line 1 column 2" in err
 
 
+def test_a_registry_entry_named_like_a_channel_family_exits_2(capsys, tmp_path):
+    # the fully dephasing qubit channel, which `--channel erasure` used to
+    # replace silently by the erasure family at p = 0
+    kraus = [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [1, 0]]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([{"name": "erasure", "kind": "channel", "dims": [2, 2, 2],
+                                 "data": kraus}]))
+    code, out, err = run_cli(capsys, "rates", "--ri", "eq5", "--channel", "erasure",
+                             "--registry", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: registry entry 'erasure' is named like a channel family, "
+                   "which `--channel erasure` would pick instead\n")
+
+
 def _src_env() -> dict:
     """The environment of a fresh interpreter that imports this tree's qfamily."""
     src = str(Path(__file__).resolve().parents[1] / "src")

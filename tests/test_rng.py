@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qfamily.rng import SplitMix64, random_density
+from qfamily.rng import SplitMix64, random_density, random_pure
 
 DIMS = (1, 2, 3, 4, 5, 9, 16)
 
@@ -65,3 +65,12 @@ def test_random_density_is_built_from_the_scalar_stream():
         g = scalar_complex_matrix(scalar, 4, 4)
         rho = g @ g.conj().T
         assert random_density(block, 4).tobytes() == (rho / np.trace(rho).real).tobytes()
+
+
+@pytest.mark.parametrize("pending_spare", [False, True], ids=["no-spare", "spare"])
+def test_random_pure_is_built_from_the_scalar_stream(pending_spare):
+    for seed in range(100):
+        for dim in DIMS:
+            scalar, block = twin_generators(seed, pending_spare)
+            v = np.array([scalar.complex_normal() for _ in range(dim)])
+            assert_same_stream(scalar, block, v / np.linalg.norm(v), random_pure(block, dim))
