@@ -308,10 +308,6 @@ NOISY_STATE = ResourceKind(ResourceTag.NOISY_STATE)
 NOISY_CHANNEL = ResourceKind(ResourceTag.NOISY_CHANNEL)
 
 
-def noisy_state(handle: str | None = None) -> ResourceKind:
-    return ResourceKind(ResourceTag.NOISY_STATE, handle)
-
-
 # ---------------------------------------------------------------------------
 # Resource vectors
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Numerical backend: density operators, purifications, channel dilations,
 von Neumann entropies, and evaluation of entropic expressions on concrete
-tripartite pure states.
+tripartite pure states.  Each numeric object is validated once, where it is
+built; nothing derived from a validated state, such as a marginal, is
+validated again.
 
 Conventions: all logarithms are base 2 (bits/ebits/qubits per copy);
 eigenvalues below 1e-12 contribute 0 to entropies; amplitude layout of a
@@ -42,7 +44,7 @@ class DensityOp:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density operator must be square, got shape {m.shape}")
-        _check_densities(m[None])
+        _check_density(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -51,32 +53,31 @@ class DensityOp:
         return self.matrix.shape[0]
 
 
-def _check_densities(stack: np.ndarray) -> None:
-    """Raise ValidationError unless every matrix of the (k, n, n) stack is
-    Hermitian, of unit trace and PSD within tolerance; the first failing
-    matrix of the first failing check is named.
+def _check_density(m: np.ndarray) -> None:
+    """Raise ValidationError unless the square matrix m is Hermitian, of unit
+    trace and PSD within tolerance.
 
     PSD is certified by one Cholesky factorisation of sym + PSD_TOL/2 * I.
     Its success proves lambda_min(sym) > -PSD_TOL/2 - O(n eps) for a
     unit-trace matrix, so only when it fails is the spectrum computed, and
-    the verdict is then eigvalsh's, as if it had run on every matrix.
+    the verdict is then eigvalsh's.
     """
-    if not np.isfinite(stack).all():
+    if not np.isfinite(m).all():
         raise ValidationError("density operator has NaN or infinite entries")
-    adjoint = stack.conj().swapaxes(-1, -2)
-    for herm in np.abs(stack - adjoint).max(axis=(-2, -1)):
-        if herm > HERMITIAN_TOL:
-            raise ValidationError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e} > {HERMITIAN_TOL}")
-    for tr in np.trace(stack, axis1=-2, axis2=-1).real.tolist():
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
-    sym = (stack + adjoint) / 2
+    adjoint = m.conj().T
+    herm = np.abs(m - adjoint).max()
+    if herm > HERMITIAN_TOL:
+        raise ValidationError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e} > {HERMITIAN_TOL}")
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
+    sym = (m + adjoint) / 2
     try:
-        np.linalg.cholesky(sym + PSD_TOL / 2 * np.eye(stack.shape[-1]))
+        np.linalg.cholesky(sym + PSD_TOL / 2 * np.eye(m.shape[0]))
     except np.linalg.LinAlgError:
-        for lo in np.linalg.eigvalsh(sym).min(axis=-1).tolist():
-            if lo < -PSD_TOL:
-                raise ValidationError(f"negative eigenvalue {lo:.3e} below -{PSD_TOL}") from None
+        lo = float(np.linalg.eigvalsh(sym).min())
+        if lo < -PSD_TOL:
+            raise ValidationError(f"negative eigenvalue {lo:.3e} below -{PSD_TOL}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +175,7 @@ def entropy(rho: DensityOp | np.ndarray) -> float:
 def _bits(spectrum: np.ndarray) -> float:
     """-sum p log2 p over the weights above EIGENVALUE_FLOOR."""
     kept = spectrum[spectrum > EIGENVALUE_FLOOR]
-    return float(-np.sum(kept * np.log2(kept)))
+    return float(0.0 - np.sum(kept * np.log2(kept)))  # 0.0, never -0.0
 
 
 def purify(rho: DensityOp | np.ndarray, split: tuple[int, int]) -> TripartitePureState:
@@ -257,26 +258,25 @@ _RAW_MARGINALS = ("A", "B", "E", "AB", "AE")
 
 
 def _marginal_entropy(psi: TripartitePureState, subsystems: str) -> float:
-    """entropy(reduced(psi, subsystems)), formed once per state and marginal.
+    """Entropy of psi's marginal on `subsystems`, formed once per state.
 
-    The first call forms all of `_RAW_MARGINALS` and, one stack per matrix
-    size, validates them and takes their spectra with one eigvalsh, which
-    gives each matrix the spectrum a call of its own would.
+    A marginal of a validated state is M M^dag, PSD with trace |psi|^2, so
+    it is not validated again.  The first call forms all of `_RAW_MARGINALS`
+    too; each call takes one eigvalsh per matrix size of what it formed,
+    which gives each matrix the spectrum a call of its own would.
     """
     key = "".join("ABE"[ax] for ax in _axes(subsystems))
     memo = psi._marginal_entropies
-    if not memo:
+    if key not in memo:
         stacks: dict[int, list] = {}
-        for name in _RAW_MARGINALS:
+        names = (key,) if memo else dict.fromkeys((*_RAW_MARGINALS, key))
+        for name in names:
             m = _marginal(psi, _axes(name))
             stacks.setdefault(m.shape[0], []).append((name, m))
         for group in stacks.values():
-            stack = np.stack([m for _, m in group])
-            _check_densities(stack)
-            for (name, _), spectrum in zip(group, np.linalg.eigvalsh(stack)):
+            spectra = np.linalg.eigvalsh(np.stack([m for _, m in group]))
+            for (name, _), spectrum in zip(group, spectra):
                 memo[name] = _bits(spectrum)
-    if key not in memo:
-        memo[key] = entropy(reduced(psi, key))
     return memo[key]
 
 
@@ -286,8 +286,9 @@ def entropy_triple(psi: TripartitePureState) -> tuple[float, float, float]:
     For a pure state the spectrum of a one-party marginal is the squared
     singular values of the amplitude tensor with that party's axis as rows
     and the other two as columns (Schmidt decomposition), so no reduced
-    state is formed.  Weights below 1e-12 contribute nothing, as in
-    `entropy`.
+    state is formed.  Each cut's weights are divided by their sum, |psi|^2
+    within NORM_TOL, so each value lies in [0, log2 d].  Weights below
+    1e-12 contribute nothing, as in `entropy`.
     """
     d_a, d_b, d_e = psi.dims
     t = psi.tensor()
@@ -296,7 +297,8 @@ def entropy_triple(psi: TripartitePureState) -> tuple[float, float, float]:
         t.transpose(1, 0, 2).reshape(d_b, d_a * d_e),
         t.reshape(d_a * d_b, d_e),
     )
-    return tuple(_bits(np.linalg.svd(cut, compute_uv=False) ** 2) for cut in cuts)
+    weights = (np.linalg.svd(cut, compute_uv=False) ** 2 for cut in cuts)
+    return tuple(_bits(w / w.sum()) for w in weights)
 
 
 def evaluate(expr: EntropicExpr | Mapping[str, object], psi: TripartitePureState) -> float:

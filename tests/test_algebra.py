@@ -27,7 +27,6 @@ from qfamily.algebra import (
     SymbolError,
     canonicalize,
     dual,
-    noisy_state,
     vec,
 )
 from qfamily.derivation import PRIMITIVES
@@ -158,7 +157,7 @@ def test_noisy_coefficients_must_be_whole_nonnegative():
 
 
 def test_handles_only_on_noisy_kinds():
-    assert noisy_state("bell").token == "{qq:bell}"
+    assert ResourceKind(ResourceTag.NOISY_STATE, "bell").token == "{qq:bell}"
     with pytest.raises(AlgebraError):
         ResourceKind(ResourceTag.EBIT, "bell")
 
@@ -274,7 +273,8 @@ def _general_constructor(terms):
                         key=lambda term: (tags.index(term[0].tag), term[0].handle or "")))
 
 
-handled_noisy_kinds = [NOISY_STATE, NOISY_CHANNEL, noisy_state("bell"),
+handled_noisy_kinds = [NOISY_STATE, NOISY_CHANNEL,
+                       ResourceKind(ResourceTag.NOISY_STATE, "bell"),
                        ResourceKind(ResourceTag.NOISY_CHANNEL, "erasure_p25")]
 mixed_vectors = st.builds(
     lambda noiseless, copies: ResourceVector(tuple(

@@ -197,11 +197,10 @@ def test_rate_table_rejects_wrong_object_kind(family, objects):
 
 
 def test_rate_table_respects_handle_pinning(objects):
-    from qfamily.algebra import EBIT, ResourceInequality, noisy_state, vec
+    from qfamily.algebra import EBIT, ResourceInequality, ResourceKind, ResourceTag, vec
 
-    pinned = ResourceInequality(
-        name="pinned", lhs=vec(1, noisy_state("werner")), rhs=vec(1, EBIT)
-    )
+    werner = ResourceKind(ResourceTag.NOISY_STATE, "werner")
+    pinned = ResourceInequality(name="pinned", lhs=vec(1, werner), rhs=vec(1, EBIT))
     with pytest.raises(ValidationError, match="pinned"):
         rate_table(pinned, objects["bell"])
 

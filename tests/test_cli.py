@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +331,29 @@ def test_registry_state_off_unit_trace_is_reported_with_a_plain_float(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: trace 1.01 differs from 1 by more than 1e-10\n"
+
+
+def test_a_pure_registry_state_at_the_trace_tolerance_has_zero_rates(capsys, tmp_path):
+    # |00><00| with trace 1 + 9e-11, which the trace check accepts
+    path = tmp_path / "pure00.json"
+    path.write_text(json.dumps([{"name": "pure00", "kind": "state", "dims": [2, 2],
+                                 "data": [[1 + 9e-11, 0]] + [[0, 0]] * 15}]))
+    tables = 0
+    for name in derive_family():
+        argv = ("rates", "--ri", name, "--state", "pure00", "--registry", str(path))
+        code, out, _ = run_cli(capsys, *argv)
+        if code != 0 or "copy of {qq}" not in out:  # it does not consume the state
+            continue
+        tables += 1
+        assert "(not achievable)" not in out
+        for line in out.splitlines()[1:]:
+            assert set(re.findall(r"(\S+) \[", line)) <= {"0"}, line
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert {e["rate"] for e in report["inputs"] + report["outputs"]} <= {0.0, None}
+        assert min(report["entropies"].values()) >= 0.0
+    assert tables > 0
 
 
 def test_family_prints_only_duality_claims_that_hold(capsys, monkeypatch):

@@ -260,23 +260,25 @@ def test_dual_fixes_classical_parts_of_eq3_eq4(family):
 
 
 def test_noisy_handles_must_match_for_composition():
-    from qfamily.algebra import ResourceInequality, noisy_state
+    from qfamily.algebra import ResourceInequality, ResourceKind, ResourceTag
 
+    alpha = ResourceKind(ResourceTag.NOISY_STATE, "alpha")
+    beta = ResourceKind(ResourceTag.NOISY_STATE, "beta")
     pinned = ResourceInequality(
         name="pinned",
-        lhs=vec(1, noisy_state("alpha")),
+        lhs=vec(1, alpha),
         rhs=vec(1, EBIT),
     )
     other = ResourceInequality(
         name="other",
         lhs=vec(1, EBIT),
-        rhs=vec(1, noisy_state("beta")),
+        rhs=vec(1, beta),
     )
     composed = prepend(pinned, other, 1)
     # different handles do not merge: both noisy terms survive
-    assert composed.lhs.coeff(noisy_state("alpha")).as_constant() == 1
+    assert composed.lhs.coeff(alpha).as_constant() == 1
     assert composed.lhs.coeff(EBIT).as_constant() == 1
-    assert composed.rhs.coeff(noisy_state("beta")).as_constant() == 1
+    assert composed.rhs.coeff(beta).as_constant() == 1
 
 
 # -- random rewrite scripts --------------------------------------------------

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qfamily.algebra import HALF, H_A, canonicalize
+from qfamily.algebra import HALF, H_A, SYMBOLS, canonicalize
+from qfamily.cli import IDENTITY_TOLERANCE
 from qfamily.entropy import (
+    NORM_TOL,
     DensityOp,
     QuantumChannel,
     TripartitePureState,
@@ -371,6 +373,29 @@ def test_entropy_triple_matches_reduced_states(seed, d_a, d_b, product):
         psi = random_tripartite_state(rng, d_a, d_b)
     for value, name in zip(entropy_triple(psi), "ABE"):
         assert abs(value - entropy(reduced(psi, name))) < 1e-10
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 4), st.integers(1, 4),
+       st.floats(-NORM_TOL, NORM_TOL))
+def test_entropy_triple_of_an_accepted_state_lies_in_range(seed, d_a, d_b, scale):
+    base = random_tripartite_state(SplitMix64(seed), d_a, d_b)
+    try:
+        psi = TripartitePureState(base.dims, base.amplitudes * (1 + scale))
+    except ValidationError:
+        assume(False)  # rounding took the scaled norm just past NORM_TOL
+    for value, d in zip(entropy_triple(psi), psi.dims):
+        assert 0.0 <= value <= math.log2(d)
+
+
+def test_evaluate_raw_takes_every_symbol_on_a_state_at_the_norm_tolerance():
+    # norm 1 + 9e-11 is accepted; each marginal's trace is about 1 + 1.8e-10
+    psi = TripartitePureState((2, 2, 1), BELL * (1 + 9e-11))
+    values = {symbol: evaluate_raw(symbol, psi) for symbol in SYMBOLS}
+    assert min(values.values()) >= -1e-9
+    sum_gap = 0.5 * values["I(A:B)"] + 0.5 * values["I(A:E)"] - values["H(A)"]
+    diff_gap = 0.5 * values["I(A:B)"] - 0.5 * values["I(A:E)"] - values["Ic(A>B)"]
+    assert max(abs(sum_gap), abs(diff_gap)) <= IDENTITY_TOLERANCE
 
 
 def test_evaluate_mutual_information_on_bell():

@@ -159,6 +159,16 @@ def test_rate_tables_match_golden():
         _same_report(got[case]["json"], table["json"], case)
 
 
+def test_rates_json_prints_no_negative_zero():
+    for name in NAMES:
+        for objects in _rate_objects():
+            code, out = _run("rates", "--ri", name, *objects, "--json")
+            if code == 0:
+                tokens = []
+                json.loads(out, parse_float=tokens.append)
+                assert not [t for t in tokens if t.startswith("-") and float(t) == 0.0], (name, objects)
+
+
 @pytest.mark.parametrize("filename", sorted(SWEEPS))
 def test_sweep_matches_golden(filename):
     want = [line.split(",") for line in (GOLDEN / filename).read_text().splitlines()]
