@@ -15,7 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -317,6 +318,10 @@ SWEEP_HEADER = ("param", "H_A", "H_B", "H_E", "I_AB", "I_AE", "Ic")
 
 _SWEEP_EXPRS = (H_A, H_B, H_E, I_AB, I_AE, I_COH)
 
+# Grid points per `sweep` call when a sweep is rendered: a 101-point grid is
+# one chunk, and an endless one yields its first rows after this many.
+SWEEP_CHUNK = 128
+
 
 def sweep(family: str, params: Iterable[float | Fraction]) -> list[tuple[float, ...]]:
     """One row per parameter: the six standard quantities on the channel
@@ -328,10 +333,27 @@ def sweep(family: str, params: Iterable[float | Fraction]) -> list[tuple[float, 
     return rows
 
 
+def sweep_csv_chunks(family: str, params: Iterable[float | Fraction]) -> Iterator[str]:
+    """`sweep_csv` in pieces, one per SWEEP_CHUNK grid points, each yielded
+    as soon as its rows are computed; the header comes with the first.
+
+    The grid is read one chunk at a time, so a grid too long to hold in
+    memory streams its rows.
+    """
+    lines = [",".join(SWEEP_HEADER)]
+    points = iter(params)
+    while True:
+        chunk = list(islice(points, SWEEP_CHUNK))
+        for param, *values in sweep(family, chunk):
+            cells = (f"{_floored(v):.12g}" for v in values)
+            lines.append(",".join((f"{param:.12g}", *cells)))
+        if lines:
+            yield "\n".join(lines) + "\n"
+        if len(chunk) < SWEEP_CHUNK:
+            return
+        lines = []
+
+
 def sweep_csv(family: str, params: Iterable[float | Fraction]) -> str:
     """CSV rendering with 12 significant digits, rows in grid order."""
-    lines = [",".join(SWEEP_HEADER)]
-    for param, *values in sweep(family, params):
-        cells = (f"{_floored(v):.12g}" for v in values)
-        lines.append(",".join((f"{param:.12g}", *cells)))
-    return "\n".join(lines) + "\n"
+    return "".join(sweep_csv_chunks(family, params))

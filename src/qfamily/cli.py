@@ -181,7 +181,12 @@ def _parse_grid(text: str) -> Iterable[Fraction]:
 
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.param)
-    sys.stdout.write(channels.sweep_csv(args.channel, grid))
+    # Each chunk of rows is written as soon as it is computed.  A grid point
+    # outside the family's domain therefore ends the sweep after the chunks
+    # before its own have been written.
+    for text in channels.sweep_csv_chunks(args.channel, grid):
+        sys.stdout.write(text)
+        sys.stdout.flush()
     return 0
 
 

@@ -371,35 +371,6 @@ def replay(trace: tuple[DerivationStep, ...]) -> ResourceInequality:
     return state
 
 
-def step_flow_discrepancy(step: DerivationStep, value_fn) -> float:
-    """Largest per-kind violation of the step's resource-flow arithmetic,
-    with coefficients mapped to floats by `value_fn`.
-
-    Every rewrite obeys (lhs_after - lhs_before) + (rhs_before - rhs_after)
-    = k * (L - R), the net resources the step injects: L and R are the tool's
-    inputs and outputs for compositions, the rule's table entries for the
-    rules, the wasted vector and nothing for WASTE (k = 1), and nothing for
-    CANCEL.  This holds independently of how matching was resolved.
-    """
-    injected_lhs = injected_rhs = ResourceVector()
-    if step.kind in _COMPOSITIONS:
-        injected_lhs, injected_rhs = PRIMITIVES[step.tool].lhs, PRIMITIVES[step.tool].rhs
-    elif step.kind in RULES:
-        injected_lhs, injected_rhs = RULES[step.kind].lhs, RULES[step.kind].rhs
-    elif step.kind is StepKind.WASTE:
-        injected_lhs = grammar.parse_vector(step.tool)
-    k = value_fn(step.multiplier)
-    sides = (step.before.lhs, step.before.rhs, step.after.lhs, step.after.rhs)
-    kinds = {kind for side in sides for kind in side.kinds()}
-    worst = 0.0
-    for kind in kinds:
-        lhs_delta = value_fn(step.after.lhs.coeff(kind)) - value_fn(step.before.lhs.coeff(kind))
-        rhs_delta = value_fn(step.before.rhs.coeff(kind)) - value_fn(step.after.rhs.coeff(kind))
-        injected = k * (value_fn(injected_lhs.coeff(kind)) - value_fn(injected_rhs.coeff(kind)))
-        worst = max(worst, abs(lhs_delta + rhs_delta - injected))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Step serialization (used by grammar.ri_to_json / ri_from_json)
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ tripartite state is row-major over (A, B, E).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -68,7 +69,7 @@ def _check_density(m: np.ndarray) -> None:
     herm = np.abs(m - adjoint).max()
     if herm > HERMITIAN_TOL:
         raise ValidationError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e} > {HERMITIAN_TOL}")
-    tr = float(np.trace(m).real)
+    tr = float(m.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
     sym = (m + adjoint) / 2
@@ -156,9 +157,6 @@ class QuantumChannel:
     def d_env(self) -> int:
         return len(self.kraus)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
-
 
 # ---------------------------------------------------------------------------
 # Core operations
@@ -190,8 +188,9 @@ def purify(rho: DensityOp | np.ndarray, split: tuple[int, int]) -> TripartitePur
     if d_a * d_b != rho.dim:
         raise ValidationError(f"split {split} does not factor dimension {rho.dim}")
     eigenvalues, vectors = np.linalg.eigh(rho.matrix)
-    keep = eigenvalues > EIGENVALUE_FLOOR
-    eigenvalues, vectors = eigenvalues[keep], vectors[:, keep]
+    # eigh sorts the eigenvalues ascending, so those kept are a suffix
+    dropped = int(np.count_nonzero(eigenvalues <= EIGENVALUE_FLOOR))
+    eigenvalues, vectors = eigenvalues[dropped:], vectors[:, dropped:]
     d_e = int(eigenvalues.size)
     amps = vectors * np.sqrt(eigenvalues)
     return TripartitePureState((d_a, d_b, d_e), amps.reshape(d_a, d_b, d_e))
@@ -238,13 +237,18 @@ def _axes(subsystems: Iterable[str] | str) -> list[int]:
 
 
 def _marginal(psi: TripartitePureState, keep: list[int]) -> np.ndarray:
-    """The unvalidated partial trace onto the sorted axes `keep`."""
-    drop = [ax for ax in range(3) if ax not in keep]
+    """The unvalidated partial trace onto the sorted axes `keep`.
+
+    This is the GEMM that `np.tensordot(t, t.conj(), (drop, drop))` makes,
+    on the same two operands, without tensordot's set-up: kept axes of t as
+    rows against kept axes of conj(t) as columns, summed over the rest.
+    """
+    drop = tuple(ax for ax in range(3) if ax not in keep)
+    kept = math.prod(psi.dims[ax] for ax in keep)
     t = psi.tensor()
-    rho = np.tensordot(t, t.conj(), axes=(drop, drop))
-    dim = int(np.prod([psi.dims[ax] for ax in keep]))
-    # tensordot leaves kept-axes of t first, then kept-axes of conj(t)
-    return rho.reshape(dim, dim)
+    rows = t.transpose((*keep, *drop)).reshape(kept, -1)
+    cols = t.conj().transpose((*drop, *keep)).reshape(-1, kept)
+    return np.dot(rows, cols)
 
 
 def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> DensityOp:
@@ -256,6 +260,12 @@ def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> Densit
 # `evaluate_raw`.
 _RAW_MARGINALS = ("A", "B", "E", "AB", "AE")
 
+# Sorted kept axes of each canonical subsystem name; `_axes` reads the others.
+_KEPT_AXES = {
+    "A": (0,), "B": (1,), "E": (2,),
+    "AB": (0, 1), "AE": (0, 2), "BE": (1, 2), "ABE": (0, 1, 2),
+}
+
 
 def _marginal_entropy(psi: TripartitePureState, subsystems: str) -> float:
     """Entropy of psi's marginal on `subsystems`, formed once per state.
@@ -265,17 +275,21 @@ def _marginal_entropy(psi: TripartitePureState, subsystems: str) -> float:
     too; each call takes one eigvalsh per matrix size of what it formed,
     which gives each matrix the spectrum a call of its own would.
     """
-    key = "".join("ABE"[ax] for ax in _axes(subsystems))
+    key = subsystems
+    if key not in _KEPT_AXES:
+        key = "".join("ABE"[ax] for ax in _axes(subsystems))
     memo = psi._marginal_entropies
     if key not in memo:
-        stacks: dict[int, list] = {}
+        stacks: dict[int, tuple[list, list]] = {}
         names = (key,) if memo else dict.fromkeys((*_RAW_MARGINALS, key))
         for name in names:
-            m = _marginal(psi, _axes(name))
-            stacks.setdefault(m.shape[0], []).append((name, m))
-        for group in stacks.values():
-            spectra = np.linalg.eigvalsh(np.stack([m for _, m in group]))
-            for (name, _), spectrum in zip(group, spectra):
+            m = _marginal(psi, _KEPT_AXES[name])
+            group_names, group = stacks.setdefault(m.shape[0], ([], []))
+            group_names.append(name)
+            group.append(m)
+        for group_names, group in stacks.values():
+            matrices = group[0][np.newaxis] if len(group) == 1 else np.stack(group)
+            for name, spectrum in zip(group_names, np.linalg.eigvalsh(matrices)):
                 memo[name] = _bits(spectrum)
     return memo[key]
 

@@ -10,8 +10,9 @@ splitmix64 is counter-based (draw k after state s is mix(s + k*gamma)), so
 `SplitMix64.normals` draws a block of deviates with wrapping uint64 numpy
 operations and reproduces the scalar stream bit for bit: the same values,
 and the same `state` and pending spare afterwards.  Each accepted pair's
-polar factor still comes from `math.log`/`math.sqrt`, because numpy's
-vectorised `log` is not guaranteed to round like `math.log`.
+logarithm still comes from `math.log`, because numpy's vectorised `log` is
+not guaranteed to round like it; the rest of the polar factor is IEEE
+arithmetic and `sqrt`, which numpy rounds as `math` does.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _UNIT = 1.0 / (1 << 53)
+# the same constants as uint64 scalars, for the block draws
+_U11, _U27, _U30, _U31 = (np.uint64(bits) for bits in (11, 27, 30, 31))
+_U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """splitmix64's output function on an array of uint64 states."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _U_MIX1
+    z = (z ^ (z >> _U27)) * _U_MIX2
+    return z ^ (z >> _U31)
 
 
 class SplitMix64:
@@ -80,15 +84,17 @@ class SplitMix64:
         while filled < count:
             pairs = (count - filled + 1) // 2
             batch = pairs + pairs // 3 + 4  # a pair is accepted with probability pi/4
-            steps = np.arange(1, 2 * batch + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-            uniforms = (_mix(steps + np.uint64(self.state)) >> np.uint64(11)) * _UNIT
+            steps = np.arange(1, 2 * batch + 1, dtype=np.uint64) * _U_GAMMA
+            uniforms = (_mix(steps + np.uint64(self.state)) >> _U11) * _UNIT
             u = 2.0 * uniforms[0::2] - 1.0
             v = 2.0 * uniforms[1::2] - 1.0
             s = u * u + v * v
             accepted = np.flatnonzero((0.0 < s) & (s < 1.0))[:pairs]
             used = int(accepted[-1]) + 1 if accepted.size == pairs else batch
             self.state = (self.state + 2 * used * _GAMMA) & _MASK
-            factors = [math.sqrt(-2.0 * math.log(x) / x) for x in s[accepted].tolist()]
+            s_accepted = s[accepted]
+            logs = np.array(list(map(math.log, s_accepted.tolist())))
+            factors = np.sqrt(-2.0 * logs / s_accepted)
             deviates = np.empty(2 * accepted.size)
             deviates[0::2] = u[accepted] * factors
             deviates[1::2] = v[accepted] * factors
@@ -112,7 +118,7 @@ def random_density(rng: SplitMix64, dim: int) -> np.ndarray:
     """Random mixed state: normalize G @ G.conj().T for complex Gaussian G."""
     g = rng.complex_matrix(dim, dim)
     rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return rho / rho.trace().real
 
 
 def random_pure(rng: SplitMix64, dim: int) -> np.ndarray:

@@ -42,11 +42,11 @@ from qfamily.derivation import (
     cancel,
     derive_family,
     replay,
-    step_flow_discrepancy,
     waste,
 )
 from qfamily.entropy import evaluate, evaluate_raw, random_tripartite_state
 from qfamily.rng import SplitMix64, random_pure
+from test_derivation import step_flow_discrepancy
 
 FAMILY = derive_family()
 

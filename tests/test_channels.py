@@ -16,6 +16,7 @@ from qfamily.channels import (
     rate_table,
     sweep,
     sweep_csv,
+    sweep_csv_chunks,
 )
 from qfamily.derivation import derive_family
 from qfamily.entropy import ValidationError, channel_state, entropy, reduced
@@ -129,6 +130,14 @@ def test_sweep_csv_shape_and_precision():
     assert lines[0] == "param,H_A,H_B,H_E,I_AB,I_AE,Ic"
     assert len(lines) == 6
     assert lines[3].startswith("0.5,")
+
+
+def test_sweep_csv_is_the_same_bytes_across_chunk_boundaries():
+    grid = [Fraction(k, 300) for k in range(301)]
+    chunks = list(sweep_csv_chunks("amplitude_damping", grid))
+    assert [len(chunk.splitlines()) for chunk in chunks] == [1 + 128, 128, 45]
+    rows = [sweep_csv("amplitude_damping", [p]).split("\n", 1)[1] for p in grid]
+    assert "".join(chunks) == sweep_csv("amplitude_damping", []) + "".join(rows)
 
 
 def test_out_of_domain_parameter_rejected():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qfamily import cli
+from qfamily.channels import sweep_csv
 from qfamily.derivation import derive_family
 from qfamily.grammar import format_ri, ri_from_json
 
@@ -133,6 +134,33 @@ def test_sweep_prints_a_tiny_parameter_as_given(capsys):
                            "--param", "1e-13,0.5")
     assert code == 0
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1e-13", "0.5"]
+
+
+def test_a_long_sweep_writes_its_first_rows_before_the_grid_ends(monkeypatch):
+    # 0:1:1e-300 has more points than fit in memory.  Reading 1000 of them
+    # fails the test; the first write stops the sweep before that.
+    class FirstWrite(Exception):
+        pass
+
+    walked, written = [], []
+    real_parse_grid = cli._parse_grid
+
+    def watched_grid(text):
+        for point in real_parse_grid(text):
+            assert len(walked) < 1000, "no row written after 1000 grid points"
+            walked.append(point)
+            yield point
+
+    def first_write(text):
+        written.append(text)
+        raise FirstWrite
+
+    monkeypatch.setattr(cli, "_parse_grid", watched_grid)
+    monkeypatch.setattr(sys.stdout, "write", first_write)
+    with pytest.raises(FirstWrite):
+        cli.main(["sweep", "--channel", "erasure", "--param", "0:1:1e-300"])
+    assert len(walked) > 1
+    assert written == [sweep_csv("erasure", walked)]
 
 
 def test_verify_circuits_passes(capsys):

@@ -19,6 +19,7 @@ from qfamily.algebra import (
     NOISY_CHANNEL,
     NOISY_STATE,
     QUBIT_CHANNEL,
+    ResourceVector,
     dual,
     vec,
 )
@@ -35,13 +36,14 @@ from qfamily.derivation import (
     derive_family,
     FAMILY_ORDER,
     PRIMITIVES,
+    RULES,
+    _COMPOSITIONS,
     prepend,
     replay,
-    step_flow_discrepancy,
     waste,
 )
 from qfamily.entropy import evaluate, random_tripartite_state
-from qfamily.grammar import parse_ri
+from qfamily.grammar import parse_ri, parse_vector
 from qfamily.rng import SplitMix64
 
 
@@ -49,6 +51,35 @@ def expand_cobits(vector):
     """Replace c [q->qq] by c times COBIT_WORTH."""
     c = vector.coeff(COBIT)
     return vector + (COBIT_WORTH + vec(-1, COBIT)).scale(c)
+
+
+def step_flow_discrepancy(step, value_fn) -> float:
+    """Largest per-kind violation of the step's resource-flow arithmetic,
+    with coefficients mapped to floats by `value_fn`.
+
+    Every rewrite obeys (lhs_after - lhs_before) + (rhs_before - rhs_after)
+    = k * (L - R), the net resources the step injects: L and R are the tool's
+    inputs and outputs for compositions, the rule's table entries for the
+    rules, the wasted vector and nothing for WASTE (k = 1), and nothing for
+    CANCEL.  This holds independently of how matching was resolved.
+    """
+    injected_lhs = injected_rhs = ResourceVector()
+    if step.kind in _COMPOSITIONS:
+        injected_lhs, injected_rhs = PRIMITIVES[step.tool].lhs, PRIMITIVES[step.tool].rhs
+    elif step.kind in RULES:
+        injected_lhs, injected_rhs = RULES[step.kind].lhs, RULES[step.kind].rhs
+    elif step.kind is StepKind.WASTE:
+        injected_lhs = parse_vector(step.tool)
+    k = value_fn(step.multiplier)
+    sides = (step.before.lhs, step.before.rhs, step.after.lhs, step.after.rhs)
+    kinds = {kind for side in sides for kind in side.kinds()}
+    worst = 0.0
+    for kind in kinds:
+        lhs_delta = value_fn(step.after.lhs.coeff(kind)) - value_fn(step.before.lhs.coeff(kind))
+        rhs_delta = value_fn(step.before.rhs.coeff(kind)) - value_fn(step.after.rhs.coeff(kind))
+        injected = k * (value_fn(injected_lhs.coeff(kind)) - value_fn(injected_rhs.coeff(kind)))
+        worst = max(worst, abs(lhs_delta + rhs_delta - injected))
+    return worst
 
 
 @pytest.fixture(scope="module")

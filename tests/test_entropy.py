@@ -45,6 +45,11 @@ assert abs(
 ) < 1e-15
 
 
+def kraus_action(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag over the channel's Kraus operators."""
+    return sum(k @ rho @ k.conj().T for k in channel.kraus)
+
+
 def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
@@ -254,7 +259,7 @@ def test_dilation_is_isometric_and_reproduces_kraus_action():
                 dilated = u @ basis_op @ u.conj().T
                 dilated = dilated.reshape(channel.d_out, d_env, channel.d_out, d_env)
                 traced = np.trace(dilated, axis1=1, axis2=3)
-                assert np.max(np.abs(traced - channel.apply(basis_op))) < 1e-9
+                assert np.max(np.abs(traced - kraus_action(channel, basis_op))) < 1e-9
     _ = rng
 
 
@@ -493,3 +498,74 @@ def test_evaluate_raw_forms_each_marginal_once_per_state(monkeypatch):
     assert sorted(formed) == ["A", "AB", "AE", "B", "E"]
     # one stacked spectrum per marginal size: A, B, then E with AB, then AE
     assert spectra == [(1, 2, 2), (1, 3, 3), (2, 6, 6), (1, 12, 12)]
+
+
+# -- the marginal kernel, bit for bit -----------------------------------------
+
+KEEP_SETS = [keep for size in (1, 2, 3) for keep in itertools.combinations(range(3), size)]
+
+
+@settings(derandomize=True, max_examples=100)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2 ** 32))
+def test_marginal_is_bitwise_the_tensordot_partial_trace(dims, seed):
+    from qfamily.entropy import _marginal
+
+    amplitudes = SplitMix64(seed).complex_matrix(1, math.prod(dims))[0]
+    psi = TripartitePureState(dims, amplitudes / np.linalg.norm(amplitudes))
+    t = psi.tensor()
+    for keep in KEEP_SETS:
+        drop = [ax for ax in range(3) if ax not in keep]
+        kept = math.prod(dims[ax] for ax in keep)
+        expected = np.tensordot(t, t.conj(), (drop, drop)).reshape(kept, kept)
+        for axes in (keep, list(keep)):
+            formed = _marginal(psi, axes)
+            assert formed.shape == expected.shape
+            assert formed.tobytes() == expected.tobytes()
+
+
+# evaluate_raw on random_tripartite_state(SplitMix64(21), 2, 3), dims (2, 3, 6),
+# as float.hex: every spelling of algebra.SYMBOLS, and others that name the
+# same marginals, each on a fresh copy of the state
+PINNED_RAW_VALUES = {
+    "1": "0x1.0000000000000p+0",
+    "CONST": "0x1.0000000000000p+0",
+    "H(A)": "0x1.fc630ea639082p-1",
+    "H(B)": "0x1.7dc00d8e00db2p+0",
+    "H(E)": "0x1.a154b1b108e38p+0",
+    "H(AB)": "0x1.a154b1b108e37p+0",
+    "H(AE)": "0x1.7dc00d8e00db1p+0",
+    "H(BE)": "0x1.fc630ea639080p-1",
+    "H(ABE)": "-0x1.14ff58be0a240p-50",
+    "I(A:B)": "0x1.b539c66028f7ap-1",
+    "I(A:E)": "0x1.21c62b76248c7p+0",
+    "Ic(A>B)": "-0x1.1ca5211840428p-3",
+    "H(BA)": "0x1.a154b1b108e37p+0",
+    "H(E A)": "0x1.7dc00d8e00db1p+0",
+    "H(EB)": "0x1.fc630ea639080p-1",
+    "I(A;E)": "0x1.21c62b76248c7p+0",
+    "Ic(A > B)": "-0x1.1ca5211840428p-3",
+}
+
+
+def test_every_raw_spelling_keeps_its_pinned_value():
+    assert set(SYMBOLS) <= set(PINNED_RAW_VALUES)
+    psi = random_tripartite_state(SplitMix64(21), 2, 3)
+    assert psi.dims == (2, 3, 6)
+    for symbol, pinned in PINNED_RAW_VALUES.items():
+        copy = TripartitePureState(psi.dims, psi.amplitudes)
+        assert evaluate_raw(symbol, copy).hex() == pinned, symbol
+    together = {symbol: evaluate_raw(symbol, psi) for symbol in PINNED_RAW_VALUES}
+    assert {symbol: value.hex() for symbol, value in together.items()} == PINNED_RAW_VALUES
+
+
+@pytest.mark.parametrize("symbol, message", [
+    ("H(AC)", "unknown subsystem 'C': expected A, B or E"),
+    ("H(a)", "unknown subsystem 'a': expected A, B or E"),
+    ("H()", "need at least one subsystem"),
+    ("XYZ", "unknown raw symbol 'XYZ'"),
+])
+def test_a_bad_raw_symbol_keeps_its_error_message(symbol, message):
+    psi = random_tripartite_state(SplitMix64(21), 2, 3)
+    with pytest.raises(ValidationError) as error:
+        evaluate_raw(symbol, psi)
+    assert str(error.value) == message
