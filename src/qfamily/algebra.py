@@ -16,11 +16,13 @@ which makes identities such as
     1/2 I(A:B) + 1/2 I(A:E) = H(A)
     1/2 I(A:B) - 1/2 I(A:E) = Ic(A>B)
 
-hold by construction.  An `EntropicExpr` stores exactly four `Fraction`s,
-its coefficients in the fixed slot order (1, H(A), H(B), H(E)), so equality
-is slot equality and evaluation one dot product.  Only this module relies on
-that layout; other modules read coefficients by generator (`coeff`,
-`as_dict`).  Everything here is an immutable value with exact rational
+hold by construction.  An `EntropicExpr` stores its coefficients in the
+fixed slot order (1, H(A), H(B), H(E)) as four integer numerators over one
+positive denominator, gcd-reduced, so the form is unique: equality is tuple
+equality, arithmetic runs on integers, and evaluation is one dot product.
+Only this module relies on that layout; other modules read coefficients by
+generator, as `Fraction`s (`coeff`, `as_dict`) or reduced integer pairs
+(`as_pairs`).  Everything here is an immutable value with exact rational
 arithmetic; no floats enter the symbolic layer.
 """
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -48,14 +51,15 @@ class LinearityError(AlgebraError):
 RationalLike = Union[int, Fraction, str]
 
 
-def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce an exact rational; floats are rejected to keep the layer exact."""
+def _as_pair(x: RationalLike) -> tuple[int, int]:
+    """An exact rational as (numerator, positive denominator); floats are
+    rejected to keep the layer exact."""
     if isinstance(x, bool) or isinstance(x, float):
         raise AlgebraError(f"symbolic coefficients must be exact rationals, got {x!r}")
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+    if isinstance(x, str):
+        x = Fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
     raise AlgebraError(f"cannot interpret {x!r} as a rational")
 
 
@@ -70,65 +74,92 @@ class Gen(Enum):
     __hash__ = object.__hash__  # identity, as for `ResourceTag`
 
 
-# Slot order of an expression's four coefficients.
+# Slot order of an expression's four numerators.
 _GENS = tuple(Gen)
+_ZERO_KEY = (0, 0, 0, 0, 1)
 
-_NO_SLOTS = (Fraction(0),) * 4
+
+def _norm(c: int, a: int, b: int, e: int, d: int) -> tuple:
+    """The key of (c + a*H(A) + b*H(B) + e*H(E)) / d, for any d != 0."""
+    g = gcd(c, a, b, e, d) if d > 0 else -gcd(c, a, b, e, d)
+    return c // g, a // g, b // g, e // g, d // g
+
+
+def _scaled(x: tuple, p: int, q: int) -> tuple:
+    """The key of x * p/q, for q != 0."""
+    c, a, b, e, d = x
+    return _norm(c * p, a * p, b * p, e * p, d * q)
 
 
 def _built(cls, value):
     """An instance of the one-field frozen dataclass `cls` holding `value`
     as is: how arithmetic builds results whose field is already in normal
-    form (four `Fraction`s, or normalized terms), skipping the coercion."""
+    form (an expression's key, or normalized terms), skipping the coercion."""
     built = object.__new__(cls)
     object.__setattr__(built, cls.__match_args__[0], value)
     return built
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EntropicExpr:
     """Rational linear combination of {1, H(A), H(B), H(E)}.
 
-    `slots` holds exactly four `Fraction`s, the coefficients of 1, H(A),
-    H(B) and H(E) in that order; zeros stay in place, so equal expressions
-    have equal slots.  Other modules read coefficients through `coeff` and
-    `as_dict` and never rely on this layout.
+    Built from four exact rationals, the coefficients of 1, H(A), H(B) and
+    H(E) in that order, and kept in `_key` as integer numerators over one
+    positive denominator, (c, a, b, e, d) reduced by their gcd: equal
+    expressions have equal keys, and zero is (0, 0, 0, 0, 1).  Other modules
+    read coefficients by generator (`coeff`, `as_dict`, `as_pairs`).
     """
 
-    slots: Tuple[Fraction, Fraction, Fraction, Fraction] = _NO_SLOTS
+    _key: Tuple[int, int, int, int, int] = _ZERO_KEY
 
-    def __post_init__(self):
-        if not isinstance(self.slots, tuple) or len(self.slots) != 4:
-            raise AlgebraError(f"an entropic expression has four slots, got {self.slots!r}")
-        object.__setattr__(self, "slots", tuple(map(as_fraction, self.slots)))
+    def __init__(self, coeffs: Tuple[RationalLike, ...] = (0, 0, 0, 0)):
+        if not isinstance(coeffs, tuple) or len(coeffs) != 4:
+            raise AlgebraError(f"an entropic expression has four slots, got {coeffs!r}")
+        built = EntropicExpr.from_pairs(dict(zip(_GENS, map(_as_pair, coeffs))))
+        object.__setattr__(self, "_key", built._key)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(value: RationalLike) -> "EntropicExpr":
-        return EntropicExpr((value,) + _NO_SLOTS[1:])
+        return EntropicExpr((value, 0, 0, 0))
 
     @staticmethod
     def from_dict(coeffs: Mapping[Gen, RationalLike]) -> "EntropicExpr":
         """The inverse of `as_dict`: absent generators have coefficient 0."""
-        return EntropicExpr(tuple(coeffs.get(gen, _NO_SLOTS[0]) for gen in _GENS))
+        return EntropicExpr(tuple(coeffs.get(gen, 0) for gen in _GENS))
+
+    @staticmethod
+    def from_pairs(pairs: Mapping[Gen, tuple[int, int]]) -> "EntropicExpr":
+        """The inverse of `as_pairs`, for any nonzero denominators; absent generators are 0."""
+        c, a, b, e = [pairs.get(gen, (0, 1)) for gen in _GENS]
+        d = lcm(c[1], a[1], b[1], e[1])
+        return _built(EntropicExpr, _norm(c[0] * (d // c[1]), a[0] * (d // a[1]),
+                                          b[0] * (d // b[1]), e[0] * (d // e[1]), d))
 
     # -- inspection --------------------------------------------------------
 
     def coeff(self, gen: Gen) -> Fraction:
-        return self.slots[_GENS.index(gen)]
+        return Fraction(self._key[_GENS.index(gen)], self._key[4])
+
+    def as_pairs(self) -> dict[Gen, tuple[int, int]]:
+        """The nonzero coefficients as reduced (numerator, denominator), in slot order."""
+        d = self._key[4]
+        return {gen: (p // gcd(p, d), d // gcd(p, d)) for gen, p in zip(_GENS, self._key) if p}
 
     def as_dict(self) -> dict[Gen, Fraction]:
         """The nonzero coefficients, keyed by generator in slot order."""
-        return {gen: c for gen, c in zip(_GENS, self.slots) if c}
+        return {gen: Fraction(*pair) for gen, pair in self.as_pairs().items()}
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.slots)
+        return self._key == _ZERO_KEY
 
     def as_constant(self) -> Fraction | None:
         """The value if this expression is a pure constant, else None."""
-        return None if any(self.slots[1:]) else self.slots[0]
+        c, a, b, e, d = self._key
+        return None if a or b or e else Fraction(c, d)
 
     def is_definitely_negative(self) -> bool:
         """True when every canonical coefficient is <= 0 and some is < 0.
@@ -137,47 +168,49 @@ class EntropicExpr:
         negative wherever it is nonzero.  Mixed-sign expressions (e.g. the
         coherent information) are sign-indefinite and not flagged.
         """
-        return max(self.slots) <= 0 and min(self.slots) < 0
+        return max(self._key[:4]) <= 0 and min(self._key[:4]) < 0
 
     # -- arithmetic (module over the rationals) ----------------------------
 
     def __add__(self, other: "EntropicExpr") -> "EntropicExpr":
         if not isinstance(other, EntropicExpr):
             return NotImplemented
-        return _built(EntropicExpr, tuple(a + b if b else a for a, b in zip(self.slots, other.slots)))
+        (c, a, b, e, d), (c2, a2, b2, e2, d2) = self._key, other._key
+        return _built(EntropicExpr, _norm(c * d2 + c2 * d, a * d2 + a2 * d, b * d2 + b2 * d,
+                                          e * d2 + e2 * d, d * d2))
 
     def __sub__(self, other: "EntropicExpr") -> "EntropicExpr":
         if not isinstance(other, EntropicExpr):
             return NotImplemented
-        return _built(EntropicExpr, tuple(a - b if b else a for a, b in zip(self.slots, other.slots)))
+        return self + -other
 
     def __neg__(self) -> "EntropicExpr":
-        return _built(EntropicExpr, tuple(-a for a in self.slots))
+        return _built(EntropicExpr, _scaled(self._key, -1, 1))
 
     def __mul__(self, other) -> "EntropicExpr":
         if isinstance(other, EntropicExpr):
-            c = other.as_constant()
-            if c is None:
-                c_self = self.as_constant()
-                if c_self is None:
+            if any(other._key[1:4]):
+                if any(self._key[1:4]):
                     raise LinearityError(
                         "product of two non-constant entropic expressions; "
                         "the calculus is linear"
                     )
-                return other * c_self
-            return self * c
-        scalar = as_fraction(other)
-        return _built(EntropicExpr, tuple(a * scalar if a else a for a in self.slots))
+                return other * self
+            return _built(EntropicExpr, _scaled(self._key, other._key[0], other._key[4]))
+        return _built(EntropicExpr, _scaled(self._key, *_as_pair(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "EntropicExpr":
-        return self * (Fraction(1) / as_fraction(other))
+        p, q = _as_pair(other)
+        if not p:
+            raise ZeroDivisionError("entropic expression divided by zero")
+        return _built(EntropicExpr, _scaled(self._key, q, p))
 
     def value(self, h_a: float, h_b: float, h_e: float) -> float:
         """Numeric value given the three one-party entropies (in bits)."""
-        c, a, b, e = self.slots
-        return float(c) + float(a) * h_a + float(b) * h_b + float(e) * h_e
+        c, a, b, e, d = self._key
+        return c / d + a / d * h_a + b / d * h_b + e / d * h_e
 
     def __str__(self) -> str:
         from . import grammar
@@ -216,14 +249,13 @@ def canonicalize(raw: Union["EntropicExpr", Mapping[str, RationalLike]]) -> Entr
     """
     if isinstance(raw, EntropicExpr):
         return raw
-    slots = _NO_SLOTS
+    total = ZERO
     for symbol, coeff in raw.items():
-        key = symbol.replace(";", ":").replace(" ", "")
-        if key not in SYMBOLS:
+        name = symbol.replace(";", ":").replace(" ", "")
+        if name not in SYMBOLS:
             raise SymbolError(f"unknown entropic symbol: {symbol!r}")
-        c = as_fraction(coeff)
-        slots = tuple(s + c * w if w else s for s, w in zip(slots, SYMBOLS[key].slots))
-    return _built(EntropicExpr, slots)
+        total = total + _built(EntropicExpr, _scaled(SYMBOLS[name]._key, *_as_pair(coeff)))
+    return total
 
 
 H_A, H_B, H_E = SYMBOLS["H(A)"], SYMBOLS["H(B)"], SYMBOLS["H(E)"]
@@ -363,13 +395,13 @@ class ResourceVector:
         are validated, so taking copies a side does not hold raises."""
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        return _built(ResourceVector, _merged(dict(self.terms), other.terms, negate=True))
+        return _built(ResourceVector, _merged(dict(self.terms), ((k, -c) for k, c in other.terms)))
 
     def scale(self, k: CoeffLike) -> "ResourceVector":
         """Multiply every coefficient by k (rational, or entropic when no
         noisy resources are present — whole copies cannot be fractional)."""
         k = as_expr(k)
-        if k.as_constant() is None and any(kind.is_noisy for kind, _ in self.terms):
+        if any(k._key[1:4]) and any(kind.is_noisy for kind, _ in self.terms):
             raise AlgebraError(
                 "scaling a vector with noisy resources requires a rational "
                 "constant; entropic multiples of whole copies are undefined"
@@ -382,25 +414,22 @@ class ResourceVector:
         return grammar.format_vector(self)
 
 
-def _merged(merged: dict, terms: Iterable, negate: bool = False) -> tuple:
-    """Normal form of `merged` plus (or, with `negate`, minus) `terms`, every
-    coefficient an expression: nonzero terms in kind order, once the noisy
-    counts are checked in merge order, so an error names the first bad term
-    met.  Kinds hash by identity, and sums of `Fraction`s need no coercion."""
+def _merged(merged: dict, terms: Iterable) -> tuple:
+    """Normal form of `merged` plus `terms`, every coefficient an
+    expression: nonzero terms in kind order, once the noisy counts are
+    checked in merge order, so an error names the first bad term met.
+    Kinds hash by identity, and sums of expressions need no coercion."""
     for kind, coeff in terms:
-        if kind in merged:
-            merged[kind] = merged[kind] - coeff if negate else merged[kind] + coeff
-        else:
-            merged[kind] = -coeff if negate else coeff
+        merged[kind] = merged[kind] + coeff if kind in merged else coeff
     for kind, coeff in merged.items():
-        if kind.is_noisy and not coeff.is_zero:
-            c = coeff.as_constant()
-            if c is None or c.denominator != 1 or c < 0:
+        if kind.is_noisy:
+            c, a, b, e, d = coeff._key
+            if a or b or e or d != 1 or c < 0:
                 raise AlgebraError(
                     f"noisy resource {kind.token} requires a nonnegative "
                     f"integer coefficient, got {coeff}"
                 )
-    return tuple(sorted((term for term in merged.items() if not term[1].is_zero),
+    return tuple(sorted((term for term in merged.items() if term[1]._key != _ZERO_KEY),
                         key=lambda term: term[0].sort_key))
 
 

@@ -46,6 +46,7 @@ from .algebra import (
     ResourceKind,
     ResourceTag,
     ResourceVector,
+    ZERO,
     as_expr,
     vec,
 )
@@ -104,13 +105,6 @@ def _check_multiplier(k: EntropicExpr):
         raise DerivationError(f"multiplier {k} is negative")
 
 
-def _covered(have: EntropicExpr, amount: EntropicExpr) -> EntropicExpr:
-    """How much of `amount` a side holding `have` of the same kind covers:
-    all of it, unless the side lacks the kind or would be left definitely
-    negative, in which case everything the side has."""
-    return have if have.is_zero or (have - amount).is_definitely_negative() else amount
-
-
 # Step kind of each composition -> the verb that names its result.  The
 # names are part of the JSON wire format.
 _COMPOSITIONS = {
@@ -141,9 +135,16 @@ def _compose(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike,
         need, supply = tool.lhs.scale(k), tool.rhs.scale(k)
         meets, far, facing, other = ((supply, need, base.lhs, base.rhs) if verb == "prepend"
                                      else (need, supply, base.rhs, base.lhs))
-        covered = ResourceVector(tuple((kind, _covered(facing.coeff(kind), amount))
-                                       for kind, amount in meets.terms))
-        facing, other = facing - covered + far, other + (meets - covered)
+        facing, rest = dict(facing.terms), []
+        for kind, amount in meets.terms:
+            # the side covers all of `amount`, unless it lacks the kind or would
+            # be left definitely negative: then it covers all it has
+            have = facing.get(kind, ZERO)
+            covered = have if have.is_zero or (have - amount).is_definitely_negative() else amount
+            facing[kind] = have - covered
+            rest.append((kind, amount - covered))
+        facing = ResourceVector(tuple(facing.items()) + far.terms)
+        other = ResourceVector(other.terms + tuple(rest))
     lhs, rhs = (facing, other) if verb == "prepend" else (other, facing)
     mode = Mode.EXACT if base.mode is Mode.EXACT and tool.mode is Mode.EXACT else Mode.ASYMPTOTIC
     result = ResourceInequality(f"{verb}({base.name},{tool.name})", lhs, rhs, mode)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterator, NamedTuple
 
 from .algebra import (
@@ -77,16 +78,16 @@ def _first_spellings() -> dict[EntropicExpr, str]:
 
 _SPELLINGS = _first_spellings()
 # Named spellings, tried in table order: H(A), H(B), H(E), I(A:B), I(A:E),
-# Ic(A>B); each with its coefficients in `Gen` order.
-_NAMED_EXPRS = [(name, tuple(expr.coeff(gen) for gen in Gen))
-                for expr, name in _SPELLINGS.items() if expr.as_constant() is None]
+# Ic(A>B); each with its coefficients as `as_pairs` gives them.
+_NAMED_EXPRS = [(name, expr.as_pairs()) for expr, name in _SPELLINGS.items()
+                if expr.as_constant() is None]
 _GEN_NAMES = {gen: _SPELLINGS[EntropicExpr.from_dict({gen: 1})] for gen in Gen}
 
 
-def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: tuple[int, int]) -> str:
+    """A reduced (numerator, positive denominator) as "p" or "p/q"."""
+    p, q = value
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def format_expr(expr: EntropicExpr) -> str:
@@ -95,27 +96,27 @@ def format_expr(expr: EntropicExpr) -> str:
     Negative-leading spellings are parenthesized so that terms always join
     with '+' in vector context.
     """
-    if expr.is_zero:
+    pairs = expr.as_pairs()
+    if not pairs:
         return "0"
-    constant = expr.as_constant()
+    constant = pairs.get(Gen.CONST) if len(pairs) == 1 else None
     if constant is not None:
         text = format_rational(constant)
-        return text if constant >= 0 else f"({text})"
-    coeffs = tuple(expr.coeff(gen) for gen in Gen)
+        return text if constant[0] >= 0 else f"({text})"
     for name, base in _NAMED_EXPRS:
-        ratio = _multiple_of(coeffs, base)
+        ratio = _multiple_of(pairs, base)
         if ratio is not None:
-            if ratio == 1:
+            if ratio == (1, 1):
                 return name
             text = f"{format_rational(ratio)}*{name}"
-            return text if ratio > 0 else f"({text})"
+            return text if ratio[0] > 0 else f"({text})"
     parts: list[str] = []
-    for gen, coeff in expr.as_dict().items():
-        sign = "-" if coeff < 0 else "+"
-        magnitude = abs(coeff)
+    for gen, (p, q) in pairs.items():
+        sign = "-" if p < 0 else "+"
+        magnitude = (abs(p), q)
         if gen is Gen.CONST:
             body = format_rational(magnitude)
-        elif magnitude == 1:
+        elif magnitude == (1, 1):
             body = _GEN_NAMES[gen]
         else:
             body = f"{format_rational(magnitude)}*{_GEN_NAMES[gen]}"
@@ -123,19 +124,17 @@ def format_expr(expr: EntropicExpr) -> str:
     return "(" + " ".join(parts) + ")"
 
 
-def _multiple_of(coeffs: tuple[Fraction, ...], base: tuple[Fraction, ...]) -> Fraction | None:
-    """The rational r with coeffs == r*base entry by entry, if one exists
-    (`base` is not all zero)."""
-    ratio = None
-    for c, b in zip(coeffs, base):
-        if not b:
-            if c:
-                return None
-        elif ratio is None:
-            ratio = c / b
-        elif c != ratio * b:
-            return None
-    return ratio
+def _multiple_of(pairs: dict, base: dict) -> tuple[int, int] | None:
+    """The rational r with pairs == r*base, as a reduced pair, if one exists;
+    both map generators to nonzero reduced pairs, as `as_pairs` gives them."""
+    if pairs.keys() != base.keys():
+        return None
+    (p0, q0), (r0, s0) = next(zip(pairs.values(), base.values()))
+    num, den = p0 * s0, q0 * r0  # r = (p0/q0) / (r0/s0)
+    if any(p * s * den != num * q * r for (p, q), (r, s) in zip(pairs.values(), base.values())):
+        return None
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def format_vector(vector: ResourceVector) -> str:
@@ -143,7 +142,7 @@ def format_vector(vector: ResourceVector) -> str:
         return "0"
     parts = []
     for kind, coeff in vector.terms:
-        if coeff.as_constant() == 1:
+        if coeff == SYMBOLS["1"]:
             parts.append(kind.token)
         else:
             parts.append(f"{format_expr(coeff)} {kind.token}")
@@ -246,14 +245,14 @@ class _Parser:
         if token.kind == "NUMBER":
             self.advance()
             try:
-                value = Fraction(token.text)
+                value = EntropicExpr.from_pairs({Gen.CONST: _rational(token.text)})
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {token.text!r}", token.position) from None
             if self.current.kind == "STAR":
                 self.advance()
                 symbol = self.expect("SYMBOL")
-                return canonicalize({symbol.text: value})
-            return EntropicExpr.constant(value)
+                return canonicalize({symbol.text: 1}) * value
+            return value
         if token.kind == "SYMBOL":
             self.advance()
             return canonicalize({token.text: 1})
@@ -268,20 +267,15 @@ class _Parser:
 
     def parse_signed_sum(self, in_parens: bool = False) -> EntropicExpr:
         total = ZERO
-        sign = Fraction(1)
-        if self.current.kind == "MINUS":
+        negative = self.current.kind == "MINUS"
+        if negative:
             self.advance()
-            sign = Fraction(-1)
         while True:
-            total = total + self.parse_coefficient(in_parens) * sign
-            if self.current.kind == "PLUS":
-                sign = Fraction(1)
-                self.advance()
-            elif self.current.kind == "MINUS":
-                sign = Fraction(-1)
-                self.advance()
-            else:
+            term = self.parse_coefficient(in_parens)
+            total = total - term if negative else total + term
+            if self.current.kind not in ("PLUS", "MINUS"):
                 return total
+            negative = self.advance().kind == "MINUS"
 
     # term := [coefficient] resource
     def parse_term(self) -> tuple[ResourceKind, EntropicExpr]:
@@ -342,26 +336,31 @@ def parse_ri(text: str, name: str = "parsed") -> ResourceInequality:
 # ---------------------------------------------------------------------------
 
 
-def expr_to_json(expr: EntropicExpr) -> dict[str, str]:
-    return {gen.value: format_rational(coeff) for gen, coeff in expr.as_dict().items()}
-
-
 _GEN_BY_NAME = {gen.value: gen for gen in Gen}
-# Wire coefficients repeat ("1/2", "-1", ...), so each spelling is parsed once.
-_rational = lru_cache(maxsize=1024)(Fraction)
+_NAME_OF_GEN = {gen: name for name, gen in _GEN_BY_NAME.items()}
+
+
+def expr_to_json(expr: EntropicExpr) -> dict[str, str]:
+    return {_NAME_OF_GEN[gen]: format_rational(pair) for gen, pair in expr.as_pairs().items()}
+
+
+@lru_cache(maxsize=1024)
+def _rational(text: str) -> tuple[int, int]:
+    """A rational's spelling as a reduced pair; spellings repeat, so each is parsed once."""
+    return Fraction(text).as_integer_ratio()
 
 
 def expr_from_json(data: dict) -> EntropicExpr:
-    coeffs = {}
+    pairs = {}
     for key, value in data.items():
         gen = _GEN_BY_NAME.get(key) if isinstance(key, str) else None
         if gen is None:
             raise ParseError(f"unknown generator {key!r} in coefficient map", 0)
         try:
-            coeffs[gen] = _rational(str(value))
+            pairs[gen] = _rational(str(value))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad coefficient {value!r} for {key}", 0) from None
-    return EntropicExpr.from_dict(coeffs)
+    return EntropicExpr.from_pairs(pairs)
 
 
 def vector_to_json(vector: ResourceVector) -> list[dict]:

@@ -3,16 +3,17 @@
 The generator is pinned so that seeded runs produce identical streams on
 any platform: splitmix64 (Steele/Lea/Flood) drives 64-bit states, uniforms
 take the top 53 bits, and normal deviates come from the polar method.
-Everything downstream (random states, random unitaries) is deterministic
+Everything downstream (random states, circuit inputs) is deterministic
 given the seed.
 
 splitmix64 is counter-based (draw k after state s is mix(s + k*gamma)), so
 `SplitMix64.normals` draws a block of deviates with wrapping uint64 numpy
-operations and reproduces the scalar stream bit for bit: the same values,
-and the same `state` and pending spare afterwards.  Each accepted pair's
-logarithm still comes from `math.log`, because numpy's vectorised `log` is
-not guaranteed to round like it; the rest of the polar factor is IEEE
-arithmetic and `sqrt`, which numpy rounds as `math` does.
+operations.  It reproduces the scalar polar method, one uniform pair at a
+time, bit for bit: the same values, and the same `state` and pending spare
+afterwards (the tests hold that scalar stream as the reference).  Each
+accepted pair's logarithm still comes from `math.log`, because numpy's
+vectorised `log` is not guaranteed to round like it; the rest of the polar
+factor is IEEE arithmetic and `sqrt`, which numpy rounds as `math` does.
 """
 
 from __future__ import annotations
@@ -51,31 +52,15 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return (z ^ (z >> 31)) & _MASK
 
-    def uniform(self) -> float:
-        """Uniform in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * _UNIT
-
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] (inclusive, modulo-reduced)."""
         return low + self.next_u64() % (high - low + 1)
 
-    def normal(self) -> float:
-        """Standard normal deviate via the polar method."""
-        if self._spare is not None:
-            value, self._spare = self._spare, None
-            return value
-        while True:
-            u = 2.0 * self.uniform() - 1.0
-            v = 2.0 * self.uniform() - 1.0
-            s = u * u + v * v
-            if 0.0 < s < 1.0:
-                factor = math.sqrt(-2.0 * math.log(s) / s)
-                self._spare = v * factor
-                return u * factor
-
     def normals(self, count: int) -> np.ndarray:
-        """`count` deviates, bitwise equal to `count` calls of `normal`,
-        leaving the same `state` and spare."""
+        """`count` standard normal deviates by the polar method: each pair
+        of uniforms (u, v) in [-1, 1) with 0 < s = u^2 + v^2 < 1 gives
+        u*f and v*f, f = sqrt(-2 ln s / s); an odd count leaves the second
+        as a spare for the next call."""
         out = np.empty(count)
         filled = 0
         if count and self._spare is not None:
@@ -105,12 +90,9 @@ class SplitMix64:
                 self._spare = float(deviates[take])
         return out
 
-    def complex_normal(self) -> complex:
-        return complex(self.normal(), self.normal())
-
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Row-major complex Gaussians, the same stream as `complex_normal`
-        entry by entry (real part drawn first)."""
+        """Row-major complex Gaussians from `normals`, the real part of
+        each entry drawn first."""
         return self.normals(2 * rows * cols).view(complex).reshape(rows, cols)
 
 
@@ -119,15 +101,3 @@ def random_density(rng: SplitMix64, dim: int) -> np.ndarray:
     g = rng.complex_matrix(dim, dim)
     rho = g @ g.conj().T
     return rho / rho.trace().real
-
-
-def random_pure(rng: SplitMix64, dim: int) -> np.ndarray:
-    """Haar-like random pure state vector (normalized complex Gaussian)."""
-    v = rng.complex_matrix(1, dim)[0]
-    return v / np.linalg.norm(v)
-
-
-def random_unitary(rng: SplitMix64, dim: int) -> np.ndarray:
-    """Random unitary from the QR decomposition of a complex Gaussian."""
-    q, r = np.linalg.qr(rng.complex_matrix(dim, dim))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

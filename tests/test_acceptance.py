@@ -45,8 +45,9 @@ from qfamily.derivation import (
     waste,
 )
 from qfamily.entropy import evaluate, evaluate_raw, random_tripartite_state
-from qfamily.rng import SplitMix64, random_pure
+from qfamily.rng import SplitMix64
 from test_derivation import step_flow_discrepancy
+from test_rng import random_pure
 
 FAMILY = derive_family()
 

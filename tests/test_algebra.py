@@ -71,6 +71,7 @@ def test_expression_is_four_exact_slots():
     (1, 0, 0),
     (1, 0, 0, 0, 0),
     [1, 0, 0, 0],
+    (None, 0, 0, 0),
 ])
 def test_expression_rejects_anything_but_four_exact_slots(slots):
     with pytest.raises(AlgebraError):

@@ -27,8 +27,9 @@ from qfamily.circuits import (
 )
 from qfamily import circuits
 from qfamily.derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
-from qfamily.rng import SplitMix64, random_pure, random_unitary
+from qfamily.rng import SplitMix64
 from test_golden import _same_report
+from test_rng import random_pure, random_unitary
 
 
 # -- register discipline -------------------------------------------------------

@@ -403,6 +403,15 @@ def test_package_and_symbolic_layer_load_no_numpy(modules):
     assert proc.stdout == "[]\n"
 
 
+def test_the_symbolic_layer_check_passes():
+    """tests/check_symbolic.py, which CI runs alone on the other supported
+    Pythons, passes in a fresh interpreter here."""
+    script = Path(__file__).resolve().parent / "check_symbolic.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(": ok\n")
+
+
 # ---------------------------------------------------------------------------
 # The entry point's BLAS thread choice and its deferred modules
 # ---------------------------------------------------------------------------

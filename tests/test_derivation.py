@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfamily.algebra import (
+    AlgebraError,
     CBIT,
     COBIT,
     EBIT,
@@ -363,3 +364,34 @@ def test_random_rewrite_scripts_replay_and_balance(start, script, seed):
     entropies = tuple(evaluate(h, psi) for h in (H_A, H_B, H_E))
     for step in ri.trace:
         assert step_flow_discrepancy(step, lambda e: e.value(*entropies)) <= 1e-9
+
+
+# -- composition against its first, seven-vector form ------------------------
+
+
+def _seven_vector_composition(base, tool, k, prepending):
+    """Reference: the composition's two result sides built from whole
+    vectors (two scalings, the covered part, and two per side)."""
+    need, supply = tool.lhs.scale(k), tool.rhs.scale(k)
+    meets, far, facing, other = ((supply, need, base.lhs, base.rhs) if prepending
+                                 else (need, supply, base.rhs, base.lhs))
+    covered = ResourceVector(tuple(
+        (kind, have if have.is_zero or (have - amount).is_definitely_negative() else amount)
+        for kind, amount in meets.terms for have in (facing.coeff(kind),)))
+    facing, other = facing - covered + far, other + (meets - covered)
+    return (facing, other) if prepending else (other, facing)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(STARTS)), st.sampled_from(sorted(PRIMITIVES)), MULTIPLIERS, st.booleans())
+def test_composition_matches_the_seven_vector_form_and_its_errors(start, tool, k, prepending):
+    base, tool = STARTS[start], PRIMITIVES[tool]
+    try:
+        want = _seven_vector_composition(base, tool, k, prepending)
+    except AlgebraError as exc:
+        with pytest.raises(DerivationError) as raised:
+            (prepend if prepending else append)(base, tool, k)
+        assert str(raised.value) == str(exc)
+        return
+    got = (prepend if prepending else append)(base, tool, k)
+    assert (got.lhs, got.rhs) == want

@@ -34,7 +34,8 @@ from qfamily.channels import (
     family_channel,
     identity_channel,
 )
-from qfamily.rng import SplitMix64, random_density, random_pure, random_unitary
+from qfamily.rng import SplitMix64, random_density
+from test_rng import random_pure, random_unitary
 
 BELL = maximally_entangled(2)
 
