@@ -4,7 +4,7 @@ Six resource kinds (classical bits, qubit channels, ebits, coherent bits,
 noisy states, noisy channels) with entropic-expression coefficients form
 linear resource vectors, and a pair of vectors plus a mode forms a resource
 inequality: the statement that the left side can simulate the right side,
-either exactly or asymptotically.
+either exactly or asymptotically, with its trace of `DerivationStep`s.
 
 Coefficients live in a four-dimensional rational space spanned by
 {1, H(A), H(B), H(E)}, the independent one-party entropies of a tripartite
@@ -21,9 +21,9 @@ fixed slot order (1, H(A), H(B), H(E)) as four integer numerators over one
 positive denominator, gcd-reduced, so the form is unique: equality is tuple
 equality, arithmetic runs on integers, and evaluation is one dot product.
 Only this module relies on that layout; other modules read coefficients by
-generator, as `Fraction`s (`coeff`, `as_dict`) or reduced integer pairs
-(`as_pairs`).  Everything here is an immutable value with exact rational
-arithmetic; no floats enter the symbolic layer.
+generator, as `Fraction`s (`coeff`) or reduced integer pairs (`as_pairs`).
+Everything here is an immutable value with exact rational arithmetic; no
+floats enter the symbolic layer.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class EntropicExpr:
     H(E) in that order, and kept in `_key` as integer numerators over one
     positive denominator, (c, a, b, e, d) reduced by their gcd: equal
     expressions have equal keys, and zero is (0, 0, 0, 0, 1).  Other modules
-    read coefficients by generator (`coeff`, `as_dict`, `as_pairs`).
+    read coefficients by generator (`coeff`, `as_pairs`).
     """
 
     _key: Tuple[int, int, int, int, int] = _ZERO_KEY
@@ -120,15 +120,6 @@ class EntropicExpr:
         object.__setattr__(self, "_key", built._key)
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def constant(value: RationalLike) -> "EntropicExpr":
-        return EntropicExpr((value, 0, 0, 0))
-
-    @staticmethod
-    def from_dict(coeffs: Mapping[Gen, RationalLike]) -> "EntropicExpr":
-        """The inverse of `as_dict`: absent generators have coefficient 0."""
-        return EntropicExpr(tuple(coeffs.get(gen, 0) for gen in _GENS))
 
     @staticmethod
     def from_pairs(pairs: Mapping[Gen, tuple[int, int]]) -> "EntropicExpr":
@@ -147,10 +138,6 @@ class EntropicExpr:
         """The nonzero coefficients as reduced (numerator, denominator), in slot order."""
         d = self._key[4]
         return {gen: (p // gcd(p, d), d // gcd(p, d)) for gen, p in zip(_GENS, self._key) if p}
-
-    def as_dict(self) -> dict[Gen, Fraction]:
-        """The nonzero coefficients, keyed by generator in slot order."""
-        return {gen: Fraction(*pair) for gen, pair in self.as_pairs().items()}
 
     @property
     def is_zero(self) -> bool:
@@ -350,7 +337,7 @@ CoeffLike = Union[EntropicExpr, RationalLike]
 def as_expr(value: CoeffLike) -> EntropicExpr:
     if isinstance(value, EntropicExpr):
         return value
-    return EntropicExpr.constant(value)
+    return EntropicExpr((value, 0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -373,17 +360,9 @@ class ResourceVector:
                 return v
         return ZERO
 
-    def kinds(self) -> tuple[ResourceKind, ...]:
-        return tuple(k for k, _ in self.terms)
-
     @property
     def is_empty(self) -> bool:
         return not self.terms
-
-    def restricted(self, tags: Iterable[ResourceTag]) -> "ResourceVector":
-        """Sub-vector keeping only the given resource tags."""
-        keep = frozenset(tags)
-        return _built(ResourceVector, tuple((k, v) for k, v in self.terms if k.tag in keep))
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         if not isinstance(other, ResourceVector):
@@ -475,7 +454,7 @@ class ResourceInequality:
     rhs: ResourceVector
     mode: Mode = Mode.ASYMPTOTIC
     flags: RuleFlags = field(default_factory=RuleFlags)
-    trace: tuple = ()  # DerivationSteps; empty for primitives
+    trace: Tuple[DerivationStep, ...] = ()  # empty for primitives
 
     def same_statement(self, other: "ResourceInequality") -> bool:
         """Equality of the mathematical statement, ignoring name/flags/trace."""
@@ -499,6 +478,33 @@ class ResourceInequality:
         from . import grammar
 
         return grammar.format_ri(self)
+
+
+class StepKind(Enum):
+    APPEND = "APPEND"
+    PREPEND = "PREPEND"
+    CANCEL = "CANCEL"
+    RULE_I = "RULE_I"
+    RULE_O = "RULE_O"
+    APPLY_QE_FRACTION = "APPLY_QE_FRACTION"
+    WASTE = "WASTE"
+
+
+@dataclass(frozen=True)
+class DerivationStep:
+    """One rewrite: `after` is obtained from `before` by the named operation.
+
+    `tool` identifies what was used: a primitive's name for APPEND/PREPEND/
+    APPLY_QE_FRACTION, a resource token for CANCEL, a vector in grammar text
+    for WASTE, and "" for the rules.  `before`/`after` are trace-free
+    snapshots, so replaying a trace reproduces the stored inequality.
+    """
+
+    kind: StepKind
+    tool: str
+    multiplier: EntropicExpr
+    before: ResourceInequality
+    after: ResourceInequality
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,14 @@ the rest across), catalytic cancellation of equal terms on both sides
 (licensed only asymptotically), wasting (adding unused inputs), and the two
 coherentification rules, held as data in the one table `RULES` built from a
 cobit's worth `COBIT_WORTH`.  Each operation records a replayable trace
-step.
+step, an `algebra.DerivationStep`; `grammar`, which this module imports and
+which never imports it, writes traces as JSON and reads them back.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from types import MappingProxyType
 
 from . import grammar
@@ -42,10 +42,11 @@ from .algebra import (
     NOISY_STATE,
     QUBIT_CHANNEL,
     COBIT,
+    DerivationStep,
     ResourceInequality,
     ResourceKind,
-    ResourceTag,
     ResourceVector,
+    StepKind,
     ZERO,
     as_expr,
     vec,
@@ -54,33 +55,6 @@ from .algebra import (
 
 class DerivationError(ValueError):
     """A rewrite whose preconditions do not hold."""
-
-
-class StepKind(Enum):
-    APPEND = "APPEND"
-    PREPEND = "PREPEND"
-    CANCEL = "CANCEL"
-    RULE_I = "RULE_I"
-    RULE_O = "RULE_O"
-    APPLY_QE_FRACTION = "APPLY_QE_FRACTION"
-    WASTE = "WASTE"
-
-
-@dataclass(frozen=True)
-class DerivationStep:
-    """One rewrite: `after` is obtained from `before` by the named operation.
-
-    `tool` identifies what was used: a primitive's name for APPEND/PREPEND/
-    APPLY_QE_FRACTION, a resource token for CANCEL, a vector in grammar text
-    for WASTE, and "" for the rules.  `before`/`after` are trace-free
-    snapshots, so replaying a trace reproduces the stored inequality.
-    """
-
-    kind: StepKind
-    tool: str
-    multiplier: EntropicExpr
-    before: ResourceInequality
-    after: ResourceInequality
 
 
 def _with_step(base: ResourceInequality, result: ResourceInequality,
@@ -197,7 +171,7 @@ def waste(ri: ResourceInequality, vector: ResourceVector) -> ResourceInequality:
         if coeff.is_definitely_negative():
             raise DerivationError(f"waste vector has negative {kind.token} coefficient")
     result = ResourceInequality(f"waste({ri.name})", ri.lhs + vector, ri.rhs, ri.mode)
-    return _with_step(ri, result, StepKind.WASTE, grammar.format_vector(vector), EntropicExpr.constant(1))
+    return _with_step(ri, result, StepKind.WASTE, grammar.format_vector(vector), as_expr(1))
 
 
 # A cobit [q->qq] is worth half a qubit channel plus half an ebit, by the
@@ -222,8 +196,8 @@ class _Rule:
 RULES = {
     StepKind.RULE_I: _Rule(
         "rule_I", "uniform+decoupled",
-        COBIT_WORTH.restricted([ResourceTag.QUBIT_CHANNEL]) + _SPENT_CBIT,
-        COBIT_WORTH.restricted([ResourceTag.EBIT]),
+        vec(HALF, QUBIT_CHANNEL) + _SPENT_CBIT,
+        vec(HALF, EBIT),
     ),
     StepKind.RULE_O: _Rule("rule_O", "decoupled", ResourceVector(), COBIT_WORTH + _SPENT_CBIT),
 }
@@ -346,8 +320,7 @@ def _execute_step(step: DerivationStep) -> ResourceInequality:
     if step.kind in RULES:
         return _apply_rule(base, step.kind)
     if step.kind is StepKind.CANCEL:
-        kind = grammar.parse_vector(step.tool).kinds()[0]
-        return cancel(base, kind, step.multiplier)
+        return cancel(base, grammar.resource_from_token(step.tool), step.multiplier)
     if step.kind is StepKind.WASTE:
         return waste(base, grammar.parse_vector(step.tool))
     raise DerivationError(f"unknown step kind {step.kind}")
@@ -370,31 +343,6 @@ def replay(trace: tuple[DerivationStep, ...]) -> ResourceInequality:
             raise DerivationError(f"step {i}: replayed {step.kind.value} disagrees with snapshot")
         state = redone.bare()
     return state
-
-
-# ---------------------------------------------------------------------------
-# Step serialization (used by grammar.ri_to_json / ri_from_json)
-# ---------------------------------------------------------------------------
-
-
-def step_to_json(step: DerivationStep) -> dict:
-    return {
-        "kind": step.kind.value,
-        "tool": step.tool,
-        "multiplier": grammar.expr_to_json(step.multiplier),
-        "before": grammar.ri_to_json(step.before, include_trace=False),
-        "after": grammar.ri_to_json(step.after, include_trace=False),
-    }
-
-
-def step_from_json(data: dict) -> DerivationStep:
-    return DerivationStep(
-        kind=StepKind(data["kind"]),
-        tool=data["tool"],
-        multiplier=grammar.expr_from_json(data["multiplier"]),
-        before=grammar.ri_from_json(data["before"]),
-        after=grammar.ri_from_json(data["after"]),
-    )
 
 
 def render_trace(ri: ResourceInequality, indent: str = "  ") -> str:

@@ -20,27 +20,33 @@ the shortest faithful spelling (a named symbol when the expression is a
 rational multiple of one, a parenthesized signed sum otherwise) so that
 ``parse_ri(format_ri(ri))`` reproduces the statement exactly.
 
-JSON format for an inequality::
+JSON format for an inequality, the whole wire format, traces included::
 
-    {"name": ..., "mode": "exact"|"asymptotic",
+    {"name": str, "mode": "exact"|"asymptotic",
      "lhs": [{"kind": "[q->q]", "coeff": {"H_A": "1/2", ...}}, ...],
      "rhs": [...],
      "flags": {"rule_I_ok": bool, "rule_O_ok": bool},
-     "trace": [{"kind": "APPEND", "tool": ..., "multiplier": {...},
+     "trace": [{"kind": "APPEND", "tool": str, "multiplier": {...},
                 "before": {...}, "after": {...}}, ...]}
 
-with rationals encoded as "p/q" strings.
+A coefficient maps the generators CONST, H_A, H_B, H_E to rationals spelled
+"p" or "p/q": ASCII digits, an optional leading '-', a nonzero denominator.
+A trace entry is one `DerivationStep`: a `StepKind` value, its tool and
+multiplier, and the inequality before and after it, each without a trace.
+Only "trace" may be absent, and any other input raises `ParseError`.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from enum import Enum
 from functools import lru_cache
 from math import gcd
 from typing import Iterator, NamedTuple
 
 from .algebra import (
+    AlgebraError,
+    DerivationStep,
     EntropicExpr,
     Gen,
     Mode,
@@ -50,6 +56,7 @@ from .algebra import (
     ResourceVector,
     RuleFlags,
     SYMBOLS,
+    StepKind,
     ZERO,
     canonicalize,
 )
@@ -67,21 +74,15 @@ class ParseError(ValueError):
 # Formatting
 # ---------------------------------------------------------------------------
 
-def _first_spellings() -> dict[EntropicExpr, str]:
-    """Each distinct expansion in `SYMBOLS`, spelled by its first symbol
-    there, in table order."""
-    spellings: dict[EntropicExpr, str] = {}
-    for name, expr in SYMBOLS.items():
-        spellings.setdefault(expr, name)
-    return spellings
-
-
-_SPELLINGS = _first_spellings()
+# Each distinct expansion in `SYMBOLS`, spelled by its first symbol there, in table order.
+_SPELLINGS: dict[EntropicExpr, str] = {}
+for _symbol, _expr in SYMBOLS.items():
+    _SPELLINGS.setdefault(_expr, _symbol)
 # Named spellings, tried in table order: H(A), H(B), H(E), I(A:B), I(A:E),
 # Ic(A>B); each with its coefficients as `as_pairs` gives them.
 _NAMED_EXPRS = [(name, expr.as_pairs()) for expr, name in _SPELLINGS.items()
                 if expr.as_constant() is None]
-_GEN_NAMES = {gen: _SPELLINGS[EntropicExpr.from_dict({gen: 1})] for gen in Gen}
+_GEN_NAMES = {gen: _SPELLINGS[EntropicExpr.from_pairs({gen: (1, 1)})] for gen in Gen}
 
 
 def format_rational(value: tuple[int, int]) -> str:
@@ -181,7 +182,7 @@ _TOKEN_RE = re.compile(
   | (?P<RESOURCE>{_RESOURCE_RE.pattern})
   | (?P<SYMBOL>{_SYMBOL_PATTERN})
   | (?P<CMP>>=!|>=)
-  | (?P<NUMBER>\d+(?:/\d+)?)
+  | (?P<NUMBER>[0-9]+(?:/[0-9]+)?)
   | (?P<PLUS>\+)
   | (?P<MINUS>-)
   | (?P<STAR>\*)
@@ -194,7 +195,8 @@ _TOKEN_RE = re.compile(
 _RESOURCE_BY_TOKEN = {tag.value: ResourceKind(tag) for tag in ResourceTag}
 
 
-def _resource_from_token(text: str) -> ResourceKind:
+def resource_from_token(text: str) -> ResourceKind:
+    """The resource kind that one token such as `[qq]` or `{qq:bell}` names."""
     if not (isinstance(text, str) and _RESOURCE_RE.fullmatch(text)):
         raise ParseError(f"unknown resource token {text!r}", 0)
     if text in _RESOURCE_BY_TOKEN:
@@ -244,10 +246,7 @@ class _Parser:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
-            try:
-                value = EntropicExpr.from_pairs({Gen.CONST: _rational(token.text)})
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {token.text!r}", token.position) from None
+            value = EntropicExpr.from_pairs({Gen.CONST: _rational(token.text, token.position)})
             if self.current.kind == "STAR":
                 self.advance()
                 symbol = self.expect("SYMBOL")
@@ -279,12 +278,8 @@ class _Parser:
 
     # term := [coefficient] resource
     def parse_term(self) -> tuple[ResourceKind, EntropicExpr]:
-        if self.current.kind == "RESOURCE":
-            token = self.advance()
-            return _resource_from_token(token.text), EntropicExpr.constant(1)
-        coeff = self.parse_coefficient()
-        token = self.expect("RESOURCE")
-        return _resource_from_token(token.text), coeff
+        coeff = SYMBOLS["1"] if self.current.kind == "RESOURCE" else self.parse_coefficient()
+        return resource_from_token(self.expect("RESOURCE").text), coeff
 
     def parse_vector(self, allow_zero: bool = True) -> ResourceVector:
         if allow_zero and self.current.kind == "NUMBER" and self.current.text == "0":
@@ -336,31 +331,42 @@ def parse_ri(text: str, name: str = "parsed") -> ResourceInequality:
 # ---------------------------------------------------------------------------
 
 
-_GEN_BY_NAME = {gen.value: gen for gen in Gen}
-_NAME_OF_GEN = {gen: name for name, gen in _GEN_BY_NAME.items()}
-
-
 def expr_to_json(expr: EntropicExpr) -> dict[str, str]:
-    return {_NAME_OF_GEN[gen]: format_rational(pair) for gen, pair in expr.as_pairs().items()}
+    return {gen.value: format_rational(pair) for gen, pair in expr.as_pairs().items()}
+
+
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 @lru_cache(maxsize=1024)
-def _rational(text: str) -> tuple[int, int]:
-    """A rational's spelling as a reduced pair; spellings repeat, so each is parsed once."""
-    return Fraction(text).as_integer_ratio()
+def _rational(text: str, position: int) -> tuple[int, int]:
+    """A "p" or "p/q" spelling (ASCII digits, an optional leading '-', q > 0) as
+    the pair (p, q), else a ParseError at `position`; parsed once per spelling."""
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
+        raise ParseError(f'{text!r} is not a rational "p" or "p/q" with q > 0', position)
+    return int(match[1]), int(match[2] or 1)
+
+
+def _field(data, key: str, kind: type):
+    """`data[key]` of a JSON object, which must hold a `kind`, or for an enum
+    `kind` the value of one of its members."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if isinstance(value, kind):
+        return value
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    raise ParseError(f"expected a {kind.__name__} at {key!r}, got {value!r}", 0)
 
 
 def expr_from_json(data: dict) -> EntropicExpr:
-    pairs = {}
-    for key, value in data.items():
-        gen = _GEN_BY_NAME.get(key) if isinstance(key, str) else None
-        if gen is None:
-            raise ParseError(f"unknown generator {key!r} in coefficient map", 0)
-        try:
-            pairs[gen] = _rational(str(value))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad coefficient {value!r} for {key}", 0) from None
-    return EntropicExpr.from_pairs(pairs)
+    try:
+        return EntropicExpr.from_pairs({Gen[key]: _rational(value, 0) for key, value in data.items()})
+    except (KeyError, TypeError, ValueError):  # a key naming no generator, a value no "p"/"p/q" string
+        raise ParseError(f"bad coefficient map {data!r}", 0) from None
 
 
 def vector_to_json(vector: ResourceVector) -> list[dict]:
@@ -368,11 +374,12 @@ def vector_to_json(vector: ResourceVector) -> list[dict]:
 
 
 def vector_from_json(data: list) -> ResourceVector:
-    terms = []
-    for entry in data:
-        kind = _resource_from_token(entry["kind"])
-        terms.append((kind, expr_from_json(entry["coeff"])))
-    return ResourceVector(tuple(terms))
+    terms = [(resource_from_token(_field(entry, "kind", str)), expr_from_json(_field(entry, "coeff", dict)))
+             for entry in data]
+    try:
+        return ResourceVector(tuple(terms))
+    except AlgebraError as exc:
+        raise ParseError(str(exc), 0) from None
 
 
 def ri_to_json(ri: ResourceInequality, include_trace: bool = True) -> dict:
@@ -384,27 +391,25 @@ def ri_to_json(ri: ResourceInequality, include_trace: bool = True) -> dict:
         "flags": {"rule_I_ok": ri.flags.rule_I_ok, "rule_O_ok": ri.flags.rule_O_ok},
     }
     if include_trace:
-        from .derivation import step_to_json
-
-        data["trace"] = [step_to_json(step) for step in ri.trace]
+        data["trace"] = [{"kind": step.kind.value, "tool": step.tool,
+                          "multiplier": expr_to_json(step.multiplier),
+                          "before": ri_to_json(step.before, include_trace=False),
+                          "after": ri_to_json(step.after, include_trace=False)} for step in ri.trace]
     return data
 
 
 def ri_from_json(data: dict) -> ResourceInequality:
-    flags = data.get("flags", {})
-    trace: tuple = ()
-    if data.get("trace"):
-        from .derivation import step_from_json
-
-        trace = tuple(step_from_json(step) for step in data["trace"])
+    """The inequality `ri_to_json` wrote; any other input raises ParseError."""
+    flags = _field(data, "flags", dict)
+    steps = _field(data, "trace", list) if "trace" in data else []
     return ResourceInequality(
-        name=data["name"],
-        lhs=vector_from_json(data["lhs"]),
-        rhs=vector_from_json(data["rhs"]),
-        mode=Mode(data["mode"]),
-        flags=RuleFlags(
-            rule_I_ok=bool(flags.get("rule_I_ok", False)),
-            rule_O_ok=bool(flags.get("rule_O_ok", False)),
-        ),
-        trace=trace,
+        name=_field(data, "name", str),
+        lhs=vector_from_json(_field(data, "lhs", list)),
+        rhs=vector_from_json(_field(data, "rhs", list)),
+        mode=_field(data, "mode", Mode),
+        flags=RuleFlags(_field(flags, "rule_I_ok", bool), _field(flags, "rule_O_ok", bool)),
+        trace=tuple(DerivationStep(_field(step, "kind", StepKind), _field(step, "tool", str),
+                                   expr_from_json(_field(step, "multiplier", dict)),
+                                   ri_from_json(_field(step, "before", dict)),
+                                   ri_from_json(_field(step, "after", dict))) for step in steps),
     )

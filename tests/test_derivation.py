@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from qfamily.algebra import (
     NOISY_STATE,
     QUBIT_CHANNEL,
     ResourceVector,
+    StepKind,
     dual,
     vec,
 )
@@ -28,7 +31,6 @@ from qfamily.derivation import (
     COHERENT_SD,
     COHERENT_TP,
     DerivationError,
-    StepKind,
     append,
     apply_rule_I,
     apply_rule_O,
@@ -44,7 +46,7 @@ from qfamily.derivation import (
     waste,
 )
 from qfamily.entropy import evaluate, random_tripartite_state
-from qfamily.grammar import parse_ri, parse_vector
+from qfamily.grammar import ParseError, parse_ri, parse_vector
 from qfamily.rng import SplitMix64
 
 
@@ -73,7 +75,7 @@ def step_flow_discrepancy(step, value_fn) -> float:
         injected_lhs = parse_vector(step.tool)
     k = value_fn(step.multiplier)
     sides = (step.before.lhs, step.before.rhs, step.after.lhs, step.after.rhs)
-    kinds = {kind for side in sides for kind in side.kinds()}
+    kinds = {kind for side in sides for kind, _ in side.terms}
     worst = 0.0
     for kind in kinds:
         lhs_delta = value_fn(step.after.lhs.coeff(kind)) - value_fn(step.before.lhs.coeff(kind))
@@ -111,10 +113,8 @@ def test_children_match_their_golden_statements(family, name, text):
 
 def test_eq2_canonical_coefficients(family):
     eq2 = family["eq2"]
-    assert eq2.lhs.coeff(CBIT).as_dict() == {
-        Gen.H_A: Fraction(1), Gen.H_B: Fraction(-1), Gen.H_E: Fraction(1)
-    }
-    assert eq2.rhs.coeff(EBIT).as_dict() == {Gen.H_B: Fraction(1), Gen.H_E: Fraction(-1)}
+    assert eq2.lhs.coeff(CBIT).as_pairs() == {Gen.H_A: (1, 1), Gen.H_B: (-1, 1), Gen.H_E: (1, 1)}
+    assert eq2.rhs.coeff(EBIT).as_pairs() == {Gen.H_B: (1, 1), Gen.H_E: (-1, 1)}
 
 
 def test_eq1_also_follows_from_eq2(family):
@@ -258,6 +258,17 @@ def test_no_cancel_step_touches_an_exact_inequality(family):
                 assert step.before.mode is Mode.ASYMPTOTIC
 
 
+@pytest.mark.parametrize("tool", ["0", "2 [q->q]", "[q->q] + [qq]", "[q->q] "])
+def test_replay_reads_a_cancel_tool_as_one_resource_token(family, tool):
+    """eq1 cancels [q->q]; a tool that is not that one token is refused,
+    not read as the first kind of a vector."""
+    trace = family["eq1"].trace
+    assert [step.kind for step in trace] == [StepKind.APPEND, StepKind.CANCEL]
+    assert trace[1].tool == "[q->q]"
+    with pytest.raises(ParseError, match=re.escape(repr(tool))):
+        replay((trace[0], replace(trace[1], tool=tool)))
+
+
 def test_eq5_trace_uses_the_fractional_qe_step(family):
     kinds = [step.kind for step in family["eq5"].trace]
     assert kinds == [StepKind.APPLY_QE_FRACTION, StepKind.CANCEL]
@@ -337,7 +348,8 @@ def _run_step(ri, step):
     if op == "prepend":
         return prepend(ri, PRIMITIVES[what], k)
     if op == "cancel":
-        shared = [kind for kind in ri.lhs.kinds() if kind in ri.rhs.kinds()] or [CBIT]
+        rhs_kinds = [kind for kind, _ in ri.rhs.terms]
+        shared = [kind for kind, _ in ri.lhs.terms if kind in rhs_kinds] or [CBIT]
         kind = shared[what % len(shared)]
         return cancel(ri, kind, ri.lhs.coeff(kind) * k)
     if op == "waste":

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -56,6 +57,14 @@ def test_parse_error_carries_position():
 def test_unknown_symbol_position():
     with pytest.raises(ParseError):
         parse_expr("H(A) + H(Q)")
+
+
+@pytest.mark.parametrize("text", ["\u0663 [qq] >= [q->q]", "\uff11/2 [qq] >= [q->q]", "[qq] >= 1/\u0662 [q->q]"])
+def test_numbers_are_ascii_digits(text):
+    """The grammar's INT is ASCII: an Arabic-Indic or fullwidth digit is
+    unrecognized input, not a number."""
+    with pytest.raises(ParseError, match="unrecognized input"):
+        parse_ri(text)
 
 
 def test_handles_round_trip():
@@ -154,4 +163,56 @@ def test_json_coefficient_with_zero_denominator_is_a_parse_error():
     data = ri_to_json(PRIMITIVES["tp"])
     data["lhs"][0]["coeff"] = {"CONST": "1/0"}
     with pytest.raises(ParseError, match="1/0"):
+        ri_from_json(data)
+
+
+# Spellings that `Fraction` reads but the wire format's "p" / "p/q" does not.
+@pytest.mark.parametrize("value", [0.5, 1e300, 1, "0.5", "1e-3", " 1/2 ", "1/2\n", "+1", "1_000", "\u0663"])
+def test_json_coefficients_are_only_p_or_p_over_q_strings(value):
+    with pytest.raises(ParseError):
+        expr_from_json({"H_A": value})
+
+
+def test_json_coefficients_read_signed_and_unreduced_spellings():
+    assert expr_from_json({"CONST": "-6/04", "H_E": "007"}) == parse_expr("(-3/2 + 7*H(E))")
+
+
+EQ1_WIRE = ri_to_json(derive_family()["eq1"])
+
+
+def _at(data, path):
+    """A deep copy of `data` and the container that holds `path`'s last key."""
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    return data, node
+
+
+@pytest.mark.parametrize("path", [
+    ("name",), ("mode",), ("lhs",), ("rhs",), ("flags",), ("flags", "rule_I_ok"), ("flags", "rule_O_ok"),
+    ("lhs", 0, "kind"), ("lhs", 0, "coeff"),
+    ("trace", 0, "kind"), ("trace", 0, "tool"), ("trace", 0, "multiplier"), ("trace", 0, "before"),
+    ("trace", 1, "after", "name"),
+])
+def test_json_missing_key_is_a_parse_error(path):
+    data, node = _at(EQ1_WIRE, path)
+    del node[path[-1]]
+    with pytest.raises(ParseError, match=re.escape(repr(path[-1]))):
+        ri_from_json(data)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("name",), 7), (("name",), None),
+    (("flags", "rule_I_ok"), "no"), (("flags", "rule_O_ok"), 1), (("flags",), []),
+    (("mode",), "fast"), (("lhs",), {}), (("trace",), None),
+    (("trace", 0, "kind"), "JUMP"), (("trace", 0, "tool"), 3), (("lhs", 0, "coeff"), "1"),
+    (("lhs", 1, "coeff"), {"CONST": "1/2"}),
+])
+def test_json_value_of_the_wrong_type_is_a_parse_error(path, value):
+    """Flags are bools, names and tools strings, modes and step kinds the
+    values of their enums, and a noisy count a whole number."""
+    data, node = _at(EQ1_WIRE, path)
+    node[path[-1]] = value
+    with pytest.raises(ParseError):
         ri_from_json(data)

@@ -71,7 +71,7 @@ def assert_normal(expr: EntropicExpr, ref: Slots):
     assert (key == ZERO_KEY) == (not any(ref.slots)) == expr.is_zero
     assert tuple(Fraction(n, key[4]) for n in key[:4]) == ref.slots
     assert tuple(expr.coeff(gen) for gen in Gen) == ref.slots
-    assert expr.as_dict() == ref.as_dict()
+    assert {gen: Fraction(*pair) for gen, pair in expr.as_pairs().items()} == ref.as_dict()
     assert expr.as_constant() == ref.constant()
     assert expr.is_definitely_negative() == (max(ref.slots) <= 0 and min(ref.slots) < 0)
 
