@@ -28,6 +28,7 @@ floats enter the symbolic layer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -50,14 +51,30 @@ class LinearityError(AlgebraError):
 
 RationalLike = Union[int, Fraction, str]
 
+# The one text spelling of an exact rational: "p" or "p/q", ASCII digits, an
+# optional leading '-' and q > 0.
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def rational_from_text(text: str) -> tuple[int, int]:
+    """The pair (p, q) that a "p" or "p/q" spelling names, else an AlgebraError."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None:
+        raise AlgebraError(f'{text!r} is not a rational "p" or "p/q" with q > 0')
+    try:
+        return int(match[1]), int(match[2] or 1)
+    except ValueError:  # more digits than `int` reads from text
+        raise AlgebraError(f"rational {text[:12]}... of {len(text)} characters "
+                           f"exceeds the integer digit limit") from None
+
 
 def _as_pair(x: RationalLike) -> tuple[int, int]:
     """An exact rational as (numerator, positive denominator); floats are
-    rejected to keep the layer exact."""
+    rejected to keep the layer exact, and a string must be "p" or "p/q"."""
     if isinstance(x, bool) or isinstance(x, float):
         raise AlgebraError(f"symbolic coefficients must be exact rationals, got {x!r}")
     if isinstance(x, str):
-        x = Fraction(x)
+        return rational_from_text(x)
     if isinstance(x, (int, Fraction)):
         return x.as_integer_ratio()
     raise AlgebraError(f"cannot interpret {x!r} as a rational")

@@ -7,14 +7,18 @@ identity.  Rates are always evaluated on the tripartite pure state built
 from the object: a purification for states, the dilated channel output on
 half of a maximally entangled input for channels (unless another input is
 supplied).
+
+Each family is a kernel from a vector of parameters to a stack of Kraus
+operators: `sweep` runs it on SWEEP_CHUNK points at a time, and
+`family_channel` on one.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -28,6 +32,7 @@ from .entropy import (
     QuantumChannel,
     TripartitePureState,
     ValidationError,
+    channel_entropy_triples,
     channel_state,
     entropy_triple,
     maximally_entangled,
@@ -52,74 +57,97 @@ def _floored(x: float) -> float:
     return x if abs(x) >= NOISE_FLOOR else 0.0
 
 
-def _check_parameter(family: str, p: float):
-    """Each family's parameter is a probability; NaN fails the test too."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"{family} parameter {p} outside [0, 1]")
-
-
 def identity_channel(dim: int = 2) -> QuantumChannel:
     return QuantumChannel((np.eye(dim, dtype=complex),))
 
 
-def _identity_family(p: float) -> QuantumChannel:
+# Each family kernel maps a vector of B parameters to the unvalidated Kraus
+# stack (B, K, d_out, d_in) of the family's channel at each.
+
+
+def _check_parameters(family: str, params: np.ndarray) -> None:
+    """Each family's parameter is a probability; NaN fails the test too.  The
+    first point outside [0, 1] is named."""
+    outside = ~((0.0 <= params) & (params <= 1.0))
+    if outside.any():
+        first = float(params[outside.argmax()])
+        raise ValidationError(f"{family} parameter {first} outside [0, 1]")
+
+
+def _pauli_mixture(weights: dict[str, np.ndarray]) -> np.ndarray:
+    """Kraus stack of rho -> sum_P w_P P rho P over the named Paulis."""
+    roots = np.sqrt(np.stack(list(weights.values()), axis=1))
+    paulis = np.stack([_QUBIT_PAULI[name] for name in weights])
+    return roots[:, :, np.newaxis, np.newaxis] * paulis
+
+
+def _identity_kraus(p: np.ndarray) -> np.ndarray:
     """The qubit identity channel; its parameter is checked and unused."""
-    _check_parameter("identity", p)
-    return identity_channel(2)
+    _check_parameters("identity", p)
+    kraus = np.zeros((p.size, 1, 2, 2), dtype=complex)
+    kraus[:, 0] = _QUBIT_PAULI["I"]
+    return kraus
 
 
-def erasure_channel(p: float) -> QuantumChannel:
+def _erasure_kraus(p: np.ndarray) -> np.ndarray:
     """With probability p the qubit is replaced by a flag state |2>."""
-    _check_parameter("erasure", p)
-    keep = np.zeros((3, 2), dtype=complex)
-    keep[0, 0] = keep[1, 1] = math.sqrt(1.0 - p)
-    erase0 = np.zeros((3, 2), dtype=complex)
-    erase0[2, 0] = math.sqrt(p)
-    erase1 = np.zeros((3, 2), dtype=complex)
-    erase1[2, 1] = math.sqrt(p)
-    return QuantumChannel((keep, erase0, erase1))
+    _check_parameters("erasure", p)
+    kraus = np.zeros((p.size, 3, 3, 2), dtype=complex)
+    kraus[:, 0, 0, 0] = kraus[:, 0, 1, 1] = np.sqrt(1.0 - p)
+    kraus[:, 1, 2, 0] = kraus[:, 2, 2, 1] = np.sqrt(p)
+    return kraus
 
 
-def depolarizing_channel(p: float) -> QuantumChannel:
+def _depolarizing_kraus(p: np.ndarray) -> np.ndarray:
     """rho -> (1-p) rho + p I/2 (fully depolarizing at p=1)."""
-    _check_parameter("depolarizing", p)
-    weights = {"I": 1.0 - 3.0 * p / 4.0, "X": p / 4.0, "Y": p / 4.0, "Z": p / 4.0}
-    return QuantumChannel(tuple(
-        math.sqrt(w) * _QUBIT_PAULI[name] for name, w in weights.items()
-    ))
+    _check_parameters("depolarizing", p)
+    return _pauli_mixture({"I": 1.0 - 3.0 * p / 4.0, "X": p / 4.0, "Y": p / 4.0, "Z": p / 4.0})
 
 
-def dephasing_channel(p: float) -> QuantumChannel:
+def _dephasing_kraus(p: np.ndarray) -> np.ndarray:
     """Off-diagonal terms scaled by 1-p (complete dephasing at p=1)."""
-    _check_parameter("dephasing", p)
-    return QuantumChannel((
-        math.sqrt(1.0 - p / 2.0) * _QUBIT_PAULI["I"],
-        math.sqrt(p / 2.0) * _QUBIT_PAULI["Z"],
-    ))
+    _check_parameters("dephasing", p)
+    return _pauli_mixture({"I": 1.0 - p / 2.0, "Z": p / 2.0})
 
 
-def amplitude_damping_channel(p: float) -> QuantumChannel:
-    _check_parameter("amplitude damping", p)
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return QuantumChannel((k0, k1))
+def _amplitude_damping_kraus(p: np.ndarray) -> np.ndarray:
+    _check_parameters("amplitude damping", p)
+    kraus = np.zeros((p.size, 2, 2, 2), dtype=complex)
+    kraus[:, 0, 0, 0] = 1.0
+    kraus[:, 0, 1, 1] = np.sqrt(1.0 - p)
+    kraus[:, 1, 0, 1] = np.sqrt(p)
+    return kraus
 
 
-CHANNEL_FAMILIES: dict[str, Callable[[float], QuantumChannel]] = {
-    "identity": _identity_family,
-    "erasure": erasure_channel,
-    "depolarizing": depolarizing_channel,
-    "dephasing": dephasing_channel,
-    "amplitude_damping": amplitude_damping_channel,
+_FAMILY_KRAUS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "identity": _identity_kraus,
+    "erasure": _erasure_kraus,
+    "depolarizing": _depolarizing_kraus,
+    "dephasing": _dephasing_kraus,
+    "amplitude_damping": _amplitude_damping_kraus,
 }
 
 
-def family_channel(name: str, p: float = 0.0) -> QuantumChannel:
-    if name not in CHANNEL_FAMILIES:
+def _family_kraus(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    if name not in _FAMILY_KRAUS:
         raise ValidationError(
-            f"unknown channel family {name!r}; known: {sorted(CHANNEL_FAMILIES)}"
+            f"unknown channel family {name!r}; known: {sorted(_FAMILY_KRAUS)}"
         )
-    return CHANNEL_FAMILIES[name](p)
+    return _FAMILY_KRAUS[name]
+
+
+def family_channel(name: str, p: float = 0.0) -> QuantumChannel:
+    """The family's channel at one parameter: its kernel with B = 1."""
+    return QuantumChannel(tuple(_family_kraus(name)(np.array([p], dtype=float))[0]))
+
+
+CHANNEL_FAMILIES: dict[str, Callable[[float], QuantumChannel]] = {
+    name: partial(family_channel, name) for name in _FAMILY_KRAUS
+}
+erasure_channel = CHANNEL_FAMILIES["erasure"]
+depolarizing_channel = CHANNEL_FAMILIES["depolarizing"]
+dephasing_channel = CHANNEL_FAMILIES["dephasing"]
+amplitude_damping_channel = CHANNEL_FAMILIES["amplitude_damping"]
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +353,19 @@ SWEEP_CHUNK = 128
 
 def sweep(family: str, params: Iterable[float | Fraction]) -> list[tuple[float, ...]]:
     """One row per parameter: the six standard quantities on the channel
-    state with maximally entangled input."""
+    state with maximally entangled input.
+
+    Each SWEEP_CHUNK points make one Kraus stack, validated once and
+    diagonalised with one SVD per cut; `EntropicExpr.value` on the entropy
+    columns does each row's float operations, in the same order.
+    """
+    kraus_of = _family_kraus(family)
     rows = []
-    for p in params:
-        entropies = entropy_triple(channel_state(family_channel(family, float(p))))
-        rows.append((float(p), *(expr.value(*entropies) for expr in _SWEEP_EXPRS)))
+    points = iter(params)
+    while chunk := [float(p) for p in islice(points, SWEEP_CHUNK)]:
+        h_a, h_b, h_e = channel_entropy_triples(kraus_of(np.array(chunk))).T
+        values = (expr.value(h_a, h_b, h_e).tolist() for expr in _SWEEP_EXPRS)
+        rows.extend(zip(chunk, *values))
     return rows
 
 

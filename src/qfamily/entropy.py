@@ -4,6 +4,12 @@ tripartite pure states.  Each numeric object is validated once, where it is
 built; nothing derived from a validated state, such as a marginal, is
 validated again.
 
+The channel-state path runs on stacks with a leading batch axis: a Kraus
+stack (B, K, d_out, d_in) is validated, turned into B channel states and
+diagonalised with one SVD per cut (`channel_entropy_triples`).  A single
+`QuantumChannel`, `TripartitePureState`, `channel_state` or `entropy_triple`
+runs the same kernels on a stack of one.
+
 Conventions: all logarithms are base 2 (bits/ebits/qubits per copy);
 eigenvalues below 1e-12 contribute 0 to entropies; amplitude layout of a
 tripartite state is row-major over (A, B, E).
@@ -107,11 +113,7 @@ class TripartitePureState:
             raise ValidationError(
                 f"amplitude length {amps.size} does not match dims {dims}"
             )
-        if not np.isfinite(amps).all():
-            raise ValidationError("amplitude vector has NaN or infinite entries")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"norm {norm!r} differs from 1 by more than {NORM_TOL}")
+        _check_states(amps[np.newaxis])
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -131,19 +133,12 @@ class QuantumChannel:
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
         d_out, d_in = ops[0].shape
-        for k in ops:
-            if k.shape != (d_out, d_in):
-                raise ValidationError("all Kraus operators must share one shape")
-            if not np.isfinite(k).all():
-                raise ValidationError("Kraus operator has NaN or infinite entries")
-            k.flags.writeable = False
-        total = sum(k.conj().T @ k for k in ops)
-        dev = np.max(np.abs(total - np.eye(d_in)))
-        if dev > HERMITIAN_TOL:
-            raise ValidationError(
-                f"not trace preserving: max|sum K^dag K - I| = {dev:.3e} > {HERMITIAN_TOL}"
-            )
-        object.__setattr__(self, "kraus", ops)
+        if any(k.shape != (d_out, d_in) for k in ops):
+            raise ValidationError("all Kraus operators must share one shape")
+        stack = np.stack(ops)
+        _check_channels(stack[np.newaxis])
+        stack.flags.writeable = False
+        object.__setattr__(self, "kraus", tuple(stack))
 
     @property
     def d_in(self) -> int:
@@ -156,6 +151,46 @@ class QuantumChannel:
     @property
     def d_env(self) -> int:
         return len(self.kraus)
+
+
+def _check_states(amplitudes: np.ndarray) -> None:
+    """Raise ValidationError unless every member of the stack (B, ...) is a
+    finite unit vector, naming the first member that is not as
+    `TripartitePureState` would.
+
+    A member with a NaN or infinite entry has a NaN or infinite norm, so the
+    norm test alone finds every bad member.
+    """
+    flat = amplitudes.reshape(len(amplitudes), -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(flat, flat).real)
+    ok = np.abs(norms - 1.0) <= NORM_TOL
+    if not ok.all():
+        first = ok.argmin()
+        if not np.isfinite(flat[first]).all():
+            raise ValidationError("amplitude vector has NaN or infinite entries")
+        raise ValidationError(f"norm {float(norms[first])!r} differs from 1 by more than {NORM_TOL}")
+
+
+def _check_channels(kraus: np.ndarray) -> None:
+    """Raise ValidationError unless every member of the Kraus stack
+    (B, K, d_out, d_in) is finite and trace preserving, naming the first
+    member that is not as `QuantumChannel` would.
+
+    sum_e K_e^dag K_e is U^dag U for the member's dilation U; a NaN or
+    infinite entry makes its deviation from I NaN or infinite.
+    """
+    u = _dilations(kraus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        devs = np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(kraus.shape[-1])).max(axis=(1, 2))
+    ok = devs <= HERMITIAN_TOL
+    if not ok.all():
+        first = ok.argmin()
+        if not np.isfinite(kraus[first]).all():
+            raise ValidationError("Kraus operator has NaN or infinite entries")
+        raise ValidationError(
+            f"not trace preserving: max|sum K^dag K - I| = {devs[first]:.3e} > {HERMITIAN_TOL}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +206,13 @@ def entropy(rho: DensityOp | np.ndarray) -> float:
 
 
 def _bits(spectrum: np.ndarray) -> float:
-    """-sum p log2 p over the weights above EIGENVALUE_FLOOR."""
+    """-sum p log2 p over the weights above EIGENVALUE_FLOOR.
+
+    One spectrum at a time: a masked sum over a stack of spectra would group
+    numpy's pairwise summation differently for 8 or more weights.
+    """
     kept = spectrum[spectrum > EIGENVALUE_FLOOR]
-    return float(0.0 - np.sum(kept * np.log2(kept)))  # 0.0, never -0.0
+    return float(0.0 - (kept * np.log2(kept)).sum())  # 0.0, never -0.0
 
 
 def purify(rho: DensityOp | np.ndarray, split: tuple[int, int]) -> TripartitePureState:
@@ -200,18 +239,43 @@ def stinespring(channel: QuantumChannel) -> np.ndarray:
     """Isometry U: d_in -> d_out * d_env with row index b*d_env + e,
     U[b*d_env + e, a] = K_e[b, a].  Tracing out the environment recovers
     the Kraus action; U^dag U = sum_e K_e^dag K_e, which QuantumChannel checked."""
-    d_out, d_in, d_env = channel.d_out, channel.d_in, channel.d_env
-    return np.stack(channel.kraus, axis=1).reshape(d_out * d_env, d_in)
+    return _dilations(np.stack(channel.kraus)[np.newaxis])[0]
+
+
+def _dilations(kraus: np.ndarray) -> np.ndarray:
+    """`stinespring` of each member of a Kraus stack (B, K, d_out, d_in)."""
+    n, d_env, d_out, d_in = kraus.shape
+    return kraus.transpose(0, 2, 1, 3).reshape(n, d_out * d_env, d_in)
 
 
 def channel_state(channel: QuantumChannel) -> TripartitePureState:
     """Send the A' half of |Phi_+>^AA' (maximally entangled, dim(A) = d_in)
     through the channel's dilation: |psi>^ABE with dims (d_in, d_out, d_env)."""
-    d_in = channel.d_in
+    amplitudes = _channel_amplitudes(np.stack(channel.kraus)[np.newaxis])[0]
+    return TripartitePureState(amplitudes.shape, amplitudes)
+
+
+def _channel_amplitudes(kraus: np.ndarray) -> np.ndarray:
+    """The unvalidated amplitudes (B, d_in, d_out, d_env) of `channel_state`
+    for each member of a Kraus stack (B, K, d_out, d_in)."""
+    n, d_env, d_out, d_in = kraus.shape
     phi = maximally_entangled(d_in).reshape(d_in, d_in)
-    u = stinespring(channel)
-    psi = (u @ phi.T).T  # (d_in, d_out*d_env)
-    return TripartitePureState((d_in, channel.d_out, channel.d_env), psi)
+    psi = (_dilations(kraus) @ phi.T).swapaxes(1, 2)  # (B, d_in, d_out*d_env)
+    return psi.reshape(n, d_in, d_out, d_env)
+
+
+def channel_entropy_triples(kraus: np.ndarray) -> np.ndarray:
+    """`entropy_triple(channel_state(QuantumChannel(member)))` of each member
+    of a Kraus stack (B, K, d_out, d_in), as a (B, 3) array.
+
+    The stack is validated once, each member as `QuantumChannel` and its
+    state as `TripartitePureState` would validate it, and each cut takes one
+    SVD for the whole stack.
+    """
+    _check_channels(kraus)
+    amplitudes = _channel_amplitudes(kraus)
+    _check_states(amplitudes)
+    return _entropy_triples(amplitudes)
 
 
 def maximally_entangled(dim: int) -> np.ndarray:
@@ -304,15 +368,23 @@ def entropy_triple(psi: TripartitePureState) -> tuple[float, float, float]:
     within NORM_TOL, so each value lies in [0, log2 d].  Weights below
     1e-12 contribute nothing, as in `entropy`.
     """
-    d_a, d_b, d_e = psi.dims
-    t = psi.tensor()
+    return tuple(_entropy_triples(psi.tensor()[np.newaxis])[0].tolist())
+
+
+def _entropy_triples(amplitudes: np.ndarray) -> np.ndarray:
+    """`entropy_triple` of each state of a validated stack (B, d_A, d_B, d_E),
+    as a (B, 3) array: one SVD per cut for the whole stack."""
+    n, d_a, d_b, d_e = amplitudes.shape
     cuts = (
-        t.reshape(d_a, d_b * d_e),
-        t.transpose(1, 0, 2).reshape(d_b, d_a * d_e),
-        t.reshape(d_a * d_b, d_e),
+        amplitudes.reshape(n, d_a, d_b * d_e),
+        amplitudes.transpose(0, 2, 1, 3).reshape(n, d_b, d_a * d_e),
+        amplitudes.reshape(n, d_a * d_b, d_e),
     )
-    weights = (np.linalg.svd(cut, compute_uv=False) ** 2 for cut in cuts)
-    return tuple(_bits(w / w.sum()) for w in weights)
+    squares = (np.linalg.svd(cut, compute_uv=False) ** 2 for cut in cuts)
+    # numpy sums each contiguous row on its own: the same sums, bit for bit,
+    # as one spectrum at a time
+    weights = [w / w.sum(axis=1, keepdims=True) for w in squares]
+    return np.array([[_bits(w) for w in cut] for cut in weights]).T
 
 
 def evaluate(expr: EntropicExpr | Mapping[str, object], psi: TripartitePureState) -> float:

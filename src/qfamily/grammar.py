@@ -59,6 +59,7 @@ from .algebra import (
     StepKind,
     ZERO,
     canonicalize,
+    rational_from_text,
 )
 
 
@@ -335,17 +336,14 @@ def expr_to_json(expr: EntropicExpr) -> dict[str, str]:
     return {gen.value: format_rational(pair) for gen, pair in expr.as_pairs().items()}
 
 
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
-
-
 @lru_cache(maxsize=1024)
 def _rational(text: str, position: int) -> tuple[int, int]:
-    """A "p" or "p/q" spelling (ASCII digits, an optional leading '-', q > 0) as
-    the pair (p, q), else a ParseError at `position`; parsed once per spelling."""
-    match = _RATIONAL_RE.fullmatch(text)
-    if match is None:
-        raise ParseError(f'{text!r} is not a rational "p" or "p/q" with q > 0', position)
-    return int(match[1]), int(match[2] or 1)
+    """`rational_from_text` with a ParseError at `position`; parsed once per
+    spelling."""
+    try:
+        return rational_from_text(text)
+    except AlgebraError as exc:
+        raise ParseError(str(exc), position) from None
 
 
 def _field(data, key: str, kind: type):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,20 @@ def test_unknown_symbol_is_named_in_the_error():
 def test_float_coefficients_rejected():
     with pytest.raises(AlgebraError):
         canonicalize({"H(A)": 0.5})
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-3", " 1/2 ", "\u0663"])
+def test_a_string_coefficient_is_spelled_p_or_p_over_q(text):
+    """Strings take the one spelling the JSON reader takes: a decimal, an
+    exponent, surrounding blanks or a non-ASCII digit is no rational."""
+    message = f"^{re.escape(repr(text))} is not a rational"
+    with pytest.raises(AlgebraError, match=message):
+        EntropicExpr((text, 0, 0, 0))
+    with pytest.raises(AlgebraError, match=message):
+        vec(text, CBIT)
+    with pytest.raises(AlgebraError, match=message):
+        canonicalize({"H(A)": text})
+    assert EntropicExpr(("-3/6", 0, 0, 0)) == EntropicExpr((Fraction(-1, 2), 0, 0, 0))
 
 
 @settings(derandomize=True, max_examples=80)

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qfamily.algebra import H_A, H_B, H_E, I_AB, I_AE, I_COH
 from qfamily.channels import (
+    CHANNEL_FAMILIES,
+    SWEEP_CHUNK,
     RegisteredChannel,
     RegisteredState,
     builtin_objects,
@@ -19,7 +23,15 @@ from qfamily.channels import (
     sweep_csv_chunks,
 )
 from qfamily.derivation import derive_family
-from qfamily.entropy import ValidationError, channel_state, entropy, reduced
+from qfamily.entropy import (
+    QuantumChannel,
+    ValidationError,
+    channel_entropy_triples,
+    channel_state,
+    entropy,
+    entropy_triple,
+    reduced,
+)
 
 
 def registry_entry_json(obj) -> dict:
@@ -101,7 +113,7 @@ def test_sweep_matches_closed_forms(family):
         assert abs(i_coh - (want_b - want_e)) < 1e-10
 
 
-def test_sweep_makes_at_most_three_spectral_calls_per_row(monkeypatch):
+def test_sweep_makes_three_spectral_calls_per_chunk(monkeypatch):
     calls = []
     for name in ("svd", "eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
@@ -113,7 +125,66 @@ def test_sweep_makes_at_most_three_spectral_calls_per_row(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     rows = sweep("erasure", [i / 10 for i in range(11)])
     assert len(rows) == 11
-    assert len(calls) <= 3 * 11
+    assert len(calls) == 3
+
+
+# The six quantities of a sweep row, in column order.
+SWEEP_VALUES = (H_A, H_B, H_E, I_AB, I_AE, I_COH)
+
+
+# Grids that hold 0 and 1 and cross the SWEEP_CHUNK boundary.
+@st.composite
+def chunked_grids(draw, min_size=SWEEP_CHUNK - 1):
+    grid = draw(st.lists(st.floats(0.0, 1.0), min_size=min_size, max_size=2 * SWEEP_CHUNK + 10))
+    for p in (0.0, 1.0):
+        grid.insert(draw(st.integers(0, len(grid))), p)
+    return grid
+
+
+def _raised(build) -> str:
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    return str(excinfo.value)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(chunked_grids())
+def test_a_batch_agrees_with_batches_of_one(grid):
+    """Each sweep row is, to the bit, the row of its point built alone."""
+    for family in CHANNEL_FAMILIES:
+        rows = sweep(family, grid)
+        assert len(rows) == len(grid)
+        for p, row in zip(grid, rows):
+            entropies = entropy_triple(channel_state(family_channel(family, p)))
+            alone = (p, *(expr.value(*entropies) for expr in SWEEP_VALUES))
+            assert np.array(row).tobytes() == np.array(alone).tobytes()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(chunked_grids(min_size=0),
+       st.one_of(st.just(math.nan), st.floats().filter(lambda p: not 0.0 <= p <= 1.0)),
+       st.data())
+def test_an_out_of_domain_member_fails_a_sweep_as_it_fails_alone(grid, bad, data):
+    grid.insert(data.draw(st.integers(0, len(grid))), bad)
+    for family in CHANNEL_FAMILIES:
+        message = _raised(lambda: family_channel(family, bad))
+        assert message.endswith(f"parameter {bad} outside [0, 1]")
+        assert _raised(lambda: sweep(family, grid)) == message
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(CHANNEL_FAMILIES)), chunked_grids(min_size=0),
+       st.sampled_from(["not trace preserving", "NaN"]), st.data())
+def test_a_stack_with_one_bad_member_fails_as_that_member_alone(family, grid, fault, data):
+    stack = np.stack([np.stack(family_channel(family, p).kraus) for p in grid])
+    member = data.draw(st.integers(0, len(grid) - 1))
+    if fault == "NaN":
+        stack[member, 0, 0, 0] = math.nan
+    else:
+        stack[member] *= 1.01
+    message = _raised(lambda: QuantumChannel(tuple(stack[member])))
+    assert fault in message
+    assert _raised(lambda: channel_entropy_triples(stack)) == message
 
 
 def test_any_family_at_zero_is_the_identity_channel():

@@ -67,6 +67,14 @@ def test_numbers_are_ascii_digits(text):
         parse_ri(text)
 
 
+@pytest.mark.parametrize("text, position", [("1" * 5000, 0), ("H(A) + 1/" + "3" * 5000, 7)],
+                         ids=["numerator", "denominator"])
+def test_a_number_past_the_integer_digit_limit_is_a_parse_error(text, position):
+    with pytest.raises(ParseError, match="exceeds the integer digit limit") as excinfo:
+        parse_expr(text)
+    assert excinfo.value.position == position
+
+
 def test_handles_round_trip():
     vector = parse_vector("2 {qq:bell} + Ic(A>B) [q->q]")
     assert format_vector(vector) == "Ic(A>B) [q->q] + 2 {qq:bell}"
