@@ -506,6 +506,8 @@ class StepKind(Enum):
     APPLY_QE_FRACTION = "APPLY_QE_FRACTION"
     WASTE = "WASTE"
 
+    __hash__ = object.__hash__  # identity, as for `ResourceTag`
+
 
 @dataclass(frozen=True)
 class DerivationStep:

@@ -10,12 +10,19 @@ from the built-in examples plus an optional JSON registry given by
 from __future__ import annotations
 
 import argparse
-import itertools
+import gc
 import json
 import os
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
+
+# Start-up builds some 33,000 objects, numpy's and qfamily's, that all live
+# until exit.  Run as a program, the collector waits until they are built, and
+# `run` then freezes them, so no collection walks them.
+if __name__ == "__main__":
+    gc.disable()
 
 # qfamily's matrices are at most 16x16, so a BLAS thread pool only costs CPU.
 # Unless the user chose a thread count, give OpenBLAS one; numpy reads it on import.
@@ -164,7 +171,9 @@ def _grid_value(text: str) -> Fraction:
     return value
 
 
-def _parse_grid(text: str) -> Iterable[Fraction]:
+def _parse_grid(text: str) -> Iterable[float]:
+    """The grid's points as floats, each the correctly rounded value of the
+    exact point, as `float(Fraction)` gives it."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -174,9 +183,15 @@ def _parse_grid(text: str) -> Iterable[Fraction]:
             raise CliError("grid step must be positive")
         if start > stop:
             raise CliError(f"grid {text!r} has no points")
-        # One point at a time: a range may hold more points than fit in memory.
-        return itertools.takewhile(lambda value: value <= stop, itertools.count(start, step))
-    return [_grid_value(p) for p in text.split(",")]
+        # Point i is (a + i*b) / q, with start and step over one denominator q:
+        # exact integers, rounded once by int true division, as float(Fraction)
+        # rounds.  One point at a time: a range may hold more points than fit
+        # in memory.
+        q = lcm(start.denominator, step.denominator)
+        a = start.numerator * (q // start.denominator)
+        b = step.numerator * (q // step.denominator)
+        return ((a + i * b) / q for i in range((stop - start) // step + 1))
+    return [float(_grid_value(p)) for p in text.split(",")]
 
 
 def cmd_sweep(args) -> int:
@@ -290,6 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb on `argv` (default: the command line) and return its exit
+    code: 0 when every requested check passed, 1 when one failed or stdout
+    closed early, 2 on a usage or input error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -306,5 +324,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The `qfamily` program, the target of `python -m qfamily.cli` and of the
+    console script: `main` on the command line, with every object that start-up
+    made moved out of the collector's reach.  Collection stays on for the verb,
+    which still frees its own cycles."""
+    gc.freeze()
+    gc.enable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

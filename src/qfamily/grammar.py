@@ -39,8 +39,8 @@ Only "trace" may be absent, and any other input raises `ParseError`.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 from typing import Iterator, NamedTuple
 
@@ -332,8 +332,15 @@ def parse_ri(text: str, name: str = "parsed") -> ResourceInequality:
 # ---------------------------------------------------------------------------
 
 
+# The wire spelling of each member of the enums the format writes, and each
+# enum's members by spelling: dict lookups, where `member.value` and
+# `Enum(value)` each cost a Python-level call.
+_WIRE_NAME = {member: member.value for kind in (Gen, Mode, StepKind) for member in kind}
+_MEMBERS = {kind: {member.value: member for member in kind} for kind in (Gen, Mode, StepKind)}
+
+
 def expr_to_json(expr: EntropicExpr) -> dict[str, str]:
-    return {gen.value: format_rational(pair) for gen, pair in expr.as_pairs().items()}
+    return {_WIRE_NAME[gen]: format_rational(pair) for gen, pair in expr.as_pairs().items()}
 
 
 @lru_cache(maxsize=1024)
@@ -350,21 +357,29 @@ def _field(data, key: str, kind: type):
     """`data[key]` of a JSON object, which must hold a `kind`, or for an enum
     `kind` the value of one of its members."""
     value = data.get(key) if isinstance(data, dict) else None
-    if isinstance(value, kind):
-        return value
-    if issubclass(kind, Enum):
-        try:
-            return kind(value)
-        except ValueError:
-            pass
+    members = _MEMBERS.get(kind)
+    if members is None:
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, str) and value in members:
+        return members[value]
     raise ParseError(f"expected a {kind.__name__} at {key!r}, got {value!r}", 0)
+
+
+def _brief(text):
+    """A string past 40 characters as its first 12 and its length, as the text
+    parser names a long number; anything else as it is."""
+    return f"{text[:12]}... of {len(text)} characters" if isinstance(text, str) and len(text) > 40 else text
 
 
 def expr_from_json(data: dict) -> EntropicExpr:
     try:
-        return EntropicExpr.from_pairs({Gen[key]: _rational(value, 0) for key, value in data.items()})
+        return EntropicExpr.from_pairs({_MEMBERS[Gen][key]: _rational(value, 0) for key, value in data.items()})
     except (KeyError, TypeError, ValueError):  # a key naming no generator, a value no "p"/"p/q" string
-        raise ParseError(f"bad coefficient map {data!r}", 0) from None
+        # A map of more than four entries is bad for that alone: show four.
+        shown = {_brief(key): _brief(value) for key, value in islice(data.items(), 4)}
+        more = f" and {len(data) - 4} more" if len(data) > 4 else ""
+        raise ParseError(f"bad coefficient map {shown!r}{more}", 0) from None
 
 
 def vector_to_json(vector: ResourceVector) -> list[dict]:
@@ -383,13 +398,13 @@ def vector_from_json(data: list) -> ResourceVector:
 def ri_to_json(ri: ResourceInequality, include_trace: bool = True) -> dict:
     data = {
         "name": ri.name,
-        "mode": ri.mode.value,
+        "mode": _WIRE_NAME[ri.mode],
         "lhs": vector_to_json(ri.lhs),
         "rhs": vector_to_json(ri.rhs),
         "flags": {"rule_I_ok": ri.flags.rule_I_ok, "rule_O_ok": ri.flags.rule_O_ok},
     }
     if include_trace:
-        data["trace"] = [{"kind": step.kind.value, "tool": step.tool,
+        data["trace"] = [{"kind": _WIRE_NAME[step.kind], "tool": step.tool,
                           "multiplier": expr_to_json(step.multiplier),
                           "before": ri_to_json(step.before, include_trace=False),
                           "after": ri_to_json(step.after, include_trace=False)} for step in ri.trace]

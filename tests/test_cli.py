@@ -1,12 +1,16 @@
+import itertools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tomllib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfamily import cli
 from qfamily.channels import sweep_csv
@@ -263,6 +267,26 @@ def test_a_grid_range_is_walked_one_point_at_a_time(capsys):
     assert (code, out, err) == (2, "", "error: erasure parameter 2.0 outside [0, 1]\n")
 
 
+# Grid endpoints in the spellings `--param` takes: p/q, mantissa and exponent, decimal.
+_grid_numbers = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+    st.builds("{}e{}".format, st.integers(-10**6, 10**6), st.integers(-12, 2)),
+    st.decimals(-100, 100, places=7, allow_nan=False, allow_infinity=False).map(str),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(start=_grid_numbers, step=_grid_numbers.filter(lambda text: Fraction(text) > 0),
+       points=st.integers(1, 300), slack=st.fractions(0, 1).filter(lambda f: f < 1))
+def test_a_grid_range_gives_the_floats_of_its_exact_points(start, step, points, slack):
+    """Each point of a start:stop:step range is, bit for bit, `float` of the
+    exact point that stepping `Fraction`s reaches."""
+    stop = Fraction(start) + (points - 1 + slack) * Fraction(step)
+    text = f"{start}:{stop.numerator}/{stop.denominator}:{step}"
+    exact = itertools.takewhile(lambda v: v <= stop, itertools.count(Fraction(start), Fraction(step)))
+    assert [x.hex() for x in cli._parse_grid(text)] == [float(v).hex() for v in exact]
+
+
 @pytest.mark.parametrize("argv, registry, message", [
     (["dual", "--text", "(" * 600 + "H(A)" + ")" * 600 + " [qq] >= [qq]"], None,
      "error: nested parentheses (at position 1)\n"),
@@ -465,6 +489,58 @@ def test_entry_point_defers_the_circuit_lab_and_the_rng():
 def test_blas_thread_count_never_moves_output_bytes(argv):
     cli_argv = ["-m", "qfamily.cli", *argv]
     assert _run_fresh(cli_argv) == _run_fresh(cli_argv, OPENBLAS_NUM_THREADS="2")
+
+
+# ---------------------------------------------------------------------------
+# The program entry: `python -m qfamily.cli` and the console script
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _program(entry: str) -> list[str]:
+    """The interpreter arguments that start the qfamily program `entry`'s way."""
+    if entry == "module":
+        return ["-m", "qfamily.cli"]
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        module, attr = tomllib.load(fh)["project"]["scripts"]["qfamily"].split(":")
+    # what the wrapper that pip writes for a console script runs
+    return ["-c", f"import sys; from {module} import {attr}; sys.exit({attr}())"]
+
+
+@pytest.mark.parametrize("entry", ["module", "console-script"])
+def test_the_program_prints_the_goldens_and_keeps_its_exit_codes(entry):
+    program = [sys.executable, *_program(entry)]
+    proc = subprocess.run([*program, "family"], capture_output=True, env=_src_env())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (ROOT / "tests" / "golden" / "family.txt").read_bytes()
+
+    proc = subprocess.run([*program, "derive", "--target", "eq9"], capture_output=True, env=_src_env())
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    proc = subprocess.Popen([*program, "family"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_src_env())
+    proc.stdout.close()  # the reader is gone before the first write, as after `| head -c 10`
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+
+
+@pytest.mark.parametrize("code, frozen", [
+    ("sys.argv = ['qfamily', *ARGV]\n"
+     "try:\n    runpy.run_module('qfamily.cli', run_name='__main__')\n"
+     "except SystemExit:\n    pass", True),
+    ("from qfamily.cli import run\nsys.argv = ['qfamily', *ARGV]\nrun()", True),
+    ("from qfamily.cli import main\nmain(ARGV)", False),
+], ids=["module", "console-script", "main"])
+def test_only_the_program_freezes_what_start_up_built(code, frozen):
+    """`run` freezes the objects start-up made and leaves collection on;
+    `main` called in-process touches neither."""
+    script = (f"import gc, runpy, sys\nARGV = ['dual', '--ri', 'eq5']\n{code}\n"
+              "print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env(), check=True)
+    assert proc.stderr == f"True {frozen}\n"
 
 
 # ---------------------------------------------------------------------------

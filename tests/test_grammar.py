@@ -181,6 +181,22 @@ def test_json_coefficients_are_only_p_or_p_over_q_strings(value):
         expr_from_json({"H_A": value})
 
 
+@pytest.mark.parametrize("data, named", [
+    ({"CONST": "1" * 5000}, "'111111111111... of 5000 characters'"),
+    ({"H_A": "1/" + "3" * 5000}, "'1/3333333333... of 5002 characters'"),
+    ({"H_B": "x" * 5000}, "'xxxxxxxxxxxx... of 5000 characters'"),
+    ({"H" * 5000: "1"}, "'HHHHHHHHHHHH... of 5000 characters'"),
+    ({f"K{i}": "1" for i in range(5000)}, "{'K0': '1', 'K1': '1', 'K2': '1', 'K3': '1'} and 4996 more"),
+], ids=["numerator", "denominator", "not-a-number", "key", "entries"])
+def test_a_long_bad_coefficient_is_named_by_its_first_characters(data, named):
+    with pytest.raises(ParseError) as excinfo:
+        expr_from_json(data)
+    message = str(excinfo.value)
+    assert message.startswith("bad coefficient map {")
+    assert named in message
+    assert len(message) <= 100
+
+
 def test_json_coefficients_read_signed_and_unreduced_spellings():
     assert expr_from_json({"CONST": "-6/04", "H_E": "007"}) == parse_expr("(-3/2 + 7*H(E))")
 
