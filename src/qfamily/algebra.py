@@ -29,7 +29,6 @@ floats enter the symbolic layer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -108,17 +107,41 @@ def _scaled(x: tuple, p: int, q: int) -> tuple:
     return _norm(c * p, a * p, b * p, e * p, d * q)
 
 
+class Record:
+    """A frozen dataclass with the fields `_fields`, written out: the subclass's
+    `__init__` sets them into `__dict__`, which pickle and deepcopy copy.
+    Classes on hot paths write out their own `__eq__` and `__hash__`."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _built(cls, value):
-    """An instance of the one-field frozen dataclass `cls` holding `value`
-    as is: how arithmetic builds results whose field is already in normal
-    form (an expression's key, or normalized terms), skipping the coercion."""
+    """An instance of the one-field record `cls` holding `value` as is: how
+    arithmetic builds results whose field is already in normal form (an
+    expression's key, or normalized terms), skipping the coercion."""
     built = object.__new__(cls)
-    object.__setattr__(built, cls.__match_args__[0], value)
+    object.__setattr__(built, cls._fields[0], value)
     return built
 
 
-@dataclass(frozen=True, init=False)
-class EntropicExpr:
+class EntropicExpr(Record):
     """Rational linear combination of {1, H(A), H(B), H(E)}.
 
     Built from four exact rationals, the coefficients of 1, H(A), H(B) and
@@ -128,13 +151,19 @@ class EntropicExpr:
     read coefficients by generator (`coeff`, `as_pairs`).
     """
 
-    _key: Tuple[int, int, int, int, int] = _ZERO_KEY
+    _fields = ("_key",)
 
     def __init__(self, coeffs: Tuple[RationalLike, ...] = (0, 0, 0, 0)):
         if not isinstance(coeffs, tuple) or len(coeffs) != 4:
             raise AlgebraError(f"an entropic expression has four slots, got {coeffs!r}")
         built = EntropicExpr.from_pairs(dict(zip(_GENS, map(_as_pair, coeffs))))
         object.__setattr__(self, "_key", built._key)
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self._key,))
 
     # -- constructors ------------------------------------------------------
 
@@ -357,8 +386,7 @@ def as_expr(value: CoeffLike) -> EntropicExpr:
     return EntropicExpr((value, 0, 0, 0))
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+class ResourceVector(Record):
     """Formal linear combination of resource kinds with entropic coefficients.
 
     Normalized: zero terms dropped, terms in canonical kind order.  Noisy
@@ -366,10 +394,16 @@ class ResourceVector:
     coefficients; noiseless coefficients are arbitrary entropic expressions.
     """
 
-    terms: Tuple[Tuple[ResourceKind, EntropicExpr], ...] = ()
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _merged({}, ((k, as_expr(c)) for k, c in self.terms)))
+    def __init__(self, terms: Tuple[Tuple[ResourceKind, EntropicExpr], ...] = ()):
+        object.__setattr__(self, "terms", _merged({}, ((k, as_expr(c)) for k, c in terms)))
+
+    def __eq__(self, other):
+        return self.terms == other.terms if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     def coeff(self, kind: ResourceKind) -> EntropicExpr:
         for k, v in self.terms:
@@ -446,8 +480,7 @@ class Mode(Enum):
     __hash__ = object.__hash__  # identity, as for `ResourceTag`
 
 
-@dataclass(frozen=True)
-class RuleFlags:
+class RuleFlags(Record):
     """Certifications supplied per protocol, never inferred.
 
     rule_I_ok: some implementing protocol has its classical message almost
@@ -458,20 +491,21 @@ class RuleFlags:
     almost decoupled from the remaining quantum system (private output).
     """
 
-    rule_I_ok: bool = False
-    rule_O_ok: bool = False
+    _fields = ("rule_I_ok", "rule_O_ok")
+
+    def __init__(self, rule_I_ok: bool = False, rule_O_ok: bool = False):
+        vars(self).update(rule_I_ok=rule_I_ok, rule_O_ok=rule_O_ok)
 
 
-@dataclass(frozen=True)
-class ResourceInequality:
+class ResourceInequality(Record):
     """lhs >= rhs (asymptotic) or lhs >=! rhs (exact): inputs simulate outputs."""
 
-    name: str
-    lhs: ResourceVector
-    rhs: ResourceVector
-    mode: Mode = Mode.ASYMPTOTIC
-    flags: RuleFlags = field(default_factory=RuleFlags)
-    trace: Tuple[DerivationStep, ...] = ()  # empty for primitives
+    _fields = ("name", "lhs", "rhs", "mode", "flags", "trace")
+
+    def __init__(self, name: str, lhs: ResourceVector, rhs: ResourceVector,
+                 mode: Mode = Mode.ASYMPTOTIC, flags: RuleFlags = RuleFlags(),
+                 trace: Tuple[DerivationStep, ...] = ()):  # empty for primitives
+        vars(self).update(name=name, lhs=lhs, rhs=rhs, mode=mode, flags=flags, trace=trace)
 
     def same_statement(self, other: "ResourceInequality") -> bool:
         """Equality of the mathematical statement, ignoring name/flags/trace."""
@@ -486,10 +520,11 @@ class ResourceInequality:
         return ResourceInequality(self.name, self.lhs, self.rhs, self.mode, self.flags)
 
     def with_name(self, name: str) -> "ResourceInequality":
-        return replace(self, name=name)
+        return ResourceInequality(name, self.lhs, self.rhs, self.mode, self.flags, self.trace)
 
     def with_flags(self, rule_I_ok: bool = False, rule_O_ok: bool = False) -> "ResourceInequality":
-        return replace(self, flags=RuleFlags(rule_I_ok=rule_I_ok, rule_O_ok=rule_O_ok))
+        return ResourceInequality(self.name, self.lhs, self.rhs, self.mode,
+                                  RuleFlags(rule_I_ok, rule_O_ok), self.trace)
 
     def __str__(self) -> str:
         from . import grammar
@@ -509,8 +544,7 @@ class StepKind(Enum):
     __hash__ = object.__hash__  # identity, as for `ResourceTag`
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(Record):
     """One rewrite: `after` is obtained from `before` by the named operation.
 
     `tool` identifies what was used: a primitive's name for APPEND/PREPEND/
@@ -519,11 +553,11 @@ class DerivationStep:
     snapshots, so replaying a trace reproduces the stored inequality.
     """
 
-    kind: StepKind
-    tool: str
-    multiplier: EntropicExpr
-    before: ResourceInequality
-    after: ResourceInequality
+    _fields = ("kind", "tool", "multiplier", "before", "after")
+
+    def __init__(self, kind: StepKind, tool: str, multiplier: EntropicExpr,
+                 before: ResourceInequality, after: ResourceInequality):
+        vars(self).update(kind=kind, tool=tool, multiplier=multiplier, before=before, after=after)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ operators: `sweep` runs it on SWEEP_CHUNK points at a time, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -25,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .algebra import (
-    H_A, H_B, H_E, I_AB, I_AE, I_COH, ResourceInequality, ResourceTag, ResourceVector,
+    H_A, H_B, H_E, I_AB, I_AE, I_COH, Record, ResourceInequality, ResourceTag, ResourceVector,
 )
 from .entropy import (
     DensityOp,
@@ -155,24 +154,23 @@ amplitude_damping_channel = CHANNEL_FAMILIES["amplitude_damping"]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegisteredState:
-    name: str
-    rho: DensityOp
-    split: tuple[int, int]
-
+class RegisteredState(Record):
+    _fields = ("name", "rho", "split")
     kind = "state"
+
+    def __init__(self, name: str, rho: DensityOp, split: tuple[int, int]):
+        vars(self).update(name=name, rho=rho, split=split)
 
     def tripartite(self) -> TripartitePureState:
         return purify(self.rho, self.split)
 
 
-@dataclass(frozen=True)
-class RegisteredChannel:
-    name: str
-    channel: QuantumChannel
-
+class RegisteredChannel(Record):
+    _fields = ("name", "channel")
     kind = "channel"
+
+    def __init__(self, name: str, channel: QuantumChannel):
+        vars(self).update(name=name, channel=channel)
 
     def tripartite(self) -> TripartitePureState:
         return channel_state(self.channel)
@@ -224,6 +222,8 @@ def load_registry(path) -> dict[str, RegisteredObject]:
     [re, im] pairs — the full density matrix for states (dims [dA, dB]),
     concatenated Kraus operators for channels (dims [d_in, d_out, n_kraus]).
     """
+    import json
+
     try:
         with open(path) as fh:
             raw = json.load(fh)

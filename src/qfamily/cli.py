@@ -9,30 +9,39 @@ from the built-in examples plus an optional JSON registry given by
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import os
-import sys
-from fractions import Fraction
-from math import lcm
-from typing import Iterable
 
 # Start-up builds some 33,000 objects, numpy's and qfamily's, that all live
-# until exit.  Run as a program, the collector waits until they are built, and
-# `run` then freezes them, so no collection walks them.
-if __name__ == "__main__":
-    gc.disable()
-
+# until exit.  The collector waits while they are built, whoever imports this
+# module.  A freeze and a thaw move them to the oldest generation unwalked, so
+# the collector, given back as it was, does not walk them all at once.
+_collecting, _thawed = gc.isenabled(), not gc.get_freeze_count()
+gc.disable()
 # qfamily's matrices are at most 16x16, so a BLAS thread pool only costs CPU.
-# Unless the user chose a thread count, give OpenBLAS one; numpy reads it on import.
-if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+# Unless the user chose a thread count, OpenBLAS gets one while numpy loads.
+_one_blas_thread = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
+if _one_blas_thread:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import argparse
+    import sys
+    from fractions import Fraction
+    from math import lcm
+    from typing import Iterable
 
-from . import channels, grammar
-from .algebra import CBIT, I_AE, dual, vec
-from .derivation import FAMILY_ORDER, derive_family, render_trace, waste
-from .entropy import random_tripartite_state, evaluate_raw
+    from . import channels, grammar
+    from .algebra import CBIT, I_AE, dual, vec
+    from .derivation import FAMILY_ORDER, derive_family, render_trace, waste
+    from .entropy import random_tripartite_state, evaluate_raw
+finally:
+    if _one_blas_thread:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    if _thawed:
+        gc.freeze()
+        gc.unfreeze()
+    if _collecting:
+        gc.enable()
 
 IDENTITY_TOLERANCE = 1e-9
 
@@ -94,6 +103,7 @@ def _holding_dualities(full) -> list[str]:
 def cmd_family(args) -> int:
     full = derive_family()
     if args.json:
+        import json
         payload = {name: grammar.ri_to_json(full[name]) for name in FAMILY_ORDER}
         print(json.dumps(payload, indent=2))
         return 0
@@ -145,6 +155,7 @@ def cmd_rates(args) -> int:
     obj = _pick_object(args, _load_objects(args))
     table = channels.rate_table(full[args.ri], obj)
     if args.json:
+        import json
         payload = {
             "ri": table.ri_name,
             "mode": table.mode,
@@ -206,6 +217,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_circuits(args) -> int:
+    import json
+
     from . import circuits
 
     report = circuits.verify_all(trials=_positive_trials(args), seed=args.seed)

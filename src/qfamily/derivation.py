@@ -23,7 +23,6 @@ which never imports it, writes traces as JSON and reads them back.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import grammar
@@ -43,6 +42,7 @@ from .algebra import (
     QUBIT_CHANNEL,
     COBIT,
     DerivationStep,
+    Record,
     ResourceInequality,
     ResourceKind,
     ResourceVector,
@@ -180,17 +180,17 @@ COBIT_WORTH = vec(HALF, QUBIT_CHANNEL) + vec(HALF, EBIT)
 _SPENT_CBIT = vec(-1, CBIT)
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(Record):
     """A coherentification rule as data: per unit of [c->c] it replaces, the
     vectors added to the left and right sides.  Rule I makes an input bit a
     cobit and re-homes the cobit's ebit half as an output; rule O makes an
-    output bit a cobit."""
+    output bit a cobit.  `name` prefixes the result's name (JSON wire format)
+    and its RuleFlags field, which certifies the condition `certified`."""
 
-    name: str       # prefix of the result's name (JSON wire format) and of its flag
-    certified: str  # the condition the rule's RuleFlags field certifies
-    lhs: ResourceVector
-    rhs: ResourceVector
+    _fields = ("name", "certified", "lhs", "rhs")
+
+    def __init__(self, name: str, certified: str, lhs: ResourceVector, rhs: ResourceVector):
+        vars(self).update(name=name, certified=certified, lhs=lhs, rhs=rhs)
 
 
 RULES = {

@@ -18,12 +18,11 @@ tripartite state is row-major over (A, B, E).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .algebra import EntropicExpr, canonicalize
+from .algebra import EntropicExpr, Record, canonicalize
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -36,8 +35,7 @@ class ValidationError(ValueError):
     """A numeric object violating its defining invariants."""
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOp:
+class DensityOp(Record):
     """Validated density operator (Hermitian, unit trace, PSD within tolerance).
 
     The matrix is a read-only copy of the caller's array.  Compared and
@@ -45,10 +43,12 @@ class DensityOp:
     arrays, which have no single truth value.
     """
 
-    matrix: np.ndarray
+    _fields = ("matrix",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray):
+        m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density operator must be square, got shape {m.shape}")
         _check_density(m)
@@ -87,28 +87,26 @@ def _check_density(m: np.ndarray) -> None:
             raise ValidationError(f"negative eigenvalue {lo:.3e} below -{PSD_TOL}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class TripartitePureState:
+class TripartitePureState(Record):
     """Unit vector on A x B x E with an explicit dimension split.
 
     The amplitudes are a read-only copy of the caller's array, so the state
     cannot change after it is validated.
     """
 
-    dims: tuple[int, int, int]
-    amplitudes: np.ndarray
-    # entropy of each marginal evaluate_raw has formed, keyed by sorted names
-    _marginal_entropies: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = ("dims", "amplitudes")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if not (isinstance(self.dims, (tuple, list)) and len(self.dims) == 3
-                and all(type(d) is int for d in self.dims)):
-            raise ValidationError(f"dimensions must be three integers, got {self.dims!r}")
-        dims = tuple(self.dims)
+    def __init__(self, dims: tuple[int, int, int], amplitudes: np.ndarray):
+        if not (isinstance(dims, (tuple, list)) and len(dims) == 3
+                and all(type(d) is int for d in dims)):
+            raise ValidationError(f"dimensions must be three integers, got {dims!r}")
+        dims = tuple(dims)
         if any(d < 1 for d in dims):
             raise ValidationError(f"dimensions must be positive, got {dims}")
         d_a, d_b, d_e = dims
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != d_a * d_b * d_e:
             raise ValidationError(
                 f"amplitude length {amps.size} does not match dims {dims}"
@@ -117,19 +115,22 @@ class TripartitePureState:
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
+        # entropy of each marginal evaluate_raw has formed, keyed by sorted names
+        object.__setattr__(self, "_marginal_entropies", {})
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumChannel:
+class QuantumChannel(Record):
     """CPTP map given by Kraus operators (d_out x d_in each, read-only copies)."""
 
-    kraus: tuple[np.ndarray, ...]
+    _fields = ("kraus",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
+    def __init__(self, kraus: tuple[np.ndarray, ...]):
+        ops = tuple(np.array(k, dtype=complex) for k in kraus)
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
         d_out, d_in = ops[0].shape

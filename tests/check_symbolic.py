@@ -11,11 +11,18 @@ with `ri_to_json`, byte for byte, and checks that `qfamily.derivation` was
 not loaded on the way.  Then it imports `qfamily.derivation` and checks that
 numpy is not loaded, that `derive_family()` as JSON is byte for byte the
 golden file, that every trace replays to its statement, and that every
-member round-trips through the text grammar.  It prints one line per failed
-check and exits 1 if there is any.
+member round-trips through the text grammar.  Last it checks the layer's
+records, which are plain classes written to behave as frozen dataclasses: no
+class of the three modules is a dataclass, and every family member, with its
+vectors, coefficients and trace steps, comes back from pickle and deepcopy
+equal, with an equal hash, and refuses to set or delete a field.  It prints
+one line per failed check and exits 1 if there is any.
 """
 
+import copy
+import dataclasses
 import json
+import pickle
 import sys
 from pathlib import Path
 
@@ -48,7 +55,33 @@ def failures() -> list[str]:
             found.append(f"{name}: its trace replays to another statement")
         if not grammar.parse_ri(grammar.format_ri(ri)).same_statement(ri):
             found.append(f"{name}: text round trip changes the statement")
+    for module in (algebra, grammar, derivation):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                found.append(f"{module.__name__}.{cls.__qualname__} is a dataclass")
+    for name, ri in family.items():
+        vectors = (ri.lhs, ri.rhs)
+        exprs = tuple(coeff for vector in vectors for _, coeff in vector.terms)
+        for obj in (ri, *vectors, *exprs, *ri.trace):
+            found.extend(f"{name}: {type(obj).__name__} {problem}" for problem in _record_faults(obj))
     return found
+
+
+def _record_faults(obj) -> list[str]:
+    """What `obj` does unlike a frozen dataclass: a copy that is not equal or
+    hashes differently, or a field that can be set or deleted."""
+    faults = []
+    for how, clone in (("pickle", pickle.loads(pickle.dumps(obj))), ("deepcopy", copy.deepcopy(obj))):
+        if type(clone) is not type(obj) or clone != obj or hash(clone) != hash(obj):
+            faults.append(f"changes through {how}")
+    for field in vars(obj):
+        for change, args in ((setattr, (obj, field, None)), (delattr, (obj, field))):
+            try:
+                change(*args)
+            except AttributeError:
+                continue
+            faults.append(f"lets {change.__name__} change {field}")
+    return faults
 
 
 if __name__ == "__main__":

@@ -452,16 +452,19 @@ def _run_fresh(argv, **thread_vars) -> str:
     return proc.stdout
 
 
-_OPENBLAS_AFTER_IMPORT = "import os, qfamily.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+# After `import qfamily.cli` and one BLAS call: the thread variable as the
+# process sees it, then (on Linux) the process's thread count.
+_BLAS_AFTER_IMPORT = (
+    "import os, qfamily.cli, numpy as np; np.linalg.eigvalsh(np.eye(4));"
+    "status = open('/proc/self/status').read() if os.path.exists('/proc/self/status') else '';"
+    "threads = [line.split()[1] for line in status.splitlines() if line.startswith('Threads:')];"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), *threads)")
 
 
 def test_entry_point_runs_openblas_on_one_thread():
-    code = ("import os, qfamily.cli, numpy as np; np.linalg.eigvalsh(np.eye(4));"
-            "status = open('/proc/self/status').read() if os.path.exists('/proc/self/status') else '';"
-            "threads = [line.split()[1] for line in status.splitlines() if line.startswith('Threads:')];"
-            "print(os.environ.get('OPENBLAS_NUM_THREADS'), *threads)")
-    out = _run_fresh(["-c", code]).split()
-    assert out[0] == "1"
+    """One BLAS thread, and no variable left behind for child processes."""
+    out = _run_fresh(["-c", _BLAS_AFTER_IMPORT]).split()
+    assert out[0] == "None"
     if sys.platform.startswith("linux"):
         assert out[1:] == ["1"]
 
@@ -472,9 +475,13 @@ def test_entry_point_runs_openblas_on_one_thread():
     ({"OMP_NUM_THREADS": "2"}, "None"),
 ], ids=["openblas", "goto", "omp"])
 def test_a_thread_count_the_user_chose_wins(user_vars, expected):
-    # Against the entry point's own choice, made when the user set none.
-    assert _run_fresh(["-c", _OPENBLAS_AFTER_IMPORT]) == "1\n"
-    assert _run_fresh(["-c", _OPENBLAS_AFTER_IMPORT], **user_vars) == expected + "\n"
+    # Against the entry point's own choice, made when the user set none: one
+    # thread, and the variable gone again.
+    assert _run_fresh(["-c", _BLAS_AFTER_IMPORT]).split()[0] == "None"
+    out = _run_fresh(["-c", _BLAS_AFTER_IMPORT], **user_vars).split()
+    assert out[0] == expected
+    if sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2:
+        assert out[1:] == ["2"]
 
 
 def test_entry_point_defers_the_circuit_lab_and_the_rng():
@@ -541,6 +548,23 @@ def test_only_the_program_freezes_what_start_up_built(code, frozen):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_src_env(), check=True)
     assert proc.stderr == f"True {frozen}\n"
+
+
+def test_importing_the_program_runs_no_collection():
+    """The console script imports `run` as a module.  The collector waits
+    while the import builds its objects, and comes back as it was, with the
+    young generation empty.  The test starts from an empty young generation
+    too, so a collection counts only if the import made it."""
+    script = ("import gc, sys\n"
+              "gc.collect()\n"
+              "starts = []\n"
+              "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+              "from qfamily.cli import run\n"
+              "collections = len(starts)\n"
+              "print(collections, gc.isenabled(), gc.get_freeze_count(), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env(), check=True)
+    assert proc.stderr == "0 True 0\n"
 
 
 # ---------------------------------------------------------------------------
