@@ -5,19 +5,18 @@ Families (all on one qubit in): erasure (output qubit + flag, d_out=3),
 depolarizing, dephasing (off-diagonals scaled by 1-p), amplitude_damping,
 identity.  Rates are always evaluated on the tripartite pure state built
 from the object: a purification for states, the dilated channel output on
-half of a maximally entangled input for channels (unless another input is
-supplied).
+half of a maximally entangled input for channels.
 
-Each family is a kernel from a vector of parameters to a stack of Kraus
-operators: `sweep` runs it on SWEEP_CHUNK points at a time, and
-`family_channel` on one.
+`CHANNEL_FAMILIES` is the one family table: it maps each family's name to
+its kernel, from a vector of parameters to a stack of Kraus operators.
+`sweep` runs a kernel on SWEEP_CHUNK points at a time, and `family_channel`,
+the one builder of a family's channel, on one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,7 +33,6 @@ from .entropy import (
     channel_entropy_triples,
     channel_state,
     entropy_triple,
-    maximally_entangled,
     purify,
     reduced,
 )
@@ -54,10 +52,6 @@ _QUBIT_PAULI = {
 def _floored(x: float) -> float:
     """x, or 0.0 (never -0.0) when |x| is below NOISE_FLOOR."""
     return x if abs(x) >= NOISE_FLOOR else 0.0
-
-
-def identity_channel(dim: int = 2) -> QuantumChannel:
-    return QuantumChannel((np.eye(dim, dtype=complex),))
 
 
 # Each family kernel maps a vector of B parameters to the unvalidated Kraus
@@ -118,7 +112,7 @@ def _amplitude_damping_kraus(p: np.ndarray) -> np.ndarray:
     return kraus
 
 
-_FAMILY_KRAUS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+CHANNEL_FAMILIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": _identity_kraus,
     "erasure": _erasure_kraus,
     "depolarizing": _depolarizing_kraus,
@@ -128,25 +122,16 @@ _FAMILY_KRAUS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 
 def _family_kraus(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    if name not in _FAMILY_KRAUS:
+    if name not in CHANNEL_FAMILIES:
         raise ValidationError(
-            f"unknown channel family {name!r}; known: {sorted(_FAMILY_KRAUS)}"
+            f"unknown channel family {name!r}; known: {sorted(CHANNEL_FAMILIES)}"
         )
-    return _FAMILY_KRAUS[name]
+    return CHANNEL_FAMILIES[name]
 
 
 def family_channel(name: str, p: float = 0.0) -> QuantumChannel:
     """The family's channel at one parameter: its kernel with B = 1."""
     return QuantumChannel(tuple(_family_kraus(name)(np.array([p], dtype=float))[0]))
-
-
-CHANNEL_FAMILIES: dict[str, Callable[[float], QuantumChannel]] = {
-    name: partial(family_channel, name) for name in _FAMILY_KRAUS
-}
-erasure_channel = CHANNEL_FAMILIES["erasure"]
-depolarizing_channel = CHANNEL_FAMILIES["depolarizing"]
-dephasing_channel = CHANNEL_FAMILIES["dephasing"]
-amplitude_damping_channel = CHANNEL_FAMILIES["amplitude_damping"]
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +164,6 @@ class RegisteredChannel(Record):
 RegisteredObject = RegisteredState | RegisteredChannel
 
 
-def bell_state() -> RegisteredState:
-    phi = maximally_entangled(2)
-    return RegisteredState("bell", DensityOp(np.outer(phi, phi.conj())), (2, 2))
-
-
 def state_from_channel(name: str, channel: QuantumChannel) -> RegisteredState:
     """The bipartite state left by sending half of |Phi_+> through a channel."""
     psi = channel_state(channel)
@@ -195,13 +175,13 @@ def state_from_channel(name: str, channel: QuantumChannel) -> RegisteredState:
 def builtin_objects() -> dict[str, RegisteredObject]:
     """Example registry used by docs, the CLI and cross-layer checks."""
     objects: list[RegisteredObject] = [
-        bell_state(),
-        state_from_channel("erasure_state_p25", erasure_channel(0.25)),
-        state_from_channel("depolarizing_state_p50", depolarizing_channel(0.5)),
-        RegisteredChannel("identity", identity_channel(2)),
-        RegisteredChannel("erasure_p25", erasure_channel(0.25)),
-        RegisteredChannel("dephasing_p30", dephasing_channel(0.3)),
-        RegisteredChannel("amplitude_damping_p40", amplitude_damping_channel(0.4)),
+        state_from_channel("bell", family_channel("identity")),
+        state_from_channel("erasure_state_p25", family_channel("erasure", 0.25)),
+        state_from_channel("depolarizing_state_p50", family_channel("depolarizing", 0.5)),
+        RegisteredChannel("identity", family_channel("identity")),
+        RegisteredChannel("erasure_p25", family_channel("erasure", 0.25)),
+        RegisteredChannel("dephasing_p30", family_channel("dephasing", 0.3)),
+        RegisteredChannel("amplitude_damping_p40", family_channel("amplitude_damping", 0.4)),
     ]
     return {obj.name: obj for obj in objects}
 

@@ -121,11 +121,16 @@ def cmd_family(args) -> int:
     return 0
 
 
-def cmd_derive(args) -> int:
+def _family_member(name: str):
+    """The family's inequality called `name`."""
     full = derive_family()
-    if args.target not in full:
-        raise CliError(f"unknown derivation target {args.target!r}; known: {', '.join(sorted(full))}")
-    ri = full[args.target]
+    if name not in full:
+        raise CliError(f"unknown inequality {name!r}; known: {', '.join(sorted(full))}")
+    return full[name]
+
+
+def cmd_derive(args) -> int:
+    ri = _family_member(args.target)
     print(f"{ri.name}: {grammar.format_ri(ri)}")
     print(render_trace(ri))
     return 0
@@ -138,7 +143,7 @@ def _pick_object(args, objects):
     if name in channels.CHANNEL_FAMILIES:
         return channels.RegisteredChannel(
             name if args.param is None else f"{name}(p={args.param})",
-            channels.CHANNEL_FAMILIES[name](0.0 if args.param is None else args.param),
+            channels.family_channel(name, 0.0 if args.param is None else args.param),
         )
     kind, name = ("state", args.state) if args.state else ("channel", name)
     if name not in objects or objects[name].kind != kind:
@@ -149,11 +154,8 @@ def _pick_object(args, objects):
 
 
 def cmd_rates(args) -> int:
-    full = derive_family()
-    if args.ri not in full:
-        raise CliError(f"unknown inequality {args.ri!r}; known: {', '.join(sorted(full))}")
-    obj = _pick_object(args, _load_objects(args))
-    table = channels.rate_table(full[args.ri], obj)
+    ri = _family_member(args.ri)
+    table = channels.rate_table(ri, _pick_object(args, _load_objects(args)))
     if args.json:
         import json
         payload = {
@@ -179,6 +181,8 @@ def _grid_value(text: str) -> Fraction:
         raise CliError(f"grid value {text!r} has a zero denominator") from None
     except OverflowError:
         raise CliError(f"grid value {text!r} does not fit a float") from None
+    except ValueError:
+        raise CliError(f"grid value {text!r} is not a number") from None
     return value
 
 
@@ -254,13 +258,7 @@ def cmd_check_identities(args) -> int:
 def cmd_dual(args) -> int:
     if bool(args.ri) == bool(args.text):
         raise CliError("exactly one of --ri or --text is required")
-    if args.ri:
-        full = derive_family()
-        if args.ri not in full:
-            raise CliError(f"unknown inequality {args.ri!r}")
-        ri = full[args.ri]
-    else:
-        ri = grammar.parse_ri(args.text)
+    ri = _family_member(args.ri) if args.ri else grammar.parse_ri(args.text)
     print(grammar.format_ri(dual(ri)))
     return 0
 

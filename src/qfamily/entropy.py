@@ -141,18 +141,6 @@ class QuantumChannel(Record):
         stack.flags.writeable = False
         object.__setattr__(self, "kraus", tuple(stack))
 
-    @property
-    def d_in(self) -> int:
-        return self.kraus[0].shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.kraus[0].shape[0]
-
-    @property
-    def d_env(self) -> int:
-        return len(self.kraus)
-
 
 def _check_states(amplitudes: np.ndarray) -> None:
     """Raise ValidationError unless every member of the stack (B, ...) is a
@@ -236,15 +224,11 @@ def purify(rho: DensityOp | np.ndarray, split: tuple[int, int]) -> TripartitePur
     return TripartitePureState((d_a, d_b, d_e), amps.reshape(d_a, d_b, d_e))
 
 
-def stinespring(channel: QuantumChannel) -> np.ndarray:
-    """Isometry U: d_in -> d_out * d_env with row index b*d_env + e,
-    U[b*d_env + e, a] = K_e[b, a].  Tracing out the environment recovers
-    the Kraus action; U^dag U = sum_e K_e^dag K_e, which QuantumChannel checked."""
-    return _dilations(np.stack(channel.kraus)[np.newaxis])[0]
-
-
 def _dilations(kraus: np.ndarray) -> np.ndarray:
-    """`stinespring` of each member of a Kraus stack (B, K, d_out, d_in)."""
+    """The Stinespring isometry U: d_in -> d_out * d_env of each member of a
+    Kraus stack (B, K, d_out, d_in), with U[b*d_env + e, a] = K_e[b, a].
+    Tracing out the environment recovers the Kraus action, and
+    U^dag U = sum_e K_e^dag K_e."""
     n, d_env, d_out, d_in = kraus.shape
     return kraus.transpose(0, 2, 1, 3).reshape(n, d_out * d_env, d_in)
 
@@ -286,22 +270,30 @@ def maximally_entangled(dim: int) -> np.ndarray:
     return phi
 
 
-_SUBSYSTEM_AXIS = {"A": 0, "B": 1, "E": 2}
+# Sorted kept axes of each canonical subsystem name: its letters in A, B, E
+# order, each once.
+_KEPT_AXES = {
+    "A": (0,), "B": (1,), "E": (2,),
+    "AB": (0, 1), "AE": (0, 2), "BE": (1, 2), "ABE": (0, 1, 2),
+}
 
 
-def _axes(subsystems: Iterable[str] | str) -> list[int]:
-    """Sorted axes of the named subsystems (subset of {A, B, E})."""
-    axes = set()
+def _canonical(subsystems: Iterable[str] | str) -> str:
+    """The canonical name of the named subsystems (subset of {A, B, E}, in
+    any order): one dict lookup for a canonical string, else a parse."""
+    if type(subsystems) is str and subsystems in _KEPT_AXES:
+        return subsystems
+    names = set()
     for name in subsystems:
-        if name not in _SUBSYSTEM_AXIS:
+        if name not in ("A", "B", "E"):
             raise ValidationError(f"unknown subsystem {name!r}: expected A, B or E")
-        axes.add(_SUBSYSTEM_AXIS[name])
-    if not axes:
+        names.add(name)
+    if not names:
         raise ValidationError("need at least one subsystem")
-    return sorted(axes)
+    return "".join(sorted(names))
 
 
-def _marginal(psi: TripartitePureState, keep: list[int]) -> np.ndarray:
+def _marginal(psi: TripartitePureState, keep: tuple[int, ...]) -> np.ndarray:
     """The unvalidated partial trace onto the sorted axes `keep`.
 
     This is the GEMM that `np.tensordot(t, t.conj(), (drop, drop))` makes,
@@ -318,18 +310,12 @@ def _marginal(psi: TripartitePureState, keep: list[int]) -> np.ndarray:
 
 def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> DensityOp:
     """Partial trace onto the named subsystems (subset of {A, B, E})."""
-    return DensityOp(_marginal(psi, _axes(subsystems)))
+    return DensityOp(_marginal(psi, _KEPT_AXES[_canonical(subsystems)]))
 
 
 # The marginals the raw symbols use, formed together on a state's first
 # `evaluate_raw`.
 _RAW_MARGINALS = ("A", "B", "E", "AB", "AE")
-
-# Sorted kept axes of each canonical subsystem name; `_axes` reads the others.
-_KEPT_AXES = {
-    "A": (0,), "B": (1,), "E": (2,),
-    "AB": (0, 1), "AE": (0, 2), "BE": (1, 2), "ABE": (0, 1, 2),
-}
 
 
 def _marginal_entropy(psi: TripartitePureState, subsystems: str) -> float:
@@ -340,9 +326,7 @@ def _marginal_entropy(psi: TripartitePureState, subsystems: str) -> float:
     too; each call takes one eigvalsh per matrix size of what it formed,
     which gives each matrix the spectrum a call of its own would.
     """
-    key = subsystems
-    if key not in _KEPT_AXES:
-        key = "".join("ABE"[ax] for ax in _axes(subsystems))
+    key = _canonical(subsystems)
     memo = psi._marginal_entropies
     if key not in memo:
         stacks: dict[int, tuple[list, list]] = {}

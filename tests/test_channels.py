@@ -13,9 +13,7 @@ from qfamily.channels import (
     RegisteredChannel,
     RegisteredState,
     builtin_objects,
-    erasure_channel,
     family_channel,
-    identity_channel,
     load_registry,
     rate_table,
     sweep,
@@ -48,7 +46,7 @@ def registry_entry_json(obj) -> dict:
     return {
         "name": obj.name,
         "kind": "channel",
-        "dims": [obj.channel.d_in, obj.channel.d_out, obj.channel.d_env],
+        "dims": [*obj.channel.kraus[0].shape[::-1], len(obj.channel.kraus)],
         "data": [[z.real, z.imag] for z in flat],
     }
 
@@ -64,7 +62,7 @@ def erasure_marginal_entropies(p: float) -> tuple[float, float]:
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.35, 0.5, 0.8, 1.0])
 def test_erasure_reduced_spectra_against_closed_form(p):
-    psi = channel_state(erasure_channel(p))
+    psi = channel_state(family_channel("erasure", p))
     h_b, h_e = erasure_marginal_entropies(p)
     assert abs(entropy(reduced(psi, "B")) - h_b) < 1e-9
     assert abs(entropy(reduced(psi, "E")) - h_e) < 1e-9
@@ -325,5 +323,5 @@ def test_registry_rejects_malformed_entries(tmp_path):
 
 
 def test_identity_channel_arbitrary_dimension():
-    psi = channel_state(identity_channel(3))
+    psi = channel_state(QuantumChannel((np.eye(3),)))
     assert abs(entropy(reduced(psi, "A")) - math.log2(3)) < 1e-9

@@ -50,10 +50,17 @@ def test_derive_prints_the_prepend_trace(capsys):
     assert out.strip().endswith("I(A:E) [c->c] + {qq} >= Ic(A>B) [qq]")
 
 
-def test_derive_unknown_target_fails(capsys):
-    code, _, err = run_cli(capsys, "derive", "--target", "eq9")
-    assert code == 2
-    assert "eq9" in err
+@pytest.mark.parametrize("argv", [
+    ("derive", "--target", "eq9"),
+    ("rates", "--ri", "eq9", "--channel", "no_such_channel"),
+    ("dual", "--ri", "eq9"),
+], ids=["derive", "rates", "dual"])
+def test_derive_unknown_target_fails(capsys, argv):
+    """Each verb that takes a family member names an unknown one alike;
+    `rates` checks it before the object, which does not exist either."""
+    known = ", ".join(sorted(derive_family()))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: unknown inequality 'eq9'; known: {known}\n")
 
 
 def test_rates_on_erasure(capsys):
@@ -255,9 +262,16 @@ def test_boundary_errors_exit_2_with_an_error_line(capsys, argv):
     assert err.startswith("error: ")
 
 
-def test_a_grid_value_beyond_float_range_exits_2(capsys):
-    code, out, err = run_cli(capsys, "sweep", "--channel", "erasure", "--param", "1e400")
-    assert (code, out, err) == (2, "", "error: grid value '1e400' does not fit a float\n")
+@pytest.mark.parametrize("grid, message", [
+    ("1e400", "grid value '1e400' does not fit a float"),
+    ("nan", "grid value 'nan' is not a number"),
+    ("abc", "grid value 'abc' is not a number"),
+    ("0:1:0.5,0.7", "grid value '0.5,0.7' is not a number"),
+    (",", "grid value '' is not a number"),
+], ids=["1e400", "nan", "abc", "comma-in-a-range", "comma-alone"])
+def test_a_grid_value_beyond_float_range_exits_2(capsys, grid, message):
+    code, out, err = run_cli(capsys, "sweep", "--channel", "erasure", "--param", grid)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_a_grid_range_is_walked_one_point_at_a_time(capsys):

@@ -22,18 +22,9 @@ from qfamily.entropy import (
     purify,
     random_tripartite_state,
     reduced,
-    stinespring,
+    _dilations,
 )
-from qfamily.channels import (
-    CHANNEL_FAMILIES,
-    amplitude_damping_channel,
-    builtin_objects,
-    dephasing_channel,
-    depolarizing_channel,
-    erasure_channel,
-    family_channel,
-    identity_channel,
-)
+from qfamily.channels import CHANNEL_FAMILIES, builtin_objects, family_channel
 from qfamily.rng import SplitMix64, random_density
 from test_rng import random_pure, random_unitary
 
@@ -49,6 +40,11 @@ assert abs(
 def kraus_action(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """sum_k K_k rho K_k^dag over the channel's Kraus operators."""
     return sum(k @ rho @ k.conj().T for k in channel.kraus)
+
+
+def dilation(channel: QuantumChannel) -> np.ndarray:
+    """The channel's Stinespring isometry: `_dilations` on a stack of one."""
+    return _dilations(np.stack(channel.kraus)[np.newaxis])[0]
 
 
 def binary_entropy(p: float) -> float:
@@ -240,25 +236,25 @@ def test_purify_split_must_factor_dimension():
 
 
 def test_identity_dilation_is_trivial():
-    u = stinespring(identity_channel(2))
+    u = dilation(family_channel("identity"))
     assert u.shape == (2, 2)
     assert np.max(np.abs(u - np.eye(2))) < 1e-12
 
 
 def test_dilation_is_isometric_and_reproduces_kraus_action():
     rng = SplitMix64(14)
-    for channel in (erasure_channel(0.3), depolarizing_channel(0.7),
-                    amplitude_damping_channel(0.4)):
-        u = stinespring(channel)
-        d_env = channel.d_env
-        assert u.shape == (channel.d_out * d_env, channel.d_in)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(channel.d_in))) < 1e-9
-        for i in range(channel.d_in):
-            for j in range(channel.d_in):
-                basis_op = np.zeros((channel.d_in, channel.d_in), dtype=complex)
+    for channel in (family_channel("erasure", 0.3), family_channel("depolarizing", 0.7),
+                    family_channel("amplitude_damping", 0.4)):
+        u = dilation(channel)
+        (d_out, d_in), d_env = channel.kraus[0].shape, len(channel.kraus)
+        assert u.shape == (d_out * d_env, d_in)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d_in))) < 1e-9
+        for i in range(d_in):
+            for j in range(d_in):
+                basis_op = np.zeros((d_in, d_in), dtype=complex)
                 basis_op[i, j] = 1.0
                 dilated = u @ basis_op @ u.conj().T
-                dilated = dilated.reshape(channel.d_out, d_env, channel.d_out, d_env)
+                dilated = dilated.reshape(d_out, d_env, d_out, d_env)
                 traced = np.trace(dilated, axis1=1, axis2=3)
                 assert np.max(np.abs(traced - kraus_action(channel, basis_op))) < 1e-9
     _ = rng
@@ -266,10 +262,10 @@ def test_dilation_is_isometric_and_reproduces_kraus_action():
 
 def test_fully_depolarizing_output_is_maximally_mixed():
     rng = SplitMix64(15)
-    channel = depolarizing_channel(1.0)
+    channel = family_channel("depolarizing", 1.0)
     for _ in range(5):
         phi = random_pure(rng, 2)
-        psi = TripartitePureState((1, 2, 4), stinespring(channel) @ phi)
+        psi = TripartitePureState((1, 2, 4), dilation(channel) @ phi)
         assert abs(entropy(reduced(psi, "B")) - 1.0) < 1e-9
 
 
@@ -277,7 +273,7 @@ def test_fully_depolarizing_output_is_maximally_mixed():
 
 
 def test_identity_channel_on_half_a_bell_pair():
-    psi = channel_state(identity_channel(2))
+    psi = channel_state(family_channel("identity"))
     assert abs(evaluate_raw("H(A)", psi) - 1.0) < 1e-9
     assert evaluate_raw("H(E)", psi) < 1e-9
     assert abs(evaluate_raw("I(A:B)", psi) - 2.0) < 1e-9
@@ -285,14 +281,14 @@ def test_identity_channel_on_half_a_bell_pair():
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.9])
 def test_erasure_channel_state_marginals(p):
-    psi = channel_state(erasure_channel(p))
+    psi = channel_state(family_channel("erasure", p))
     assert abs(evaluate_raw("H(B)", psi) - ((1 - p) + binary_entropy(p))) < 1e-9
     assert abs(evaluate_raw("H(E)", psi) - (p + binary_entropy(p))) < 1e-9
     assert abs(evaluate_raw("Ic(A>B)", psi) - (1 - 2 * p)) < 1e-9
 
 
 def test_dephasing_at_zero_matches_identity():
-    psi = channel_state(dephasing_channel(0.0))
+    psi = channel_state(family_channel("dephasing", 0.0))
     assert abs(evaluate_raw("I(A:B)", psi) - 2.0) < 1e-9
     assert abs(evaluate_raw("Ic(A>B)", psi) - 1.0) < 1e-9
 
@@ -309,7 +305,7 @@ def _channels_with_states():
 
 def test_channel_state_is_the_dilation_applied_to_half_a_maximally_entangled_pair():
     for name, channel in _channels_with_states():
-        d_in, d_out, d_env = channel.d_in, channel.d_out, channel.d_env
+        (d_out, d_in), d_env = channel.kraus[0].shape, len(channel.kraus)
         u = np.zeros((d_out * d_env, d_in), dtype=complex)
         for e, k in enumerate(channel.kraus):
             for b in range(d_out):
@@ -327,7 +323,7 @@ def test_density_and_channel_keep_what_was_validated():
     m[0, 0] = 5
     assert entropy(rho) == 1.0
     assert np.array_equal(rho.matrix, np.eye(2) / 2)
-    ks = [k.copy() for k in depolarizing_channel(0.5).kraus]
+    ks = [k.copy() for k in family_channel("depolarizing", 0.5).kraus]
     channel = QuantumChannel(ks)
     before = channel_state(channel)
     ks[0][:] = 0
@@ -340,7 +336,7 @@ def test_validated_arrays_are_read_only():
     rho = DensityOp(np.eye(2) / 2)
     with pytest.raises(ValueError, match="read-only"):
         rho.matrix[0, 0] = 5
-    channel = erasure_channel(0.5)
+    channel = family_channel("erasure", 0.5)
     for k in channel.kraus:
         with pytest.raises(ValueError, match="read-only"):
             k[0, 0] = 1
