@@ -109,11 +109,24 @@ def _scaled(x: tuple, p: int, q: int) -> tuple:
 
 class Record:
     """A frozen dataclass with the fields `_fields`, written out: the subclass's
-    `__init__` sets them into `__dict__`, which pickle and deepcopy copy.
+    `__init__` sets them into `__dict__`, and pickle and deepcopy copy them.
     Classes on hot paths write out their own `__eq__` and `__hash__`."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def _kept(self, slot: str, compute):
+        """compute(), made on the first call and kept in `slot` of this
+        record.  It cannot go stale, as no field can be reassigned.  It is
+        no field, so ==, hash, repr, pickle and deepcopy do not see it."""
+        kept = vars(self)
+        if slot not in kept:
+            kept[slot] = compute()
+        return kept[slot]
+
+    def __getstate__(self) -> dict:
+        """The fields alone: what `_kept` holds is not copied."""
+        return {name: getattr(self, name) for name in self._fields}
 
     def __eq__(self, other):
         return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented

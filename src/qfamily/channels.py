@@ -147,7 +147,8 @@ class RegisteredState(Record):
         vars(self).update(name=name, rho=rho, split=split)
 
     def tripartite(self) -> TripartitePureState:
-        return purify(self.rho, self.split)
+        """Its purification, built on the first call and kept."""
+        return self._kept("_tripartite", lambda: purify(self.rho, self.split))
 
 
 class RegisteredChannel(Record):
@@ -158,7 +159,8 @@ class RegisteredChannel(Record):
         vars(self).update(name=name, channel=channel)
 
     def tripartite(self) -> TripartitePureState:
-        return channel_state(self.channel)
+        """Its channel state, built on the first call and kept."""
+        return self._kept("_tripartite", lambda: channel_state(self.channel))
 
 
 RegisteredObject = RegisteredState | RegisteredChannel
@@ -186,11 +188,19 @@ def builtin_objects() -> dict[str, RegisteredObject]:
     return {obj.name: obj for obj in objects}
 
 
+def _real(x) -> float:
+    """A JSON number as a float: not a bool, and an int only if it fits."""
+    if type(x) not in (int, float):
+        raise TypeError
+    return float(x)
+
+
 def _complex_array(pairs: Sequence, count: int, what: str) -> np.ndarray:
     try:
-        values = [complex(re, im) for re, im in pairs]
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what}: data must be a list of [re, im] number pairs") from None
+        values = [complex(_real(re), _real(im)) for re, im in pairs]
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what}: data must be a list of [re, im] pairs of numbers "
+                              f"that fit a float") from None
     if len(values) != count:
         raise ValidationError(f"{what}: expected {count} complex pairs, got {len(values)}")
     return np.array(values)
@@ -225,6 +235,8 @@ def load_registry(path) -> dict[str, RegisteredObject]:
         name, kind, dims = entry["name"], entry["kind"], entry["dims"]
         if not isinstance(name, str):
             raise ValidationError(f"registry entry name {name!r} is not a string")
+        if name in registry:
+            raise ValidationError(f"registry {path} names {name!r} twice")
         if kind not in ("state", "channel"):
             raise ValidationError(f"entry {name!r} has unknown kind {kind!r}")
         arity = 2 if kind == "state" else 3

@@ -35,17 +35,26 @@ class ValidationError(ValueError):
     """A numeric object violating its defining invariants."""
 
 
-class DensityOp(Record):
+class _Validated(Record):
+    """A numeric object, validated once, where it is built.  Compared and
+    hashed by identity: its fields are arrays, which have no single truth
+    value.  A copy (pickle, deepcopy) is built again by the constructor, so
+    it is validated, its arrays are read-only and what it kept is empty."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class DensityOp(_Validated):
     """Validated density operator (Hermitian, unit trace, PSD within tolerance).
 
-    The matrix is a read-only copy of the caller's array.  Compared and
-    hashed by identity, as are the other numeric objects: their fields are
-    arrays, which have no single truth value.
+    The matrix is a read-only copy of the caller's array.
     """
 
     _fields = ("matrix",)
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, matrix: np.ndarray):
         m = np.array(matrix, dtype=complex)
@@ -87,16 +96,15 @@ def _check_density(m: np.ndarray) -> None:
             raise ValidationError(f"negative eigenvalue {lo:.3e} below -{PSD_TOL}") from None
 
 
-class TripartitePureState(Record):
+class TripartitePureState(_Validated):
     """Unit vector on A x B x E with an explicit dimension split.
 
     The amplitudes are a read-only copy of the caller's array, so the state
-    cannot change after it is validated.
+    cannot change after it is validated, and what is computed from them is
+    computed once: its entropy triple and its marginals' entropies.
     """
 
     _fields = ("dims", "amplitudes")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, dims: tuple[int, int, int], amplitudes: np.ndarray):
         if not (isinstance(dims, (tuple, list)) and len(dims) == 3
@@ -122,12 +130,10 @@ class TripartitePureState(Record):
         return self.amplitudes.reshape(self.dims)
 
 
-class QuantumChannel(Record):
+class QuantumChannel(_Validated):
     """CPTP map given by Kraus operators (d_out x d_in each, read-only copies)."""
 
     _fields = ("kraus",)
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, kraus: tuple[np.ndarray, ...]):
         ops = tuple(np.array(k, dtype=complex) for k in kraus)
@@ -351,9 +357,11 @@ def entropy_triple(psi: TripartitePureState) -> tuple[float, float, float]:
     and the other two as columns (Schmidt decomposition), so no reduced
     state is formed.  Each cut's weights are divided by their sum, |psi|^2
     within NORM_TOL, so each value lies in [0, log2 d].  Weights below
-    1e-12 contribute nothing, as in `entropy`.
+    1e-12 contribute nothing, as in `entropy`.  The triple is computed on
+    the state's first call and kept on the state.
     """
-    return tuple(_entropy_triples(psi.tensor()[np.newaxis])[0].tolist())
+    return psi._kept("_entropy_triple",
+                     lambda: tuple(_entropy_triples(psi.tensor()[np.newaxis])[0].tolist()))
 
 
 def _entropy_triples(amplitudes: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from qfamily.channels import (
 )
 from qfamily.derivation import derive_family
 from qfamily.entropy import (
+    DensityOp,
     QuantumChannel,
     ValidationError,
     channel_entropy_triples,
@@ -325,3 +327,86 @@ def test_registry_rejects_malformed_entries(tmp_path):
 def test_identity_channel_arbitrary_dimension():
     psi = channel_state(QuantumChannel((np.eye(3),)))
     assert abs(entropy(reduced(psi, "A")) - math.log2(3)) < 1e-9
+
+
+# -- what a registered object computes once -------------------------------------
+
+
+def _members_on(family, obj):
+    """The family members whose table `obj` can carry: all but those whose
+    noisy resource needs the other kind of object."""
+    other = "{q->q}" if obj.kind == "state" else "{qq}"
+    return [ri for ri in family.values()
+            if all(kind.token != other for kind, _ in ri.lhs.terms)]
+
+
+def _fresh_copy(obj):
+    """The same object built again from its arrays, with nothing computed."""
+    if isinstance(obj, RegisteredState):
+        return RegisteredState(obj.name, DensityOp(obj.rho.matrix), obj.split)
+    return RegisteredChannel(obj.name, QuantumChannel(obj.channel.kraus))
+
+
+@pytest.mark.parametrize("source", ["builtin", "registry"])
+def test_tables_on_one_object_purify_or_dilate_it_once(monkeypatch, tmp_path, family, source):
+    from qfamily import channels as module
+
+    objects = builtin_objects()
+    if source == "registry":
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps([registry_entry_json(obj) for obj in objects.values()]))
+        objects = load_registry(path)
+    state, channel = objects["erasure_state_p25"], objects["amplitude_damping_p40"]
+    expected = {obj.name: [pickle.dumps(rate_table(ri, _fresh_copy(obj)))
+                           for ri in _members_on(family, obj)] for obj in (state, channel)}
+    assert {ri.name for obj in (state, channel) for ri in _members_on(family, obj)} == set(family)
+
+    calls = []
+    real_purify, real_channel_state, real_svd = module.purify, module.channel_state, np.linalg.svd
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(module, "purify", counted("purify", real_purify))
+    monkeypatch.setattr(module, "channel_state", counted("channel_state", real_channel_state))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", real_svd))
+    for obj, built_by in ((state, "purify"), (channel, "channel_state")):
+        calls.clear()
+        tables = [rate_table(ri, obj) for ri in _members_on(family, obj)]
+        assert calls == [built_by, "svd", "svd", "svd"]
+        # pickle writes each float's 8 bytes: the tables are bitwise equal
+        assert [pickle.dumps(table) for table in tables] == expected[obj.name]
+
+
+@pytest.mark.parametrize("part", [True, 10 ** 400], ids=["boolean", "past-a-float"])
+def test_a_registry_data_part_that_is_no_float_exits_2(capsys, tmp_path, part):
+    from qfamily import cli
+
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([{"name": "s", "kind": "state", "dims": [1, 1],
+                                 "data": [[part, 0]]}]))
+    with pytest.raises(ValidationError, match="numbers that fit a float"):
+        load_registry(path)
+    code = cli.main(["rates", "--ri", "mother", "--state", "s", "--registry", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("error: s: data must be a list of [re, im] pairs of numbers "
+                   "that fit a float\n")
+
+
+def test_a_name_used_twice_in_one_registry_exits_2(capsys, tmp_path, objects):
+    from qfamily import cli
+
+    state = {**registry_entry_json(objects["bell"]), "name": "s"}
+    channel = {**registry_entry_json(objects["identity"]), "name": "s"}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps([state, channel]))
+    with pytest.raises(ValidationError, match="names 's' twice"):
+        load_registry(path)
+    code = cli.main(["rates", "--ri", "eq1", "--state", "s", "--registry", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: registry {path} names 's' twice\n"

@@ -488,12 +488,24 @@ def test_evaluate_raw_forms_each_marginal_once_per_state(monkeypatch):
 
     monkeypatch.setattr(module, "_marginal", counting_marginal)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    symbols = ("I(A:B)", "I(A:E)", "H(A)", "Ic(A>B)")
     psi = random_tripartite_state(SplitMix64(20), 2, 3)
     for _ in range(3):
-        for symbol in ("I(A:B)", "I(A:E)", "H(A)", "Ic(A>B)"):
+        for symbol in symbols:
             evaluate_raw(symbol, psi)
     assert sorted(formed) == ["A", "AB", "AE", "B", "E"]
     # one stacked spectrum per marginal size: A, B, then E with AB, then AE
+    assert spectra == [(1, 2, 2), (1, 3, 3), (2, 6, 6), (1, 12, 12)]
+
+    # the triple, kept in a slot of its own, leaves the memo empty: the raw
+    # symbols still form all five marginals in one grouped pass
+    fresh = [evaluate_raw(symbol, psi).hex() for symbol in symbols]
+    formed.clear()
+    spectra.clear()
+    psi = random_tripartite_state(SplitMix64(20), 2, 3)
+    entropy_triple(psi)
+    assert [evaluate_raw(symbol, psi).hex() for symbol in symbols] == fresh
+    assert sorted(formed) == ["A", "AB", "AE", "B", "E"]
     assert spectra == [(1, 2, 2), (1, 3, 3), (2, 6, 6), (1, 12, 12)]
 
 

@@ -209,3 +209,55 @@ def test_the_program_loads_two_dataclasses_and_no_json():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_src_env(), check=True)
     assert proc.stdout == "['RateEntry', 'RateTable'] False\n"
+
+
+def _observed(obj, other) -> tuple:
+    """What a caller can see of a record without reading its `__dict__`."""
+    clone = copy.deepcopy(obj)
+    return (obj == obj, obj == other, other == obj, hash(obj), repr(obj), pickle.dumps(obj),
+            type(clone), repr(clone), sorted(vars(clone)), clone == obj)
+
+
+def _fill_tripartite(obj):
+    obj.tripartite()
+
+
+def _fill_state(psi):
+    entropy.entropy_triple(psi)
+    entropy.evaluate_raw("I(A:B)", psi)
+
+
+@pytest.mark.parametrize("make, fill, slots", [
+    (lambda: channels.builtin_objects()["erasure_state_p25"], _fill_tripartite, ["_tripartite"]),
+    (lambda: channels.builtin_objects()["dephasing_p30"], _fill_tripartite, ["_tripartite"]),
+    (lambda: channels.builtin_objects()["erasure_p25"].tripartite(), _fill_state,
+     ["_entropy_triple", "_marginal_entropies"]),
+], ids=["RegisteredState", "RegisteredChannel", "TripartitePureState"])
+def test_what_a_record_keeps_cannot_be_observed(make, fill, slots):
+    obj, other = make(), make()
+    before = _observed(obj, other)
+    fill(obj)
+    assert all(vars(obj)[slot] for slot in slots)  # the cache is filled
+    assert _observed(obj, other) == before
+    clone = copy.deepcopy(obj)
+    assert not any(vars(clone).get(slot) for slot in slots)
+    fill(clone)
+    for slot in slots:
+        assert vars(clone)[slot] is not vars(obj)[slot]
+    for name in (*obj._fields, *slots, "anything"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+@pytest.mark.parametrize("obj", [o.rho for o in OBJECTS if o.kind == "state"]
+                         + [o.tripartite() for o in OBJECTS]
+                         + [o.channel for o in OBJECTS if o.kind == "channel"],
+                         ids=lambda o: type(o).__name__)
+def test_a_copy_of_a_validated_object_is_built_again_and_read_only(obj):
+    for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert type(clone) is type(obj) and clone is not obj and repr(clone) == repr(obj)
+        arrays = [a for value in clone._values() for a in (value if type(value) is tuple else [value])
+                  if isinstance(a, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
