@@ -9,8 +9,9 @@ half of a maximally entangled input for channels.
 
 `CHANNEL_FAMILIES` is the one family table: it maps each family's name to
 its kernel, from a vector of parameters to a stack of Kraus operators.
-`sweep` runs a kernel on SWEEP_CHUNK points at a time, and `family_channel`,
-the one builder of a family's channel, on one.
+`sweep` runs a kernel once on all the points it is given, which
+`sweep_csv_chunks` hands it SWEEP_CHUNK at a time, and `family_channel`, the
+one builder of a family's channel, on one.
 """
 
 from __future__ import annotations
@@ -347,18 +348,17 @@ def sweep(family: str, params: Iterable[float | Fraction]) -> list[tuple[float, 
     """One row per parameter: the six standard quantities on the channel
     state with maximally entangled input.
 
-    Each SWEEP_CHUNK points make one Kraus stack, validated once and
-    diagonalised with one SVD per cut; `EntropicExpr.value` on the entropy
-    columns does each row's float operations, in the same order.
+    The points make one Kraus stack, validated once and diagonalised with
+    one SVD per cut; `EntropicExpr.value` on the entropy columns does each
+    row's float operations, in the same order.
     """
     kraus_of = _family_kraus(family)
-    rows = []
-    points = iter(params)
-    while chunk := [float(p) for p in islice(points, SWEEP_CHUNK)]:
-        h_a, h_b, h_e = channel_entropy_triples(kraus_of(np.array(chunk))).T
-        values = (expr.value(h_a, h_b, h_e).tolist() for expr in _SWEEP_EXPRS)
-        rows.extend(zip(chunk, *values))
-    return rows
+    points = [float(p) for p in params]
+    if not points:
+        return []
+    h_a, h_b, h_e = channel_entropy_triples(kraus_of(np.array(points))).T
+    values = (expr.value(h_a, h_b, h_e).tolist() for expr in _SWEEP_EXPRS)
+    return list(zip(points, *values))
 
 
 def sweep_csv_chunks(family: str, params: Iterable[float | Fraction]) -> Iterator[str]:

@@ -15,6 +15,13 @@ density matrix is formed.  The runners whose inputs are amplitudes take one
 state or a batch of them and return one Run per input, and `verify_all` runs
 each of their rows as one batch.
 
+`verify_all` runs each protocol row once; its last three entries check
+those runs.  The cobit equivalence reads input 1 (|+>|+>) of the coherent
+super-dense row and input 1 (|+>) of the coherent teleportation row, rule I
+that run and input 1 (|+>) of the teleportation row, rule O the four
+super-dense runs.  Rule O's controlled encoding of the four basis messages is
+the one run of its own.
+
 Measurement outcomes are classical bits shared by the whole batch, so an
 outcome is a branch only when its probability is >= 1e-15 for every state; a
 measurement whose support differs across the batch raises ValueError.
@@ -26,13 +33,12 @@ runs only if the acting party holds that bit.
 
 Ledgers: each run books its resources in an integer ledger, one per state of
 a batch, that must match the protocol's exact resource inequality at
-coefficient one.  Only the
-booking primitives write it.  `share_ebit` (a preshared ebit), `send` (a
-qubit channel use), `cobit` (the one licensed cross-party controlled copy)
-and `communicate` (one classical bit channel use per bit) book what is
-consumed.  The checked claims `claim_qubit`, `claim_ebits`, `claim_cobits`
-and `claim_cbits` book what is produced, and only when the claimed state
-reaches the run's fidelity threshold.
+coefficient one.  Only the booking primitives write it.  `share_ebit` (a
+preshared ebit), `send` (a qubit channel use), `cobit` (the one licensed
+cross-party controlled copy) and `communicate` (one classical bit channel use
+per bit) book what is consumed.  The checked claims `claim_qubit`,
+`claim_ebits`, `claim_cobits` and `claim_cbits` book what is produced, and
+only when the claimed state reaches the run's fidelity threshold.
 """
 
 from __future__ import annotations
@@ -418,8 +424,8 @@ class Run:
         return self.holds and self.fidelity >= self.threshold
 
 
-def _runs(threshold: float, registers: list[Register], fidelities: dict, holds=True,
-          values: dict | None = None) -> list[Run]:
+def _runs(threshold: float, registers: list[Register], fidelities: dict, values: dict,
+          holds=True) -> list[Run]:
     """One Run per state of a batch: state b's ledger in each final register
     (one per branch), and entry b of every array in `fidelities`, `holds`
     and `values`."""
@@ -427,7 +433,7 @@ def _runs(threshold: float, registers: list[Register], fidelities: dict, holds=T
     holds = np.broadcast_to(holds, (batch,))
     return [Run(threshold, [reg.ledgers[b] for reg in registers],
                 {key: float(f[b]) for key, f in fidelities.items()}, bool(holds[b]),
-                values={key: v[b] for key, v in (values or {}).items()})
+                values={key: v[b] for key, v in values.items()})
             for b in range(batch)]
 
 
@@ -441,20 +447,6 @@ def _controlled_fix_up(reg: Register, target: int, z: int, x: int):
     """Z^z X^x on `target` controlled by the qubits z, x of its owner."""
     reg.cnot(x, target)
     reg.cz(z, target)
-
-
-def _teleport(reg: Register, msg: int, a_half: int, b_half: int):
-    """Alice's Bell measurement of (msg, a_half), her outcome bits (z, x)
-    sent to Bob, and his Z^z X^x fix-up on b_half.  Returns Bob's state
-    before the measurement and one final branch per outcome."""
-    reg.cnot(msg, a_half)
-    reg.h(msg)
-    premeasurement = reg.reduced_dm([b_half])
-    branches = reg.measure([msg, a_half])
-    for branch in branches:
-        branch.register.communicate(branch.bits, Party.BOB)
-        _fix_up(branch.register, b_half, *branch.bits)
-    return premeasurement, branches
 
 
 def _superdense(reg: Register, encode, z, x) -> tuple[int, int]:
@@ -475,17 +467,30 @@ def run_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
     `input_amplitudes` is one state or a batch of states, one per row, all
     teleported at once; one Run per state.  Every outcome branch must hand
     Bob the input state, and Bob's state before the measurement must be
-    maximally mixed (no signalling).
+    maximally mixed (no signalling).  `values` keeps each branch's outcome
+    probability and Bob's corrected state, in the order of `fidelities`.
     """
     inputs = _unit(input_amplitudes)
     reg = Register(PROTOCOL_FIDELITY, len(inputs))
     msg = reg.add_qubit(Party.ALICE, inputs)
     a_half, b_half = reg.share_ebit()
-    premeasurement, branches = _teleport(reg, msg, a_half, b_half)
-    fidelities = {b.outcome: b.register.claim_qubit(b_half, inputs) for b in branches}
+    reg.cnot(msg, a_half)
+    reg.h(msg)
+    premeasurement = reg.reduced_dm([b_half])
+    branches = reg.measure([msg, a_half])
+    fidelities, bob_states = {}, []
+    for branch in branches:
+        out = branch.register
+        out.communicate(branch.bits, Party.BOB)
+        _fix_up(out, b_half, *branch.bits)
+        fidelities[branch.outcome] = out.claim_qubit(b_half, inputs)
+        z, x = branch.outcome  # msg and a_half have collapsed to |z>|x>
+        bob_states.append(out.amps.reshape(-1, 2, 2, 2)[:, z, x])
     signalling = np.max(np.abs(premeasurement - np.eye(2) / 2), axis=(1, 2))
-    return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities,
-                 holds=signalling <= 1e-12, values={"bob_premeasurement_dm": premeasurement})
+    values = {"bob_premeasurement_dm": premeasurement, "bob_states": np.stack(bob_states, axis=1),
+              "outcome_probabilities": np.stack([b.probability for b in branches], axis=1)}
+    return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities, values,
+                 holds=signalling <= 1e-12)
 
 
 def run_superdense(bits: tuple[int, int]) -> Run:
@@ -493,14 +498,22 @@ def run_superdense(bits: tuple[int, int]) -> Run:
 
     She applies Z^z X^x to her half; Bob's Bell-basis decoding must read the
     bits back in every branch (it is deterministic: one branch survives).
+    After his claim he undoes his decoding and applies Z^z X^x to his own
+    half; `values["residual"]` keeps the state this leaves on each branch.
     """
     reg = Register(PROTOCOL_FIDELITY)
     reg.known[Party.ALICE].update(z=bits[0], x=bits[1])
-    branches = reg.measure(list(_superdense(reg, _fix_up, "z", "x")))
+    a_half, b_half = _superdense(reg, _fix_up, "z", "x")
+    branches = reg.measure([a_half, b_half])
     fidelities = {b.outcome: b.register.claim_cbits(b.bits, bits) for b in branches}
+    for branch in branches:
+        branch.register.h(a_half)
+        branch.register.cnot(a_half, b_half)
+        _fix_up(branch.register, b_half, *branch.bits)
     decoded = branches[0].outcome if len(branches) == 1 else None
+    residual = np.stack([b.register.amps for b in branches], axis=1)
     return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities,
-                 values={"decoded": [decoded]})[0]
+                 {"decoded": [decoded], "residual": residual})[0]
 
 
 def run_entanglement_distribution() -> Run:
@@ -512,8 +525,8 @@ def run_entanglement_distribution() -> Run:
     reg.send(q1, Party.BOB)
     fidelities = {"ebit": reg.claim_ebits([(q0, q1)])}
     bob_entropy = entropy(reg.reduced_dm([q1])[0])
-    return _runs(EXACT_FIDELITY, [reg], fidelities, holds=abs(bob_entropy - 1.0) <= 1e-9,
-                 values={"bob_entropy": [bob_entropy]})[0]
+    return _runs(EXACT_FIDELITY, [reg], fidelities, {"bob_entropy": [bob_entropy]},
+                 holds=abs(bob_entropy - 1.0) <= 1e-9)[0]
 
 
 def run_cobit_checks() -> Run:
@@ -542,7 +555,7 @@ def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> list[Run]:
     m0, m1 = reg.add_qubit(Party.ALICE, messages)
     pair = _superdense(reg, _controlled_fix_up, m0, m1)
     fidelities = {"cobits": reg.claim_cobits((m0, m1), pair, messages)}
-    return _runs(PROTOCOL_FIDELITY, [reg], fidelities, values={"final_state": reg.amps})
+    return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
 
 
 def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
@@ -567,40 +580,33 @@ def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
         # the whole register: Phi_+ on (q0, c1) and on (q1, c2), the message on q2
         "total": reg.fidelity([q0, c1, q1, c2, q2], _kron_rows(np.kron(BELL, BELL)[None], message)),
     }
-    return _runs(PROTOCOL_FIDELITY, [reg], fidelities, values={"final_state": reg.amps})
+    return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
 
 
-def verify_cobit_equivalence() -> Run:
+def verify_cobit_equivalence(forward: Run, reverse: Run) -> Run:
     """Two cobits and a qubit-plus-ebit simulate each other with the one
-    ebit catalyst conserved: composing both ledgers nets to zero."""
-    [forward] = run_coherent_superdense(np.kron(PLUS, PLUS))
-    [reverse] = run_coherent_teleportation(PLUS)
+    ebit catalyst conserved: composing the ledgers of `forward`, a coherent
+    super-dense run, and `reverse`, a coherent teleportation run, nets to 0."""
     net = Counter()
     for run in (forward, reverse):
         net.update(run.ledger.net())
-    holds = (
-        forward.ledger.matches(COHERENT_SD)
-        and reverse.ledger.matches(COHERENT_TP)
-        and all(v == 0 for v in net.values())
-    )
+    holds = (forward.ledger.matches(COHERENT_SD) and reverse.ledger.matches(COHERENT_TP)
+             and all(v == 0 for v in net.values()))
     return Run(PROTOCOL_FIDELITY, [], {"forward": forward.fidelity, "reverse": reverse.fidelity}, holds,
                report={"ledger": {"forward": forward.ledger.as_json(),
                                   "reverse": reverse.ledger.as_json(), "net": _by_kind(net)}},
                values={"forward": forward.ledger, "reverse": reverse.ledger, "net": net})
 
 
-def demo_rule_I_on_teleportation(input_amplitudes=PLUS) -> Run:
+def demo_rule_I_on_teleportation(teleported: Run, coherent: Run) -> Run:
     """Teleportation meets the input-coherentification conditions exactly:
     the Bell outcome is uniform on four values, and after Bob's correction
     his system is the same state on every branch, so replacing the
-    measurement with cobits leaves (sum_x 1/2 |x>|x>) tensor the payload."""
-    reg = Register(EXACT_FIDELITY)
-    msg = reg.add_qubit(Party.ALICE, input_amplitudes)
-    _, branches = _teleport(reg, msg, *reg.share_ebit())
-    probabilities = {b.outcome: float(b.probability[0]) for b in branches}
-    states = [b.register.amps.reshape(2, 2, 2)[b.outcome] for b in branches]
+    measurement with cobits leaves (sum_x 1/2 |x>|x>) tensor the payload.
+    `teleported` and `coherent` are the plain and coherent runs of one input."""
+    probabilities = dict(zip(teleported.fidelities, teleported.values["outcome_probabilities"].tolist()))
+    states = teleported.values["bob_states"]
     overlap = min(abs(np.vdot(s, t)) for s in states for t in states)
-    [coherent] = run_coherent_teleportation(input_amplitudes)
     uniform = len(probabilities) == 4 and all(abs(p - 0.25) <= 1e-12 for p in probabilities.values())
     reported = {f"{z}{x}": p for (z, x), p in sorted(probabilities.items())}
     return Run(EXACT_FIDELITY, [], {"coherent": coherent.fidelity, "overlap": overlap}, uniform,
@@ -608,34 +614,24 @@ def demo_rule_I_on_teleportation(input_amplitudes=PLUS) -> Run:
                values={"outcome_probabilities": probabilities})
 
 
-def demo_rule_O_on_superdense() -> Run:
+def demo_rule_O_on_superdense(sent: list[Run]) -> Run:
     """Super-dense coding decouples its message from the quantum system:
     Bob reads (z, x) without disturbing the state, so undoing his decoding
     and applying Z^z X^x to his own half returns |Phi_+> whatever the
     message, and the controlled-encoding version runs with no measurement
-    at all.  `fidelities[(z, x)]` is the residual |Phi_+> fidelity."""
-    fidelities, states, decoded = {}, [], []
-    for bits in itertools.product((0, 1), repeat=2):
-        reg = Register(EXACT_FIDELITY)
-        reg.known[Party.ALICE].update(z=bits[0], x=bits[1])
-        a_half, b_half = _superdense(reg, _fix_up, "z", "x")
-        for branch in reg.measure([a_half, b_half]):
-            out = branch.register
-            decoded.append(branch.outcome == bits)
-            out.h(a_half)
-            out.cnot(a_half, b_half)
-            _fix_up(out, b_half, *branch.bits)
-            fidelities[bits] = state_fidelity(out.amps, BELL)
-            states.append(out.amps)
+    at all.  `sent` holds the super-dense runs of the messages (z, x) in
+    lexicographic order; `fidelities[(z, x)]` is the residual |Phi_+> fidelity."""
+    pairs = list(zip(itertools.product((0, 1), repeat=2), sent, strict=True))
+    fidelities = {bits: min(state_fidelity(s, BELL) for s in run.values["residual"]) for bits, run in pairs}
+    states = [s for _, run in pairs for s in run.values["residual"]]
+    decoded = all(run.values["decoded"] == bits for bits, run in pairs)
     residual = min(fidelities.values())
     fidelities["overlap"] = min(abs(np.vdot(s, t)) for s in states for t in states)
     fidelities["coherent"] = min(run.fidelity for run in run_coherent_superdense(np.eye(4)))
-    return Run(EXACT_FIDELITY, [], fidelities, holds=all(decoded),
-               report={
-                   "min_residual_bell_fidelity": residual,
-                   "min_pairwise_residual_overlap": fidelities["overlap"],
-               },
-               values={"all_decoded": all(decoded)})
+    return Run(EXACT_FIDELITY, [], fidelities, holds=decoded,
+               report={"min_residual_bell_fidelity": residual,
+                       "min_pairwise_residual_overlap": fidelities["overlap"]},
+               values={"all_decoded": decoded})
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +644,10 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
 
     Each row of the table is (report section, name, target inequality or
     None, runs).  The random inputs of a row are drawn as one block and run
-    as one batch, one Run per input.  An entry passes when every run passes
-    at its own threshold and, where the row has a target, the ledger of
-    every branch matches it.  Each entry also states its number of runs
+    as one batch, one Run per input; the last three entries read the runs
+    of the rows before them.  An entry passes when every run passes at its
+    own threshold and, where the row has a target, the ledger of every
+    branch matches it.  Each entry also states its number of runs
     (`cases`), the input index of its lowest-fidelity run (`worst_case`; the
     first within 1e-12 of the lowest, so float noise cannot move it) and that
     fidelity minus the run's threshold (`margin`).  Returns a JSON-ready
@@ -661,24 +658,24 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
     def draws(fixed, dim, count):
         return np.vstack([np.asarray(fixed, dtype=complex), rng.complex_matrix(count, dim)])
 
+    teleported = run_teleportation(draws([(1.0, 0.0), PLUS], 2, trials))
+    sent = [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]
+    forward = run_coherent_superdense(draws([np.eye(4)[2], np.full(4, 0.5)], 4, 1))
+    reverse = run_coherent_teleportation(draws([(0.0, 1.0), PLUS], 2, trials))
     protocol, demo = "protocols", "rule_demos"
     rows = (
-        (protocol, "teleportation", PRIMITIVES["tp"],
-         run_teleportation(draws([(1.0, 0.0), PLUS], 2, trials))),
-        (protocol, "superdense", PRIMITIVES["sd"],
-         [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]),
+        (protocol, "teleportation", PRIMITIVES["tp"], teleported),
+        (protocol, "superdense", PRIMITIVES["sd"], sent),
         (protocol, "entanglement_distribution", PRIMITIVES["qe"], [run_entanglement_distribution()]),
         (protocol, "cobit", COBIT_EBIT, [run_cobit_checks()]),
-        (protocol, "coherent_superdense", COHERENT_SD,
-         run_coherent_superdense(draws([np.eye(4)[2], np.full(4, 0.5)], 4, 1))),
-        (protocol, "coherent_teleportation", COHERENT_TP,
-         run_coherent_teleportation(draws([(0.0, 1.0), PLUS], 2, trials))),
+        (protocol, "coherent_superdense", COHERENT_SD, forward),
+        (protocol, "coherent_teleportation", COHERENT_TP, reverse),
         # No target on the last three: the equivalence run matches its two
         # runs against COHERENT_SD and COHERENT_TP itself, and the rule
         # demos book no ledger.
-        (protocol, "cobit_equivalence", None, [verify_cobit_equivalence()]),
-        (demo, "rule_I_on_teleportation", None, [demo_rule_I_on_teleportation()]),
-        (demo, "rule_O_on_superdense", None, [demo_rule_O_on_superdense()]),
+        (protocol, "cobit_equivalence", None, [verify_cobit_equivalence(forward[1], reverse[1])]),
+        (demo, "rule_I_on_teleportation", None, [demo_rule_I_on_teleportation(teleported[1], reverse[1])]),
+        (demo, "rule_O_on_superdense", None, [demo_rule_O_on_superdense(sent)]),
     )
     report: dict = {protocol: [], demo: []}
     for section, name, target, runs in rows:

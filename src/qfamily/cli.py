@@ -183,6 +183,8 @@ def _grid_value(text: str) -> Fraction:
         raise CliError(f"grid value {text!r} does not fit a float") from None
     except ValueError:
         raise CliError(f"grid value {text!r} is not a number") from None
+    if value and not float(value):  # nonzero, but its float underflows to 0.0
+        raise CliError(f"grid value {text!r} does not fit a float")
     return value
 
 

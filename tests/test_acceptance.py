@@ -24,6 +24,7 @@ from qfamily.algebra import (
 )
 from qfamily.channels import builtin_objects, rate_table, sweep, sweep_csv
 from qfamily.circuits import (
+    PLUS,
     run_coherent_superdense,
     run_coherent_teleportation,
     run_superdense,
@@ -180,12 +181,14 @@ def test_criterion_5_circuit_suite():
     assert min(coherent_tp.fidelities["output"], coherent_tp.fidelities["residual"]) >= 1 - 1e-10
     assert coherent_tp.ledger.matches(COHERENT_TP)
 
-    rule_i = demo_rule_I_on_teleportation()
+    [teleported], [coherent] = run_teleportation(PLUS), run_coherent_teleportation(PLUS)
+    rule_i = demo_rule_I_on_teleportation(teleported, coherent)
     assert all(abs(p - 0.25) <= 1e-12 for p in rule_i.values["outcome_probabilities"].values())
     assert len(rule_i.values["outcome_probabilities"]) == 4
     assert rule_i.fidelities["overlap"] >= 1 - 1e-12
 
-    rule_o = demo_rule_O_on_superdense()
+    sent = [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]
+    rule_o = demo_rule_O_on_superdense(sent)
     assert rule_o.fidelities["overlap"] >= 1 - 1e-12
     assert min(rule_o.fidelities[bits] for bits in itertools.product((0, 1), repeat=2)) >= 1 - 1e-12
 

@@ -160,6 +160,13 @@ def test_a_batch_agrees_with_batches_of_one(grid):
             assert np.array(row).tobytes() == np.array(alone).tobytes()
 
 
+def test_a_grid_of_whole_chunks_ends_without_an_empty_stack():
+    # sweep_csv_chunks reads one more, empty, chunk after the last full one
+    assert sweep("erasure", []) == []
+    text = sweep_csv("erasure", [k / SWEEP_CHUNK for k in range(SWEEP_CHUNK)])
+    assert len(text.splitlines()) == SWEEP_CHUNK + 1
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(chunked_grids(min_size=0),
        st.one_of(st.just(math.nan), st.floats().filter(lambda p: not 0.0 <= p <= 1.0)),

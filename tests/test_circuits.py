@@ -405,7 +405,9 @@ def test_coherent_teleportation_net_is_the_catalytic_identity():
 
 
 def test_cobit_equivalence_composes_to_zero():
-    report = verify_cobit_equivalence()
+    [forward] = run_coherent_superdense(np.kron(PLUS, PLUS))
+    [reverse] = run_coherent_teleportation(PLUS)
+    report = verify_cobit_equivalence(forward, reverse)
     assert report.passed
     assert report.values["forward"].net() == {COBIT: 2, QUBIT_CHANNEL: -1, EBIT: -1}
     assert report.values["reverse"].net() == {COBIT: -2, QUBIT_CHANNEL: 1, EBIT: 1}
@@ -416,7 +418,8 @@ def test_cobit_equivalence_composes_to_zero():
 
 
 def test_rule_I_demo_uniform_and_decoupled():
-    demo = demo_rule_I_on_teleportation()
+    [teleported], [coherent] = run_teleportation(PLUS), run_coherent_teleportation(PLUS)
+    demo = demo_rule_I_on_teleportation(teleported, coherent)
     assert demo.passed
     assert sorted(demo.values["outcome_probabilities"]) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for p in demo.values["outcome_probabilities"].values():
@@ -426,7 +429,8 @@ def test_rule_I_demo_uniform_and_decoupled():
 
 
 def test_rule_O_demo_residual_is_message_independent():
-    demo = demo_rule_O_on_superdense()
+    sent = [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]
+    demo = demo_rule_O_on_superdense(sent)
     assert demo.passed
     assert demo.values["all_decoded"]
     assert min(demo.fidelities[bits] for bits in itertools.product((0, 1), repeat=2)) >= 1 - 1e-12
@@ -508,8 +512,54 @@ def test_verify_all_makes_the_same_gates_branches_and_runs(monkeypatch):
     for name in RUNNERS:
         count(circuits, name, "runs")
     verify_all(trials=20, seed=7)
-    # 81 gates in all; a batched runner is one run however many inputs it takes
-    assert counts == {"apply_single": 41, "_cnot_unchecked": 34, "cz": 6, "branches": 16, "runs": 13}
+    # 47 gates in all; a batched runner is one run however many inputs it takes
+    assert counts == {"apply_single": 25, "_cnot_unchecked": 19, "cz": 3, "branches": 8, "runs": 10}
+
+
+# Each changes what a runner returned, in place: `arg` is the runner's
+# argument and `out` its result.  Input 1 of the batched rows is |+>.
+
+
+def _skew_outcome_probabilities(arg, out):
+    out[1].values["outcome_probabilities"] = out[1].values["outcome_probabilities"] * [1, 1, 1, 0.5]
+
+
+def _flip_one_branchs_bob_state(arg, out):
+    out[1].values["bob_states"] = out[1].values["bob_states"] * [[1, 1], [1, 1], [1, 1], [1, -1]]
+
+
+def _lose_coherent_output(arg, out):
+    out[1].fidelities["output"] = 0.5
+
+
+def _flip_one_residual(arg, out):
+    if arg == (1, 0):
+        out.values["residual"] = out.values["residual"] * [1, 1, 1, -1]  # |Phi_+> -> |Phi_->
+
+
+@pytest.mark.parametrize("name, change, failing", [
+    ("run_teleportation", _skew_outcome_probabilities, {"rule_I_on_teleportation"}),
+    ("run_teleportation", _flip_one_branchs_bob_state, {"rule_I_on_teleportation"}),
+    ("run_coherent_teleportation", _lose_coherent_output,
+     {"coherent_teleportation", "cobit_equivalence", "rule_I_on_teleportation"}),
+    ("run_superdense", _flip_one_residual, {"rule_O_on_superdense"}),
+])
+def test_derived_entries_read_the_protocol_rows_runs(monkeypatch, name, change, failing):
+    """A change to what a protocol row's runner returned fails exactly the
+    entries whose checks read it: the derived entries run no circuit of
+    their own for these inputs."""
+    real = getattr(circuits, name)
+
+    def changed(arg):
+        out = real(arg)
+        change(arg, out)
+        return out
+
+    monkeypatch.setattr(circuits, name, changed)
+    report = verify_all(trials=3, seed=0)
+    entries = [*report["protocols"], *report["rule_demos"]]
+    assert {entry["name"] for entry in entries if not entry["pass"]} == failing
+    assert not report["pass"]
 
 
 def test_report_names_the_worst_case_and_its_margin(monkeypatch):

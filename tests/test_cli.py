@@ -264,14 +264,22 @@ def test_boundary_errors_exit_2_with_an_error_line(capsys, argv):
 
 @pytest.mark.parametrize("grid, message", [
     ("1e400", "grid value '1e400' does not fit a float"),
+    ("1e-400", "grid value '1e-400' does not fit a float"),
     ("nan", "grid value 'nan' is not a number"),
     ("abc", "grid value 'abc' is not a number"),
     ("0:1:0.5,0.7", "grid value '0.5,0.7' is not a number"),
     (",", "grid value '' is not a number"),
-], ids=["1e400", "nan", "abc", "comma-in-a-range", "comma-alone"])
+], ids=["1e400", "1e-400", "nan", "abc", "comma-in-a-range", "comma-alone"])
 def test_a_grid_value_beyond_float_range_exits_2(capsys, grid, message):
     code, out, err = run_cli(capsys, "sweep", "--channel", "erasure", "--param", grid)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("grid", ["1e-400", "0,1e-400", "-1e-400,0", "0:1:1e-400", "1e-400:1:1"])
+def test_a_nonzero_grid_value_whose_float_underflows_is_refused(grid):
+    # a step that rounds to 0.0 would repeat the first point without end
+    with pytest.raises(cli.CliError, match=r"^grid value '-?1e-400' does not fit a float$"):
+        cli._parse_grid(grid)
 
 
 def test_a_grid_range_is_walked_one_point_at_a_time(capsys):
