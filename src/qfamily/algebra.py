@@ -507,6 +507,8 @@ class RuleFlags(Record):
     _fields = ("rule_I_ok", "rule_O_ok")
 
     def __init__(self, rule_I_ok: bool = False, rule_O_ok: bool = False):
+        if type(rule_I_ok) is not bool or type(rule_O_ok) is not bool:
+            raise AlgebraError(f"rule flags must be bools, got rule_I_ok={rule_I_ok!r}, rule_O_ok={rule_O_ok!r}")
         vars(self).update(rule_I_ok=rule_I_ok, rule_O_ok=rule_O_ok)
 
 

@@ -7,13 +7,16 @@ global state pure (measurements enumerate branches instead of sampling).
 
 A register holds a batch of B >= 1 states of the same qubits: its amplitudes
 have shape (B, 2^n), row b being state b and qubit i bit n-1-i of a column
-index.  Kernels act on all B states at once: a one-qubit gate is one batched
-matmul, CNOT a gather through an index permutation and CZ a product with a
-+-1 mask (both tables cached on first use), and a fidelity |t^dag M|^2 /
-|t|^2 per state, where the rows of M are the compared qubits' values; no
-density matrix is formed.  The runners whose inputs are amplitudes take one
-state or a batch of them and return one Run per input, and `verify_all` runs
-each of their rows as one batch.
+index.  They are never normalised (H is [[1, 1], [1, -1]]): every reader
+divides by each state's |psi|^2, so a fixed input's probabilities,
+fidelities and overlaps are exact, and the kernels, acting on all B states at
+once, check no norm.  A one-qubit gate is one batched matmul, CNOT a gather
+through an index permutation and CZ a product with a +-1 mask (both tables
+cached on first use), and a fidelity |t^dag M|^2 / (|t|^2 |psi|^2) per state,
+where the rows of M are the compared qubits' values; no density matrix is
+formed.  The runners whose inputs are amplitudes take one state or a batch of
+them and return one Run per input, and `verify_all` runs each of their rows
+as one batch.
 
 `verify_all` runs each protocol row once; its last three entries check
 those runs.  The cobit equivalence reads input 1 (|+>|+>) of the coherent
@@ -21,10 +24,6 @@ super-dense row and input 1 (|+>) of the coherent teleportation row, rule I
 that run and input 1 (|+>) of the teleportation row, rule O the four
 super-dense runs.  Rule O's controlled encoding of the four basis messages is
 the one run of its own.
-
-Measurement outcomes are classical bits shared by the whole batch, so an
-outcome is a branch only when its probability is >= 1e-15 for every state; a
-measurement whose support differs across the batch raises ValueError.
 
 Party discipline: each qubit is owned by Alice or Bob, and gates may not
 span parties.  Each party holds a set of classical bits: its inputs, its own
@@ -63,16 +62,16 @@ from .derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
 from .entropy import entropy
 from .rng import SplitMix64
 
-NORM_TOL = 1e-12
+UNITARY_TOL = 1e-12  # relative, on the entries of M^dag M for a gate M
 PROTOCOL_FIDELITY = 1.0 - 1e-10
 EXACT_FIDELITY = 1.0 - 1e-12
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_H = np.array([[1, 1], [1, -1]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+PLUS = np.array([1, 1], dtype=complex)
+BELL = np.array([1, 0, 0, 1], dtype=complex)
 
 
 class Party(Enum):
@@ -131,13 +130,13 @@ class Ledger:
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    return float(abs(np.vdot(np.asarray(a).reshape(-1), np.asarray(b).reshape(-1))) ** 2)
+    """|<a|b>|^2 / (|a|^2 |b|^2) of two states' amplitudes."""
+    return float(abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real))
 
 
-def _unit(amplitudes) -> np.ndarray:
-    """One state or a batch of states as normalised rows."""
-    v = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
-    return v / np.sqrt(np.vecdot(v, v).real)[:, None]
+def _norms(amps: np.ndarray) -> np.ndarray:
+    """|psi|^2 of each row."""
+    return np.vecdot(amps, amps).real
 
 
 def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,10 +172,10 @@ def _cut(n: int, qubits: tuple[int, ...]) -> np.ndarray:
 class Register:
     """A batch of `batch` pure states over the same owned qubits.
 
-    `amps` has shape (batch, 2^n), and `ledgers[b]` books state b's
-    resources.  `known[party]` maps the names of the classical bits that
-    party holds to their values, shared by the batch.  A claim books its
-    resource for each state whose fidelity reaches `threshold`.
+    `amps` has shape (batch, 2^n), row b holding state b unscaled, and
+    `ledgers[b]` books its resources.  `known[party]` maps the names of the
+    classical bits that party holds to their values, shared by the batch.  A
+    claim books its resource for each state whose fidelity reaches `threshold`.
     """
 
     def __init__(self, threshold: float = PROTOCOL_FIDELITY, batch: int = 1):
@@ -199,12 +198,6 @@ class Register:
         dup.ledgers = [ledger.copy() for ledger in self.ledgers]
         return dup
 
-    def _check_norm(self):
-        norms = np.sqrt(np.vecdot(self.amps, self.amps).real)
-        drift = np.abs(norms - 1.0)
-        if not drift.max() <= NORM_TOL:  # NaN fails too
-            raise AssertionError(f"norm drifted to {float(norms[~(drift <= NORM_TOL)][0])!r}")
-
     def _require_owner(self, qubit: int, party: Party):
         if self.owners[qubit] is not party:
             raise LocalityError(f"qubit {qubit} must be held by {party.name.title()}")
@@ -224,9 +217,11 @@ class Register:
 
     def add_qubit(self, owner: Party, amplitudes=(1.0, 0.0)):
         """Fresh qubits of one party in a joint state of 2^k amplitudes, one
-        state for the whole batch or one row per state: the new qubit's
-        index, or a tuple of the k new indices."""
-        q = _unit(amplitudes)
+        finite state of positive finite |psi|^2 for the whole batch or one
+        row per state: the new qubit's index, or a tuple of the k new indices."""
+        q = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
+        if not (np.isfinite(q).all() and all(0 < n < np.inf for n in _norms(q).tolist())):
+            raise ValueError("a state needs finite amplitudes and a positive finite |psi|^2")
         if len(q) not in (1, len(self.amps)):
             raise ValueError(f"{len(q)} states for a batch of {len(self.amps)}")
         k = q.shape[1].bit_length() - 1
@@ -270,10 +265,15 @@ class Register:
 
     def apply_single(self, matrix: np.ndarray, qubit: int):
         """`matrix` on `qubit` of every state: one batched matmul with the
-        qubit as the middle axis."""
+        qubit as the middle axis.  The 2x2 `matrix` M is refused unless
+        M^dag M = c I for a finite c > 0, to within a relative UNITARY_TOL."""
+        (a, b), (c, d) = np.asarray(matrix).tolist()  # x * x.conjugate() gives inf where abs(x) ** 2 raises
+        scale, other = ((x * x.conjugate() + y * y.conjugate()).real for x, y in ((a, c), (b, d)))
+        if not (0 < scale < np.inf and abs(other - scale) <= UNITARY_TOL * scale
+                and abs(a.conjugate() * b + c.conjugate() * d) <= UNITARY_TOL * scale):
+            raise ValueError(f"a one-qubit gate must be a finite nonzero multiple of a unitary, got {matrix!r}")
         batch = len(self.amps)
         self.amps = (matrix @ self.amps.reshape(batch << qubit, 2, -1)).reshape(batch, -1)
-        self._check_norm()
 
     def apply_if(self, bit: str, matrix: np.ndarray, qubit: int):
         """`matrix` on `qubit` if the classical `bit` is 1; the qubit's owner
@@ -289,7 +289,6 @@ class Register:
 
     def _cnot_unchecked(self, control: int, target: int):
         self.amps = self.amps[:, _two_qubit_tables(self.n, control, target)[0]]
-        self._check_norm()
 
     def cnot(self, control: int, target: int):
         self._require_one_party((control, target))
@@ -298,22 +297,22 @@ class Register:
     def cz(self, control: int, target: int):
         self._require_one_party((control, target))
         self.amps = self.amps * _two_qubit_tables(self.n, control, target)[1]
-        self._check_norm()
 
     # -- measurement (branch enumeration) and inspection ---------------------
 
     def measure(self, qubits: list[int]) -> list["Branch"]:
         """All outcome branches; measured qubits collapse in place, everything
-        stays pure.  The outcome of qubit q is the classical bit "m<q>", held
-        by the measuring party and shared by the batch, so an outcome is a
-        branch only when its probability is >= 1e-15 for every state, and a
-        ValueError is raised when the states' supports differ."""
+        stays pure, and each branch keeps its amplitudes unscaled.  The
+        outcome of qubit q is the classical bit "m<q>", held by the measuring
+        party and shared by the batch, so an outcome is a branch only when its
+        probability is >= 1e-15 for every state, and a ValueError is raised
+        when the states' supports differ."""
         self._require_one_party(tuple(qubits))
         party = self.owners[qubits[0]]
         names = tuple(f"m{q}" for q in qubits)
         cut = _cut(self.n, tuple(qubits))
         rows = self.amps[:, cut]
-        probabilities = np.vecdot(rows, rows).real
+        probabilities = _norms(rows) / _norms(self.amps)[:, None]
         support = probabilities >= 1e-15
         if (support != support[0]).any():
             raise ValueError(f"the outcomes of qubits {list(qubits)} with nonzero probability "
@@ -323,25 +322,25 @@ class Register:
             if not support[0, row]:
                 continue
             amps = np.zeros_like(self.amps)
-            amps[:, cut[row]] = rows[:, row] / np.sqrt(probabilities[:, row, None])
+            amps[:, cut[row]] = rows[:, row]
             register = self._fork(amps)
             register.known[party].update(zip(names, outcome))
             branches.append(Branch(outcome, probabilities[:, row], register, names))
         return branches
 
     def reduced_dm(self, qubits: list[int]) -> np.ndarray:
-        """Reduced density matrices M M^dag on the listed qubits, in the listed
-        order: shape (batch, 2^k, 2^k)."""
+        """Reduced density matrices M M^dag / |psi|^2 on the listed qubits, in
+        the listed order: shape (batch, 2^k, 2^k), each of trace 1."""
         m = self.amps[:, _cut(self.n, tuple(qubits))]
-        return m @ m.conj().transpose(0, 2, 1)
+        return m @ m.conj().transpose(0, 2, 1) / _norms(self.amps)[:, None, None]
 
     def fidelity(self, qubits: list[int], target) -> np.ndarray:
-        """<t| rho |t> / <t|t> = |t^dag M|^2 / |t|^2 per state, for the reduced
-        state rho = M M^dag of `qubits`, in that order, and the target
+        """<t| rho |t> / <t|t> = |t^dag M|^2 / (|t|^2 |psi|^2) per state, for
+        rho the `reduced_dm` of `qubits`, in that order, and the target
         amplitudes t: one row for the whole batch or one row per state."""
         t = np.atleast_2d(np.asarray(target, dtype=complex))
         overlap = (t.conj()[:, None, :] @ self.amps[:, _cut(self.n, tuple(qubits))])[:, 0]
-        return np.vecdot(overlap, overlap).real / np.vecdot(t, t).real
+        return _norms(overlap) / (_norms(t) * _norms(self.amps))
 
     # -- checked claims: the only way to book a produced resource -------------
 
@@ -470,7 +469,7 @@ def run_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
     maximally mixed (no signalling).  `values` keeps each branch's outcome
     probability and Bob's corrected state, in the order of `fidelities`.
     """
-    inputs = _unit(input_amplitudes)
+    inputs = np.atleast_2d(input_amplitudes)
     reg = Register(PROTOCOL_FIDELITY, len(inputs))
     msg = reg.add_qubit(Party.ALICE, inputs)
     a_half, b_half = reg.share_ebit()
@@ -550,7 +549,7 @@ def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> list[Run]:
     Run per message.  Qubit order (m0, m1, a, b): the message register stays
     with Alice, the decoded pair (a, b) at Bob carries the copies.
     """
-    messages = _unit(message)
+    messages = np.atleast_2d(message)
     reg = Register(PROTOCOL_FIDELITY, len(messages))
     m0, m1 = reg.add_qubit(Party.ALICE, messages)
     pair = _superdense(reg, _controlled_fix_up, m0, m1)
@@ -566,7 +565,7 @@ def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
     half and leave each (message bit, copy) pair in an EPR state:
     entanglement out for free, modulo the one catalytic ebit.
     """
-    message = _unit(input_amplitudes)
+    message = np.atleast_2d(input_amplitudes)
     reg = Register(PROTOCOL_FIDELITY, len(message))
     q0 = reg.add_qubit(Party.ALICE, message)
     q1, q2 = reg.share_ebit()
@@ -606,7 +605,7 @@ def demo_rule_I_on_teleportation(teleported: Run, coherent: Run) -> Run:
     `teleported` and `coherent` are the plain and coherent runs of one input."""
     probabilities = dict(zip(teleported.fidelities, teleported.values["outcome_probabilities"].tolist()))
     states = teleported.values["bob_states"]
-    overlap = min(abs(np.vdot(s, t)) for s in states for t in states)
+    overlap = min(state_fidelity(s, t) for s in states for t in states) ** 0.5
     uniform = len(probabilities) == 4 and all(abs(p - 0.25) <= 1e-12 for p in probabilities.values())
     reported = {f"{z}{x}": p for (z, x), p in sorted(probabilities.items())}
     return Run(EXACT_FIDELITY, [], {"coherent": coherent.fidelity, "overlap": overlap}, uniform,
@@ -626,7 +625,7 @@ def demo_rule_O_on_superdense(sent: list[Run]) -> Run:
     states = [s for _, run in pairs for s in run.values["residual"]]
     decoded = all(run.values["decoded"] == bits for bits, run in pairs)
     residual = min(fidelities.values())
-    fidelities["overlap"] = min(abs(np.vdot(s, t)) for s in states for t in states)
+    fidelities["overlap"] = min(state_fidelity(s, t) for s in states for t in states) ** 0.5
     fidelities["coherent"] = min(run.fidelity for run in run_coherent_superdense(np.eye(4)))
     return Run(EXACT_FIDELITY, [], fidelities, holds=decoded,
                report={"min_residual_bell_fidelity": residual,

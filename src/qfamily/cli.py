@@ -80,6 +80,13 @@ def _positive_trials(args) -> int:
     return args.trials
 
 
+def _seed(args) -> int:
+    """The 64-bit seed; one outside [0, 2^64) would alias one inside it."""
+    if not 0 <= args.seed < 1 << 64:
+        raise CliError(f"--seed must be in [0, 2^64), got {args.seed}")
+    return args.seed
+
+
 def _holding_dualities(full) -> list[str]:
     held = []
     for a, b, wasted in DUALITY_CLAIMS:
@@ -141,10 +148,9 @@ def _pick_object(args, objects):
         raise CliError("exactly one of --state or --channel is required")
     name = args.channel
     if name in channels.CHANNEL_FAMILIES:
-        return channels.RegisteredChannel(
-            name if args.param is None else f"{name}(p={args.param})",
-            channels.family_channel(name, 0.0 if args.param is None else args.param),
-        )
+        p = 0.0 if args.param is None else args.param + 0.0  # -0.0 + 0.0 is 0.0
+        return channels.RegisteredChannel(name if args.param is None else f"{name}(p={p})",
+                                          channels.family_channel(name, p))
     kind, name = ("state", args.state) if args.state else ("channel", name)
     if name not in objects or objects[name].kind != kind:
         raise CliError(f"unknown {kind} {name!r}")
@@ -227,7 +233,7 @@ def cmd_verify_circuits(args) -> int:
 
     from . import circuits
 
-    report = circuits.verify_all(trials=_positive_trials(args), seed=args.seed)
+    report = circuits.verify_all(trials=_positive_trials(args), seed=_seed(args))
     print(json.dumps(report, indent=2))
     return 0 if report["pass"] else 1
 
@@ -236,7 +242,7 @@ def cmd_check_identities(args) -> int:
     from .rng import SplitMix64
 
     trials = _positive_trials(args)
-    rng = SplitMix64(args.seed)
+    rng = SplitMix64(_seed(args))
     worst_sum = 0.0
     worst_diff = 0.0
     for _ in range(trials):

@@ -25,6 +25,7 @@ from qfamily.algebra import (
     ResourceKind,
     ResourceTag,
     ResourceVector,
+    RuleFlags,
     SymbolError,
     as_expr,
     canonicalize,
@@ -347,3 +348,16 @@ def test_expressions_reject_floats_and_bools_everywhere(slot, value):
                   lambda: H_A * value, lambda: vec(value, CBIT), lambda: vec(1, EBIT).scale(value)):
         with pytest.raises(AlgebraError):
             build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RuleFlags(rule_I_ok="no"),
+    lambda: RuleFlags(True, 1),
+    lambda: RuleFlags(None),
+    lambda: PRIMITIVES["tp"].with_flags(rule_I_ok=[]),
+    # a positional slip: a RuleFlags object, which is truthy, as rule_I_ok
+    lambda: PRIMITIVES["tp"].with_flags(RuleFlags(rule_I_ok=False)),
+], ids=["str", "int", "None", "list", "RuleFlags"])
+def test_rule_flags_accept_only_bools(build):
+    with pytest.raises(AlgebraError, match="rule flags must be bools"):
+        build()

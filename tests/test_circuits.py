@@ -151,15 +151,41 @@ def test_two_qubit_gates_need_two_qubits():
 def test_gate_that_breaks_the_norm_is_caught(matrix):
     reg = Register()
     q = reg.add_qubit(Party.ALICE, PLUS)
-    with pytest.raises(AssertionError, match="norm drifted"):
+    with pytest.raises(ValueError, match="multiple of a unitary"):
         reg.apply_single(matrix, q)
 
 
-def test_norm_check_covers_every_state_of_a_batch():
+@pytest.mark.parametrize("amplitudes", [(0, 0), (np.nan, 1), (np.inf, 0), [(1, 0), (0, 0)]],
+                         ids=["zero", "nan", "inf", "one-zero-row-of-a-batch"])
+def test_a_state_that_is_not_finite_or_has_no_norm_is_refused(amplitudes):
     reg = Register(batch=2)
-    q = reg.add_qubit(Party.ALICE, [(1.0, 0.0), PLUS])  # diag(1, 1/2) keeps only |0>'s norm
-    with pytest.raises(AssertionError, match=f"norm drifted to {0.625 ** 0.5!r}"):
-        reg.apply_single(np.diag([1.0, 0.5]), q)
+    with pytest.raises(ValueError, match="finite amplitudes"):
+        reg.add_qubit(Party.ALICE, amplitudes)
+    assert reg.n == 0
+
+
+@pytest.mark.parametrize("matrix", [
+    np.zeros((2, 2)), [[1, 1], [0, 1]], [[np.inf, 0], [0, 1]], [[1, 0], [0, np.inf]],
+    np.diag([1, 1 + 1e-9]), [[1e200, 0], [0, 1]],
+], ids=["zero", "shear", "inf-first", "inf-last", "off-by-1e-9", "overflowing"])
+def test_apply_single_refuses_a_gate_that_is_not_a_multiple_of_a_unitary(matrix):
+    reg = Register()
+    q = reg.add_qubit(Party.ALICE, PLUS)
+    before = reg.amps
+    with pytest.raises(ValueError, match="multiple of a unitary"):
+        reg.apply_single(matrix, q)
+    assert reg.amps is before
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[1, 1], [1, -1]]), 3j * np.eye(2), np.array([[0, 2], [2j, 0]]),
+    random_unitary(SplitMix64(4), 2) * 1e-3, np.array([[1, 1], [1, -1]]) * 2.0 ** 500,
+], ids=["integer H", "3i I", "scaled Y-like", "small unitary", "large H"])
+def test_apply_single_takes_any_nonzero_multiple_of_a_unitary(matrix):
+    reg = Register()
+    q = reg.add_qubit(Party.ALICE, (0.6, 0.8))
+    reg.apply_single(matrix, q)
+    assert np.array_equal(reg.amps[0], matrix @ [0.6, 0.8])
 
 
 def test_a_batch_needs_one_state_or_one_per_member():
@@ -174,7 +200,7 @@ def test_batched_measurement_keeps_each_states_probabilities():
     branches = reg.measure([q])
     assert [b.outcome for b in branches] == [(0,), (1,)]
     assert np.allclose([b.probability for b in branches], [[0.36, 0.5], [0.64, 0.5]], atol=1e-12, rtol=0)
-    assert np.array_equal(branches[1].register.amps, [[0, 1], [0, 1]])
+    assert np.array_equal(branches[1].register.amps, [[0, 0.8], [0, 1]])
 
 
 def test_batched_measurement_whose_support_differs_across_the_batch_raises():
@@ -435,6 +461,30 @@ def test_rule_O_demo_residual_is_message_independent():
     assert demo.values["all_decoded"]
     assert min(demo.fidelities[bits] for bits in itertools.product((0, 1), repeat=2)) >= 1 - 1e-12
     assert demo.fidelities["overlap"] >= 1 - 1e-12
+
+
+# -- exact values on fixed inputs ---------------------------------------------------------
+
+
+def test_fixed_inputs_give_exact_values():
+    """Every amplitude of a fixed input stays a small integer times a power
+    of two, so each probability, fidelity and overlap read from it is exact."""
+    teleported = run_teleportation([(1, 0), (0, 1), PLUS])
+    for run in teleported:
+        assert set(run.fidelities.values()) == {1.0}
+        assert np.array_equal(run.values["outcome_probabilities"], np.full(4, 0.25))
+        assert np.array_equal(run.values["bob_premeasurement_dm"], np.eye(2) / 2)
+    sent = [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]
+    coherent = run_coherent_teleportation([(0, 1), PLUS])
+    runs = [run_entanglement_distribution(), run_cobit_checks(), *sent, *coherent,
+            *run_coherent_superdense(np.vstack([np.eye(4), np.full(4, 0.5)]))]
+    for run in runs:
+        assert set(run.fidelities.values()) == {1.0}, run.fidelities
+    rule_I = demo_rule_I_on_teleportation(teleported[2], coherent[1])
+    rule_O = demo_rule_O_on_superdense(sent)
+    assert rule_I.fidelities["overlap"] == rule_O.fidelities["overlap"] == 1.0
+    assert rule_I.report["outcome_probabilities"] == dict.fromkeys(["00", "01", "10", "11"], 0.25)
+    assert rule_O.report["min_residual_bell_fidelity"] == 1.0
 
 
 # -- batches against batches of one ----------------------------------------------------

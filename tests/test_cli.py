@@ -116,6 +116,14 @@ def test_rates_json_shows_the_entropies_and_dims_used(capsys):
     assert payload["outputs"][0]["rate"] == pytest.approx(h["H(B)"] - h["H(E)"], abs=1e-15)
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_negative_zero_parameter_is_named_and_built_as_zero(capsys, json_flag):
+    argv = ("rates", "--ri", "eq5", "--channel", "depolarizing")
+    negative = run_cli(capsys, *argv, "--param", "-0.0", *json_flag)
+    assert negative == run_cli(capsys, *argv, "--param", "0", *json_flag)
+    assert negative[0] == 0 and "depolarizing(p=0.0)" in negative[1]
+
+
 def test_rates_param_out_of_domain_fails(capsys):
     code, _, err = run_cli(capsys, "rates", "--ri", "eq5",
                            "--channel", "erasure", "--param", "1.5")
@@ -260,6 +268,20 @@ def test_boundary_errors_exit_2_with_an_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("verb", ["verify-circuits", "check-identities"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1])
+def test_a_seed_outside_64_bits_exits_2(capsys, verb, seed):
+    # splitmix64 keeps the low 64 bits, so such a seed would alias one inside
+    code, out, err = run_cli(capsys, verb, "--trials", "1", "--seed", str(seed))
+    assert (code, out, err) == (2, "", f"error: --seed must be in [0, 2^64), got {seed}\n")
+
+
+@pytest.mark.parametrize("verb", ["verify-circuits", "check-identities"])
+def test_the_largest_64_bit_seed_is_taken(capsys, verb):
+    code, out, err = run_cli(capsys, verb, "--trials", "1", "--seed", str(2 ** 64 - 1))
+    assert (code, err) == (0, "") and out
 
 
 @pytest.mark.parametrize("grid, message", [
