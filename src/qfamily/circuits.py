@@ -16,7 +16,7 @@ cached on first use), and a fidelity |t^dag M|^2 / (|t|^2 |psi|^2) per state,
 where the rows of M are the compared qubits' values; no density matrix is
 formed.  The runners whose inputs are amplitudes take one state or a batch of
 them and return one Run per input, and `verify_all` runs each of their rows
-as one batch.
+in batches of VERIFY_CHUNK drawn inputs, drawing each batch as it runs.
 
 `verify_all` runs each protocol row once; its last three entries check
 those runs.  The cobit equivalence reads input 1 (|+>|+>) of the coherent
@@ -37,7 +37,8 @@ preshared ebit), `send` (a qubit channel use), `cobit` (the one licensed
 cross-party controlled copy) and `communicate` (one classical bit channel use
 per bit) book what is consumed.  The checked claims `claim_qubit`,
 `claim_ebits`, `claim_cobits` and `claim_cbits` book what is produced, and
-only when the claimed state reaches the run's fidelity threshold.
+only when the claimed state reaches the run's fidelity threshold.  A ledger
+never stores a zero count.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .rng import SplitMix64
 UNITARY_TOL = 1e-12  # relative, on the entries of M^dag M for a gate M
 PROTOCOL_FIDELITY = 1.0 - 1e-10
 EXACT_FIDELITY = 1.0 - 1e-12
+VERIFY_CHUNK = 1024  # drawn inputs per batch of a row of verify_all
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -90,9 +92,10 @@ def _by_kind(counts) -> dict:
 
 
 def _wanted_counts(ri: ResourceInequality) -> tuple[dict, dict]:
-    """The (consumed, produced) counts of a ledger matching `ri` at coefficient 1."""
-    return tuple({kind: int(coeff.as_constant()) for kind, coeff in side.terms}
-                 for side in (ri.lhs, ri.rhs))
+    """The (consumed, produced) counts of a ledger matching `ri` at coefficient
+    1, computed on the first call and kept on `ri`."""
+    return ri._kept("_wanted_counts", lambda: tuple(
+        {kind: int(coeff.as_constant()) for kind, coeff in side.terms} for side in (ri.lhs, ri.rhs)))
 
 
 @dataclass
@@ -104,15 +107,17 @@ class Ledger:
     produced: dict = field(default_factory=dict)
 
     def consume(self, kind: ResourceKind, n: int = 1):
-        self.consumed[kind] = self.consumed.get(kind, 0) + n
+        if n:
+            self.consumed[kind] = self.consumed.get(kind, 0) + n
 
     def produce(self, kind: ResourceKind, n: int = 1):
-        self.produced[kind] = self.produced.get(kind, 0) + n
+        if n:
+            self.produced[kind] = self.produced.get(kind, 0) + n
 
     def counts(self) -> tuple[dict, dict]:
-        """Nonzero (consumed, produced) counts, in the form of `_wanted_counts`."""
-        return tuple({k: n for k, n in counts.items() if n}
-                     for counts in (self.consumed, self.produced))
+        """(consumed, produced), in the form of `_wanted_counts`: neither dict
+        holds a zero count."""
+        return self.consumed, self.produced
 
     def matches(self, ri: ResourceInequality) -> bool:
         """Exact integer match against an inequality at coefficient 1."""
@@ -132,6 +137,15 @@ class Ledger:
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 / (|a|^2 |b|^2) of two states' amplitudes."""
     return float(abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real))
+
+
+def _min_overlap(states: np.ndarray) -> float:
+    """min |<s|t>| / (|s| |t|) over all pairs of the states, one per row,
+    from their Gram matrix: `state_fidelity` of each pair, to round-off, and
+    exactly on amplitudes that are small integers times powers of two."""
+    gram = states.conj() @ states.T
+    norms = gram.diagonal().real
+    return float((np.abs(gram) ** 2 / np.outer(norms, norms)).min()) ** 0.5
 
 
 def _norms(amps: np.ndarray) -> np.ndarray:
@@ -604,8 +618,7 @@ def demo_rule_I_on_teleportation(teleported: Run, coherent: Run) -> Run:
     measurement with cobits leaves (sum_x 1/2 |x>|x>) tensor the payload.
     `teleported` and `coherent` are the plain and coherent runs of one input."""
     probabilities = dict(zip(teleported.fidelities, teleported.values["outcome_probabilities"].tolist()))
-    states = teleported.values["bob_states"]
-    overlap = min(state_fidelity(s, t) for s in states for t in states) ** 0.5
+    overlap = _min_overlap(teleported.values["bob_states"])
     uniform = len(probabilities) == 4 and all(abs(p - 0.25) <= 1e-12 for p in probabilities.values())
     reported = {f"{z}{x}": p for (z, x), p in sorted(probabilities.items())}
     return Run(EXACT_FIDELITY, [], {"coherent": coherent.fidelity, "overlap": overlap}, uniform,
@@ -622,10 +635,9 @@ def demo_rule_O_on_superdense(sent: list[Run]) -> Run:
     lexicographic order; `fidelities[(z, x)]` is the residual |Phi_+> fidelity."""
     pairs = list(zip(itertools.product((0, 1), repeat=2), sent, strict=True))
     fidelities = {bits: min(state_fidelity(s, BELL) for s in run.values["residual"]) for bits, run in pairs}
-    states = [s for _, run in pairs for s in run.values["residual"]]
     decoded = all(run.values["decoded"] == bits for bits, run in pairs)
     residual = min(fidelities.values())
-    fidelities["overlap"] = min(state_fidelity(s, t) for s in states for t in states) ** 0.5
+    fidelities["overlap"] = _min_overlap(np.concatenate([run.values["residual"] for run in sent]))
     fidelities["coherent"] = min(run.fidelity for run in run_coherent_superdense(np.eye(4)))
     return Run(EXACT_FIDELITY, [], fidelities, holds=decoded,
                report={"min_residual_bell_fidelity": residual,
@@ -641,54 +653,67 @@ def demo_rule_O_on_superdense(sent: list[Run]) -> Run:
 def verify_all(trials: int = 50, seed: int = 0) -> dict:
     """Run the seven protocols plus the two rule demonstrations.
 
-    Each row of the table is (report section, name, target inequality or
-    None, runs).  The random inputs of a row are drawn as one block and run
-    as one batch, one Run per input; the last three entries read the runs
-    of the rows before them.  An entry passes when every run passes at its
-    own threshold and, where the row has a target, the ledger of every
-    branch matches it.  Each entry also states its number of runs
-    (`cases`), the input index of its lowest-fidelity run (`worst_case`; the
-    first within 1e-12 of the lowest, so float noise cannot move it) and that
-    fidelity minus the run's threshold (`margin`).  Returns a JSON-ready
-    report; overall `pass` is True only if every entry passed.
+    Each entry is added from its row: (report section, name, target
+    inequality or None, batches of runs).  The random inputs of a row are
+    drawn and run in batches of at most VERIFY_CHUNK, the first batch led by
+    the row's fixed inputs, one Run per input, so memory does not grow with
+    `trials`; the last three entries read run 1 (or, for rule O, every run)
+    of the first batch of the rows before them.
+    An entry passes when every run passes at its own threshold and, where
+    the row has a target, the ledger of every branch matches it.  Each entry
+    also states its number of runs (`cases`), the input index of its
+    lowest-fidelity run (`worst_case`; the first within 1e-12 of the lowest,
+    so float noise cannot move it) and that fidelity minus the run's
+    threshold (`margin`).  Returns a JSON-ready report; overall `pass` is
+    True only if every entry passed.
     """
     rng = SplitMix64(seed)
-
-    def draws(fixed, dim, count):
-        return np.vstack([np.asarray(fixed, dtype=complex), rng.complex_matrix(count, dim)])
-
-    teleported = run_teleportation(draws([(1.0, 0.0), PLUS], 2, trials))
-    sent = [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]
-    forward = run_coherent_superdense(draws([np.eye(4)[2], np.full(4, 0.5)], 4, 1))
-    reverse = run_coherent_teleportation(draws([(0.0, 1.0), PLUS], 2, trials))
     protocol, demo = "protocols", "rule_demos"
-    rows = (
-        (protocol, "teleportation", PRIMITIVES["tp"], teleported),
-        (protocol, "superdense", PRIMITIVES["sd"], sent),
-        (protocol, "entanglement_distribution", PRIMITIVES["qe"], [run_entanglement_distribution()]),
-        (protocol, "cobit", COBIT_EBIT, [run_cobit_checks()]),
-        (protocol, "coherent_superdense", COHERENT_SD, forward),
-        (protocol, "coherent_teleportation", COHERENT_TP, reverse),
-        # No target on the last three: the equivalence run matches its two
-        # runs against COHERENT_SD and COHERENT_TP itself, and the rule
-        # demos book no ledger.
-        (protocol, "cobit_equivalence", None, [verify_cobit_equivalence(forward[1], reverse[1])]),
-        (demo, "rule_I_on_teleportation", None, [demo_rule_I_on_teleportation(teleported[1], reverse[1])]),
-        (demo, "rule_O_on_superdense", None, [demo_rule_O_on_superdense(sent)]),
-    )
     report: dict = {protocol: [], demo: []}
-    for section, name, target, runs in rows:
-        low = min(run.fidelity for run in runs)
-        worst = next(i for i, run in enumerate(runs) if run.fidelity - low <= 1e-12)
-        entry = {"name": name, "fidelity": low}
-        if runs[0].ledgers:
-            entry["ledger"] = runs[0].ledger.as_json()
+
+    def drawn(runner, fixed, dim, count):
+        """`runner` on the fixed inputs and `count` drawn ones, in batches
+        of VERIFY_CHUNK draws, each drawn when its batch runs."""
+        for start in range(0, max(count, 1), VERIFY_CHUNK):
+            inputs = rng.complex_matrix(min(count - start, VERIFY_CHUNK), dim)
+            yield runner(np.vstack([np.asarray(fixed, dtype=complex), inputs]) if start == 0 else inputs)
+
+    def row(section, name, target, batches) -> list[Run]:
+        """Add the row's entry to the report; its first batch of runs."""
         wanted = None if target is None else _wanted_counts(target)
-        passed = all(
-            run.passed and (wanted is None or all(ledger.counts() == wanted for ledger in run.ledgers))
-            for run in runs
-        )
-        report[section].append({**entry, **runs[0].report, "pass": passed, "cases": len(runs),
-                                "worst_case": worst, "margin": low - runs[worst].threshold})
+        fidelities, thresholds, passed, first = [], [], True, None
+        for runs in batches:
+            first = runs if first is None else first
+            fidelities += [run.fidelity for run in runs]
+            thresholds += [run.threshold for run in runs]
+            passed &= all(run.passed and (wanted is None or all(ledger.counts() == wanted
+                                                                 for ledger in run.ledgers))
+                          for run in runs)
+            del runs  # the next batch runs without this one (the first stays in `first`)
+        low = min(fidelities)
+        worst = next(i for i, fidelity in enumerate(fidelities) if fidelity - low <= 1e-12)
+        entry = {"name": name, "fidelity": low}
+        if first[0].ledgers:
+            entry["ledger"] = first[0].ledger.as_json()
+        report[section].append({**entry, **first[0].report, "pass": passed, "cases": len(fidelities),
+                                "worst_case": worst, "margin": low - thresholds[worst]})
+        return first
+
+    teleported = row(protocol, "teleportation", PRIMITIVES["tp"],
+                     drawn(run_teleportation, [(1.0, 0.0), PLUS], 2, trials))[1]
+    sent = row(protocol, "superdense", PRIMITIVES["sd"],
+               [[run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]])
+    row(protocol, "entanglement_distribution", PRIMITIVES["qe"], [[run_entanglement_distribution()]])
+    row(protocol, "cobit", COBIT_EBIT, [[run_cobit_checks()]])
+    forward = row(protocol, "coherent_superdense", COHERENT_SD,
+                  drawn(run_coherent_superdense, [np.eye(4)[2], np.full(4, 0.5)], 4, 1))[1]
+    reverse = row(protocol, "coherent_teleportation", COHERENT_TP,
+                  drawn(run_coherent_teleportation, [(0.0, 1.0), PLUS], 2, trials))[1]
+    # No target on the last three: the equivalence run matches its two runs
+    # against COHERENT_SD and COHERENT_TP itself, and the rule demos book no
+    # ledger.
+    row(protocol, "cobit_equivalence", None, [[verify_cobit_equivalence(forward, reverse)]])
+    row(demo, "rule_I_on_teleportation", None, [[demo_rule_I_on_teleportation(teleported, reverse)]])
+    row(demo, "rule_O_on_superdense", None, [[demo_rule_O_on_superdense(sent)]])
     report["pass"] = all(entry["pass"] for entry in [*report[protocol], *report[demo]])
     return report

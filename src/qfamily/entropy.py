@@ -73,10 +73,10 @@ def _check_density(m: np.ndarray) -> None:
     """Raise ValidationError unless the square matrix m is Hermitian, of unit
     trace and PSD within tolerance.
 
-    PSD is certified by one Cholesky factorisation of sym + PSD_TOL/2 * I.
-    Its success proves lambda_min(sym) > -PSD_TOL/2 - O(n eps) for a
-    unit-trace matrix, so only when it fails is the spectrum computed, and
-    the verdict is then eigvalsh's.
+    PSD is certified by one Cholesky factorisation of sym + PSD_TOL/2 * I
+    (the shift added in place to a copy's diagonal).  Its success proves
+    lambda_min(sym) > -PSD_TOL/2 - O(n eps) for a unit-trace matrix, so only
+    when it fails is the spectrum computed, and the verdict is then eigvalsh's.
     """
     if not np.isfinite(m).all():
         raise ValidationError("density operator has NaN or infinite entries")
@@ -88,8 +88,10 @@ def _check_density(m: np.ndarray) -> None:
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
     sym = (m + adjoint) / 2
+    shifted = sym.copy()
+    shifted.reshape(-1)[:: m.shape[0] + 1] += PSD_TOL / 2
     try:
-        np.linalg.cholesky(sym + PSD_TOL / 2 * np.eye(m.shape[0]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         lo = float(np.linalg.eigvalsh(sym).min())
         if lo < -PSD_TOL:
@@ -276,12 +278,14 @@ def maximally_entangled(dim: int) -> np.ndarray:
     return phi
 
 
-# Sorted kept axes of each canonical subsystem name: its letters in A, B, E
-# order, each once.
+# Sorted kept axes of each canonical subsystem name (its letters in A, B, E
+# order), and `_marginal`'s transposes of each: kept axes first, then last.
 _KEPT_AXES = {
     "A": (0,), "B": (1,), "E": (2,),
     "AB": (0, 1), "AE": (0, 2), "BE": (1, 2), "ABE": (0, 1, 2),
 }
+_ROWS_COLS = {keep: ((*keep, *drop), (*drop, *keep)) for keep in _KEPT_AXES.values()
+              for drop in [tuple(ax for ax in range(3) if ax not in keep)]}
 
 
 def _canonical(subsystems: Iterable[str] | str) -> str:
@@ -299,19 +303,20 @@ def _canonical(subsystems: Iterable[str] | str) -> str:
     return "".join(sorted(names))
 
 
-def _marginal(psi: TripartitePureState, keep: tuple[int, ...]) -> np.ndarray:
+def _marginal(psi: TripartitePureState, keep: tuple[int, ...], conj=None, out=None) -> np.ndarray:
     """The unvalidated partial trace onto the sorted axes `keep`.
 
     This is the GEMM that `np.tensordot(t, t.conj(), (drop, drop))` makes,
     on the same two operands, without tensordot's set-up: kept axes of t as
-    rows against kept axes of conj(t) as columns, summed over the rest.
+    rows against kept axes of conj(t) (`conj`, if the caller has it) as
+    columns, summed over the rest, written into `out` if given.
     """
-    drop = tuple(ax for ax in range(3) if ax not in keep)
+    rows_axes, cols_axes = _ROWS_COLS[tuple(keep)]
     kept = math.prod(psi.dims[ax] for ax in keep)
     t = psi.tensor()
-    rows = t.transpose((*keep, *drop)).reshape(kept, -1)
-    cols = t.conj().transpose((*drop, *keep)).reshape(-1, kept)
-    return np.dot(rows, cols)
+    rows = t.transpose(rows_axes).reshape(kept, -1)
+    cols = (t.conj() if conj is None else conj).transpose(cols_axes).reshape(-1, kept)
+    return np.dot(rows, cols, out=out)
 
 
 def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> DensityOp:
@@ -319,8 +324,7 @@ def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> Densit
     return DensityOp(_marginal(psi, _KEPT_AXES[_canonical(subsystems)]))
 
 
-# The marginals the raw symbols use, formed together on a state's first
-# `evaluate_raw`.
+# The marginals the raw symbols use, formed together on a state's first call
 _RAW_MARGINALS = ("A", "B", "E", "AB", "AE")
 
 
@@ -329,22 +333,22 @@ def _marginal_entropy(psi: TripartitePureState, subsystems: str) -> float:
 
     A marginal of a validated state is M M^dag, PSD with trace |psi|^2, so
     it is not validated again.  The first call forms all of `_RAW_MARGINALS`
-    too; each call takes one eigvalsh per matrix size of what it formed,
-    which gives each matrix the spectrum a call of its own would.
+    too, from one conj(t).  Each call writes what it forms into one stack
+    per matrix size and takes one eigvalsh per stack, which gives each
+    matrix the spectrum a call of its own would.
     """
-    key = _canonical(subsystems)
     memo = psi._marginal_entropies
+    key = subsystems if subsystems in memo else _canonical(subsystems)
     if key not in memo:
-        stacks: dict[int, tuple[list, list]] = {}
-        names = (key,) if memo else dict.fromkeys((*_RAW_MARGINALS, key))
-        for name in names:
-            m = _marginal(psi, _KEPT_AXES[name])
-            group_names, group = stacks.setdefault(m.shape[0], ([], []))
-            group_names.append(name)
-            group.append(m)
-        for group_names, group in stacks.values():
-            matrices = group[0][np.newaxis] if len(group) == 1 else np.stack(group)
-            for name, spectrum in zip(group_names, np.linalg.eigvalsh(matrices)):
+        groups: dict[int, list[str]] = {}  # names by marginal size
+        for name in (key,) if memo else dict.fromkeys((*_RAW_MARGINALS, key)):
+            groups.setdefault(math.prod(psi.dims[ax] for ax in _KEPT_AXES[name]), []).append(name)
+        conj = psi.tensor().conj()
+        for size, group in groups.items():
+            stack = np.empty((len(group), size, size), dtype=complex)
+            for name, out in zip(group, stack):
+                _marginal(psi, _KEPT_AXES[name], conj, out)
+            for name, spectrum in zip(group, np.linalg.eigvalsh(stack)):
                 memo[name] = _bits(spectrum)
     return memo[key]
 
@@ -392,12 +396,9 @@ def evaluate_raw(symbol: str, psi: TripartitePureState) -> float:
     key = symbol.replace(";", ":").replace(" ", "")
     if key in ("1", "CONST"):
         return 1.0
+    h = lambda s: _marginal_entropy(psi, s)
     if key.startswith("H(") and key.endswith(")"):
-        return _marginal_entropy(psi, key[2:-1])
-
-    def h(s: str) -> float:
-        return _marginal_entropy(psi, s)
-
+        return h(key[2:-1])
     if key == "I(A:B)":
         return h("A") + h("B") - h("AB")
     if key == "I(A:E)":
@@ -410,5 +411,4 @@ def evaluate_raw(symbol: str, psi: TripartitePureState) -> float:
 def random_tripartite_state(rng, d_a: int, d_b: int) -> TripartitePureState:
     """Purification of a random mixed state on A x B (G G^dag normalized)."""
     from .rng import random_density
-
     return purify(random_density(rng, d_a * d_b), (d_a, d_b))

@@ -32,10 +32,13 @@ _U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64's output function on an array of uint64 states."""
-    z = (z ^ (z >> _U30)) * _U_MIX1
-    z = (z ^ (z >> _U27)) * _U_MIX2
-    return z ^ (z >> _U31)
+    """splitmix64's output function, in place on an array of uint64 states."""
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
 
 
 class SplitMix64:
@@ -69,20 +72,26 @@ class SplitMix64:
         while filled < count:
             pairs = (count - filled + 1) // 2
             batch = pairs + pairs // 3 + 4  # a pair is accepted with probability pi/4
-            steps = np.arange(1, 2 * batch + 1, dtype=np.uint64) * _U_GAMMA
-            uniforms = (_mix(steps + np.uint64(self.state)) >> _U11) * _UNIT
-            u = 2.0 * uniforms[0::2] - 1.0
-            v = 2.0 * uniforms[1::2] - 1.0
-            s = u * u + v * v
+            steps = np.arange(1, 2 * batch + 1, dtype=np.uint64)
+            steps *= _U_GAMMA
+            steps += np.uint64(self.state)
+            # 2 * uniform - 1; the top 53 bits times 2^-52 is 2 * uniform exactly
+            uniforms = (_mix(steps) >> _U11) * (2.0 * _UNIT)
+            uniforms -= 1.0
+            u, v = uniforms[0::2], uniforms[1::2]
+            s = u * u
+            s += v * v
             accepted = np.flatnonzero((0.0 < s) & (s < 1.0))[:pairs]
             used = int(accepted[-1]) + 1 if accepted.size == pairs else batch
             self.state = (self.state + 2 * used * _GAMMA) & _MASK
             s_accepted = s[accepted]
-            logs = np.array(list(map(math.log, s_accepted.tolist())))
-            factors = np.sqrt(-2.0 * logs / s_accepted)
+            factors = np.array(list(map(math.log, s_accepted.tolist())))  # ln s, made f in place
+            factors *= -2.0
+            factors /= s_accepted
+            np.sqrt(factors, out=factors)
             deviates = np.empty(2 * accepted.size)
-            deviates[0::2] = u[accepted] * factors
-            deviates[1::2] = v[accepted] * factors
+            np.multiply(u[accepted], factors, out=deviates[0::2])
+            np.multiply(v[accepted], factors, out=deviates[1::2])
             take = min(deviates.size, count - filled)
             out[filled:filled + take] = deviates[:take]
             filled += take

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from qfamily.algebra import CBIT, COBIT, EBIT, QUBIT_CHANNEL
 from qfamily.circuits import (
     BELL,
     PLUS,
+    Ledger,
     LocalityError,
     Party,
     Register,
@@ -98,6 +100,19 @@ def test_communicate_books_one_cbit_per_bit_and_lets_bob_act():
         assert out.ledgers[0].consumed[CBIT] == 2
         assert out.known[Party.BOB] == dict(zip(branch.bits, branch.outcome))
         out.apply_if(branch.bits[1], X, b_half)
+
+
+def test_a_ledger_books_no_zero_count():
+    ledger = Ledger()
+    ledger.consume(EBIT, 0)
+    ledger.produce(CBIT, 0)
+    assert (ledger.consumed, ledger.produced) == ({}, {})
+    reg = Register()
+    reg.communicate([], Party.BOB)
+    assert reg.ledgers[0].counts() == ({}, {})
+    reg.communicate([], Party.ALICE)
+    reg.ledgers[0].consume(CBIT, 2)
+    assert reg.ledgers[0].counts() == ({CBIT: 2}, {})
 
 
 def test_only_held_bits_can_be_communicated():
@@ -533,6 +548,34 @@ def test_verify_all_reports_alike_with_every_input_run_alone(seed, trials):
             patch.setattr(circuits, name, _one_at_a_time(getattr(circuits, name)))
         alone = verify_all(trials=trials, seed=seed)
     _same_report(batched, alone)
+
+
+@pytest.mark.parametrize("trials, seed", [(1, 0), (2, 5), (3, 1), (4, 2), (7, 3), (20, 7)])
+def test_verify_all_reports_alike_in_batches_of_three_draws(monkeypatch, trials, seed):
+    """Each batch is drawn when it runs, in the order one block would be, so
+    the batch size moves no value, no worst case and no run that the derived
+    entries read."""
+    whole = verify_all(trials=trials, seed=seed)
+    monkeypatch.setattr(circuits, "VERIFY_CHUNK", 3)
+    assert verify_all(trials=trials, seed=seed) == whole
+
+
+def test_verify_all_memory_does_not_grow_with_trials(monkeypatch):
+    """Eight times the trials, past the batch size, need about the same
+    peak: the runs of a batch are dropped once it is summed up."""
+    monkeypatch.setattr(circuits, "VERIFY_CHUNK", 256, raising=False)
+    verify_all(trials=3, seed=0)  # fills the gate and index caches
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            verify_all(trials=trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(512), peak(4096)
+    assert many < 1.5 * few, (few, many)
 
 
 # -- suite -------------------------------------------------------------------------------

@@ -459,9 +459,11 @@ RAW_COMBINATIONS = {
 
 
 def test_evaluate_raw_equals_fresh_reduced_entropies_in_any_order():
+    """Bit for bit on every (d_A, d_B) in {2, 3, 4}^2: A and B share a stack
+    when d_A = d_B, and (4, 4) forms a 64 x 64 AE marginal."""
     rng = SplitMix64(19)
-    states = [random_tripartite_state(rng, rng.randint(2, 4), rng.randint(2, 4))
-              for _ in range(3)]
+    states = [random_tripartite_state(rng, d_a, d_b)
+              for d_a, d_b in itertools.product((2, 3, 4), repeat=2)]
     for psi in states:
         def fresh(names):
             return entropy(reduced(psi, names))
@@ -478,9 +480,9 @@ def test_evaluate_raw_forms_each_marginal_once_per_state(monkeypatch):
     formed, spectra = [], []
     real_marginal, real_eigvalsh = module._marginal, np.linalg.eigvalsh
 
-    def counting_marginal(psi, keep):
+    def counting_marginal(psi, keep, *rest):
         formed.append("".join("ABE"[ax] for ax in keep))
-        return real_marginal(psi, keep)
+        return real_marginal(psi, keep, *rest)
 
     def counting_eigvalsh(matrices):
         spectra.append(matrices.shape)
