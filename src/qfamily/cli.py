@@ -148,7 +148,7 @@ def _pick_object(args, objects):
         raise CliError("exactly one of --state or --channel is required")
     name = args.channel
     if name in channels.CHANNEL_FAMILIES:
-        p = 0.0 if args.param is None else args.param + 0.0  # -0.0 + 0.0 is 0.0
+        p = 0.0 if args.param is None else float(_grid_value(args.param))
         return channels.RegisteredChannel(name if args.param is None else f"{name}(p={p})",
                                           channels.family_channel(name, p))
     kind, name = ("state", args.state) if args.state else ("channel", name)
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--ri", required=True)
     p_rates.add_argument("--state")
     p_rates.add_argument("--channel")
-    p_rates.add_argument("--param", type=float)
+    p_rates.add_argument("--param")
     p_rates.add_argument("--registry")
     p_rates.add_argument("--json", action="store_true")
     p_rates.set_defaults(func=cmd_rates)

@@ -195,13 +195,6 @@ def _check_channels(kraus: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def entropy(rho: DensityOp | np.ndarray) -> float:
-    """von Neumann entropy in bits; eigenvalues < 1e-12 contribute nothing."""
-    if not isinstance(rho, DensityOp):
-        rho = DensityOp(rho)
-    return _bits(np.linalg.eigvalsh(rho.matrix))
-
-
 def _bits(spectrum: np.ndarray) -> float:
     """-sum p log2 p over the weights above EIGENVALUE_FLOOR.
 
@@ -261,14 +254,14 @@ def channel_entropy_triples(kraus: np.ndarray) -> np.ndarray:
     """`entropy_triple(channel_state(QuantumChannel(member)))` of each member
     of a Kraus stack (B, K, d_out, d_in), as a (B, 3) array.
 
-    The stack is validated once, each member as `QuantumChannel` and its
-    state as `TripartitePureState` would validate it, and each cut takes one
-    SVD for the whole stack.
+    The stack is validated once, each member as `QuantumChannel` would
+    validate it, and each cut takes one SVD for the whole stack.  A member's
+    state has |psi|^2 = tr(U^dag U) / d_in, within HERMITIAN_TOL of 1, so its
+    norm is within about HERMITIAN_TOL / 2 of 1, inside NORM_TOL: the states
+    are not checked again.
     """
     _check_channels(kraus)
-    amplitudes = _channel_amplitudes(kraus)
-    _check_states(amplitudes)
-    return _entropy_triples(amplitudes)
+    return _entropy_triples(_channel_amplitudes(kraus))
 
 
 def maximally_entangled(dim: int) -> np.ndarray:
@@ -361,8 +354,8 @@ def entropy_triple(psi: TripartitePureState) -> tuple[float, float, float]:
     and the other two as columns (Schmidt decomposition), so no reduced
     state is formed.  Each cut's weights are divided by their sum, |psi|^2
     within NORM_TOL, so each value lies in [0, log2 d].  Weights below
-    1e-12 contribute nothing, as in `entropy`.  The triple is computed on
-    the state's first call and kept on the state.
+    1e-12 contribute nothing, as in `evaluate_raw`.  The triple is computed
+    on the state's first call and kept on the state.
     """
     return psi._kept("_entropy_triple",
                      lambda: tuple(_entropy_triples(psi.tensor()[np.newaxis])[0].tolist()))

@@ -28,10 +28,10 @@ from qfamily.entropy import (
     ValidationError,
     channel_entropy_triples,
     channel_state,
-    entropy,
     entropy_triple,
     reduced,
 )
+from test_entropy import entropy
 
 
 def registry_entry_json(obj) -> dict:

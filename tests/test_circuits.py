@@ -338,10 +338,16 @@ def test_superdense_decodes_all_messages():
 # -- entanglement distribution ----------------------------------------------------
 
 
+def _bob_state(alice_bob: np.ndarray) -> np.ndarray:
+    """The density matrix of the second qubit of unscaled two-qubit amplitudes."""
+    m = alice_bob.reshape(2, 2)
+    return m.T @ m.conj() / np.vdot(m, m).real
+
+
 def test_entanglement_distribution():
     run = run_entanglement_distribution()
     assert run.fidelity >= 1 - 1e-12
-    assert abs(run.values["bob_entropy"] - 1.0) < 1e-9
+    assert np.array_equal(_bob_state(run.values["final_state"]), np.eye(2) / 2)
     assert run.ledger.matches(PRIMITIVES["qe"])
 
 
@@ -369,7 +375,7 @@ def test_cobit_copies_basis_states():
 def test_cobit_creates_entanglement_from_plus():
     run = run_cobit_checks()
     assert run.fidelities["plus"] >= 1 - 1e-12
-    assert abs(run.values["bob_entropy_on_plus"] - 1.0) < 1e-9
+    assert np.array_equal(_bob_state(run.values["final_state"]), np.eye(2) / 2)
     assert run.ledger.matches(COBIT_EBIT)
 
 

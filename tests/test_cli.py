@@ -124,6 +124,17 @@ def test_a_negative_zero_parameter_is_named_and_built_as_zero(capsys, json_flag)
     assert negative[0] == 0 and "depolarizing(p=0.0)" in negative[1]
 
 
+@pytest.mark.parametrize("param, message", [
+    ("1e-400", "grid value '1e-400' does not fit a float"),
+    ("1e400", "grid value '1e400' does not fit a float"),
+    ("nan", "grid value 'nan' is not a number"),
+], ids=["1e-400", "1e400", "nan"])
+def test_rates_param_is_read_as_sweep_reads_a_grid_value(capsys, param, message):
+    argv = ("rates", "--ri", "eq5", "--channel", "depolarizing")
+    assert run_cli(capsys, *argv, "--param", param) == (2, "", f"error: {message}\n")
+    assert run_cli(capsys, *argv, "--param", "1/4") == run_cli(capsys, *argv, "--param", "0.25")
+
+
 def test_rates_param_out_of_domain_fails(capsys):
     code, _, err = run_cli(capsys, "rates", "--ri", "eq5",
                            "--channel", "erasure", "--param", "1.5")
@@ -469,6 +480,12 @@ def test_package_and_symbolic_layer_load_no_numpy(modules):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_src_env(), check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_the_circuit_lab_loads_no_entropy_engine():
+    code = 'import sys, qfamily.circuits; sys.exit("qfamily.entropy" in sys.modules)'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_the_symbolic_layer_check_passes():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from qfamily.entropy import (
     TripartitePureState,
     ValidationError,
     channel_state,
-    entropy,
     entropy_triple,
     evaluate,
     evaluate_raw,
@@ -22,6 +22,10 @@ from qfamily.entropy import (
     purify,
     random_tripartite_state,
     reduced,
+    _bits,
+    _check_channels,
+    _check_states,
+    _channel_amplitudes,
     _dilations,
 )
 from qfamily.channels import CHANNEL_FAMILIES, builtin_objects, family_channel
@@ -159,10 +163,20 @@ def test_numeric_objects_compare_and_hash_by_identity(build):
 def test_package_attribute_entropy_is_the_module():
     import qfamily.entropy
 
-    assert qfamily.entropy.entropy(np.eye(2) / 2) == pytest.approx(1.0)
+    assert qfamily.entropy is sys.modules["qfamily.entropy"]
+    assert not hasattr(qfamily.entropy, "entropy")  # the reference below lives in the tests
 
 
 # -- entropy -----------------------------------------------------------------
+
+
+def entropy(rho: DensityOp | np.ndarray) -> float:
+    """The tests' reference von Neumann entropy in bits: `eigvalsh` of a
+    validated density operator, its weights below 1e-12 dropped by the
+    engine's `_bits`, so a marginal's value is bit for bit `evaluate_raw`'s."""
+    if not isinstance(rho, DensityOp):
+        rho = DensityOp(rho)
+    return _bits(np.linalg.eigvalsh(rho.matrix))
 
 
 def test_entropy_of_pure_and_maximally_mixed():
@@ -270,6 +284,26 @@ def test_fully_depolarizing_output_is_maximally_mixed():
 
 
 # -- channel states ----------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_channels_at_the_trace_tolerance_give_states_that_pass_the_state_check(seed, d_in, d_out, k, data):
+    """sum K^dag K = I + diag(t) with every |t_a| at the edge of 1e-10: the
+    channel passes `_check_channels`, and its state, of |psi|^2 = 1 + mean(t),
+    passes `_check_states`, which `channel_entropy_triples` leaves out."""
+    assume(d_out * k >= d_in)
+    edge = st.floats(0.99e-10, 1e-10).flatmap(lambda t: st.sampled_from([t, -t]))
+    shifts = np.array(data.draw(st.lists(edge, min_size=d_in, max_size=d_in)))
+    isometry = random_unitary(SplitMix64(seed), d_out * k)[:, :d_in] * np.sqrt(1 + shifts)
+    kraus = isometry.reshape(d_out, k, d_in).transpose(1, 0, 2)[np.newaxis]
+    try:
+        _check_channels(kraus)
+    except ValidationError:
+        assume(False)  # round-off took a shift past the tolerance
+    amplitudes = _channel_amplitudes(kraus)
+    _check_states(amplitudes)
+    assert abs(np.linalg.norm(amplitudes) - 1) <= 0.5e-10 + 1e-15
 
 
 def test_identity_channel_on_half_a_bell_pair():
