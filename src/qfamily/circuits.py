@@ -7,16 +7,17 @@ global state pure (measurements enumerate branches instead of sampling).
 
 A register holds a batch of B >= 1 states of the same qubits: its amplitudes
 have shape (B, 2^n), row b being state b and qubit i bit n-1-i of a column
-index.  They are never normalised (H is [[1, 1], [1, -1]]): every reader
-divides by each state's |psi|^2, so a fixed input's probabilities,
-fidelities and overlaps are exact, and the kernels, acting on all B states at
-once, check no norm.  A one-qubit gate is one batched matmul, CNOT a gather
-through an index permutation and CZ a product with a +-1 mask (both tables
-cached on first use), and a fidelity |t^dag M|^2 / (|t|^2 |psi|^2) per state,
-where the rows of M are the compared qubits' values; no density matrix is
-formed.  The runners whose inputs are amplitudes take one state or a batch of
-them and return one Run per input, and `verify_all` runs each of their rows
-in batches of VERIFY_CHUNK drawn inputs, drawing each batch as it runs.
+index.  They are never normalised (H is [[1, 1], [1, -1]]), only scaled by a
+power of two as they enter: every reader divides by each state's |psi|^2, so
+a fixed input's probabilities, fidelities and overlaps are exact, and the
+kernels, acting on all B states at once, check no norm.  A one-qubit gate is
+one batched matmul, CNOT a gather through an index permutation and CZ a
+product with a +-1 mask (both tables cached on first use), and a fidelity
+|t^dag M|^2 / (|t|^2 |psi|^2) per state, where the rows of M are the compared
+qubits' values; no density matrix is formed.  The runners whose inputs are
+amplitudes take one state or a batch of them and return one Run per input,
+and `verify_all` runs each of their rows in batches of VERIFY_CHUNK drawn
+inputs, drawing each batch as it runs.
 
 `verify_all` runs each protocol row once; its last three entries check
 those runs.  The cobit equivalence reads input 1 (|+>|+>) of the coherent
@@ -35,10 +36,11 @@ a batch, that must match the protocol's exact resource inequality at
 coefficient one.  Only the booking primitives write it.  `share_ebit` (a
 preshared ebit), `send` (a qubit channel use), `cobit` (the one licensed
 cross-party controlled copy) and `communicate` (one classical bit channel use
-per bit) book what is consumed.  The checked claims `claim_qubit`,
-`claim_ebits`, `claim_cobits` and `claim_cbits` book what is produced, and
-only when the claimed state reaches the run's fidelity threshold.  A ledger
-never stores a zero count.
+per bit) book what is consumed.  The checked claims `claim` (one quantum
+resource per Bob qubit) and `claim_cbits` book what is produced, and only
+when the claimed state reaches the run's fidelity threshold.  An ebit is a
+cobit on |+>: `_copies` builds the target of both.  A ledger never stores a
+zero count.
 """
 
 from __future__ import annotations
@@ -113,14 +115,9 @@ class Ledger:
         if n:
             self.produced[kind] = self.produced.get(kind, 0) + n
 
-    def counts(self) -> tuple[dict, dict]:
-        """(consumed, produced), in the form of `_wanted_counts`: neither dict
-        holds a zero count."""
-        return self.consumed, self.produced
-
     def matches(self, ri: ResourceInequality) -> bool:
         """Exact integer match against an inequality at coefficient 1."""
-        return self.counts() == _wanted_counts(ri)
+        return (self.consumed, self.produced) == _wanted_counts(ri)
 
     def copy(self) -> "Ledger":
         return Ledger(dict(self.consumed), dict(self.produced))
@@ -133,15 +130,17 @@ class Ledger:
         return {"consumed": _by_kind(self.consumed), "produced": _by_kind(self.produced)}
 
 
-def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 / (|a|^2 |b|^2) of two states' amplitudes."""
-    return float(abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real))
+def _copies(message) -> np.ndarray:
+    """sum_x c_x |x>|x> for message amplitudes c, one row or one per state:
+    the target of cobits, and at c = 1 of k ebits, ordered (a_1..a_k, b_1..b_k)."""
+    c = np.atleast_2d(message)
+    return (c[:, :, None] * np.eye(c.shape[1])).reshape(len(c), -1)
 
 
 def _min_overlap(states: np.ndarray) -> float:
     """min |<s|t>| / (|s| |t|) over all pairs of the states, one per row,
-    from their Gram matrix: `state_fidelity` of each pair, to round-off, and
-    exactly on amplitudes that are small integers times powers of two."""
+    from their Gram matrix: exact on amplitudes that are small integers
+    times powers of two."""
     gram = states.conj() @ states.T
     norms = gram.diagonal().real
     return float((np.abs(gram) ** 2 / np.outer(norms, norms)).min()) ** 0.5
@@ -230,11 +229,14 @@ class Register:
 
     def add_qubit(self, owner: Party, amplitudes=(1.0, 0.0)):
         """Fresh qubits of one party in a joint state of 2^k amplitudes, one
-        finite state of positive finite |psi|^2 for the whole batch or one
-        row per state: the new qubit's index, or a tuple of the k new indices."""
-        q = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
-        if not (np.isfinite(q).all() and all(0 < n < np.inf for n in _norms(q).tolist())):
-            raise ValueError("a state needs finite amplitudes and a positive finite |psi|^2")
+        finite nonzero row for the whole batch or one per state, each times
+        the power of two that puts its largest real or imaginary part in
+        [1/2, 1): the new qubit's index, or a tuple of the k new indices."""
+        parts = np.array(amplitudes, dtype=complex, ndmin=2, order="C").view(float)
+        top = np.abs(parts).max(axis=1)  # NaN where a part is NaN
+        if not all(0 < x < np.inf for x in top.tolist()):
+            raise ValueError("a state needs finite amplitudes, not all zero")
+        q = np.ldexp(parts, -np.frexp(top)[1][:, None]).view(complex)  # exact; no |psi|^2 overflows
         if len(q) not in (1, len(self.amps)):
             raise ValueError(f"{len(q)} states for a batch of {len(self.amps)}")
         k = q.shape[1].bit_length() - 1
@@ -363,29 +365,12 @@ class Register:
                 ledger.produce(kind, n)
         return fidelity
 
-    def claim_qubit(self, qubit: int, state) -> np.ndarray:
-        """Bob's `qubit` carries `state`: one [q->q] produced."""
-        self._require_owner(qubit, Party.BOB)
-        return self._claim(QUBIT_CHANNEL, 1, self.fidelity([qubit], state))
-
-    def claim_ebits(self, pairs) -> np.ndarray:
-        """Every (Alice qubit, Bob qubit) pair is |Phi+>: one [qq] produced each."""
-        for a, b in pairs:
-            self._require_owner(a, Party.ALICE)
-            self._require_owner(b, Party.BOB)
-        qubits = [q for pair in pairs for q in pair]
-        target = functools.reduce(np.kron, [BELL] * len(pairs))
-        return self._claim(EBIT, len(pairs), self.fidelity(qubits, target))
-
-    def claim_cobits(self, sources, copies, message) -> np.ndarray:
-        """Alice's `sources` and Bob's `copies` hold sum_x c_x |x>|x> for the
-        message amplitudes c: one [q->qq] produced per source."""
-        for a, b in zip(sources, copies):
-            self._require_owner(a, Party.ALICE)
-            self._require_owner(b, Party.BOB)
-        c = np.atleast_2d(message)
-        target = (c[:, :, None] * np.eye(c.shape[1])).reshape(len(c), -1)
-        return self._claim(COBIT, len(sources), self.fidelity([*sources, *copies], target))
+    def claim(self, kind: ResourceKind, alice, bob, target) -> np.ndarray:
+        """Alice's qubits `alice`, then Bob's qubits `bob`, hold `target`, one
+        row or one per state: one `kind` produced per Bob qubit."""
+        for q, party in zip([*alice, *bob], [Party.ALICE] * len(alice) + [Party.BOB] * len(bob)):
+            self._require_owner(q, party)
+        return self._claim(kind, len(bob), self.fidelity([*alice, *bob], target))
 
     def claim_cbits(self, bits, sent) -> np.ndarray:
         """Bob holds `bits` and they read `sent`: one [c->c] produced each."""
@@ -495,7 +480,7 @@ def run_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
         out = branch.register
         out.communicate(branch.bits, Party.BOB)
         _fix_up(out, b_half, *branch.bits)
-        fidelities[branch.outcome] = out.claim_qubit(b_half, inputs)
+        fidelities[branch.outcome] = out.claim(QUBIT_CHANNEL, (), (b_half,), inputs)
         z, x = branch.outcome  # msg and a_half have collapsed to |z>|x>
         bob_states.append(out.amps.reshape(-1, 2, 2, 2)[:, z, x])
     signalling = np.max(np.abs(premeasurement - np.eye(2) / 2), axis=(1, 2))
@@ -511,7 +496,8 @@ def run_superdense(bits: tuple[int, int]) -> Run:
     She applies Z^z X^x to her half; Bob's Bell-basis decoding must read the
     bits back in every branch (it is deterministic: one branch survives).
     After his claim he undoes his decoding and applies Z^z X^x to his own
-    half; `values["residual"]` keeps the state this leaves on each branch.
+    half; `values["residual"]` keeps the state this leaves on each branch,
+    and `values["bell"]` its |Phi_+> fidelity.
     """
     reg = Register(PROTOCOL_FIDELITY)
     reg.known[Party.ALICE].update(z=bits[0], x=bits[1])
@@ -524,8 +510,9 @@ def run_superdense(bits: tuple[int, int]) -> Run:
         _fix_up(branch.register, b_half, *branch.bits)
     decoded = branches[0].outcome if len(branches) == 1 else None
     residual = np.stack([b.register.amps for b in branches], axis=1)
+    bell = np.stack([b.register.fidelity([a_half, b_half], BELL) for b in branches], axis=1)
     return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities,
-                 {"decoded": [decoded], "residual": residual})[0]
+                 {"decoded": [decoded], "residual": residual, "bell": bell})[0]
 
 
 def run_entanglement_distribution() -> Run:
@@ -535,7 +522,7 @@ def run_entanglement_distribution() -> Run:
     reg.h(q0)
     reg.cnot(q0, q1)
     reg.send(q1, Party.BOB)
-    fidelities = {"ebit": reg.claim_ebits([(q0, q1)])}
+    fidelities = {"ebit": reg.claim(EBIT, (q0,), (q1,), BELL)}
     return _runs(EXACT_FIDELITY, [reg], fidelities, {"final_state": reg.amps})[0]
 
 
@@ -543,11 +530,13 @@ def run_cobit_checks() -> Run:
     """The defining isometry on basis states, plus entanglement creation on
     |+>, as one batch of three; the ledger and `values["final_state"]` are
     those of the |+> run."""
+    inputs = np.array([(1.0, 0.0), (0.0, 1.0), PLUS])
     reg = Register(EXACT_FIDELITY, 3)
-    src = reg.add_qubit(Party.ALICE, [(1.0, 0.0), (0.0, 1.0), PLUS])
+    src = reg.add_qubit(Party.ALICE, inputs)
     copy = reg.cobit(src)
-    fidelities = {f"basis {v}": state_fidelity(reg.amps[v], np.eye(4)[3 * v]) for v in (0, 1)}
-    fidelities["plus"] = float(reg.claim_ebits([(src, copy)])[2])
+    basis = reg.fidelity([src, copy], _copies(inputs))
+    fidelities = {f"basis {v}": float(basis[v]) for v in (0, 1)}
+    fidelities["plus"] = float(reg.claim(EBIT, (src,), (copy,), BELL)[2])
     return Run(EXACT_FIDELITY, [reg.ledgers[2]], fidelities, values={"final_state": reg.amps[2]})
 
 
@@ -563,7 +552,7 @@ def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> list[Run]:
     reg = Register(PROTOCOL_FIDELITY, len(messages))
     m0, m1 = reg.add_qubit(Party.ALICE, messages)
     pair = _superdense(reg, _controlled_fix_up, m0, m1)
-    fidelities = {"cobits": reg.claim_cobits((m0, m1), pair, messages)}
+    fidelities = {"cobits": reg.claim(COBIT, (m0, m1), pair, _copies(messages))}
     return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
 
 
@@ -583,11 +572,11 @@ def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
     reg.h(q0)
     c1, c2 = reg.cobit(q0), reg.cobit(q1)
     _controlled_fix_up(reg, q2, c1, c2)
+    pairs = _copies(np.ones(4))  # Phi_+ on (q0, c1) and on (q1, c2)
     fidelities = {
-        "output": reg.claim_qubit(q2, message),
-        "residual": reg.claim_ebits([(q0, c1), (q1, c2)]),
-        # the whole register: Phi_+ on (q0, c1) and on (q1, c2), the message on q2
-        "total": reg.fidelity([q0, c1, q1, c2, q2], _kron_rows(np.kron(BELL, BELL)[None], message)),
+        "output": reg.claim(QUBIT_CHANNEL, (), (q2,), message),
+        "residual": reg.claim(EBIT, (q0, q1), (c1, c2), pairs),
+        "total": reg.fidelity([q0, q1, c1, c2, q2], _kron_rows(pairs, message)),  # and the message on q2
     }
     return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
 
@@ -631,7 +620,7 @@ def demo_rule_O_on_superdense(sent: list[Run]) -> Run:
     at all.  `sent` holds the super-dense runs of the messages (z, x) in
     lexicographic order; `fidelities[(z, x)]` is the residual |Phi_+> fidelity."""
     pairs = list(zip(itertools.product((0, 1), repeat=2), sent, strict=True))
-    fidelities = {bits: min(state_fidelity(s, BELL) for s in run.values["residual"]) for bits, run in pairs}
+    fidelities = {bits: float(run.values["bell"].min()) for bits, run in pairs}
     decoded = all(run.values["decoded"] == bits for bits, run in pairs)
     residual = min(fidelities.values())
     fidelities["overlap"] = _min_overlap(np.concatenate([run.values["residual"] for run in sent]))
@@ -683,9 +672,8 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
             first = runs if first is None else first
             fidelities += [run.fidelity for run in runs]
             thresholds += [run.threshold for run in runs]
-            passed &= all(run.passed and (wanted is None or all(ledger.counts() == wanted
-                                                                 for ledger in run.ledgers))
-                          for run in runs)
+            passed &= all(run.passed and (wanted is None or all(
+                (ledger.consumed, ledger.produced) == wanted for ledger in run.ledgers)) for run in runs)
             del runs  # the next batch runs without this one (the first stays in `first`)
         low = min(fidelities)
         worst = next(i for i, fidelity in enumerate(fidelities) if fidelity - low <= 1e-12)

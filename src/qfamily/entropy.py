@@ -121,7 +121,13 @@ class TripartitePureState(_Validated):
             raise ValidationError(
                 f"amplitude length {amps.size} does not match dims {dims}"
             )
-        _check_states(amps[np.newaxis])
+        # a NaN or infinite entry makes the norm NaN or infinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.sqrt(np.vecdot(amps, amps).real))
+        if not abs(norm - 1.0) <= NORM_TOL:
+            if not np.isfinite(amps).all():
+                raise ValidationError("amplitude vector has NaN or infinite entries")
+            raise ValidationError(f"norm {norm!r} differs from 1 by more than {NORM_TOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -148,25 +154,6 @@ class QuantumChannel(_Validated):
         _check_channels(stack[np.newaxis])
         stack.flags.writeable = False
         object.__setattr__(self, "kraus", tuple(stack))
-
-
-def _check_states(amplitudes: np.ndarray) -> None:
-    """Raise ValidationError unless every member of the stack (B, ...) is a
-    finite unit vector, naming the first member that is not as
-    `TripartitePureState` would.
-
-    A member with a NaN or infinite entry has a NaN or infinite norm, so the
-    norm test alone finds every bad member.
-    """
-    flat = amplitudes.reshape(len(amplitudes), -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.vecdot(flat, flat).real)
-    ok = np.abs(norms - 1.0) <= NORM_TOL
-    if not ok.all():
-        first = ok.argmin()
-        if not np.isfinite(flat[first]).all():
-            raise ValidationError("amplitude vector has NaN or infinite entries")
-        raise ValidationError(f"norm {float(norms[first])!r} differs from 1 by more than {NORM_TOL}")
 
 
 def _check_channels(kraus: np.ndarray) -> None:

@@ -23,7 +23,6 @@ from qfamily.circuits import (
     run_entanglement_distribution,
     run_superdense,
     run_teleportation,
-    state_fidelity,
     verify_all,
     verify_cobit_equivalence,
 )
@@ -32,6 +31,12 @@ from qfamily.derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
 from qfamily.rng import SplitMix64
 from test_golden import _same_report
 from test_rng import random_pure, random_unitary
+
+
+def state_fidelity(a, b):
+    """|<a|b>|^2 / (|a|^2 |b|^2) of two states' amplitudes: the reference
+    for `Register.fidelity` on a whole register."""
+    return float(abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real))
 
 
 # -- register discipline -------------------------------------------------------
@@ -69,7 +74,8 @@ def test_measurement_branches_and_norms():
     assert [b.outcome for b in branches] == [(0,), (1,)]
     for branch in branches:
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
-        assert np.linalg.norm(branch.register.amps) == pytest.approx(1.0, abs=1e-12)
+        # |+> = (1, 1) enters as (1/2, 1/2), and a branch keeps its amplitudes unscaled
+        assert np.linalg.norm(branch.register.amps) == 0.5
 
 
 X = np.array([[0, 1], [1, 0]])
@@ -109,10 +115,10 @@ def test_a_ledger_books_no_zero_count():
     assert (ledger.consumed, ledger.produced) == ({}, {})
     reg = Register()
     reg.communicate([], Party.BOB)
-    assert reg.ledgers[0].counts() == ({}, {})
+    assert (reg.ledgers[0].consumed, reg.ledgers[0].produced) == ({}, {})
     reg.communicate([], Party.ALICE)
     reg.ledgers[0].consume(CBIT, 2)
-    assert reg.ledgers[0].counts() == ({CBIT: 2}, {})
+    assert (reg.ledgers[0].consumed, reg.ledgers[0].produced) == ({CBIT: 2}, {})
 
 
 def test_only_held_bits_can_be_communicated():
@@ -129,29 +135,63 @@ def test_failed_ebit_claim_on_a_product_state_books_nothing():
     reg = Register()
     a = reg.add_qubit(Party.ALICE)
     b = reg.add_qubit(Party.BOB)
-    assert reg.claim_ebits([(a, b)]) == pytest.approx(0.5, abs=1e-12)
+    assert reg.claim(EBIT, (a,), (b,), BELL) == pytest.approx(0.5, abs=1e-12)
     assert not reg.ledgers[0].produced
 
 
 def test_claims_book_their_resource_only_at_threshold():
     reg = Register()
     q = reg.add_qubit(Party.BOB, PLUS)
-    assert reg.claim_qubit(q, (1, 0)) == pytest.approx(0.5, abs=1e-12)
+    assert reg.claim(QUBIT_CHANNEL, (), (q,), (1, 0)) == pytest.approx(0.5, abs=1e-12)
     assert not reg.ledgers[0].produced
-    assert reg.claim_qubit(q, PLUS) >= 1 - 1e-12
+    assert reg.claim(QUBIT_CHANNEL, (), (q,), PLUS) >= 1 - 1e-12
     assert reg.ledgers[0].produced == {QUBIT_CHANNEL: 1}
     assert reg.claim_cbits(["m0"], [1]) == 0.0
     assert reg.ledgers[0].produced == {QUBIT_CHANNEL: 1}
 
 
 def test_claims_need_the_right_holders():
+    """Each claim would reach the threshold if its qubits were held right."""
     reg = Register()
-    a = reg.add_qubit(Party.ALICE)
-    b = reg.add_qubit(Party.BOB)
-    with pytest.raises(LocalityError, match="Bob"):
-        reg.claim_qubit(a, (1, 0))
-    with pytest.raises(LocalityError, match="Alice"):
-        reg.claim_ebits([(b, a)])
+    a, b = reg.share_ebit()
+    a0, a1 = reg.add_qubit(Party.ALICE, BELL)
+    with pytest.raises(LocalityError, match=f"qubit {b} must be held by Alice"):
+        reg.claim(EBIT, (b,), (a,), BELL)  # a Bob qubit in `alice`
+    with pytest.raises(LocalityError, match=f"qubit {a1} must be held by Bob"):
+        reg.claim(EBIT, (a0,), (a1,), BELL)  # an Alice qubit in `bob`
+    with pytest.raises(LocalityError, match=f"qubit {a} must be held by Bob"):
+        reg.claim(QUBIT_CHANNEL, (), (a,), (1, 0))
+    assert not reg.ledgers[0].produced
+
+
+def test_a_claim_books_one_resource_per_bob_qubit_for_each_state_at_threshold():
+    """Two cobits on a batch of two messages, claimed against the first
+    message's copies for both: only the first state books, two of them."""
+    messages = np.array([(0, 0, 1, 0), (0.5, 0.5, 0.5, 0.5)])
+    reg = Register(batch=2)
+    m0, m1 = reg.add_qubit(Party.ALICE, messages)
+    copies = reg.cobit(m0), reg.cobit(m1)
+    fidelities = reg.claim(COBIT, (m0, m1), copies, circuits._copies(messages[[0, 0]]))
+    assert fidelities.tolist() == [1.0, 0.25]
+    assert [ledger.produced for ledger in reg.ledgers] == [{COBIT: 2}, {}]
+    assert reg.claim(COBIT, (m0, m1), copies, circuits._copies(messages)).tolist() == [1.0, 1.0]
+    assert [ledger.produced for ledger in reg.ledgers] == [{COBIT: 4}, {COBIT: 2}]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), batch=st.integers(1, 4), order=st.permutations(range(4)))
+def test_the_two_pair_copies_target_is_two_interleaved_bell_pairs(seed, batch, order):
+    """k ebits ordered (a_1..a_k, b_1..b_k) against `_copies` of ones give
+    the fidelity of the pairs (a_i, b_i) against |Phi_+> tensor |Phi_+>."""
+    rng = SplitMix64(seed)
+    reg = Register(batch=batch)
+    reg.add_qubit(Party.ALICE, [random_pure(rng, 16) for _ in range(batch)])
+    q0, c1, q1, c2 = order
+    reg.send(c1, Party.BOB)
+    reg.send(c2, Party.BOB)
+    interleaved = reg.fidelity([q0, c1, q1, c2], np.kron(BELL, BELL))
+    copies = reg.claim(EBIT, (q0, q1), (c1, c2), circuits._copies(np.ones(4)))
+    assert np.max(np.abs(copies - interleaved)) <= 1e-12
 
 
 def test_two_qubit_gates_need_two_qubits():
@@ -177,6 +217,22 @@ def test_a_state_that_is_not_finite_or_has_no_norm_is_refused(amplitudes):
     with pytest.raises(ValueError, match="finite amplitudes"):
         reg.add_qubit(Party.ALICE, amplitudes)
     assert reg.n == 0
+
+
+@pytest.mark.parametrize("amplitudes, target", [
+    ((1e200, 0), (1, 0)), ((5e-324, 0), (1, 0)), ((1.5e308, 1.5e308j), (1, 1j)),
+], ids=["1e200", "subnormal", "huge-complex"])
+def test_a_state_whose_norm_would_overflow_or_underflow_is_scaled_as_it_enters(amplitudes, target):
+    """Each row enters scaled by a power of two: (1e154, 0) keeps a finite
+    |psi|^2 through three unnormalised Hadamards, and states whose |psi|^2 is
+    not a positive finite float are taken."""
+    reg = Register()
+    q = reg.add_qubit(Party.ALICE, (1e154, 0))
+    for _ in range(3):
+        reg.h(q)
+    assert reg.fidelity([q], PLUS).tolist() == [1.0]
+    q = reg.add_qubit(Party.ALICE, amplitudes)
+    assert reg.fidelity([q], target).tolist() == [1.0]
 
 
 @pytest.mark.parametrize("matrix", [
@@ -215,7 +271,8 @@ def test_batched_measurement_keeps_each_states_probabilities():
     branches = reg.measure([q])
     assert [b.outcome for b in branches] == [(0,), (1,)]
     assert np.allclose([b.probability for b in branches], [[0.36, 0.5], [0.64, 0.5]], atol=1e-12, rtol=0)
-    assert np.array_equal(branches[1].register.amps, [[0, 0.8], [0, 1]])
+    # (0.6, 0.8) enters as it is, |+> = (1, 1) as (1/2, 1/2)
+    assert np.array_equal(branches[1].register.amps, [[0, 0.8], [0, 0.5]])
 
 
 def test_batched_measurement_whose_support_differs_across_the_batch_raises():
@@ -245,11 +302,12 @@ def _dense_controlled(n, control, target, gate):
 
 
 def _partial_trace(amps, n, keep):
-    """rho of the qubits `keep`, in that order, by einsum over the others."""
+    """rho of the qubits `keep`, in that order, by einsum over the others,
+    of the unit vector along `amps`."""
     letters = "abcdefghij"
     bra = "".join(letters[n + q] if q in keep else letters[q] for q in range(n))
     out = "".join(letters[q] for q in keep) + "".join(letters[n + q] for q in keep)
-    t = amps.reshape([2] * n)
+    t = amps.reshape([2] * n) / np.linalg.norm(amps)
     return np.einsum(f"{letters[:n]},{bra}->{out}", t, t.conj()).reshape(2 ** len(keep), -1)
 
 

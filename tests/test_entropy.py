@@ -24,7 +24,6 @@ from qfamily.entropy import (
     reduced,
     _bits,
     _check_channels,
-    _check_states,
     _channel_amplitudes,
     _dilations,
 )
@@ -291,7 +290,8 @@ def test_fully_depolarizing_output_is_maximally_mixed():
 def test_channels_at_the_trace_tolerance_give_states_that_pass_the_state_check(seed, d_in, d_out, k, data):
     """sum K^dag K = I + diag(t) with every |t_a| at the edge of 1e-10: the
     channel passes `_check_channels`, and its state, of |psi|^2 = 1 + mean(t),
-    passes `_check_states`, which `channel_entropy_triples` leaves out."""
+    passes `TripartitePureState`'s norm check, which `channel_entropy_triples`
+    leaves out."""
     assume(d_out * k >= d_in)
     edge = st.floats(0.99e-10, 1e-10).flatmap(lambda t: st.sampled_from([t, -t]))
     shifts = np.array(data.draw(st.lists(edge, min_size=d_in, max_size=d_in)))
@@ -302,7 +302,8 @@ def test_channels_at_the_trace_tolerance_give_states_that_pass_the_state_check(s
     except ValidationError:
         assume(False)  # round-off took a shift past the tolerance
     amplitudes = _channel_amplitudes(kraus)
-    _check_states(amplitudes)
+    for member in amplitudes:
+        TripartitePureState(member.shape, member)
     assert abs(np.linalg.norm(amplitudes) - 1) <= 0.5e-10 + 1e-15
 
 
