@@ -170,9 +170,7 @@ RegisteredObject = RegisteredState | RegisteredChannel
 def state_from_channel(name: str, channel: QuantumChannel) -> RegisteredState:
     """The bipartite state left by sending half of |Phi_+> through a channel."""
     psi = channel_state(channel)
-    return RegisteredState(
-        name, reduced(psi, "AB"), (psi.dims[0], psi.dims[1])
-    )
+    return RegisteredState(name, reduced(psi, "AB"), psi.dims[:2])
 
 
 def builtin_objects() -> dict[str, RegisteredObject]:

@@ -151,6 +151,17 @@ def _norms(amps: np.ndarray) -> np.ndarray:
     return np.vecdot(amps, amps).real
 
 
+def _scaled(amplitudes) -> np.ndarray:
+    """Finite rows of amplitudes, not all zero, each times the power of two
+    that puts its largest real or imaginary part in [1/2, 1): exact, and no
+    row's |psi|^2 overflows or underflows."""
+    parts = np.array(amplitudes, dtype=complex, ndmin=2, order="C").view(float)
+    top = np.abs(parts).max(axis=1)  # NaN where a part is NaN
+    if not all(0 < x < np.inf for x in top.tolist()):
+        raise ValueError("a state needs finite amplitudes, not all zero")
+    return np.ldexp(parts, -np.frexp(top)[1][:, None]).view(complex)
+
+
 def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Kronecker products of two batches of vectors; a batch of one
     broadcasts against the other."""
@@ -229,14 +240,9 @@ class Register:
 
     def add_qubit(self, owner: Party, amplitudes=(1.0, 0.0)):
         """Fresh qubits of one party in a joint state of 2^k amplitudes, one
-        finite nonzero row for the whole batch or one per state, each times
-        the power of two that puts its largest real or imaginary part in
-        [1/2, 1): the new qubit's index, or a tuple of the k new indices."""
-        parts = np.array(amplitudes, dtype=complex, ndmin=2, order="C").view(float)
-        top = np.abs(parts).max(axis=1)  # NaN where a part is NaN
-        if not all(0 < x < np.inf for x in top.tolist()):
-            raise ValueError("a state needs finite amplitudes, not all zero")
-        q = np.ldexp(parts, -np.frexp(top)[1][:, None]).view(complex)  # exact; no |psi|^2 overflows
+        row for the whole batch or one per state, `_scaled`: the new qubit's
+        index, or a tuple of the k new indices."""
+        q = _scaled(amplitudes)
         if len(q) not in (1, len(self.amps)):
             raise ValueError(f"{len(q)} states for a batch of {len(self.amps)}")
         k = q.shape[1].bit_length() - 1
@@ -352,8 +358,8 @@ class Register:
     def fidelity(self, qubits: list[int], target) -> np.ndarray:
         """<t| rho |t> / <t|t> = |t^dag M|^2 / (|t|^2 |psi|^2) per state, for
         rho the `reduced_dm` of `qubits`, in that order, and the target
-        amplitudes t: one row for the whole batch or one row per state."""
-        t = np.atleast_2d(np.asarray(target, dtype=complex))
+        `_scaled` amplitudes t: one row for the whole batch or one per state."""
+        t = _scaled(target)
         overlap = (t.conj()[:, None, :] @ self.amps[:, _cut(self.n, tuple(qubits))])[:, 0]
         return _norms(overlap) / (_norms(t) * _norms(self.amps))
 

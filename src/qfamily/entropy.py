@@ -2,7 +2,9 @@
 von Neumann entropies, and evaluation of entropic expressions on concrete
 tripartite pure states.  Each numeric object is validated once, where it is
 built; nothing derived from a validated state, such as a marginal, is
-validated again.
+validated again.  A random tripartite state has normalised complex Gaussian
+amplitudes with d_E = d_A d_B, a purification of the random mixed state
+G G^dag / tr on A x B (which the tests draw as `random_density`).
 
 The channel-state path runs on stacks with a leading batch axis: a Kraus
 stack (B, K, d_out, d_in) is validated, turned into B channel states and
@@ -192,24 +194,22 @@ def _bits(spectrum: np.ndarray) -> float:
     return float(0.0 - (kept * np.log2(kept)).sum())  # 0.0, never -0.0
 
 
-def purify(rho: DensityOp | np.ndarray, split: tuple[int, int]) -> TripartitePureState:
-    """Purification of a bipartite state: |psi>^ABE with Tr_E psi = rho.
+def purify(rho: DensityOp, split: tuple[int, int]) -> TripartitePureState:
+    """Purification of a bipartite state: |psi>^ABE with Tr_E psi = rho / tr rho.
 
     The environment dimension is the rank of rho (eigenvalues below 1e-12
-    dropped), so pure inputs get a one-dimensional environment.
+    dropped), so pure inputs get a one-dimensional environment.  The kept
+    eigenvalues are divided by their sum, so psi is a unit vector.
     """
-    if not isinstance(rho, DensityOp):
-        rho = DensityOp(rho)
     d_a, d_b = split
     if d_a * d_b != rho.dim:
         raise ValidationError(f"split {split} does not factor dimension {rho.dim}")
     eigenvalues, vectors = np.linalg.eigh(rho.matrix)
     # eigh sorts the eigenvalues ascending, so those kept are a suffix
     dropped = int(np.count_nonzero(eigenvalues <= EIGENVALUE_FLOOR))
-    eigenvalues, vectors = eigenvalues[dropped:], vectors[:, dropped:]
-    d_e = int(eigenvalues.size)
-    amps = vectors * np.sqrt(eigenvalues)
-    return TripartitePureState((d_a, d_b, d_e), amps.reshape(d_a, d_b, d_e))
+    kept = eigenvalues[dropped:]
+    amps = vectors[:, dropped:] * np.sqrt(kept / kept.sum())
+    return TripartitePureState((d_a, d_b, kept.size), amps)
 
 
 def _dilations(kraus: np.ndarray) -> np.ndarray:
@@ -389,6 +389,8 @@ def evaluate_raw(symbol: str, psi: TripartitePureState) -> float:
 
 
 def random_tripartite_state(rng, d_a: int, d_b: int) -> TripartitePureState:
-    """Purification of a random mixed state on A x B (G G^dag normalized)."""
-    from .rng import random_density
-    return purify(random_density(rng, d_a * d_b), (d_a, d_b))
+    """G / |G| as amplitudes, rows on AB and columns on E, for the n x n
+    complex Gaussian G = rng.complex_matrix(n, n), n = d_E = d_A d_B."""
+    n = d_a * d_b
+    g = rng.complex_matrix(n, n)
+    return TripartitePureState((d_a, d_b, n), g / np.linalg.norm(g))

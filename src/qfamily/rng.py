@@ -103,10 +103,3 @@ class SplitMix64:
         """Row-major complex Gaussians from `normals`, the real part of
         each entry drawn first."""
         return self.normals(2 * rows * cols).view(complex).reshape(rows, cols)
-
-
-def random_density(rng: SplitMix64, dim: int) -> np.ndarray:
-    """Random mixed state: normalize G @ G.conj().T for complex Gaussian G."""
-    g = rng.complex_matrix(dim, dim)
-    rho = g @ g.conj().T
-    return rho / rho.trace().real

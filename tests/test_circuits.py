@@ -235,6 +235,17 @@ def test_a_state_whose_norm_would_overflow_or_underflow_is_scaled_as_it_enters(a
     assert reg.fidelity([q], target).tolist() == [1.0]
 
 
+@pytest.mark.parametrize("runner", [run_teleportation, run_coherent_teleportation])
+@pytest.mark.parametrize("amplitudes", [(1e200, 0), (5e-324, 0), (1.5e308, 1.5e308j)],
+                         ids=["1e200", "subnormal", "huge-complex"])
+def test_a_claim_scales_its_target_as_the_state_entered(runner, amplitudes):
+    """The runners claim against their raw inputs: a target whose |t|^2
+    overflows or underflows is scaled like the state, so every fidelity is
+    exactly 1, not NaN."""
+    [run] = runner(amplitudes)
+    assert list(run.fidelities.values()) == [1.0] * len(run.fidelities)
+
+
 @pytest.mark.parametrize("matrix", [
     np.zeros((2, 2)), [[1, 1], [0, 1]], [[np.inf, 0], [0, 1]], [[1, 0], [0, np.inf]],
     np.diag([1, 1 + 1e-9]), [[1e200, 0], [0, 1]],

@@ -262,6 +262,23 @@ def test_registry_env_var(capsys, tmp_path, monkeypatch):
     assert "env_bell" in out
 
 
+def test_rates_on_a_registry_state_at_the_trace_and_psd_tolerances(capsys, tmp_path):
+    # accepted by load_registry: trace 1 + 9e-11, three eigenvalues of -9e-11;
+    # the state left when they are dropped has weight 1 + 3.6e-10
+    diagonal = [1 + 3.6e-10, -9e-11, -9e-11, -9e-11]
+    data = [[diagonal[i // 5] if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps([{"name": "edge", "kind": "state", "dims": [2, 2], "data": data}]))
+    code, out, err = run_cli(capsys, "rates", "--ri", "eq2", "--state", "edge",
+                             "--registry", str(path), "--json")
+    assert (code, err) == (0, "")
+    table = json.loads(out)
+    rates = [entry["rate"] for side in ("inputs", "outputs") for entry in table[side]
+             if entry["rate"] is not None]
+    assert rates and all(abs(rate) <= 1e-9 for rate in rates)  # |00>: no entanglement
+    assert all(0.0 <= h <= 1e-9 for h in table["entropies"].values())
+
+
 @pytest.mark.parametrize("argv", [
     ("dual", "--text", "1/0 [qq] >= [qq]"),
     ("check-identities", "--trials", "0"),

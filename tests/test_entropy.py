@@ -28,8 +28,8 @@ from qfamily.entropy import (
     _dilations,
 )
 from qfamily.channels import CHANNEL_FAMILIES, builtin_objects, family_channel
-from qfamily.rng import SplitMix64, random_density
-from test_rng import random_pure, random_unitary
+from qfamily.rng import SplitMix64
+from test_rng import random_density, random_pure, random_unitary
 
 BELL = maximally_entangled(2)
 
@@ -240,6 +240,14 @@ def test_purify_then_trace_recovers_input():
         assert np.max(np.abs(back.matrix - rho)) < 1e-9
 
 
+def test_purify_of_a_state_at_the_trace_and_psd_tolerances_is_a_unit_vector():
+    # trace 1 + 9e-11, and dropping the negative eigenvalues leaves weight 1 + 3.6e-10
+    rho = DensityOp(np.diag([1 + 3.6e-10, -9e-11, -9e-11, -9e-11]))
+    psi = purify(rho, (2, 2))
+    assert psi.dims == (2, 2, 1)
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-15
+
+
 def test_purify_split_must_factor_dimension():
     with pytest.raises(ValidationError, match="split"):
         purify(DensityOp(np.eye(4) / 4), (3, 2))
@@ -388,6 +396,37 @@ def test_reduced_of_bell_is_maximally_mixed():
 def test_reduced_of_product_state_is_pure():
     psi = TripartitePureState((2, 2, 1), np.kron([1.0, 0.0], np.kron([0.0, 1.0], [1.0])))
     assert entropy(reduced(psi, "A")) < 1e-12
+
+
+def test_a_random_state_takes_no_factorisation(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a random state needs no factorisation")
+
+    for name in ("eigh", "eigvalsh", "svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    assert random_tripartite_state(SplitMix64(5), 3, 4).dims == (3, 4, 12)
+
+
+@pytest.mark.parametrize("pending_spare", [False, True], ids=["no-spare", "spare"])
+def test_a_random_state_draws_one_complex_matrix(pending_spare):
+    for seed in range(20):
+        for d_a, d_b in ((1, 1), (2, 2), (2, 3), (4, 4)):
+            drawn, reference = SplitMix64(seed), SplitMix64(seed)
+            if pending_spare:
+                drawn.normals(1)
+                reference.normals(1)
+            random_tripartite_state(drawn, d_a, d_b)
+            reference.complex_matrix(d_a * d_b, d_a * d_b)
+            assert (drawn.state, drawn._spare) == (reference.state, reference._spare)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(2, 4), st.integers(2, 4))
+def test_a_random_state_purifies_the_random_density_of_its_draw(seed, d_a, d_b):
+    psi = random_tripartite_state(SplitMix64(seed), d_a, d_b)
+    assert psi.dims == (d_a, d_b, d_a * d_b)
+    rho = random_density(SplitMix64(seed), d_a * d_b)
+    assert np.abs(reduced(psi, "AB").matrix - rho).max() <= 1e-14
 
 
 def test_purity_symmetry_on_random_states():
@@ -569,9 +608,10 @@ def test_marginal_is_bitwise_the_tensordot_partial_trace(dims, seed):
             assert formed.tobytes() == expected.tobytes()
 
 
-# evaluate_raw on random_tripartite_state(SplitMix64(21), 2, 3), dims (2, 3, 6),
-# as float.hex: every spelling of algebra.SYMBOLS, and others that name the
-# same marginals, each on a fresh copy of the state
+# evaluate_raw on the purification of random_density(SplitMix64(21), 6) that
+# eigh gives, eigenvectors times the square roots of their eigenvalues, dims
+# (2, 3, 6), as float.hex: every spelling of algebra.SYMBOLS, and others that
+# name the same marginals, each on a fresh copy of the state
 PINNED_RAW_VALUES = {
     "1": "0x1.0000000000000p+0",
     "CONST": "0x1.0000000000000p+0",
@@ -595,8 +635,8 @@ PINNED_RAW_VALUES = {
 
 def test_every_raw_spelling_keeps_its_pinned_value():
     assert set(SYMBOLS) <= set(PINNED_RAW_VALUES)
-    psi = random_tripartite_state(SplitMix64(21), 2, 3)
-    assert psi.dims == (2, 3, 6)
+    eigenvalues, vectors = np.linalg.eigh(random_density(SplitMix64(21), 6))
+    psi = TripartitePureState((2, 3, 6), vectors * np.sqrt(eigenvalues))
     for symbol, pinned in PINNED_RAW_VALUES.items():
         copy = TripartitePureState(psi.dims, psi.amplitudes)
         assert evaluate_raw(symbol, copy).hex() == pinned, symbol

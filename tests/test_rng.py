@@ -1,8 +1,8 @@
 """Block draws of `SplitMix64` against the scalar generator they replace.
 
 The scalar stream (`uniform`, `normal`, `complex_normal`) and the random
-pure states and unitaries that other tests draw live here, not in
-`qfamily.rng`: no verb uses them.
+pure states, mixed states and unitaries that other tests draw live here,
+not in `qfamily.rng`: no verb uses them.
 """
 
 import math
@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qfamily.rng import SplitMix64, random_density
+from qfamily.rng import SplitMix64
 
 DIMS = (1, 2, 3, 4, 5, 9, 16)
 
@@ -44,6 +44,14 @@ def random_pure(rng: SplitMix64, dim: int) -> np.ndarray:
     """Haar-like random pure state vector (normalized complex Gaussian)."""
     v = rng.complex_matrix(1, dim)[0]
     return v / np.linalg.norm(v)
+
+
+def random_density(rng: SplitMix64, dim: int) -> np.ndarray:
+    """Random mixed state: G G^dag / tr(G G^dag) for the complex Gaussian G
+    of `complex_matrix(dim, dim)`."""
+    g = rng.complex_matrix(dim, dim)
+    rho = g @ g.conj().T
+    return rho / rho.trace().real
 
 
 def random_unitary(rng: SplitMix64, dim: int) -> np.ndarray:
