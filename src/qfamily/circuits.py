@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -287,12 +288,19 @@ class Register:
     def apply_single(self, matrix: np.ndarray, qubit: int):
         """`matrix` on `qubit` of every state: one batched matmul with the
         qubit as the middle axis.  The 2x2 `matrix` M is refused unless
-        M^dag M = c I for a finite c > 0, to within a relative UNITARY_TOL."""
+        M^dag M = c I for a finite c > 0, to within a relative UNITARY_TOL.
+        M is applied times the power of two 2^-k that puts c 4^-k in (1/2, 2]:
+        exact, no run of gates overflows or underflows the amplitudes, and a
+        unitary or the integer H, c within round-off of 1 or 2, has k = 0."""
         (a, b), (c, d) = np.asarray(matrix).tolist()  # x * x.conjugate() gives inf where abs(x) ** 2 raises
         scale, other = ((x * x.conjugate() + y * y.conjugate()).real for x, y in ((a, c), (b, d)))
         if not (0 < scale < np.inf and abs(other - scale) <= UNITARY_TOL * scale
                 and abs(a.conjugate() * b + c.conjugate() * d) <= UNITARY_TOL * scale):
             raise ValueError(f"a one-qubit gate must be a finite nonzero multiple of a unitary, got {matrix!r}")
+        mantissa, exponent = math.frexp(scale)  # scale = mantissa 2^exponent, mantissa in [1/2, 1)
+        k = (exponent - (mantissa == 0.5)) >> 1
+        if k:
+            matrix = np.asarray(matrix) * math.ldexp(1.0, -k)
         batch = len(self.amps)
         self.amps = (matrix @ self.amps.reshape(batch << qubit, 2, -1)).reshape(batch, -1)
 

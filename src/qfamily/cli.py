@@ -46,8 +46,8 @@ finally:
 IDENTITY_TOLERANCE = 1e-9
 
 # Duality claims (a, b, wasted) printed by `family`: the dual of b, with
-# `wasted` (if any) added to its inputs, states a.  A claim is printed only
-# when it holds.
+# `wasted` (if any) added to its inputs, states a.  A claim that fails is
+# printed as failed, and `family` exits 1.
 DUALITY_CLAIMS = (
     ("mother", "father", None),
     ("eq3", "eq4", None),
@@ -87,19 +87,19 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _holding_dualities(full) -> list[str]:
-    held = []
+def _dualities(full) -> tuple[list[str], list[str]]:
+    """The claims of `DUALITY_CLAIMS` that hold, and those that fail."""
+    held, failed = [], []
     for a, b, wasted in DUALITY_CLAIMS:
         other = full[b] if wasted is None else waste(full[b], wasted)
-        if not dual(other).same_statement(full[a]):
-            continue
         if a == b:
-            held.append(f"{a} self-dual")
+            claim = f"{a} self-dual"
         elif wasted is None:
-            held.append(f"{a} <-> {b}")
+            claim = f"{a} <-> {b}"
         else:
-            held.append(f"{a} <-> {b} after wasting {grammar.format_vector(wasted)}")
-    return held
+            claim = f"{a} <-> {b} after wasting {grammar.format_vector(wasted)}"
+        (held if dual(other).same_statement(full[a]) else failed).append(claim)
+    return held, failed
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +122,12 @@ def cmd_family(args) -> int:
         ri = full[name]
         print(f"  {name:8s} {grammar.format_ri(ri)}")
         print(render_trace(ri, indent="           | "))
-    held = _holding_dualities(full)
+    held, failed = _dualities(full)
     if held:
         print("duality: " + "; ".join(held))
-    return 0
+    for claim in failed:
+        print(f"duality failed: {claim}")
+    return 1 if failed else 0
 
 
 def _family_member(name: str):

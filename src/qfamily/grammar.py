@@ -92,8 +92,10 @@ def format_rational(value: tuple[int, int]) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
+@lru_cache(maxsize=1024)
 def format_expr(expr: EntropicExpr) -> str:
-    """Shortest faithful spelling of a canonical entropic expression.
+    """Shortest faithful spelling of a canonical entropic expression, made
+    once per distinct expression.
 
     Negative-leading spellings are parenthesized so that terms always join
     with '+' in vector context.
@@ -340,7 +342,14 @@ _MEMBERS = {kind: {member.value: member for member in kind} for kind in (Gen, Mo
 
 
 def expr_to_json(expr: EntropicExpr) -> dict[str, str]:
-    return {_WIRE_NAME[gen]: format_rational(pair) for gen, pair in expr.as_pairs().items()}
+    return dict(_wire_pairs(expr))
+
+
+@lru_cache(maxsize=1024)
+def _wire_pairs(expr: EntropicExpr) -> tuple[tuple[str, str], ...]:
+    """The (generator, rational) spellings of `expr`, made once per distinct
+    expression; a tuple, so that no caller can change what is kept."""
+    return tuple((_WIRE_NAME[gen], format_rational(pair)) for gen, pair in expr.as_pairs().items())
 
 
 @lru_cache(maxsize=1024)
@@ -387,6 +396,35 @@ def vector_to_json(vector: ResourceVector) -> list[dict]:
 
 
 def vector_from_json(data: list) -> ResourceVector:
+    """The vector of a JSON term list.  A list of exact dicts, each with an
+    exact-str "kind" and an exact-dict "coeff" of hashable values, is read
+    once per distinct content; any other input is read afresh, so that its
+    ParseError is the one `_vector_from_json` raises."""
+    if type(data) is list:
+        key = []
+        for entry in data:
+            if type(entry) is not dict:
+                break
+            kind, coeff = entry.get("kind"), entry.get("coeff")
+            if type(kind) is not str or type(coeff) is not dict:
+                break
+            key.append((kind, tuple(coeff.items())))
+        else:
+            try:
+                return _vector_of(tuple(key))
+            except TypeError:  # an unhashable coefficient value
+                pass
+    return _vector_from_json(data)
+
+
+@lru_cache(maxsize=1024)
+def _vector_of(key: tuple) -> ResourceVector:
+    """`_vector_from_json` of the term list whose (kind, coefficient items)
+    are `key`; a vector is immutable, so every reader may share it."""
+    return _vector_from_json([{"kind": kind, "coeff": dict(items)} for kind, items in key])
+
+
+def _vector_from_json(data: list) -> ResourceVector:
     terms = [(resource_from_token(_field(entry, "kind", str)), expr_from_json(_field(entry, "coeff", dict)))
              for entry in data]
     try:

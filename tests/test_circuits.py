@@ -259,15 +259,34 @@ def test_apply_single_refuses_a_gate_that_is_not_a_multiple_of_a_unitary(matrix)
     assert reg.amps is before
 
 
-@pytest.mark.parametrize("matrix", [
-    np.array([[1, 1], [1, -1]]), 3j * np.eye(2), np.array([[0, 2], [2j, 0]]),
-    random_unitary(SplitMix64(4), 2) * 1e-3, np.array([[1, 1], [1, -1]]) * 2.0 ** 500,
+# Each gate with the k of the power of two 2^-k that puts its column norm^2,
+# times 4^-k, in (1/2, 2]: 2, 9, 4, 1e-6 and 2^1001.
+@pytest.mark.parametrize("matrix, k", [
+    (np.array([[1, 1], [1, -1]]), 0), (3j * np.eye(2), 2), (np.array([[0, 2], [2j, 0]]), 1),
+    (random_unitary(SplitMix64(4), 2) * 1e-3, -10), (np.array([[1, 1], [1, -1]]) * 2.0 ** 500, 500),
 ], ids=["integer H", "3i I", "scaled Y-like", "small unitary", "large H"])
-def test_apply_single_takes_any_nonzero_multiple_of_a_unitary(matrix):
+def test_apply_single_takes_any_nonzero_multiple_of_a_unitary(matrix, k):
     reg = Register()
     q = reg.add_qubit(Party.ALICE, (0.6, 0.8))
     reg.apply_single(matrix, q)
-    assert np.array_equal(reg.amps[0], matrix @ [0.6, 0.8])
+    if k == 0:
+        assert np.array_equal(reg.amps[0], matrix @ [0.6, 0.8])
+    else:
+        want = np.ldexp(np.asarray(matrix @ [0.6, 0.8], dtype=complex).view(float), -k).view(complex)
+        assert np.array_equal(reg.amps[0], want)
+
+
+@pytest.mark.parametrize("power", [500, -500])
+def test_scaled_gates_applied_again_and_again_keep_the_state_finite(power):
+    """Three H * 2^500 on |0> overflowed to inf+nanj and three H * 2^-500
+    underflowed to 0, each with fidelity NaN, until each gate was scaled by
+    the power of two of its column norm."""
+    reg = Register()
+    q = reg.add_qubit(Party.ALICE, (1, 0))
+    for _ in range(3):
+        reg.apply_single(np.array([[1, 1], [1, -1]]) * 2.0 ** power, q)
+    assert np.isfinite(reg.amps).all()
+    assert reg.fidelity([q], PLUS).tolist() == [1.0]
 
 
 def test_a_batch_needs_one_state_or_one_per_member():

@@ -480,15 +480,17 @@ def test_a_pure_registry_state_at_the_trace_tolerance_has_zero_rates(capsys, tmp
     assert tables > 0
 
 
-def test_family_prints_only_duality_claims_that_hold(capsys, monkeypatch):
+def test_family_names_each_duality_claim_that_fails_and_exits_1(capsys, monkeypatch):
+    """A false claim used to vanish from the `duality:` line with exit 0."""
     _, out, _ = run_cli(capsys, "family")
-    line = out.splitlines()[-1]
-    false_claims = (("tp", "sd", None), ("eq1", "eq5", None))
+    false_claims = (("tp", "sd", None), ("eq1", "eq5", None), ("qe", "qe", None),
+                    ("tp", "qe", cli.vec(1, cli.CBIT)))
     monkeypatch.setattr(cli, "DUALITY_CLAIMS", cli.DUALITY_CLAIMS + false_claims)
-    _, out_with_false, _ = run_cli(capsys, "family")
-    assert out_with_false == out
-    assert line.startswith("duality: mother <-> father; ")
-    assert "tp <-> sd" not in line and "eq1 <-> eq5" not in line
+    code, out_with_false, err = run_cli(capsys, "family")
+    assert (code, err) == (1, "")
+    assert out_with_false == out + "".join(f"duality failed: {claim}\n" for claim in (
+        "tp <-> sd", "eq1 <-> eq5", "qe self-dual", "tp <-> qe after wasting [c->c]"))
+    assert out.splitlines()[-1].startswith("duality: mother <-> father; ")
 
 
 @pytest.mark.parametrize("modules", ["qfamily", "qfamily.algebra, qfamily.grammar, qfamily.derivation"])

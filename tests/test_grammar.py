@@ -1,14 +1,24 @@
 import copy
 import json
 import re
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfamily.algebra import EBIT, SYMBOLS, Gen, Mode, ResourceInequality, canonicalize, vec
+from qfamily import grammar
+from qfamily.algebra import (
+    CBIT, EBIT, SYMBOLS, AlgebraError, DerivationStep, EntropicExpr, Gen, Mode, ResourceInequality,
+    ResourceVector, RuleFlags, StepKind, canonicalize, vec,
+)
 from qfamily.derivation import PRIMITIVES, derive_family
 from qfamily.grammar import (
+    _MEMBERS,
     ParseError,
+    _brief,
+    _field,
+    _rational,
     expr_from_json,
     expr_to_json,
     format_expr,
@@ -18,8 +28,10 @@ from qfamily.grammar import (
     parse_ri,
     parse_vector,
     ri_from_json,
+    resource_from_token,
     ri_to_json,
     vector_from_json,
+    vector_to_json,
 )
 
 from test_algebra import vectors
@@ -240,3 +252,151 @@ def test_json_value_of_the_wrong_type_is_a_parse_error(path, value):
     node[path[-1]] = value
     with pytest.raises(ParseError):
         ri_from_json(data)
+
+
+# -- the reader's cache against the reader it replaced ---------------------------
+#
+# `vector_from_json`, `expr_from_json` and `ri_from_json` as they were before a
+# distinct term list was read once, kept as the reference that every
+# document, well formed or not, must read the same by.
+
+
+def _reference_expr_from_json(data: dict) -> EntropicExpr:
+    try:
+        return EntropicExpr.from_pairs({_MEMBERS[Gen][key]: _rational(value, 0) for key, value in data.items()})
+    except (KeyError, TypeError, ValueError):  # a key naming no generator, a value no "p"/"p/q" string
+        # A map of more than four entries is bad for that alone: show four.
+        shown = {_brief(key): _brief(value) for key, value in islice(data.items(), 4)}
+        more = f" and {len(data) - 4} more" if len(data) > 4 else ""
+        raise ParseError(f"bad coefficient map {shown!r}{more}", 0) from None
+
+
+def _reference_vector_from_json(data: list) -> ResourceVector:
+    terms = [(resource_from_token(_field(entry, "kind", str)),
+              _reference_expr_from_json(_field(entry, "coeff", dict)))
+             for entry in data]
+    try:
+        return ResourceVector(tuple(terms))
+    except AlgebraError as exc:
+        raise ParseError(str(exc), 0) from None
+
+
+def _reference_ri_from_json(data: dict) -> ResourceInequality:
+    flags = _field(data, "flags", dict)
+    steps = _field(data, "trace", list) if "trace" in data else []
+    return ResourceInequality(
+        name=_field(data, "name", str),
+        lhs=_reference_vector_from_json(_field(data, "lhs", list)),
+        rhs=_reference_vector_from_json(_field(data, "rhs", list)),
+        mode=_field(data, "mode", Mode),
+        flags=RuleFlags(_field(flags, "rule_I_ok", bool), _field(flags, "rule_O_ok", bool)),
+        trace=tuple(DerivationStep(_field(step, "kind", StepKind), _field(step, "tool", str),
+                                   _reference_expr_from_json(_field(step, "multiplier", dict)),
+                                   _reference_ri_from_json(_field(step, "before", dict)),
+                                   _reference_ri_from_json(_field(step, "after", dict))) for step in steps),
+    )
+
+
+class _SubDict(dict):
+    pass
+
+
+FAMILY_WIRE = json.loads(json.dumps({name: ri_to_json(ri) for name, ri in derive_family().items()}))
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root's first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(doc, mutations):
+    """A deep copy of `doc` with each (operation, path index, choice) applied
+    in turn, to the node of that index among the paths of the copy so far."""
+    doc = copy.deepcopy(doc)
+    for operation, index, choice in mutations:
+        paths = list(_paths(doc))
+        path = paths[index % len(paths)]
+        if not path:
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node, last = parent[path[-1]], path[-1]
+        if operation == "swap":  # another type in place of a string, a dict or anything
+            parent[last] = [7, True, [], None, "1", {}][choice % 6]
+        elif operation == "drop" and isinstance(last, str):
+            del parent[last]
+        elif operation == "unhashable":
+            parent[last] = [["1"], {"p": "1"}, {"1"}][choice % 3]
+        elif operation == "one":  # 1, True and "1" compare or hash alike in a cache key
+            parent[last] = [1, True, "1", 1.0][choice % 4]
+        elif operation == "duplicate" and isinstance(node, list) and node:
+            node.append(copy.deepcopy(node[choice % len(node)]))
+        elif operation == "subclass" and isinstance(node, dict):
+            parent[last] = _SubDict(node)
+    return doc
+
+
+def _outcome(read, doc):
+    try:
+        return "read", read(doc)
+    except Exception as exc:  # any error: its type and text are compared
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(FAMILY_WIRE)),
+       st.lists(st.tuples(st.sampled_from(["swap", "drop", "unhashable", "one", "duplicate", "subclass"]),
+                          st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=11)),
+                min_size=1, max_size=3))
+def test_a_mutated_document_reads_as_the_reader_before_the_cache_read_it(name, mutations):
+    """The same inequality, or a ParseError with the same text; read twice,
+    so that the second read meets what the first one left in the cache."""
+    doc = _mutated(FAMILY_WIRE[name], mutations)
+    want = _outcome(_reference_ri_from_json, doc)
+    assert want[0] in ("read", "ParseError")
+    assert _outcome(ri_from_json, doc) == want
+    assert _outcome(ri_from_json, doc) == want
+
+
+def test_what_the_writer_returns_may_be_changed_without_changing_its_next_answer():
+    ri = derive_family()["mother_via_rule_I"]
+    coeff = ri.lhs.terms[0][1]
+    first = expr_to_json(coeff)
+    spelled = dict(first)
+    first["H_A"] = "99"
+    first.clear()
+    assert expr_to_json(coeff) == spelled and expr_from_json(spelled) == coeff
+    want = json.dumps(ri_to_json(ri))
+    data = ri_to_json(ri)
+    data["lhs"][0]["coeff"]["CONST"] = "5"
+    data["trace"][0]["multiplier"].clear()
+    data["trace"][0]["before"]["rhs"].append({"kind": "[qq]", "coeff": {}})
+    assert json.dumps(ri_to_json(ri)) == want
+
+
+def test_a_read_document_may_be_changed_and_read_again():
+    data = copy.deepcopy(FAMILY_WIRE["mother"])
+    first = ri_from_json(data)
+    data["lhs"][0]["coeff"]["CONST"] = "3"
+    data["rhs"].append({"kind": "[c->c]", "coeff": {"CONST": "1"}})
+    assert ri_from_json(data) == _reference_ri_from_json(data) != first
+    assert ri_from_json(FAMILY_WIRE["mother"]) == first
+
+
+def test_more_distinct_term_lists_than_a_cache_holds_still_round_trip():
+    """1,100 distinct term lists, read in order twice: every read past the
+    first 1,024 evicts, so the second pass builds each list again."""
+    wires = [vector_to_json(vec(Fraction(i, 7), EBIT) + vec(i, CBIT)) for i in range(1, 1101)]
+    for _ in range(2):
+        assert [vector_from_json(wire) for wire in wires] == [
+            vec(Fraction(i, 7), EBIT) + vec(i, CBIT) for i in range(1, 1101)]
+    assert grammar._vector_of.cache_info().currsize <= 1024
+
+
+def test_every_grammar_cache_is_bounded():
+    for cached in (grammar._rational, grammar._vector_of, grammar._wire_pairs, grammar.format_expr):
+        assert cached.cache_parameters()["maxsize"] == 1024
