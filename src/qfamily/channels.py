@@ -48,6 +48,8 @@ _QUBIT_PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+for _pauli in _QUBIT_PAULI.values():
+    _pauli.flags.writeable = False
 
 
 def _floored(x: float) -> float:

@@ -70,13 +70,6 @@ PROTOCOL_FIDELITY = 1.0 - 1e-10
 EXACT_FIDELITY = 1.0 - 1e-12
 VERIFY_CHUNK = 1024  # drawn inputs per batch of a row of verify_all
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-PLUS = np.array([1, 1], dtype=complex)
-BELL = np.array([1, 0, 0, 1], dtype=complex)
-
 
 class Party(Enum):
     ALICE = "alice"
@@ -155,12 +148,27 @@ def _norms(amps: np.ndarray) -> np.ndarray:
 def _scaled(amplitudes) -> np.ndarray:
     """Finite rows of amplitudes, not all zero, each times the power of two
     that puts its largest real or imaginary part in [1/2, 1): exact, and no
-    row's |psi|^2 overflows or underflows."""
+    row's |psi|^2 overflows or underflows.  Each row constant is scaled once."""
+    if id(amplitudes) in _FIXED_ROWS:
+        return _FIXED_ROWS[id(amplitudes)][1]
     parts = np.array(amplitudes, dtype=complex, ndmin=2, order="C").view(float)
     top = np.abs(parts).max(axis=1)  # NaN where a part is NaN
     if not all(0 < x < np.inf for x in top.tolist()):
         raise ValueError("a state needs finite amplitudes, not all zero")
     return np.ldexp(parts, -np.frexp(top)[1][:, None]).view(complex)
+
+
+def _constant(value) -> np.ndarray:
+    """A complex array that refuses writes, for a module constant."""
+    array = np.array(value, dtype=complex)
+    array.flags.writeable = False
+    return array
+
+
+_H, _X, _Z = _constant([[1, 1], [1, -1]]), _constant([[0, 1], [1, 0]]), _constant([[1, 0], [0, -1]])
+PLUS, BELL, _KET0 = _constant([1, 1]), _constant([1, 0, 0, 1]), _constant([1, 0])
+_FIXED_ROWS: dict = {}  # id(row constant) -> (the constant, its `_scaled` rows, read-only)
+_FIXED_ROWS.update({id(row): (row, _constant(_scaled(row))) for row in (PLUS, BELL, _KET0)})
 
 
 def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,7 +247,7 @@ class Register:
         for ledger in self.ledgers:
             ledger.consume(kind, n)
 
-    def add_qubit(self, owner: Party, amplitudes=(1.0, 0.0)):
+    def add_qubit(self, owner: Party, amplitudes=_KET0):
         """Fresh qubits of one party in a joint state of 2^k amplitudes, one
         row for the whole batch or one per state, `_scaled`: the new qubit's
         index, or a tuple of the k new indices."""
@@ -441,9 +449,10 @@ def _runs(threshold: float, registers: list[Register], fidelities: dict, values:
     (one per branch), and entry b of every array in `fidelities`, `holds`
     and `values`."""
     batch = len(registers[0].ledgers)
-    holds = np.broadcast_to(holds, (batch,))
+    fidelities = {key: f.tolist() for key, f in fidelities.items()}
+    holds = np.broadcast_to(holds, (batch,)).tolist()
     return [Run(threshold, [reg.ledgers[b] for reg in registers],
-                {key: float(f[b]) for key, f in fidelities.items()}, bool(holds[b]),
+                {key: f[b] for key, f in fidelities.items()}, holds[b],
                 values={key: v[b] for key, v in values.items()})
             for b in range(batch)]
 

@@ -47,7 +47,7 @@ IDENTITY_TOLERANCE = 1e-9
 
 # Duality claims (a, b, wasted) printed by `family`: the dual of b, with
 # `wasted` (if any) added to its inputs, states a.  A claim that fails is
-# printed as failed, and `family` exits 1.
+# printed as failed (on stderr under --json), and `family` exits 1.
 DUALITY_CLAIMS = (
     ("mother", "father", None),
     ("eq3", "eq4", None),
@@ -109,24 +109,23 @@ def _dualities(full) -> tuple[list[str], list[str]]:
 
 def cmd_family(args) -> int:
     full = derive_family()
+    held, failed = _dualities(full)
     if args.json:
         import json
-        payload = {name: grammar.ri_to_json(full[name]) for name in FAMILY_ORDER}
-        print(json.dumps(payload, indent=2))
-        return 0
-    print("primitives:")
-    for name in FAMILY_ORDER[:5]:
-        print(f"  {name:8s} {grammar.format_ri(full[name])}")
-    print("children:")
-    for name in FAMILY_ORDER[5:]:
-        ri = full[name]
-        print(f"  {name:8s} {grammar.format_ri(ri)}")
-        print(render_trace(ri, indent="           | "))
-    held, failed = _dualities(full)
-    if held:
-        print("duality: " + "; ".join(held))
+        print(json.dumps({name: grammar.ri_to_json(full[name]) for name in FAMILY_ORDER}, indent=2))
+    else:
+        print("primitives:")
+        for name in FAMILY_ORDER[:5]:
+            print(f"  {name:8s} {grammar.format_ri(full[name])}")
+        print("children:")
+        for name in FAMILY_ORDER[5:]:
+            ri = full[name]
+            print(f"  {name:8s} {grammar.format_ri(ri)}")
+            print(render_trace(ri, indent="           | "))
+        if held:
+            print("duality: " + "; ".join(held))
     for claim in failed:
-        print(f"duality failed: {claim}")
+        print(f"duality failed: {claim}", file=sys.stderr if args.json else sys.stdout)
     return 1 if failed else 0
 
 

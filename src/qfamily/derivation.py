@@ -16,8 +16,9 @@ the rest across), catalytic cancellation of equal terms on both sides
 (licensed only asymptotically), wasting (adding unused inputs), and the two
 coherentification rules, held as data in the one table `RULES` built from a
 cobit's worth `COBIT_WORTH`.  Each operation records a replayable trace
-step, an `algebra.DerivationStep`; `grammar`, which this module imports and
-which never imports it, writes traces as JSON and reads them back.
+step, an `algebra.DerivationStep`, unless `replay` calls it traced=False;
+`grammar`, which this module imports and which never imports it, writes
+traces as JSON and reads them back.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ _COMPOSITIONS = {
 
 
 def _compose(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike,
-             step_kind: StepKind) -> ResourceInequality:
+             step_kind: StepKind, traced: bool = True) -> ResourceInequality:
     """Compose `tool`, scaled by k, with `base`: after it for APPEND and
     APPLY_QE_FRACTION, before it for PREPEND.
 
@@ -122,7 +123,7 @@ def _compose(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike,
     lhs, rhs = (facing, other) if verb == "prepend" else (other, facing)
     mode = Mode.EXACT if base.mode is Mode.EXACT and tool.mode is Mode.EXACT else Mode.ASYMPTOTIC
     result = ResourceInequality(f"{verb}({base.name},{tool.name})", lhs, rhs, mode)
-    return _with_step(base, result, step_kind, tool.name, k)
+    return _with_step(base, result, step_kind, tool.name, k) if traced else result
 
 
 def append(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike) -> ResourceInequality:
@@ -137,7 +138,8 @@ def prepend(base: ResourceInequality, tool: ResourceInequality, k: CoeffLike) ->
     return _compose(base, tool, k, StepKind.PREPEND)
 
 
-def cancel(ri: ResourceInequality, kind: ResourceKind, amount: CoeffLike) -> ResourceInequality:
+def cancel(ri: ResourceInequality, kind: ResourceKind, amount: CoeffLike,
+           traced: bool = True) -> ResourceInequality:
     """Catalytic cancellation: subtract `amount` of `kind` from both sides.
 
     Recycling a returned resource is licensed only for asymptotic
@@ -160,10 +162,10 @@ def cancel(ri: ResourceInequality, kind: ResourceKind, amount: CoeffLike) -> Res
     with _algebra_errors():
         spent = vec(amount, kind)
         result = ResourceInequality(ri.name, ri.lhs - spent, ri.rhs - spent, ri.mode)
-    return _with_step(ri, result, StepKind.CANCEL, kind.token, amount)
+    return _with_step(ri, result, StepKind.CANCEL, kind.token, amount) if traced else result
 
 
-def waste(ri: ResourceInequality, vector: ResourceVector) -> ResourceInequality:
+def waste(ri: ResourceInequality, vector: ResourceVector, traced: bool = True) -> ResourceInequality:
     """Consume `vector` in addition to the existing inputs and discard it."""
     if vector.is_empty:
         return ri
@@ -171,7 +173,8 @@ def waste(ri: ResourceInequality, vector: ResourceVector) -> ResourceInequality:
         if coeff.is_definitely_negative():
             raise DerivationError(f"waste vector has negative {kind.token} coefficient")
     result = ResourceInequality(f"waste({ri.name})", ri.lhs + vector, ri.rhs, ri.mode)
-    return _with_step(ri, result, StepKind.WASTE, grammar.format_vector(vector), as_expr(1))
+    return (_with_step(ri, result, StepKind.WASTE, grammar.format_vector(vector), as_expr(1))
+            if traced else result)
 
 
 # A cobit [q->qq] is worth half a qubit channel plus half an ebit, by the
@@ -203,7 +206,7 @@ RULES = {
 }
 
 
-def _apply_rule(ri: ResourceInequality, step_kind: StepKind) -> ResourceInequality:
+def _apply_rule(ri: ResourceInequality, step_kind: StepKind, traced: bool = True) -> ResourceInequality:
     rule = RULES[step_kind]
     if not getattr(ri.flags, f"{rule.name}_ok"):
         raise DerivationError(f"protocol not certified {rule.certified} ({rule.name.replace('_', ' ')})")
@@ -212,7 +215,7 @@ def _apply_rule(ri: ResourceInequality, step_kind: StepKind) -> ResourceInequali
         return ri
     lhs, rhs = ri.lhs + rule.lhs.scale(c), ri.rhs + rule.rhs.scale(c)
     result = ResourceInequality(f"{rule.name}({ri.name})", lhs, rhs, Mode.ASYMPTOTIC)
-    return _with_step(ri, result, step_kind, "", c)
+    return _with_step(ri, result, step_kind, "", c) if traced else result
 
 
 def apply_rule_I(ri: ResourceInequality) -> ResourceInequality:
@@ -316,20 +319,19 @@ def _execute_step(step: DerivationStep) -> ResourceInequality:
     if step.kind in _COMPOSITIONS:
         if step.tool not in PRIMITIVES:
             raise DerivationError(f"trace references unknown tool {step.tool!r}")
-        return _compose(base, PRIMITIVES[step.tool], step.multiplier, step.kind)
+        return _compose(base, PRIMITIVES[step.tool], step.multiplier, step.kind, traced=False)
     if step.kind in RULES:
-        return _apply_rule(base, step.kind)
+        return _apply_rule(base, step.kind, traced=False)
     if step.kind is StepKind.CANCEL:
-        return cancel(base, grammar.resource_from_token(step.tool), step.multiplier)
+        return cancel(base, grammar.resource_from_token(step.tool), step.multiplier, traced=False)
     if step.kind is StepKind.WASTE:
-        return waste(base, grammar.parse_vector(step.tool))
+        return waste(base, grammar.parse_vector(step.tool), traced=False)
     raise DerivationError(f"unknown step kind {step.kind}")
 
 
 def replay(trace: tuple[DerivationStep, ...]) -> ResourceInequality:
-    """Re-execute a trace from its first snapshot, checking every step.
-
-    Raises DerivationError if any re-executed step disagrees with its stored
+    """Re-execute a trace from its first snapshot, checking every step's
+    statement (no trace is built).  Raises DerivationError if any re-executed step disagrees with its stored
     `after` snapshot or if consecutive steps do not chain.
     """
     if not trace:
@@ -338,10 +340,9 @@ def replay(trace: tuple[DerivationStep, ...]) -> ResourceInequality:
     for i, step in enumerate(trace):
         if not state.same_statement(step.before):
             raise DerivationError(f"step {i}: chained state disagrees with snapshot")
-        redone = _execute_step(step)
-        if not redone.same_statement(step.after):
+        state = _execute_step(step)
+        if not state.same_statement(step.after):
             raise DerivationError(f"step {i}: replayed {step.kind.value} disagrees with snapshot")
-        state = redone.bare()
     return state
 
 

@@ -19,6 +19,7 @@ tripartite state is row-major over (A, B, E).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Mapping
 
@@ -191,7 +192,7 @@ def _bits(spectrum: np.ndarray) -> float:
     numpy's pairwise summation differently for 8 or more weights.
     """
     kept = spectrum[spectrum > EIGENVALUE_FLOOR]
-    return float(0.0 - (kept * np.log2(kept)).sum())  # 0.0, never -0.0
+    return float(0.0 - np.add.reduce(kept * np.log2(kept)))  # 0.0, never -0.0
 
 
 def purify(rho: DensityOp, split: tuple[int, int]) -> TripartitePureState:
@@ -289,11 +290,11 @@ def _marginal(psi: TripartitePureState, keep: tuple[int, ...], conj=None, out=No
     This is the GEMM that `np.tensordot(t, t.conj(), (drop, drop))` makes,
     on the same two operands, without tensordot's set-up: kept axes of t as
     rows against kept axes of conj(t) (`conj`, if the caller has it) as
-    columns, summed over the rest, written into `out` if given.
+    columns, summed over the rest, written into `out` if given (its size).
     """
     rows_axes, cols_axes = _ROWS_COLS[tuple(keep)]
-    kept = math.prod(psi.dims[ax] for ax in keep)
-    t = psi.tensor()
+    kept = math.prod(psi.dims[ax] for ax in keep) if out is None else len(out)
+    t = psi.amplitudes.reshape(psi.dims)
     rows = t.transpose(rows_axes).reshape(kept, -1)
     cols = (t.conj() if conj is None else conj).transpose(cols_axes).reshape(-1, kept)
     return np.dot(rows, cols, out=out)
@@ -308,27 +309,34 @@ def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> Densit
 _RAW_MARGINALS = ("A", "B", "E", "AB", "AE")
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(dims: tuple[int, int, int], key: str, first: bool) -> tuple:
+    """(size, names) of each stack `_marginal_entropy` forms for `key` on a
+    state of `dims`, with `_RAW_MARGINALS` on its `first` call, in order of use."""
+    groups: dict[int, list[str]] = {}
+    for name in dict.fromkeys((*_RAW_MARGINALS, key)) if first else (key,):
+        groups.setdefault(math.prod(dims[ax] for ax in _KEPT_AXES[name]), []).append(name)
+    return tuple((size, tuple(names)) for size, names in groups.items())
+
+
 def _marginal_entropy(psi: TripartitePureState, subsystems: str) -> float:
     """Entropy of psi's marginal on `subsystems`, formed once per state.
 
     A marginal of a validated state is M M^dag, PSD with trace |psi|^2, so
     it is not validated again.  The first call forms all of `_RAW_MARGINALS`
     too, from one conj(t).  Each call writes what it forms into one stack
-    per matrix size and takes one eigvalsh per stack, which gives each
-    matrix the spectrum a call of its own would.
+    per matrix size, as `_plan` groups them, and takes one eigvalsh per
+    stack, which gives each matrix the spectrum a call of its own would.
     """
     memo = psi._marginal_entropies
     key = subsystems if subsystems in memo else _canonical(subsystems)
     if key not in memo:
-        groups: dict[int, list[str]] = {}  # names by marginal size
-        for name in (key,) if memo else dict.fromkeys((*_RAW_MARGINALS, key)):
-            groups.setdefault(math.prod(psi.dims[ax] for ax in _KEPT_AXES[name]), []).append(name)
-        conj = psi.tensor().conj()
-        for size, group in groups.items():
-            stack = np.empty((len(group), size, size), dtype=complex)
-            for name, out in zip(group, stack):
+        conj = psi.amplitudes.reshape(psi.dims).conj()
+        for size, names in _plan(psi.dims, key, not memo):
+            stack = np.empty((len(names), size, size), dtype=complex)
+            for name, out in zip(names, stack):
                 _marginal(psi, _KEPT_AXES[name], conj, out)
-            for name, spectrum in zip(group, np.linalg.eigvalsh(stack)):
+            for name, spectrum in zip(names, np.linalg.eigvalsh(stack)):
                 memo[name] = _bits(spectrum)
     return memo[key]
 
@@ -369,22 +377,23 @@ def evaluate(expr: EntropicExpr | Mapping[str, object], psi: TripartitePureState
     return canonicalize(expr).value(*entropy_triple(psi))
 
 
+# The raw symbols of algebra.SYMBOLS, each from its marginals' entropies h
+_RAW_SYMBOLS = {"H(A)": lambda h: h["A"], "I(A:B)": lambda h: h["A"] + h["B"] - h["AB"],
+                "I(A:E)": lambda h: h["A"] + h["E"] - h["AE"], "Ic(A>B)": lambda h: h["B"] - h["AB"]}
+
+
 def evaluate_raw(symbol: str, psi: TripartitePureState) -> float:
     """Evaluate a raw symbol directly from reduced-state entropies, without
     the pure-state eliminations (independent check of canonicalize).  Each
     marginal is formed once per state, however many symbols use it."""
-    key = symbol.replace(";", ":").replace(" ", "")
+    key = symbol if symbol in _RAW_SYMBOLS else symbol.replace(";", ":").replace(" ", "")
     if key in ("1", "CONST"):
         return 1.0
-    h = lambda s: _marginal_entropy(psi, s)
+    if key in _RAW_SYMBOLS:
+        _marginal_entropy(psi, "A")  # on a state's first call, forms every raw marginal
+        return _RAW_SYMBOLS[key](psi._marginal_entropies)
     if key.startswith("H(") and key.endswith(")"):
-        return h(key[2:-1])
-    if key == "I(A:B)":
-        return h("A") + h("B") - h("AB")
-    if key == "I(A:E)":
-        return h("A") + h("E") - h("AE")
-    if key == "Ic(A>B)":
-        return h("B") - h("AB")
+        return _marginal_entropy(psi, key[2:-1])
     raise ValidationError(f"unknown raw symbol {symbol!r}")
 
 

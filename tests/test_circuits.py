@@ -235,6 +235,19 @@ def test_a_state_whose_norm_would_overflow_or_underflow_is_scaled_as_it_enters(a
     assert reg.fidelity([q], target).tolist() == [1.0]
 
 
+@pytest.mark.parametrize("name", ["PLUS", "BELL", "_KET0"])
+def test_a_constant_row_is_scaled_once_and_refuses_writes(name):
+    """`_scaled` hands back one read-only row for a constant, equal to what
+    it makes of a writable copy, and the constant refuses writes too."""
+    row = getattr(circuits, name)
+    scaled = circuits._scaled(row)
+    assert circuits._scaled(row) is scaled and len(circuits._FIXED_ROWS) == 3
+    assert scaled.tobytes() == circuits._scaled(np.array(row)).tobytes()
+    for array in (row, scaled):
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., -1] = -1
+
+
 @pytest.mark.parametrize("runner", [run_teleportation, run_coherent_teleportation])
 @pytest.mark.parametrize("amplitudes", [(1e200, 0), (5e-324, 0), (1.5e308, 1.5e308j)],
                          ids=["1e200", "subnormal", "huge-complex"])

@@ -493,6 +493,16 @@ def test_family_names_each_duality_claim_that_fails_and_exits_1(capsys, monkeypa
     assert out.splitlines()[-1].startswith("duality: mother <-> father; ")
 
 
+def test_family_json_names_each_duality_claim_that_fails_on_stderr_and_exits_1(capsys, monkeypatch):
+    """`family --json` used to check no claim: a false one left exit 0 and no word."""
+    code, document, err = run_cli(capsys, "family", "--json")
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "DUALITY_CLAIMS", cli.DUALITY_CLAIMS + (("tp", "sd", None), ("qe", "qe", None)))
+    code, out, err = run_cli(capsys, "family", "--json")
+    assert (code, out) == (1, document)
+    assert err == "duality failed: tp <-> sd\nduality failed: qe self-dual\n"
+
+
 @pytest.mark.parametrize("modules", ["qfamily", "qfamily.algebra, qfamily.grammar, qfamily.derivation"])
 def test_package_and_symbolic_layer_load_no_numpy(modules):
     code = f"import sys, {modules}; print(sorted({{'numpy', 'qfamily.entropy'}} & set(sys.modules)))"

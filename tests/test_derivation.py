@@ -251,6 +251,27 @@ def test_every_trace_replays_to_its_statement(family):
         assert replay(ri.trace).same_statement(ri), name
 
 
+def test_replay_re_executes_bare_statements_and_builds_no_trace_step(family, monkeypatch):
+    """replay checks each step's statement only: the trace step a rewrite
+    records, which replay used to build and drop, is never built."""
+    from qfamily import derivation
+
+    traces = [ri.trace for ri in family.values() if ri.trace]
+    traces.append(waste(family["tp"], vec(2, CBIT)).trace)
+    kinds = {step.kind for trace in traces for step in trace}
+    assert kinds == set(StepKind)
+    replayed = [replay(trace) for trace in traces]
+
+    def no_step(*args):
+        raise AssertionError("replay built a trace step")
+
+    monkeypatch.setattr(derivation, "_with_step", no_step)
+    for trace, before in zip(traces, replayed):
+        again = replay(trace)
+        assert again.same_statement(trace[-1].after) and again.same_statement(before)
+        assert again.trace == ()
+
+
 def test_no_cancel_step_touches_an_exact_inequality(family):
     for ri in family.values():
         for step in ri.trace:

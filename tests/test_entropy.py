@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -583,6 +584,32 @@ def test_evaluate_raw_forms_each_marginal_once_per_state(monkeypatch):
     assert [evaluate_raw(symbol, psi).hex() for symbol in symbols] == fresh
     assert sorted(formed) == ["A", "AB", "AE", "B", "E"]
     assert spectra == [(1, 2, 2), (1, 3, 3), (2, 6, 6), (1, 12, 12)]
+
+
+@pytest.mark.parametrize("d_a, d_b", list(itertools.product((2, 3, 4), repeat=2)))
+def test_raw_marginals_share_one_stack_per_size_on_every_drawn_shape(monkeypatch, d_a, d_b):
+    """The stacks of a state's first raw symbol, for each shape that
+    check-identities and the benchmark draw: the marginals A, B, E, AB and
+    AE grouped by size in that order, d_E = d_A d_B.  The benchmark's eig
+    call budget per `checks` op rests on this grouping."""
+    spectra, real_eigvalsh = [], np.linalg.eigvalsh
+
+    def counting_eigvalsh(matrices):
+        spectra.append(matrices.shape)
+        return real_eigvalsh(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    psi = random_tripartite_state(SplitMix64(10 * d_a + d_b), d_a, d_b)
+    for symbol in ("I(A:B)", "I(A:E)", "H(A)", "Ic(A>B)"):
+        evaluate_raw(symbol, psi)
+    counts = Counter([d_a, d_b, d_a * d_b, d_a * d_b, d_a * d_a * d_b])  # in order of first use
+    assert spectra == [(count, size, size) for size, count in counts.items()]
+
+
+def test_the_stack_plan_cache_is_bounded():
+    from qfamily import entropy as module
+
+    assert module._plan.cache_parameters()["maxsize"] == 256
 
 
 # -- the marginal kernel, bit for bit -----------------------------------------

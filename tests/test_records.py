@@ -10,9 +10,12 @@ identity, as their `eq=False` dataclasses did.
 
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 import subprocess
 import sys
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -261,3 +264,35 @@ def test_a_copy_of_a_validated_object_is_built_again_and_read_only(obj):
         arrays = [a for value in clone._values() for a in (value if type(value) is tuple else [value])
                   if isinstance(a, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def _arrays_in(value, seen):
+    """The ndarrays in `value`, in the values of a mapping and the items of a
+    tuple or list, however deep."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, types.MappingProxyType)):
+        for item in value.values():
+            yield from _arrays_in(item, seen)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays_in(item, seen)
+
+
+def test_no_module_holds_a_writable_array():
+    """A module constant is shared by every caller in the process: with
+    `circuits.BELL` writable, `circuits.BELL[3] = -1` made entanglement
+    distribution read fidelity 0.0 and `verify_all` fail."""
+    import qfamily
+
+    found = 0
+    for info in pkgutil.iter_modules(qfamily.__path__):
+        module = importlib.import_module(f"qfamily.{info.name}")
+        for name, value in vars(module).items():
+            for array in _arrays_in(value, set()):
+                found += 1
+                assert not array.flags.writeable, f"{info.name}.{name}"
+    assert found >= 12  # the gates, rows and Paulis, and the rows scaled from them
