@@ -10,14 +10,14 @@ have shape (B, 2^n), row b being state b and qubit i bit n-1-i of a column
 index.  They are never normalised (H is [[1, 1], [1, -1]]), only scaled by a
 power of two as they enter: every reader divides by each state's |psi|^2, so
 a fixed input's probabilities, fidelities and overlaps are exact, and the
-kernels, acting on all B states at once, check no norm.  A one-qubit gate is
-one batched matmul, CNOT a gather through an index permutation and CZ a
-product with a +-1 mask (both tables cached on first use), and a fidelity
-|t^dag M|^2 / (|t|^2 |psi|^2) per state, where the rows of M are the compared
-qubits' values; no density matrix is formed.  The runners whose inputs are
-amplitudes take one state or a batch of them and return one Run per input,
-and `verify_all` runs each of their rows in batches of VERIFY_CHUNK drawn
-inputs, drawing each batch as it runs.
+kernels, acting on all B states at once, check no norm.  A one-qubit gate,
+which is always the module's H, X or Z, is one batched matmul, CNOT a gather
+through an index permutation and CZ a product with a +-1 mask (both tables
+cached on first use), and a fidelity |t^dag M|^2 / (|t|^2 |psi|^2) per state,
+where the rows of M are the compared qubits' values; no density matrix is
+formed.  The runners whose inputs are amplitudes take one state or a batch of
+them and return one Run per input, and `verify_all` runs each of their rows
+in batches of VERIFY_CHUNK drawn inputs, drawing each batch as it runs.
 
 `verify_all` runs each protocol row once; its last three entries check
 those runs.  The cobit equivalence reads input 1 (|+>|+>) of the coherent
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,8 +64,9 @@ from .algebra import (
 from .derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
 from .rng import SplitMix64
 
-UNITARY_TOL = 1e-12  # relative, on the entries of M^dag M for a gate M
 PROTOCOL_FIDELITY = 1.0 - 1e-10
+SIGNALLING_TOL = 1e-12  # on max|rho_B - I/2| of Bob's qubit before teleportation's measurement
+WORST_CASE_TIE = 1e-12  # a fidelity this close to a row's lowest can be its `worst_case`
 EXACT_FIDELITY = 1.0 - 1e-12
 VERIFY_CHUNK = 1024  # drawn inputs per batch of a row of verify_all
 
@@ -293,33 +293,23 @@ class Register:
 
     # -- local gates ---------------------------------------------------------
 
-    def apply_single(self, matrix: np.ndarray, qubit: int):
-        """`matrix` on `qubit` of every state: one batched matmul with the
-        qubit as the middle axis.  The 2x2 `matrix` M is refused unless
-        M^dag M = c I for a finite c > 0, to within a relative UNITARY_TOL.
-        M is applied times the power of two 2^-k that puts c 4^-k in (1/2, 2]:
-        exact, no run of gates overflows or underflows the amplitudes, and a
-        unitary or the integer H, c within round-off of 1 or 2, has k = 0."""
-        (a, b), (c, d) = np.asarray(matrix).tolist()  # x * x.conjugate() gives inf where abs(x) ** 2 raises
-        scale, other = ((x * x.conjugate() + y * y.conjugate()).real for x, y in ((a, c), (b, d)))
-        if not (0 < scale < np.inf and abs(other - scale) <= UNITARY_TOL * scale
-                and abs(a.conjugate() * b + c.conjugate() * d) <= UNITARY_TOL * scale):
-            raise ValueError(f"a one-qubit gate must be a finite nonzero multiple of a unitary, got {matrix!r}")
-        mantissa, exponent = math.frexp(scale)  # scale = mantissa 2^exponent, mantissa in [1/2, 1)
-        k = (exponent - (mantissa == 0.5)) >> 1
-        if k:
-            matrix = np.asarray(matrix) * math.ldexp(1.0, -k)
+    def apply_single(self, gate: np.ndarray, qubit: int):
+        """`gate`, the module's `_H`, `_X` or `_Z` (checked by identity: any
+        other matrix is refused before the amplitudes change), on `qubit` of
+        every state: one batched matmul with the qubit as the middle axis."""
+        if not (gate is _H or gate is _X or gate is _Z):
+            raise ValueError(f"a one-qubit gate must be the lab's H, X or Z, got {gate!r}")
         batch = len(self.amps)
-        self.amps = (matrix @ self.amps.reshape(batch << qubit, 2, -1)).reshape(batch, -1)
+        self.amps = (gate @ self.amps.reshape(batch << qubit, 2, -1)).reshape(batch, -1)
 
-    def apply_if(self, bit: str, matrix: np.ndarray, qubit: int):
-        """`matrix` on `qubit` if the classical `bit` is 1; the qubit's owner
+    def apply_if(self, bit: str, gate: np.ndarray, qubit: int):
+        """`gate` on `qubit` if the classical `bit` is 1; the qubit's owner
         must hold the bit."""
         held = self.known[self.owners[qubit]]
         if bit not in held:
             raise LocalityError(f"{self.owners[qubit].name.title()} does not hold bit {bit!r}")
         if held[bit]:
-            self.apply_single(matrix, qubit)
+            self.apply_single(gate, qubit)
 
     def h(self, qubit: int):
         self.apply_single(_H, qubit)
@@ -510,7 +500,7 @@ def run_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
     values = {"bob_premeasurement_dm": premeasurement, "bob_states": np.stack(bob_states, axis=1),
               "outcome_probabilities": np.stack([b.probability for b in branches], axis=1)}
     return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities, values,
-                 holds=signalling <= 1e-12)
+                 holds=signalling <= SIGNALLING_TOL)
 
 
 def run_superdense(bits: tuple[int, int]) -> Run:
@@ -671,8 +661,8 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
     An entry passes when every run passes at its own threshold and, where
     the row has a target, the ledger of every branch matches it.  Each entry
     also states its number of runs (`cases`), the input index of its
-    lowest-fidelity run (`worst_case`; the first within 1e-12 of the lowest,
-    so float noise cannot move it) and that fidelity minus the run's
+    lowest-fidelity run (`worst_case`; the first within WORST_CASE_TIE of the
+    lowest, so float noise cannot move it) and that fidelity minus the run's
     threshold (`margin`).  Returns a JSON-ready report; overall `pass` is
     True only if every entry passed.
     """
@@ -699,7 +689,7 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
                 (ledger.consumed, ledger.produced) == wanted for ledger in run.ledgers)) for run in runs)
             del runs  # the next batch runs without this one (the first stays in `first`)
         low = min(fidelities)
-        worst = next(i for i, fidelity in enumerate(fidelities) if fidelity - low <= 1e-12)
+        worst = next(i for i, fidelity in enumerate(fidelities) if fidelity - low <= WORST_CASE_TIE)
         entry = {"name": name, "fidelity": low}
         if first[0].ledgers:
             entry["ledger"] = first[0].ledger.as_json()

@@ -2,9 +2,11 @@
 von Neumann entropies, and evaluation of entropic expressions on concrete
 tripartite pure states.  Each numeric object is validated once, where it is
 built; nothing derived from a validated state, such as a marginal, is
-validated again.  A random tripartite state has normalised complex Gaussian
-amplitudes with d_E = d_A d_B, a purification of the random mixed state
-G G^dag / tr on A x B (which the tests draw as `random_density`).
+validated again, except in `reduced`, which wraps a marginal in a `DensityOp`
+and so checks it again (its one caller is `channels.state_from_channel`).  A
+random tripartite state has normalised complex Gaussian amplitudes with
+d_E = d_A d_B, a purification of the random mixed state G G^dag / tr on
+A x B (which the tests draw as `random_density`).
 
 The channel-state path runs on stacks with a leading batch axis: a Kraus
 stack (B, K, d_out, d_in) is validated, turned into B channel states and
@@ -170,13 +172,13 @@ def _check_channels(kraus: np.ndarray) -> None:
     u = _dilations(kraus)
     with np.errstate(over="ignore", invalid="ignore"):
         devs = np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(kraus.shape[-1])).max(axis=(1, 2))
-    ok = devs <= HERMITIAN_TOL
+    ok = devs <= TRACE_TOL
     if not ok.all():
         first = ok.argmin()
         if not np.isfinite(kraus[first]).all():
             raise ValidationError("Kraus operator has NaN or infinite entries")
         raise ValidationError(
-            f"not trace preserving: max|sum K^dag K - I| = {devs[first]:.3e} > {HERMITIAN_TOL}"
+            f"not trace preserving: max|sum K^dag K - I| = {devs[first]:.3e} > {TRACE_TOL}"
         )
 
 
@@ -244,8 +246,8 @@ def channel_entropy_triples(kraus: np.ndarray) -> np.ndarray:
 
     The stack is validated once, each member as `QuantumChannel` would
     validate it, and each cut takes one SVD for the whole stack.  A member's
-    state has |psi|^2 = tr(U^dag U) / d_in, within HERMITIAN_TOL of 1, so its
-    norm is within about HERMITIAN_TOL / 2 of 1, inside NORM_TOL: the states
+    state has |psi|^2 = tr(U^dag U) / d_in, within TRACE_TOL of 1, so its
+    norm is within about TRACE_TOL / 2 of 1, inside NORM_TOL: the states
     are not checked again.
     """
     _check_channels(kraus)

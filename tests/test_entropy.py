@@ -135,6 +135,17 @@ def test_channel_trace_preservation_enforced():
         QuantumChannel((np.array([[1.0, 0.0], [0.0, 0.5]]),))
 
 
+def test_trace_preservation_is_bounded_by_trace_tol(monkeypatch):
+    """A Kraus stack whose sum K^dag K is off I by about 1e-8 is refused at
+    TRACE_TOL = 1e-10, with that tolerance named, and built at 1e-6."""
+    from qfamily import entropy as module
+    kraus = (np.diag([1.0, 1.0 + 5e-9]),)
+    with pytest.raises(ValidationError, match=r"= 1\.000e-08 > 1e-10$"):
+        QuantumChannel(kraus)
+    monkeypatch.setattr(module, "TRACE_TOL", 1e-6)
+    assert QuantumChannel(kraus).kraus[0].tobytes() == kraus[0].astype(complex).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("build", [
     lambda x: DensityOp(np.full((2, 2), x)),

@@ -7,9 +7,10 @@ rule-derived intermediates such as `rule_I(eq2)`).  A refactor of the
 symbolic layer must leave all of them unchanged.
 
 `verify-circuits.json` holds the report of `verify-circuits --trials 5
---seed 1`.  Its fidelities come out of BLAS, so it is compared by structure:
-names, key order, `pass` values and ledgers exactly, every float within
-1e-12.
+--seed 1`.  The fidelities of drawn inputs come out of BLAS, so it is
+compared by structure: names, key order, `pass` values and ledgers exactly,
+every float within 1e-12.  The entries whose every input is fixed are exact
+(small integers times powers of two), so they are compared with `==`.
 
 `sweep-<family>.csv` holds the stdout of `sweep --channel <family> --param
 0:1:0.01` for each channel family.  Its entropies come out of LAPACK, so the
@@ -45,6 +46,8 @@ from qfamily.grammar import ri_to_json
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = tuple(derive_family())
 CIRCUIT_REPORT = "verify-circuits.json"
+FIXED_INPUT_ENTRIES = ("superdense", "entanglement_distribution", "cobit", "cobit_equivalence",
+                       "rule_I_on_teleportation", "rule_O_on_superdense")
 SWEEPS = {f"sweep-{family}.csv": family for family in sorted(CHANNEL_FAMILIES)}
 IDENTITY_RUNS = tuple((seed, trials) for seed in range(21) for trials in (1, 7, 100))
 RATES = "rates.json"
@@ -144,9 +147,20 @@ def _same_report(got, want, path="report"):
         assert got == want, f"{path}: {got!r} vs {want!r}"
 
 
+def check_circuit_report(text: str):
+    """`text`, a `verify-circuits --trials 5 --seed 1` report, against its
+    golden: by `_same_report`, and each fixed-input entry with `==`."""
+    got, want = json.loads(text), json.loads((GOLDEN / CIRCUIT_REPORT).read_text())
+    _same_report(got, want)
+    fixed = [(g, w) for section in ("protocols", "rule_demos")
+             for g, w in zip(got[section], want[section]) if w["name"] in FIXED_INPUT_ENTRIES]
+    assert sorted(w["name"] for _, w in fixed) == sorted(FIXED_INPUT_ENTRIES)
+    for g, w in fixed:
+        assert g == w, f"{w['name']}: {g} vs {w}"
+
+
 def test_circuit_report_matches_golden():
-    want = json.loads((GOLDEN / CIRCUIT_REPORT).read_text())
-    _same_report(json.loads(golden_outputs()[CIRCUIT_REPORT]()), want)
+    check_circuit_report(golden_outputs()[CIRCUIT_REPORT]())
 
 
 def test_rate_tables_match_golden():

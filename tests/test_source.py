@@ -1,6 +1,11 @@
-"""Every name that `src/qfamily` defines is read by the program or by the
+"""Checks on the source of `src/qfamily`.
+
+Every name that `src/qfamily` defines is read by the program or by the
 benchmark: a function, class or constant at module level, and a method that
-is not a dunder.  A name that only the tests read belongs in the tests."""
+is not a dunder.  A name that only the tests read belongs in the tests.
+
+Every float literal x with 0 < |x| < 1e-6 is a tolerance, and sits in a
+module-level constant assignment (`NORM_TOL = 1e-10`), where it has a name."""
 
 import ast
 from pathlib import Path
@@ -99,3 +104,30 @@ def _unread() -> list[str]:
 def test_every_defined_name_is_read_by_the_program_or_the_benchmark():
     assert _unread() == sorted(UNREAD)
 
+
+
+def _constant_assignment(node) -> bool:
+    """A module-level assignment to names in capitals only."""
+    names = _bound_names(node) if isinstance(node, (ast.Assign, ast.AnnAssign)) else []
+    return bool(names) and all(name.lstrip("_").isupper() for name in names)
+
+
+def _stray_small_floats(source: str) -> list[tuple[int, float]]:
+    """(line, value) of each float literal 0 < |x| < 1e-6 outside a
+    module-level constant assignment."""
+    tree = ast.parse(source)
+    named = {id(n) for node in _module_statements(tree.body) if _constant_assignment(node)
+             for n in ast.walk(node)}
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+            and 0 < abs(node.value) < 1e-6 and id(node) not in named]
+
+
+def test_every_small_float_literal_is_a_named_constant():
+    strays = {path.stem: _stray_small_floats(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {module: found for module, found in strays.items() if found} == {}
+
+
+def test_the_literal_check_finds_a_tolerance_inside_a_function():
+    source = "TOL = 1e-12\nWIDE = 1e-3\n\ndef close(a, b):\n    return abs(a - b) <= -1e-12 + 2 * TOL\n"
+    assert _stray_small_floats(source) == [(5, 1e-12)]
