@@ -3,9 +3,10 @@ reporting for resource inequalities.
 
 Families (all on one qubit in): erasure (output qubit + flag, d_out=3),
 depolarizing, dephasing (off-diagonals scaled by 1-p), amplitude_damping,
-identity.  Rates are always evaluated on the tripartite pure state built
-from the object: a purification for states, the dilated channel output on
-half of a maximally entangled input for channels.
+identity.  Rates are evaluated on the tripartite pure state each registered
+object holds, made once where the object is registered: the dilated channel
+output on half of a maximally entangled input for a channel and for a
+built-in state, a purification for a registry state.
 
 `CHANNEL_FAMILIES` is the one family table: it maps each family's name to
 its kernel, from a vector of parameters to a stack of Kraus operators.
@@ -35,7 +36,6 @@ from .entropy import (
     channel_state,
     entropy_triple,
     purify,
-    reduced,
 )
 
 # A computed number with |x| below this is rounding noise: `_floored` makes it
@@ -142,51 +142,30 @@ def family_channel(name: str, p: float = 0.0) -> QuantumChannel:
 # ---------------------------------------------------------------------------
 
 
-class RegisteredState(Record):
-    _fields = ("name", "rho", "split")
-    kind = "state"
+class RegisteredObject(Record):
+    """A named state or channel and its tripartite pure state, made once,
+    where the object is registered: a channel state for a channel or a
+    built-in state, a purification for a registry state."""
 
-    def __init__(self, name: str, rho: DensityOp, split: tuple[int, int]):
-        vars(self).update(name=name, rho=rho, split=split)
+    _fields = ("name", "kind", "psi")
 
-    def tripartite(self) -> TripartitePureState:
-        """Its purification, built on the first call and kept."""
-        return self._kept("_tripartite", lambda: purify(self.rho, self.split))
-
-
-class RegisteredChannel(Record):
-    _fields = ("name", "channel")
-    kind = "channel"
-
-    def __init__(self, name: str, channel: QuantumChannel):
-        vars(self).update(name=name, channel=channel)
-
-    def tripartite(self) -> TripartitePureState:
-        """Its channel state, built on the first call and kept."""
-        return self._kept("_tripartite", lambda: channel_state(self.channel))
-
-
-RegisteredObject = RegisteredState | RegisteredChannel
-
-
-def state_from_channel(name: str, channel: QuantumChannel) -> RegisteredState:
-    """The bipartite state left by sending half of |Phi_+> through a channel."""
-    psi = channel_state(channel)
-    return RegisteredState(name, reduced(psi, "AB"), psi.dims[:2])
+    def __init__(self, name: str, kind: str, psi: TripartitePureState):
+        vars(self).update(name=name, kind=kind, psi=psi)
 
 
 def builtin_objects() -> dict[str, RegisteredObject]:
-    """Example registry used by docs, the CLI and cross-layer checks."""
-    objects: list[RegisteredObject] = [
-        state_from_channel("bell", family_channel("identity")),
-        state_from_channel("erasure_state_p25", family_channel("erasure", 0.25)),
-        state_from_channel("depolarizing_state_p50", family_channel("depolarizing", 0.5)),
-        RegisteredChannel("identity", family_channel("identity")),
-        RegisteredChannel("erasure_p25", family_channel("erasure", 0.25)),
-        RegisteredChannel("dephasing_p30", family_channel("dephasing", 0.3)),
-        RegisteredChannel("amplitude_damping_p40", family_channel("amplitude_damping", 0.4)),
-    ]
-    return {obj.name: obj for obj in objects}
+    """Example registry used by docs, the CLI and cross-layer checks.  Each
+    state is the channel state of a family's channel, taken as it is."""
+    return {name: RegisteredObject(name, kind, channel_state(family_channel(family, p)))
+            for name, kind, family, p in (
+                ("bell", "state", "identity", 0.0),
+                ("erasure_state_p25", "state", "erasure", 0.25),
+                ("depolarizing_state_p50", "state", "depolarizing", 0.5),
+                ("identity", "channel", "identity", 0.0),
+                ("erasure_p25", "channel", "erasure", 0.25),
+                ("dephasing_p30", "channel", "dephasing", 0.3),
+                ("amplitude_damping_p40", "channel", "amplitude_damping", 0.4),
+            )}
 
 
 def _real(x) -> float:
@@ -212,6 +191,7 @@ def load_registry(path) -> dict[str, RegisteredObject]:
     {name, kind: "state"|"channel", dims, data} with data as row-major
     [re, im] pairs — the full density matrix for states (dims [dA, dB]),
     concatenated Kraus operators for channels (dims [d_in, d_out, n_kraus]).
+    Each entry's pure state is made here: one `purify` per state.
     """
     import json
 
@@ -249,12 +229,12 @@ def load_registry(path) -> dict[str, RegisteredObject]:
             d_a, d_b = dims
             dim = d_a * d_b
             data = _complex_array(entry["data"], dim * dim, name)
-            registry[name] = RegisteredState(name, DensityOp(data.reshape(dim, dim)), (d_a, d_b))
+            psi = purify(DensityOp(data.reshape(dim, dim)), (d_a, d_b))
         else:
             d_in, d_out, n_kraus = dims
             data = _complex_array(entry["data"], d_in * d_out * n_kraus, name)
-            kraus = tuple(data.reshape(n_kraus, d_out, d_in))
-            registry[name] = RegisteredChannel(name, QuantumChannel(kraus))
+            psi = channel_state(QuantumChannel(tuple(data.reshape(n_kraus, d_out, d_in))))
+        registry[name] = RegisteredObject(name, kind, psi)
     return registry
 
 
@@ -318,7 +298,7 @@ def _side_entries(side: ResourceVector, obj: RegisteredObject,
 
 def rate_table(ri: ResourceInequality, obj: RegisteredObject) -> RateTable:
     """Numeric instantiation of an inequality on a registered object."""
-    psi = obj.tripartite()
+    psi = obj.psi
     entropies = entropy_triple(psi)
     return RateTable(
         ri_name=ri.name,

@@ -33,7 +33,7 @@ try:
     from . import channels, grammar
     from .algebra import CBIT, I_AE, dual, vec
     from .derivation import FAMILY_ORDER, derive_family, render_trace, waste
-    from .entropy import random_tripartite_state, evaluate_raw
+    from .entropy import channel_state, evaluate_raw, random_tripartite_state
 finally:
     if _one_blas_thread:
         del os.environ["OPENBLAS_NUM_THREADS"]
@@ -70,6 +70,10 @@ def _load_objects(args) -> dict:
         if shadowed:
             raise CliError(f"registry entry {shadowed[0]!r} is named like a channel family, "
                            f"which `--channel {shadowed[0]}` would pick instead")
+        taken = sorted(set(registry) & set(objects))
+        if taken:
+            raise CliError(f"registry entry {taken[0]!r} is named like a built-in "
+                           f"{objects[taken[0]].kind}")
         objects.update(registry)
     return objects
 
@@ -150,8 +154,8 @@ def _pick_object(args, objects):
     name = args.channel
     if name in channels.CHANNEL_FAMILIES:
         p = 0.0 if args.param is None else float(_grid_value(args.param))
-        return channels.RegisteredChannel(name if args.param is None else f"{name}(p={p})",
-                                          channels.family_channel(name, p))
+        return channels.RegisteredObject(name if args.param is None else f"{name}(p={p})",
+                                         "channel", channel_state(channels.family_channel(name, p)))
     kind, name = ("state", args.state) if args.state else ("channel", name)
     if name not in objects or objects[name].kind != kind:
         raise CliError(f"unknown {kind} {name!r}")

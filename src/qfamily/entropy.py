@@ -2,11 +2,9 @@
 von Neumann entropies, and evaluation of entropic expressions on concrete
 tripartite pure states.  Each numeric object is validated once, where it is
 built; nothing derived from a validated state, such as a marginal, is
-validated again, except in `reduced`, which wraps a marginal in a `DensityOp`
-and so checks it again (its one caller is `channels.state_from_channel`).  A
-random tripartite state has normalised complex Gaussian amplitudes with
-d_E = d_A d_B, a purification of the random mixed state G G^dag / tr on
-A x B (which the tests draw as `random_density`).
+validated again.  A random tripartite state has normalised complex Gaussian
+amplitudes with d_E = d_A d_B, a purification of the random mixed state
+G G^dag / tr on A x B (which the tests draw as `random_density`).
 
 The channel-state path runs on stacks with a leading batch axis: a Kraus
 stack (B, K, d_out, d_in) is validated, turned into B channel states and
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -271,10 +269,10 @@ _ROWS_COLS = {keep: ((*keep, *drop), (*drop, *keep)) for keep in _KEPT_AXES.valu
               for drop in [tuple(ax for ax in range(3) if ax not in keep)]}
 
 
-def _canonical(subsystems: Iterable[str] | str) -> str:
-    """The canonical name of the named subsystems (subset of {A, B, E}, in
+def _canonical(subsystems: str) -> str:
+    """The canonical name of the named subsystems (letters of A, B, E, in
     any order): one dict lookup for a canonical string, else a parse."""
-    if type(subsystems) is str and subsystems in _KEPT_AXES:
+    if subsystems in _KEPT_AXES:
         return subsystems
     names = set()
     for name in subsystems:
@@ -300,11 +298,6 @@ def _marginal(psi: TripartitePureState, keep: tuple[int, ...], conj=None, out=No
     rows = t.transpose(rows_axes).reshape(kept, -1)
     cols = (t.conj() if conj is None else conj).transpose(cols_axes).reshape(-1, kept)
     return np.dot(rows, cols, out=out)
-
-
-def reduced(psi: TripartitePureState, subsystems: Iterable[str] | str) -> DensityOp:
-    """Partial trace onto the named subsystems (subset of {A, B, E})."""
-    return DensityOp(_marginal(psi, _KEPT_AXES[_canonical(subsystems)]))
 
 
 # The marginals the raw symbols use, formed together on a state's first call

@@ -218,7 +218,7 @@ def test_criterion_6_cross_layer_consistency():
         replayed = replay(ri.trace)
         assert replayed.lhs == ri.lhs and replayed.rhs == ri.rhs
         for obj in _compatible_objects(ri, objects):
-            psi = obj.tripartite()
+            psi = obj.psi
 
             def value(expr):
                 return evaluate(expr, psi)

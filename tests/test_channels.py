@@ -11,8 +11,7 @@ from qfamily.algebra import H_A, H_B, H_E, I_AB, I_AE, I_COH
 from qfamily.channels import (
     CHANNEL_FAMILIES,
     SWEEP_CHUNK,
-    RegisteredChannel,
-    RegisteredState,
+    RegisteredObject,
     builtin_objects,
     family_channel,
     load_registry,
@@ -23,34 +22,28 @@ from qfamily.channels import (
 )
 from qfamily.derivation import derive_family
 from qfamily.entropy import (
-    DensityOp,
     QuantumChannel,
+    TripartitePureState,
     ValidationError,
     channel_entropy_triples,
     channel_state,
     entropy_triple,
-    reduced,
 )
-from test_entropy import entropy
+from test_entropy import entropy, reduced
 
 
 def registry_entry_json(obj) -> dict:
-    """A registered object in the JSON layout `load_registry` reads."""
-    if isinstance(obj, RegisteredState):
-        flat = obj.rho.matrix.reshape(-1)
-        return {
-            "name": obj.name,
-            "kind": "state",
-            "dims": list(obj.split),
-            "data": [[z.real, z.imag] for z in flat],
-        }
-    flat = np.concatenate([k.reshape(-1) for k in obj.channel.kraus])
-    return {
-        "name": obj.name,
-        "kind": "channel",
-        "dims": [*obj.channel.kraus[0].shape[::-1], len(obj.channel.kraus)],
-        "data": [[z.real, z.imag] for z in flat],
-    }
+    """A registered object in the JSON layout `load_registry` reads: a
+    state's AB marginal, or the Kraus operators of a channel read off its
+    channel state, K_e[b, a] = sqrt(d_in) psi[a, b, e]."""
+    d_a, d_b, d_e = obj.psi.dims
+    if obj.kind == "state":
+        flat, dims = reduced(obj.psi, "AB").matrix.reshape(-1), [d_a, d_b]
+    else:
+        kraus = math.sqrt(d_a) * obj.psi.tensor().transpose(2, 1, 0)
+        flat, dims = kraus.reshape(-1), [d_a, d_b, d_e]
+    return {"name": obj.name, "kind": obj.kind, "dims": dims,
+            "data": [[z.real, z.imag] for z in flat]}
 
 
 def erasure_marginal_entropies(p: float) -> tuple[float, float]:
@@ -251,7 +244,8 @@ def test_eq5_rate_on_quarter_erasure(family, objects):
 
 
 def test_eq4_rate_on_fully_depolarizing_channel(family):
-    useless = RegisteredChannel("depolarizing_p100", family_channel("depolarizing", 1.0))
+    useless = RegisteredObject("depolarizing_p100", "channel",
+                               channel_state(family_channel("depolarizing", 1.0)))
     table = rate_table(family["eq4"], useless)
     assert abs(table.rhs[0].rate) < 1e-9
 
@@ -268,7 +262,7 @@ def test_rate_table_values_equal_direct_evaluation(family, objects):
 
     ri = family["eq2"]
     obj = objects["erasure_state_p25"]
-    psi = obj.tripartite()
+    psi = obj.psi
     table = rate_table(ri, obj)
     for side_vec, side_entries in ((ri.lhs, table.lhs), (ri.rhs, table.rhs)):
         for (kind, coeff), entry in zip(side_vec.terms, side_entries):
@@ -315,13 +309,12 @@ def test_registry_json_round_trip(tmp_path, objects):
     path.write_text(json.dumps(entries))
     loaded = load_registry(path)
     assert set(loaded) == set(objects)
-    bell = loaded["bell"]
-    assert bell.kind == "state"
-    assert np.max(np.abs(bell.rho.matrix - objects["bell"].rho.matrix)) < 1e-12
-    erasure = loaded["erasure_p25"]
-    assert erasure.kind == "channel"
-    for ours, theirs in zip(erasure.channel.kraus, objects["erasure_p25"].channel.kraus):
+    for name, obj in objects.items():
+        assert loaded[name].kind == obj.kind
+        ours, theirs = (reduced(o.psi, "AB").matrix for o in (loaded[name], obj))
         assert np.max(np.abs(ours - theirs)) < 1e-12
+    erasure = loaded["erasure_p25"]
+    assert np.max(np.abs(erasure.psi.amplitudes - objects["erasure_p25"].psi.amplitudes)) < 1e-12
 
 
 def test_registry_rejects_malformed_entries(tmp_path):
@@ -348,26 +341,18 @@ def _members_on(family, obj):
 
 
 def _fresh_copy(obj):
-    """The same object built again from its arrays, with nothing computed."""
-    if isinstance(obj, RegisteredState):
-        return RegisteredState(obj.name, DensityOp(obj.rho.matrix), obj.split)
-    return RegisteredChannel(obj.name, QuantumChannel(obj.channel.kraus))
+    """The same object with its state built again, with nothing computed."""
+    return RegisteredObject(obj.name, obj.kind, TripartitePureState(obj.psi.dims, obj.psi.amplitudes))
 
 
 @pytest.mark.parametrize("source", ["builtin", "registry"])
 def test_tables_on_one_object_purify_or_dilate_it_once(monkeypatch, tmp_path, family, source):
+    """Each object is purified or dilated once, where it is registered, and
+    its tables then take the three SVDs of one entropy triple."""
     from qfamily import channels as module
 
-    objects = builtin_objects()
-    if source == "registry":
-        path = tmp_path / "registry.json"
-        path.write_text(json.dumps([registry_entry_json(obj) for obj in objects.values()]))
-        objects = load_registry(path)
-    state, channel = objects["erasure_state_p25"], objects["amplitude_damping_p40"]
-    expected = {obj.name: [pickle.dumps(rate_table(ri, _fresh_copy(obj)))
-                           for ri in _members_on(family, obj)] for obj in (state, channel)}
-    assert {ri.name for obj in (state, channel) for ri in _members_on(family, obj)} == set(family)
-
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps([registry_entry_json(obj) for obj in builtin_objects().values()]))
     calls = []
     real_purify, real_channel_state, real_svd = module.purify, module.channel_state, np.linalg.svd
 
@@ -380,12 +365,47 @@ def test_tables_on_one_object_purify_or_dilate_it_once(monkeypatch, tmp_path, fa
     monkeypatch.setattr(module, "purify", counted("purify", real_purify))
     monkeypatch.setattr(module, "channel_state", counted("channel_state", real_channel_state))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", real_svd))
-    for obj, built_by in ((state, "purify"), (channel, "channel_state")):
+    objects = builtin_objects() if source == "builtin" else load_registry(path)
+    purified = "purify" if source == "registry" else "channel_state"
+    assert calls == [purified if obj.kind == "state" else "channel_state" for obj in objects.values()]
+
+    state, channel = objects["erasure_state_p25"], objects["amplitude_damping_p40"]
+    expected = {obj.name: [pickle.dumps(rate_table(ri, _fresh_copy(obj)))
+                           for ri in _members_on(family, obj)] for obj in (state, channel)}
+    assert {ri.name for obj in (state, channel) for ri in _members_on(family, obj)} == set(family)
+    for obj in (state, channel):
         calls.clear()
         tables = [rate_table(ri, obj) for ri in _members_on(family, obj)]
-        assert calls == [built_by, "svd", "svd", "svd"]
+        assert calls == ["svd", "svd", "svd"]
         # pickle writes each float's 8 bytes: the tables are bitwise equal
         assert [pickle.dumps(table) for table in tables] == expected[obj.name]
+
+
+def test_built_in_objects_and_their_tables_take_no_density_check_or_factorisation(
+        monkeypatch, family):
+    """A built-in state is its channel's state as it is: no `DensityOp` is
+    built, nothing is purified, and no `eigh` or Cholesky runs, either to
+    register the seven objects or to make a table on each."""
+    from qfamily import channels as module, entropy as engine
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a built-in object needs no density check or factorisation")
+
+    monkeypatch.setattr(engine.DensityOp, "__init__", refused)
+    for where, name in ((module, "purify"), (engine, "purify"),
+                        (np.linalg, "eigh"), (np.linalg, "cholesky")):
+        monkeypatch.setattr(where, name, refused)
+    objects = builtin_objects()
+    for obj in objects.values():
+        rate_table(family["eq5" if obj.kind == "channel" else "eq1"], obj)
+    monkeypatch.undo()
+    sources = {"bell": ("identity", 0.0), "erasure_state_p25": ("erasure", 0.25),
+               "depolarizing_state_p50": ("depolarizing", 0.5)}
+    for name, (channel_family, p) in sources.items():
+        assert objects[name].kind == "state"
+        expected = channel_state(family_channel(channel_family, p))
+        assert objects[name].psi.dims == expected.dims
+        assert objects[name].psi.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("part", [True, 10 ** 400], ids=["boolean", "past-a-float"])

@@ -430,6 +430,21 @@ def test_a_registry_entry_named_like_a_channel_family_exits_2(capsys, tmp_path):
                    "which `--channel erasure` would pick instead\n")
 
 
+@pytest.mark.parametrize("entry, builtin", [
+    ({"name": "bell", "kind": "channel", "dims": [2, 2, 1], "data": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+     "state"),
+    ({"name": "erasure_p25", "kind": "state", "dims": [1, 1], "data": [[1, 0]]}, "channel"),
+], ids=["bell-as-a-channel", "erasure_p25-as-a-state"])
+def test_a_registry_entry_named_like_a_built_in_object_exits_2(capsys, tmp_path, entry, builtin):
+    # the identity channel named `bell` used to replace the built-in state, so
+    # `--state bell` then exited 2 with `unknown state 'bell'`
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run_cli(capsys, "rates", "--ri", "mother", "--state", "bell", "--registry", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: registry entry {entry['name']!r} is named like a built-in {builtin}\n"
+
+
 def _src_env() -> dict:
     """The environment of a fresh interpreter that imports this tree's qfamily."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from qfamily import algebra, channels, derivation, entropy
 from qfamily.algebra import Mode, StepKind
 from test_cli import _src_env
+from test_entropy import reduced
 
 
 @dataclass(frozen=True, init=False)
@@ -89,20 +90,10 @@ class QuantumChannel:
 
 
 @dataclass(frozen=True)
-class RegisteredState:
+class RegisteredObject:
     name: str
-    rho: entropy.DensityOp
-    split: tuple
-
-    kind = "state"
-
-
-@dataclass(frozen=True)
-class RegisteredChannel:
-    name: str
-    channel: entropy.QuantumChannel
-
-    kind = "channel"
+    kind: str
+    psi: entropy.TripartitePureState
 
 
 def _mirror(reference, record):
@@ -119,6 +110,10 @@ def _mirror(reference, record):
 FAMILY = derivation.derive_family()
 TRACED = [ri for ri in FAMILY.values() if ri.trace]
 OBJECTS = list(channels.builtin_objects().values())
+# the built-in states' AB marginals and the built-in channels
+DENSITIES = [reduced(o.psi, "AB") for o in OBJECTS if o.kind == "state"]
+CHANNELS = [channels.family_channel(family, p) for family, p in (
+    ("identity", 0.0), ("erasure", 0.25), ("dephasing", 0.3), ("amplitude_damping", 0.4))]
 
 rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
 exprs = st.builds(algebra.EntropicExpr, st.tuples(rationals, rationals, rationals, rationals))
@@ -142,11 +137,15 @@ rules = st.one_of(
               vectors, vectors),
 )
 registered = st.sampled_from(OBJECTS)
-states = st.sampled_from([o for o in OBJECTS if o.kind == "state"])
-registered_channels = st.sampled_from([o for o in OBJECTS if o.kind == "channel"])
-renamed_states = st.builds(lambda o, name: channels.RegisteredState(name, o.rho, o.split), states, names)
-renamed_channels = st.builds(lambda o, name: channels.RegisteredChannel(name, o.channel),
-                             registered_channels, names)
+# one RegisteredObject record holds both kinds; each kind is its own case
+REGISTERED_KINDS = {"RegisteredState": "state", "RegisteredChannel": "channel"}
+
+
+def _registered_of(kind):
+    of_kind = st.sampled_from([o for o in OBJECTS if o.kind == kind])
+    renamed = st.builds(lambda o, name: channels.RegisteredObject(name, o.kind, o.psi), of_kind, names)
+    return st.one_of(of_kind, renamed)
+
 
 CASES = {
     "EntropicExpr": (algebra.EntropicExpr, EntropicExpr, exprs),
@@ -155,14 +154,13 @@ CASES = {
     "ResourceInequality": (algebra.ResourceInequality, ResourceInequality, inequalities),
     "DerivationStep": (algebra.DerivationStep, DerivationStep, steps),
     "_Rule": (derivation._Rule, _Rule, rules),
-    "DensityOp": (entropy.DensityOp, DensityOp, states.map(lambda o: o.rho)),
+    "DensityOp": (entropy.DensityOp, DensityOp, st.sampled_from(DENSITIES)),
     "TripartitePureState": (entropy.TripartitePureState, TripartitePureState,
-                            registered.map(lambda o: o.tripartite())),
-    "QuantumChannel": (entropy.QuantumChannel, QuantumChannel, registered_channels.map(lambda o: o.channel)),
-    "RegisteredState": (channels.RegisteredState, RegisteredState, st.one_of(states, renamed_states)),
-    "RegisteredChannel": (channels.RegisteredChannel, RegisteredChannel,
-                          st.one_of(registered_channels, renamed_channels)),
+                            registered.map(lambda o: o.psi)),
+    "QuantumChannel": (entropy.QuantumChannel, QuantumChannel, st.sampled_from(CHANNELS)),
 }
+CASES.update({case: (channels.RegisteredObject, RegisteredObject, _registered_of(kind))
+              for case, kind in REGISTERED_KINDS.items()})
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -170,12 +168,14 @@ CASES = {
 @given(data=st.data())
 def test_a_record_behaves_as_the_frozen_dataclass_it_replaced(name, data):
     cls, reference, values = CASES[name]
-    assert cls.__qualname__ == reference.__qualname__ == name
+    assert cls.__qualname__ == reference.__qualname__ == ("RegisteredObject" if name in REGISTERED_KINDS else name)
     by_value = reference.__dataclass_params__.eq
     a, b = data.draw(values), data.draw(values)
     ref_a = _mirror(reference, a)
     ref_b = ref_a if b is a else _mirror(reference, b)  # one object, one mirror
     assert type(a) is cls and not dataclasses.is_dataclass(a)
+    if name in REGISTERED_KINDS:
+        assert a.kind == b.kind == REGISTERED_KINDS[name]
 
     assert repr(a) == repr(ref_a)
     for x, y, ref_x, ref_y in ((a, b, ref_a, ref_b), (a, a, ref_a, ref_a), (b, a, ref_b, ref_a)):
@@ -221,21 +221,15 @@ def _observed(obj, other) -> tuple:
             type(clone), repr(clone), sorted(vars(clone)), clone == obj)
 
 
-def _fill_tripartite(obj):
-    obj.tripartite()
-
-
 def _fill_state(psi):
     entropy.entropy_triple(psi)
     entropy.evaluate_raw("I(A:B)", psi)
 
 
 @pytest.mark.parametrize("make, fill, slots", [
-    (lambda: channels.builtin_objects()["erasure_state_p25"], _fill_tripartite, ["_tripartite"]),
-    (lambda: channels.builtin_objects()["dephasing_p30"], _fill_tripartite, ["_tripartite"]),
-    (lambda: channels.builtin_objects()["erasure_p25"].tripartite(), _fill_state,
+    (lambda: channels.builtin_objects()["erasure_p25"].psi, _fill_state,
      ["_entropy_triple", "_marginal_entropies"]),
-], ids=["RegisteredState", "RegisteredChannel", "TripartitePureState"])
+], ids=["TripartitePureState"])
 def test_what_a_record_keeps_cannot_be_observed(make, fill, slots):
     obj, other = make(), make()
     before = _observed(obj, other)
@@ -254,9 +248,7 @@ def test_what_a_record_keeps_cannot_be_observed(make, fill, slots):
             delattr(obj, name)
 
 
-@pytest.mark.parametrize("obj", [o.rho for o in OBJECTS if o.kind == "state"]
-                         + [o.tripartite() for o in OBJECTS]
-                         + [o.channel for o in OBJECTS if o.kind == "channel"],
+@pytest.mark.parametrize("obj", DENSITIES + [o.psi for o in OBJECTS] + CHANNELS,
                          ids=lambda o: type(o).__name__)
 def test_a_copy_of_a_validated_object_is_built_again_and_read_only(obj):
     for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):

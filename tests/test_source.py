@@ -5,12 +5,15 @@ benchmark: a function, class or constant at module level, and a method that
 is not a dunder.  A name that only the tests read belongs in the tests.
 
 Every float literal x with 0 < |x| < 1e-6 is a tolerance, and sits in a
-module-level constant assignment (`NORM_TOL = 1e-10`), where it has a name."""
+module-level constant assignment (`NORM_TOL = 1e-10`), where it has a name.
+Every such constant is in README's table of tolerances, with its value."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 MODULES = sorted((ROOT / "src" / "qfamily").glob("*.py"))
 READERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
@@ -131,3 +134,55 @@ def test_every_small_float_literal_is_a_named_constant():
 def test_the_literal_check_finds_a_tolerance_inside_a_function():
     source = "TOL = 1e-12\nWIDE = 1e-3\n\ndef close(a, b):\n    return abs(a - b) <= -1e-12 + 2 * TOL\n"
     assert _stray_small_floats(source) == [(5, 1e-12)]
+
+
+# -- the table of tolerances -------------------------------------------------
+
+TOLERANCE_SUFFIXES = ("_TOL", "_TOLERANCE", "_FLOOR", "_FIDELITY", "_TIE")
+
+
+def _number(node) -> float:
+    """The value of a numeric literal, or of a sum or difference of them."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_number(node.operand)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        left, right = _number(node.left), _number(node.right)
+        return left + right if isinstance(node.op, ast.Add) else left - right
+    raise ValueError(f"not a numeric literal: {ast.unparse(node)}")
+
+
+def _tolerances_in_source() -> dict[str, tuple[str, float]]:
+    """name -> (module, value) of each module-level tolerance constant."""
+    found = {}
+    for path in MODULES:
+        for node in _module_statements(ast.parse(path.read_text(encoding="utf-8")).body):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for name in _bound_names(node):
+                    if name.endswith(TOLERANCE_SUFFIXES):
+                        found[name] = (path.stem, _number(node.value))
+    return found
+
+
+def _tolerances_in_table(readme: str) -> dict[str, tuple[str, float]]:
+    """name -> (module, value) of each row of the README's "Tolerances" table."""
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]+)` \|", section, re.MULTILINE)
+    return {name: (module, _number(ast.parse(value, mode="eval").body))
+            for name, module, value in rows}
+
+
+def test_every_tolerance_is_in_the_readme_table_with_its_value():
+    assert _tolerances_in_table(README.read_text(encoding="utf-8")) == _tolerances_in_source()
+
+
+def test_the_table_check_finds_a_missing_row_and_a_changed_value():
+    readme = README.read_text(encoding="utf-8")
+    source = _tolerances_in_source()
+    assert len(source) == 11
+    row = "| `NOISE_FLOOR` | `channels` | `1e-12` |"
+    assert row in readme
+    assert set(_tolerances_in_table(readme.replace(row, "|"))) == set(source) - {"NOISE_FLOOR"}
+    changed = _tolerances_in_table(readme.replace(row, row.replace("1e-12", "1e-11")))
+    assert changed["NOISE_FLOOR"] == ("channels", 1e-11) != source["NOISE_FLOOR"]
