@@ -4,6 +4,9 @@ Teleportation, super-dense coding, entanglement distribution, the coherent
 bit channel, and the coherent versions of teleportation and super-dense
 coding are Clifford circuits on at most five qubits; every run keeps the
 global state pure (measurements enumerate branches instead of sampling).
+Teleportation and super-dense coding are written once each; their coherent
+rows run the same body with cobits, message qubits and qubit-controlled
+Paulis (`Register.apply_if`) for bits, against `derivation.coherent`.
 
 A register holds a batch of B >= 1 states of the same qubits: its amplitudes
 have shape (B, 2^n), row b being state b and qubit i bit n-1-i of a column
@@ -61,7 +64,7 @@ from .algebra import (
     ResourceInequality,
     ResourceKind,
 )
-from .derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
+from .derivation import COBIT_EBIT, PRIMITIVES, coherent
 from .rng import SplitMix64
 
 PROTOCOL_FIDELITY = 1.0 - 1e-10
@@ -69,6 +72,7 @@ SIGNALLING_TOL = 1e-12  # on max|rho_B - I/2| of Bob's qubit before teleportatio
 WORST_CASE_TIE = 1e-12  # a fidelity this close to a row's lowest can be its `worst_case`
 EXACT_FIDELITY = 1.0 - 1e-12
 VERIFY_CHUNK = 1024  # drawn inputs per batch of a row of verify_all
+_COHERENT_SD, _COHERENT_TP = coherent(PRIMITIVES["sd"]), coherent(PRIMITIVES["tp"])  # each keeps `_wanted_counts`
 
 
 class Party(Enum):
@@ -302,13 +306,15 @@ class Register:
         batch = len(self.amps)
         self.amps = (gate @ self.amps.reshape(batch << qubit, 2, -1)).reshape(batch, -1)
 
-    def apply_if(self, bit: str, gate: np.ndarray, qubit: int):
-        """`gate` on `qubit` if the classical `bit` is 1; the qubit's owner
-        must hold the bit."""
+    def apply_if(self, control, gate: np.ndarray, qubit: int):
+        """`gate`, the lab's X or Z, on `qubit` if `control` is 1: a bit the
+        qubit's owner holds, or a qubit of the owner, making X a CNOT and Z a CZ."""
+        if not isinstance(control, str):
+            return (self.cnot if gate is _X else self.cz)(control, qubit)
         held = self.known[self.owners[qubit]]
-        if bit not in held:
-            raise LocalityError(f"{self.owners[qubit].name.title()} does not hold bit {bit!r}")
-        if held[bit]:
+        if control not in held:
+            raise LocalityError(f"{self.owners[qubit].name.title()} does not hold bit {control!r}")
+        if held[control]:
             self.apply_single(gate, qubit)
 
     def h(self, qubit: int):
@@ -328,8 +334,8 @@ class Register:
     # -- measurement (branch enumeration) and inspection ---------------------
 
     def measure(self, qubits: list[int]) -> list["Branch"]:
-        """All outcome branches; measured qubits collapse in place, everything
-        stays pure, and each branch keeps its amplitudes unscaled.  The
+        """All outcome branches, each a new register, pure and unscaled, in
+        which the measured qubits have collapsed; this one stays as it was.  The
         outcome of qubit q is the classical bit "m<q>", held by the measuring
         party and shared by the batch, so an outcome is a branch only when its
         probability is nonzero for every state, and a ValueError is raised
@@ -395,7 +401,7 @@ class Branch:
     outcome: tuple[int, ...]
     probability: np.ndarray  # one per state of the batch
     register: Register
-    bits: tuple[str, ...]  # the names of the outcome bits
+    bits: tuple  # a fix-up's controls: the outcome bits' names, or (told coherently) Bob's copy qubits
 
 
 # ---------------------------------------------------------------------------
@@ -447,76 +453,87 @@ def _runs(threshold: float, registers: list[Register], fidelities: dict, values:
             for b in range(batch)]
 
 
-def _fix_up(reg: Register, target: int, z: str, x: str):
-    """Z^z X^x on `target` for the classical bits z, x its owner holds."""
+def _fix_up(reg: Register, target: int, z, x):
+    """Z^z X^x on `target`, conditioned on bits or qubits of its owner (`apply_if`)."""
     reg.apply_if(x, _X, target)
     reg.apply_if(z, _Z, target)
 
 
-def _controlled_fix_up(reg: Register, target: int, z: int, x: int):
-    """Z^z X^x on `target` controlled by the qubits z, x of its owner."""
-    reg.cnot(x, target)
-    reg.cz(z, target)
-
-
-def _superdense(reg: Register, encode, z, x) -> tuple[int, int]:
-    """Share an ebit, apply `encode(reg, a_half, z, x)` (one of the fix-ups)
-    to Alice's half, send it, and rotate Bob's pair from the Bell basis to
-    the computational basis."""
-    a_half, b_half = reg.share_ebit()
-    encode(reg, a_half, z, x)
-    reg.send(a_half, Party.BOB)
-    reg.cnot(a_half, b_half)
-    reg.h(a_half)
-    return a_half, b_half
-
-
-def run_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
-    """Teleport one qubit: Bell measurement, two classical bits, Pauli fixup.
-
-    `input_amplitudes` is one state or a batch of states, one per row, all
-    teleported at once; one Run per state.  Every outcome branch must hand
-    Bob the input state, and Bob's state before the measurement must be
-    maximally mixed (no signalling).  `values` keeps each branch's outcome
-    probability and Bob's corrected state, in the order of `fidelities`.
-    """
-    inputs = np.atleast_2d(input_amplitudes)
+def _teleportation(inputs: np.ndarray, coherently: bool) -> list[Run]:
+    """Teleport each row of `inputs`, one Run each: share an ebit, CNOT and H
+    on Alice's (msg, a_half), tell Bob both, fix up his half and claim it.
+    Classically every outcome branch must hand Bob the input state, and his
+    state before the measurement must be maximally mixed (no signalling);
+    `values` keeps each branch's outcome probability and Bob's corrected
+    state, in the order of `fidelities`.  Coherently his corrections also
+    leave each (message bit, copy) pair in an EPR state, which is claimed:
+    entanglement out for free, modulo the one catalytic ebit."""
     reg = Register(PROTOCOL_FIDELITY, len(inputs))
     msg = reg.add_qubit(Party.ALICE, inputs)
     a_half, b_half = reg.share_ebit()
     reg.cnot(msg, a_half)
     reg.h(msg)
-    premeasurement = reg.reduced_dm([b_half])
-    branches = reg.measure([msg, a_half])
-    fidelities, bob_states = {}, []
+    if coherently:  # Alice tells Bob (msg, a_half) by one cobit each: one branch, his copies its bits
+        branches = [Branch((), np.ones(len(inputs)), reg, copies := (reg.cobit(msg), reg.cobit(a_half)))]
+    else:  # she measures them and sends him the outcome bits: one branch per outcome
+        branches = reg.measure([msg, a_half])
+        for branch in branches:
+            branch.register.communicate(branch.bits, Party.BOB)
     for branch in branches:
-        out = branch.register
-        out.communicate(branch.bits, Party.BOB)
-        _fix_up(out, b_half, *branch.bits)
-        fidelities[branch.outcome] = out.claim(QUBIT_CHANNEL, (), (b_half,), inputs)
-        z, x = branch.outcome  # msg and a_half have collapsed to |z>|x>
-        bob_states.append(out.amps.reshape(-1, 2, 2, 2)[:, z, x])
+        _fix_up(branch.register, b_half, *branch.bits)
+    fidelities = {b.outcome: b.register.claim(QUBIT_CHANNEL, (), (b_half,), inputs) for b in branches}
+    if coherently:
+        pairs = _copies(np.ones(4))  # Phi_+ on msg and its copy, and on a_half and its copy
+        fidelities = {"output": fidelities[()], "residual": reg.claim(EBIT, (msg, a_half), copies, pairs),
+                      "total": reg.fidelity([msg, a_half, *copies, b_half], _kron_rows(pairs, inputs))}
+        return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
+    premeasurement = reg.reduced_dm([b_half])  # measuring forked the branches and left `reg` as it was
     signalling = np.max(np.abs(premeasurement - np.eye(2) / 2), axis=(1, 2))
+    # msg and a_half have collapsed to |z>|x> on the branch of outcome (z, x)
+    bob_states = [b.register.amps.reshape(-1, 2, 2, 2)[:, b.outcome[0], b.outcome[1]] for b in branches]
     values = {"bob_premeasurement_dm": premeasurement, "bob_states": np.stack(bob_states, axis=1),
               "outcome_probabilities": np.stack([b.probability for b in branches], axis=1)}
     return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities, values,
                  holds=signalling <= SIGNALLING_TOL)
 
 
-def run_superdense(bits: tuple[int, int]) -> Run:
-    """Send Alice's two input bits (z, x) with one qubit use and one ebit.
+def run_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
+    """Teleport each row of `input_amplitudes`: Bell measurement, two bits, Pauli fixup."""
+    return _teleportation(np.atleast_2d(input_amplitudes), coherently=False)
 
-    She applies Z^z X^x to her half; Bob's Bell-basis decoding must read the
-    bits back in every branch (it is deterministic: one branch survives).
+
+def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
+    """Teleport each row of `input_amplitudes` through two cobits: controlled Pauli fixup."""
+    return _teleportation(np.atleast_2d(input_amplitudes), coherently=True)
+
+
+def _superdense(message, coherently: bool) -> list[Run]:
+    """Send Alice's two bits (z, x), one Run per row of `message`, with one
+    qubit use and one ebit: she applies Z^z X^x to her half and sends it, and
+    Bob rotates his pair from the Bell basis to the computational basis.
+    Coherently (z, x) are qubits (m0, m1), in the state of the row, that stay
+    with Alice, and Bob's pair (a, b) is claimed as their two cobits.
+    Classically they are the one row's bits, and Bob's measurement must read
+    them back in every branch (it is deterministic: one branch survives).
     After his claim he undoes his decoding and applies Z^z X^x to his own
     half; `values["residual"]` keeps the state this leaves on each branch,
-    and `values["bell"]` its |Phi_+> fidelity.
-    """
-    reg = Register(PROTOCOL_FIDELITY)
-    reg.known[Party.ALICE].update(z=bits[0], x=bits[1])
-    a_half, b_half = _superdense(reg, _fix_up, "z", "x")
+    and `values["bell"]` its |Phi_+> fidelity."""
+    reg = Register(PROTOCOL_FIDELITY, len(message))
+    if coherently:
+        z, x = reg.add_qubit(Party.ALICE, message)
+    else:
+        z, x = "z", "x"
+        reg.known[Party.ALICE].update(z=message[0][0], x=message[0][1])
+    a_half, b_half = reg.share_ebit()
+    _fix_up(reg, a_half, z, x)
+    reg.send(a_half, Party.BOB)
+    reg.cnot(a_half, b_half)
+    reg.h(a_half)
+    if coherently:
+        fidelities = {"cobits": reg.claim(COBIT, (z, x), (a_half, b_half), _copies(message))}
+        return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
     branches = reg.measure([a_half, b_half])
-    fidelities = {b.outcome: b.register.claim_cbits(b.bits, bits) for b in branches}
+    fidelities = {b.outcome: b.register.claim_cbits(b.bits, message[0]) for b in branches}
     for branch in branches:
         branch.register.h(a_half)
         branch.register.cnot(a_half, b_half)
@@ -525,7 +542,17 @@ def run_superdense(bits: tuple[int, int]) -> Run:
     residual = np.stack([b.register.amps for b in branches], axis=1)
     bell = np.stack([b.register.fidelity([a_half, b_half], BELL) for b in branches], axis=1)
     return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities,
-                 {"decoded": [decoded], "residual": residual, "bell": bell})[0]
+                 {"decoded": [decoded], "residual": residual, "bell": bell})
+
+
+def run_superdense(bits: tuple[int, int]) -> Run:
+    """Super-dense coding of Alice's two input bits (z, x)."""
+    return _superdense([bits], coherently=False)[0]
+
+
+def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> list[Run]:
+    """Super-dense coding of each row of `message`, a two-qubit state, into two cobits."""
+    return _superdense(np.atleast_2d(message), coherently=True)
 
 
 def run_entanglement_distribution() -> Run:
@@ -553,47 +580,6 @@ def run_cobit_checks() -> Run:
     return Run(EXACT_FIDELITY, [reg.ledgers[2]], fidelities, values={"final_state": reg.amps[2]})
 
 
-def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> list[Run]:
-    """Super-dense coding with controlled encodings instead of a classical
-    choice: one qubit use plus one ebit realize two cobits.
-
-    `message` is one two-qubit state or a batch of them, one per row; one
-    Run per message.  Qubit order (m0, m1, a, b): the message register stays
-    with Alice, the decoded pair (a, b) at Bob carries the copies.
-    """
-    messages = np.atleast_2d(message)
-    reg = Register(PROTOCOL_FIDELITY, len(messages))
-    m0, m1 = reg.add_qubit(Party.ALICE, messages)
-    pair = _superdense(reg, _controlled_fix_up, m0, m1)
-    fidelities = {"cobits": reg.claim(COBIT, (m0, m1), pair, _copies(messages))}
-    return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
-
-
-def run_coherent_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
-    """Teleportation with the measurement replaced by two cobits.
-
-    `input_amplitudes` is one state or a batch of states, one per row; one
-    Run per state.  Bob's controlled corrections deliver the input on his
-    half and leave each (message bit, copy) pair in an EPR state:
-    entanglement out for free, modulo the one catalytic ebit.
-    """
-    message = np.atleast_2d(input_amplitudes)
-    reg = Register(PROTOCOL_FIDELITY, len(message))
-    q0 = reg.add_qubit(Party.ALICE, message)
-    q1, q2 = reg.share_ebit()
-    reg.cnot(q0, q1)
-    reg.h(q0)
-    c1, c2 = reg.cobit(q0), reg.cobit(q1)
-    _controlled_fix_up(reg, q2, c1, c2)
-    pairs = _copies(np.ones(4))  # Phi_+ on (q0, c1) and on (q1, c2)
-    fidelities = {
-        "output": reg.claim(QUBIT_CHANNEL, (), (q2,), message),
-        "residual": reg.claim(EBIT, (q0, q1), (c1, c2), pairs),
-        "total": reg.fidelity([q0, q1, c1, c2, q2], _kron_rows(pairs, message)),  # and the message on q2
-    }
-    return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
-
-
 def verify_cobit_equivalence(forward: Run, reverse: Run) -> Run:
     """Two cobits and a qubit-plus-ebit simulate each other with the one
     ebit catalyst conserved: composing the ledgers of `forward`, a coherent
@@ -601,7 +587,7 @@ def verify_cobit_equivalence(forward: Run, reverse: Run) -> Run:
     net = Counter()
     for run in (forward, reverse):
         net.update(run.ledger.net())
-    holds = (forward.ledger.matches(COHERENT_SD) and reverse.ledger.matches(COHERENT_TP)
+    holds = (forward.ledger.matches(_COHERENT_SD) and reverse.ledger.matches(_COHERENT_TP)
              and all(v == 0 for v in net.values()))
     return Run(PROTOCOL_FIDELITY, [], {"forward": forward.fidelity, "reverse": reverse.fidelity}, holds,
                report={"ledger": {"forward": forward.ledger.as_json(),
@@ -703,13 +689,12 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
                [[run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]])
     row(protocol, "entanglement_distribution", PRIMITIVES["qe"], [[run_entanglement_distribution()]])
     row(protocol, "cobit", COBIT_EBIT, [[run_cobit_checks()]])
-    forward = row(protocol, "coherent_superdense", COHERENT_SD,
+    forward = row(protocol, "coherent_superdense", _COHERENT_SD,
                   drawn(run_coherent_superdense, [np.eye(4)[2], np.full(4, 0.5)], 4, 1))[1]
-    reverse = row(protocol, "coherent_teleportation", COHERENT_TP,
+    reverse = row(protocol, "coherent_teleportation", _COHERENT_TP,
                   drawn(run_coherent_teleportation, [(0.0, 1.0), PLUS], 2, trials))[1]
     # No target on the last three: the equivalence run matches its two runs
-    # against COHERENT_SD and COHERENT_TP itself, and the rule demos book no
-    # ledger.
+    # against the coherent rows' targets itself, and the rule demos book no ledger.
     row(protocol, "cobit_equivalence", None, [[verify_cobit_equivalence(forward, reverse)]])
     row(demo, "rule_I_on_teleportation", None, [[demo_rule_I_on_teleportation(teleported, reverse)]])
     row(demo, "rule_O_on_superdense", None, [[demo_rule_O_on_superdense(sent)]])

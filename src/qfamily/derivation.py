@@ -15,10 +15,12 @@ arithmetic on the two resource vectors: sequential composition
 the rest across), catalytic cancellation of equal terms on both sides
 (licensed only asymptotically), wasting (adding unused inputs), and the two
 coherentification rules, held as data in the one table `RULES` built from a
-cobit's worth `COBIT_WORTH`.  Each operation records a replayable trace
-step, an `algebra.DerivationStep`, unless `replay` calls it traced=False;
-`grammar`, which this module imports and which never imports it, writes
-traces as JSON and reads them back.
+cobit's worth `COBIT_WORTH`: they move the net resources of `coherent`,
+which sends a cobit for each classical bit and gives the circuit lab's
+coherent rows their targets, at that worth.  Each operation records a
+replayable trace step, an `algebra.DerivationStep`, unless `replay` calls it
+traced=False; `grammar`, which this module imports and which never imports
+it, writes traces as JSON and reads them back.
 """
 
 from __future__ import annotations
@@ -254,15 +256,18 @@ PRIMITIVES = MappingProxyType({ri.name: ri for ri in (
 )})
 
 
-# Cobit identities (exact, single-shot; verified gate by gate in circuits):
-# a cobit applied to |+> makes an ebit, making super-dense coding coherent
-# yields two cobits, and teleporting through cobits returns the two message
-# registers as ebits.
+# A cobit applied to |+> makes an ebit (exact, single-shot; verified gate by gate in circuits).
 COBIT_EBIT = ResourceInequality("cobit_ebit", vec(1, COBIT), vec(1, EBIT), Mode.EXACT)
-COHERENT_SD = ResourceInequality("coherent_sd", vec(1, QUBIT_CHANNEL) + vec(1, EBIT), vec(2, COBIT),
-                                 Mode.EXACT)
-COHERENT_TP = ResourceInequality("coherent_tp", vec(2, COBIT) + vec(1, EBIT),
-                                 vec(1, QUBIT_CHANNEL) + vec(2, EBIT), Mode.EXACT)
+
+
+def coherent(ri: ResourceInequality) -> ResourceInequality:
+    """`ri` with cobits sent in place of classical bits: each [c->c] it
+    consumes becomes a [q->qq] and returns a [qq] (rule I), and each [c->c]
+    it produces becomes a [q->qq] (rule O).  Exact where `ri` is."""
+    spent, made = ri.lhs.coeff(CBIT), ri.rhs.coeff(CBIT)
+    cobits = vec(1, COBIT) + _SPENT_CBIT
+    return ResourceInequality(f"coherent_{ri.name}", ri.lhs + cobits.scale(spent),
+                              ri.rhs + cobits.scale(made) + vec(spent, EBIT), ri.mode)
 
 
 def derive_family() -> dict[str, ResourceInequality]:
@@ -272,10 +277,11 @@ def derive_family() -> dict[str, ResourceInequality]:
     over a noisy state), eq2 (one-way distillation at the hashing rate),
     eq3 (noisy super-dense coding), eq4 (entanglement-assisted classical
     coding), eq5 (unassisted quantum capacity), plus eq1 re-derived from
-    eq2 and the three reverse coherentifications that regenerate the
-    parents.  Certification flags are asserted per protocol: eq2 and eq1
-    carry rule_I_ok, eq3 and eq4 carry rule_O_ok, eq5 carries none (an
-    irreversible transformation cannot regenerate its parent).
+    eq2 and the three reverse coherentifications (rules I and O: the net of
+    `coherent` at a cobit's worth) that regenerate the parents.  Certification flags
+    are asserted per protocol: eq2 and eq1 carry rule_I_ok, eq3 and eq4
+    carry rule_O_ok, eq5 carries none (an irreversible transformation cannot
+    regenerate its parent).
     """
     mother, father = PRIMITIVES["mother"], PRIMITIVES["father"]
     tp, sd, qe = PRIMITIVES["tp"], PRIMITIVES["sd"], PRIMITIVES["qe"]

@@ -11,7 +11,9 @@ with `ri_to_json`, byte for byte, and checks that `qfamily.derivation` was
 not loaded on the way.  Then it imports `qfamily.derivation` and checks that
 numpy is not loaded, that `derive_family()` as JSON is byte for byte the
 golden file, that every trace replays to its statement, and that every
-member round-trips through the text grammar.  Last it checks the layer's
+member round-trips through the text grammar.  It checks that `coherent`
+makes tp and sd the statements below (COHERENT) and leaves mother, father
+and qe, which move no [c->c], as they are.  Last it checks the layer's
 records, which are plain classes written to behave as frozen dataclasses: no
 class of the three modules is a dataclass, and every family member, with its
 vectors, coefficients and trace steps, comes back from pickle and deepcopy
@@ -29,6 +31,11 @@ from pathlib import Path
 from qfamily import algebra, grammar  # noqa: F401
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "derivations.json"
+# each primitive made coherent: cobits in place of classical bits
+COHERENT = {
+    "tp": "2 [q->qq] + [qq] >=! [q->q] + 2 [qq]",
+    "sd": "[q->q] + [qq] >=! 2 [q->qq]",
+}
 
 
 def _as_json(family: dict) -> bytes:
@@ -55,6 +62,12 @@ def failures() -> list[str]:
             found.append(f"{name}: its trace replays to another statement")
         if not grammar.parse_ri(grammar.format_ri(ri)).same_statement(ri):
             found.append(f"{name}: text round trip changes the statement")
+    for name in ("mother", "father", "tp", "sd", "qe"):
+        primitive = derivation.PRIMITIVES[name]
+        want = grammar.parse_ri(COHERENT[name]) if name in COHERENT else primitive
+        if not derivation.coherent(primitive).same_statement(want):
+            found.append(f"coherent({name}) is {grammar.format_ri(derivation.coherent(primitive))}, "
+                         f"not {grammar.format_ri(want)}")
     for module in (algebra, grammar, derivation):
         for cls in vars(module).values():
             if isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):

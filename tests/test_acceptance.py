@@ -25,6 +25,8 @@ from qfamily.algebra import (
 from qfamily.channels import builtin_objects, rate_table, sweep, sweep_csv
 from qfamily.circuits import (
     PLUS,
+    _COHERENT_SD,
+    _COHERENT_TP,
     run_coherent_superdense,
     run_coherent_teleportation,
     run_superdense,
@@ -35,8 +37,6 @@ from qfamily.circuits import (
     verify_all,
 )
 from qfamily.derivation import (
-    COHERENT_SD,
-    COHERENT_TP,
     PRIMITIVES,
     apply_rule_I,
     apply_rule_O,
@@ -175,11 +175,11 @@ def test_criterion_5_circuit_suite():
 
     [coherent_sd] = run_coherent_superdense(random_pure(rng, 4))
     assert coherent_sd.fidelity >= 1 - 1e-10
-    assert coherent_sd.ledger.matches(COHERENT_SD)
+    assert coherent_sd.ledger.matches(_COHERENT_SD)
 
     [coherent_tp] = run_coherent_teleportation(random_pure(rng, 2))
     assert min(coherent_tp.fidelities["output"], coherent_tp.fidelities["residual"]) >= 1 - 1e-10
-    assert coherent_tp.ledger.matches(COHERENT_TP)
+    assert coherent_tp.ledger.matches(_COHERENT_TP)
 
     [teleported], [coherent] = run_teleportation(PLUS), run_coherent_teleportation(PLUS)
     rule_i = demo_rule_I_on_teleportation(teleported, coherent)

@@ -27,7 +27,7 @@ from qfamily.circuits import (
     verify_cobit_equivalence,
 )
 from qfamily import circuits
-from qfamily.derivation import COBIT_EBIT, COHERENT_SD, COHERENT_TP, PRIMITIVES
+from qfamily.derivation import COBIT_EBIT, PRIMITIVES
 from qfamily.rng import SplitMix64
 from test_golden import _same_report
 from test_rng import random_pure, random_unitary
@@ -44,12 +44,19 @@ def state_fidelity(a, b):
 
 def test_gates_cannot_span_parties():
     reg = Register()
-    a = reg.add_qubit(Party.ALICE)
-    b = reg.add_qubit(Party.BOB)
+    a = reg.add_qubit(Party.ALICE, PLUS)
+    b = reg.add_qubit(Party.BOB, PLUS)
+    before = reg.amps.copy()
     with pytest.raises(LocalityError):
         reg.cnot(a, b)
     with pytest.raises(LocalityError):
         reg.cz(a, b)
+    # a Pauli controlled by a qubit the other party holds
+    for gate in (circuits._X, circuits._Z):
+        for control, target in ((a, b), (b, a)):
+            with pytest.raises(LocalityError):
+                reg.apply_if(control, gate, target)
+    assert np.array_equal(reg.amps, before)
 
 
 def test_cobit_source_must_be_alices():
@@ -70,7 +77,11 @@ def test_send_books_a_channel_use():
 def test_measurement_branches_and_norms():
     reg = Register()
     q = reg.add_qubit(Party.ALICE, PLUS)
+    before = reg.amps.copy()
     branches = reg.measure([q])
+    # each branch is a new register; teleportation reads Bob's state before
+    # the measurement from the measured one
+    assert np.array_equal(reg.amps, before)
     assert [b.outcome for b in branches] == [(0,), (1,)]
     for branch in branches:
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
@@ -331,19 +342,23 @@ def _partial_trace(amps, n, keep):
 def test_kernels_match_a_dense_reference(n, seed, data):
     """Every kernel on a batch of one to three random states, each state
     against the dense matrix of the gate: the one-qubit gates are the lab's
-    H, X and Z, checked against the integer H and the Paulis."""
+    H, X and Z, checked against the integer H and the Paulis, and `apply_if`
+    with a control qubit against the dense CNOT and CZ."""
     rng = SplitMix64(seed)
     batch = data.draw(st.integers(1, 3))
     reg = Register(batch=batch)
     reg.add_qubit(Party.ALICE, [random_pure(rng, 2 ** n) for _ in range(batch)])
     want = reg.amps.copy()
-    gates = ["h", "x", "z"] + (["cnot", "cz"] if n > 1 else [])
+    gates = ["h", "x", "z"] + (["cnot", "cz", "if x", "if z"] if n > 1 else [])
     for _ in range(data.draw(st.integers(0, 12))):
         name, before = data.draw(st.sampled_from(gates)), reg.amps
-        if name in ("cnot", "cz"):
+        if name in ("cnot", "cz", "if x", "if z"):
             control, target = data.draw(st.permutations(range(n)))[:2]
-            getattr(reg, name)(control, target)
-            full = _dense_controlled(n, control, target, DENSE_SINGLE["x" if name == "cnot" else "z"])
+            if name.startswith("if"):  # a Pauli controlled by a qubit: CNOT or CZ
+                reg.apply_if(control, getattr(circuits, f"_{name[-1].upper()}"), target)
+            else:
+                getattr(reg, name)(control, target)
+            full = _dense_controlled(n, control, target, DENSE_SINGLE["x" if name in ("cnot", "if x") else "z"])
             assert np.array_equal(reg.amps, before @ full.T)  # exact: a permutation or signs
         else:
             qubit = data.draw(st.integers(0, n - 1))
@@ -485,7 +500,7 @@ def test_coherent_superdense_on_basis_message():
     message[2] = 1.0  # |10>
     [run] = run_coherent_superdense(message)
     assert run.fidelity >= 1 - 1e-10
-    assert run.ledger.matches(COHERENT_SD)
+    assert run.ledger.matches(circuits._COHERENT_SD)
 
 
 def test_coherent_superdense_on_uniform_message_makes_two_ebits():
@@ -510,7 +525,7 @@ def test_coherent_teleportation_fixed_input():
     [run] = run_coherent_teleportation((0, 1))
     assert run.fidelities["output"] >= 1 - 1e-10
     assert run.fidelities["residual"] >= 1 - 1e-10
-    assert run.ledger.matches(COHERENT_TP)
+    assert run.ledger.matches(circuits._COHERENT_TP)
 
 
 def test_coherent_teleportation_random_inputs():
@@ -682,10 +697,14 @@ def test_verify_all_makes_the_same_gates_branches_and_runs(monkeypatch):
         count(Register, name, name)
     count(Register, "measure", "branches", by_length=True)
     for name in RUNNERS:
-        count(circuits, name, "runs")
+        count(circuits, name, name)
     verify_all(trials=20, seed=7)
-    # 47 gates in all; a batched runner is one run however many inputs it takes
-    assert counts == {"apply_single": 25, "_cnot_unchecked": 19, "cz": 3, "branches": 8, "runs": 10}
+    # 47 gates and 10 runs in all; a batched runner is one run however many
+    # inputs it takes, and rule O's demonstration makes the second coherent
+    # super-dense run
+    assert counts == {"apply_single": 25, "_cnot_unchecked": 19, "cz": 3, "branches": 8,
+                      "run_teleportation": 1, "run_superdense": 4, "run_entanglement_distribution": 1,
+                      "run_cobit_checks": 1, "run_coherent_superdense": 2, "run_coherent_teleportation": 1}
 
 
 # Each changes what a runner returned, in place: `arg` is the runner's

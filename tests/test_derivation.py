@@ -28,14 +28,13 @@ from qfamily.algebra import (
     vec,
 )
 from qfamily.derivation import (
-    COHERENT_SD,
-    COHERENT_TP,
     DerivationError,
     append,
     apply_rule_I,
     apply_rule_O,
     cancel,
     COBIT_WORTH,
+    coherent,
     derive_family,
     FAMILY_ORDER,
     PRIMITIVES,
@@ -233,12 +232,17 @@ def test_rule_I_on_certified_teleportation_gives_cobit_accounting(registry):
     out = apply_rule_I(toy)
     assert out.lhs == vec(1, QUBIT_CHANNEL) + vec(1, EBIT)
     assert out.rhs == vec(1, QUBIT_CHANNEL) + vec(1, EBIT)
-    # matches coherent teleportation after pricing cobits at (q+qq)/2 and
-    # cancelling the catalytic ebit
-    expanded_lhs = expand_cobits(COHERENT_TP.lhs)
-    assert expanded_lhs == vec(1, QUBIT_CHANNEL) + vec(2, EBIT)
-    assert expanded_lhs == COHERENT_TP.rhs
-    assert expand_cobits(COHERENT_SD.rhs) == COHERENT_SD.lhs
+
+
+@pytest.mark.parametrize("rule, name", [(apply_rule_I, "tp"), (apply_rule_O, "sd")])
+def test_rules_I_and_O_are_the_coherent_transform_with_cobits_at_their_worth(registry, rule, name):
+    """Rule I on certified teleportation, and rule O on certified
+    super-dense coding, move the same net resources (rhs - lhs) as `coherent`
+    on the same primitive with each [q->qq] valued at COBIT_WORTH."""
+    certified = registry[name].with_flags(rule_I_ok=True, rule_O_ok=True)
+    ruled, made = rule(certified), coherent(certified)
+    assert all(v.coeff(CBIT).is_zero for v in (made.lhs, made.rhs, ruled.lhs, ruled.rhs))
+    assert expand_cobits(made.rhs) - expand_cobits(made.lhs) == ruled.rhs - ruled.lhs
 
 
 # -- traces ------------------------------------------------------------------
