@@ -208,13 +208,17 @@ class EntropicExpr(Record):
         return None if a or b or e else Fraction(c, d)
 
     def is_definitely_negative(self) -> bool:
-        """True when every canonical coefficient is <= 0 and some is < 0.
+        """True when the expression is nonzero and <= 0 on every state.
 
-        Entropies are nonnegative on every state, so such an expression is
-        negative wherever it is nonzero.  Mixed-sign expressions (e.g. the
-        coherent information) are sign-indefinite and not flagged.
+        On pure states of ABE, H(A) <= H(B) + H(E) and its two permutations
+        hold (Araki-Lieb), and the entropy triples (H(A), H(B), H(E)) fill,
+        up to closure, the cone these cut out, with extreme rays (1,1,0),
+        (1,0,1) and (0,1,1).  So c + a*H(A) + b*H(B) + e*H(E) is <= 0 on
+        every state exactly when c, a + b, a + e and b + e are all <= 0:
+        -I(A:B) is flagged, the coherent information is not.
         """
-        return max(self._key[:4]) <= 0 and min(self._key[:4]) < 0
+        c, a, b, e, _ = self._key
+        return self._key != _ZERO_KEY and max(c, a + b, a + e, b + e) <= 0
 
     # -- arithmetic (module over the rationals) ----------------------------
 

@@ -31,8 +31,8 @@ try:
     from typing import Iterable
 
     from . import channels, grammar
-    from .algebra import CBIT, I_AE, dual, vec
-    from .derivation import FAMILY_ORDER, derive_family, render_trace, waste
+    from .algebra import dual
+    from .derivation import FAMILY_ORDER, claims, derive_family, render_trace
     from .entropy import channel_state, evaluate_raw, random_tripartite_state
 finally:
     if _one_blas_thread:
@@ -44,17 +44,6 @@ finally:
         gc.enable()
 
 IDENTITY_TOLERANCE = 1e-9
-
-# Duality claims (a, b, wasted) printed by `family`: the dual of b, with
-# `wasted` (if any) added to its inputs, states a.  A claim that fails is
-# printed as failed (on stderr under --json), and `family` exits 1.
-DUALITY_CLAIMS = (
-    ("mother", "father", None),
-    ("eq3", "eq4", None),
-    ("sd", "sd", None),
-    ("tp", "qe", vec(2, CBIT)),
-    ("eq2", "eq5", vec(I_AE, CBIT)),
-)
 
 
 class CliError(ValueError):
@@ -91,29 +80,16 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _dualities(full) -> tuple[list[str], list[str]]:
-    """The claims of `DUALITY_CLAIMS` that hold, and those that fail."""
-    held, failed = [], []
-    for a, b, wasted in DUALITY_CLAIMS:
-        other = full[b] if wasted is None else waste(full[b], wasted)
-        if a == b:
-            claim = f"{a} self-dual"
-        elif wasted is None:
-            claim = f"{a} <-> {b}"
-        else:
-            claim = f"{a} <-> {b} after wasting {grammar.format_vector(wasted)}"
-        (held if dual(other).same_statement(full[a]) else failed).append(claim)
-    return held, failed
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
 
 
 def cmd_family(args) -> int:
+    """Print the family and the duality claims that hold.  A claim that fails
+    is printed as failed (on stderr under --json), and `family` exits 1."""
     full = derive_family()
-    held, failed = _dualities(full)
+    held, failed = claims(full)
     if args.json:
         import json
         print(json.dumps({name: grammar.ri_to_json(full[name]) for name in FAMILY_ORDER}, indent=2))
@@ -126,10 +102,11 @@ def cmd_family(args) -> int:
             ri = full[name]
             print(f"  {name:8s} {grammar.format_ri(ri)}")
             print(render_trace(ri, indent="           | "))
-        if held:
-            print("duality: " + "; ".join(held))
-    for claim in failed:
-        print(f"duality failed: {claim}", file=sys.stderr if args.json else sys.stdout)
+        dualities = [claim for kind, claim in held if kind == "duality"]
+        if dualities:
+            print("duality: " + "; ".join(dualities))
+    for kind, claim in failed:
+        print(f"{kind} failed: {claim}", file=sys.stderr if args.json else sys.stdout)
     return 1 if failed else 0
 
 

@@ -14,13 +14,17 @@ arithmetic on the two resource vectors: sequential composition
 `_compose`, which subtracts the covered part of the facing side and moves
 the rest across), catalytic cancellation of equal terms on both sides
 (licensed only asymptotically), wasting (adding unused inputs), and the two
-coherentification rules, held as data in the one table `RULES` built from a
-cobit's worth `COBIT_WORTH`: they move the net resources of `coherent`,
-which sends a cobit for each classical bit and gives the circuit lab's
-coherent rows their targets, at that worth.  Each operation records a
-replayable trace step, an `algebra.DerivationStep`, unless `replay` calls it
-traced=False; `grammar`, which this module imports and which never imports
-it, writes traces as JSON and reads them back.
+coherentification rules of the table `RULES`.  Both rules are read, at
+import, off `coherent`, which sends a cobit for each classical bit and gives
+the circuit lab's coherent rows their targets: each is `coherent` on one
+[c->c], consumed for rule I and produced for rule O, with a cobit valued at
+its worth `COBIT_WORTH`, itself read off coherent super-dense coding.  No
+rule vector is written by hand.  Each operation records a replayable trace
+step, an `algebra.DerivationStep`, unless `replay` calls it traced=False;
+`grammar`, which this module imports and which never imports it, writes
+traces as JSON and reads them back.  `claims` checks the paper's claims
+about the family: the dualities, and that each re-derivation
+`<target>_via_<how>` states its target.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .algebra import (
     StepKind,
     ZERO,
     as_expr,
+    dual,
     vec,
 )
 
@@ -179,67 +184,8 @@ def waste(ri: ResourceInequality, vector: ResourceVector, traced: bool = True) -
             if traced else result)
 
 
-# A cobit [q->qq] is worth half a qubit channel plus half an ebit, by the
-# catalytic equivalence 2 [q->qq] == [q->q] + [qq].
-COBIT_WORTH = vec(HALF, QUBIT_CHANNEL) + vec(HALF, EBIT)
-_SPENT_CBIT = vec(-1, CBIT)
-
-
-class _Rule(Record):
-    """A coherentification rule as data: per unit of [c->c] it replaces, the
-    vectors added to the left and right sides.  Rule I makes an input bit a
-    cobit and re-homes the cobit's ebit half as an output; rule O makes an
-    output bit a cobit.  `name` prefixes the result's name (JSON wire format)
-    and its RuleFlags field, which certifies the condition `certified`."""
-
-    _fields = ("name", "certified", "lhs", "rhs")
-
-    def __init__(self, name: str, certified: str, lhs: ResourceVector, rhs: ResourceVector):
-        vars(self).update(name=name, certified=certified, lhs=lhs, rhs=rhs)
-
-
-RULES = {
-    StepKind.RULE_I: _Rule(
-        "rule_I", "uniform+decoupled",
-        vec(HALF, QUBIT_CHANNEL) + _SPENT_CBIT,
-        vec(HALF, EBIT),
-    ),
-    StepKind.RULE_O: _Rule("rule_O", "decoupled", ResourceVector(), COBIT_WORTH + _SPENT_CBIT),
-}
-
-
-def _apply_rule(ri: ResourceInequality, step_kind: StepKind, traced: bool = True) -> ResourceInequality:
-    rule = RULES[step_kind]
-    if not getattr(ri.flags, f"{rule.name}_ok"):
-        raise DerivationError(f"protocol not certified {rule.certified} ({rule.name.replace('_', ' ')})")
-    c = (ri.rhs if rule.lhs.coeff(CBIT).is_zero else ri.lhs).coeff(CBIT)
-    if c.is_zero:
-        return ri
-    lhs, rhs = ri.lhs + rule.lhs.scale(c), ri.rhs + rule.rhs.scale(c)
-    result = ResourceInequality(f"{rule.name}({ri.name})", lhs, rhs, Mode.ASYMPTOTIC)
-    return _with_step(ri, result, step_kind, "", c) if traced else result
-
-
-def apply_rule_I(ri: ResourceInequality) -> ResourceInequality:
-    """Coherentify input classical bits by the RULES entry for rule I.
-
-    Requires the rule_I_ok certification (uniform message, decoupled at the
-    end).  An inequality with no classical input passes through unchanged.
-    """
-    return _apply_rule(ri, StepKind.RULE_I)
-
-
-def apply_rule_O(ri: ResourceInequality) -> ResourceInequality:
-    """Coherentify output classical bits by the RULES entry for rule O.
-
-    Requires the rule_O_ok certification (message decoupled from the
-    remaining quantum system, hence private).  No classical output: no-op.
-    """
-    return _apply_rule(ri, StepKind.RULE_O)
-
-
 # ---------------------------------------------------------------------------
-# The primitives and the scripted family
+# The primitives, the rules that coherent communication gives, and the family
 # ---------------------------------------------------------------------------
 
 
@@ -265,9 +211,60 @@ def coherent(ri: ResourceInequality) -> ResourceInequality:
     consumes becomes a [q->qq] and returns a [qq] (rule I), and each [c->c]
     it produces becomes a [q->qq] (rule O).  Exact where `ri` is."""
     spent, made = ri.lhs.coeff(CBIT), ri.rhs.coeff(CBIT)
-    cobits = vec(1, COBIT) + _SPENT_CBIT
+    cobits = vec(1, COBIT) + vec(-1, CBIT)
     return ResourceInequality(f"coherent_{ri.name}", ri.lhs + cobits.scale(spent),
                               ri.rhs + cobits.scale(made) + vec(spent, EBIT), ri.mode)
+
+
+# A cobit [q->qq] is worth what super-dense coding, made coherent, spends per
+# cobit it sends: 1/2 [q->q] + 1/2 [qq].
+_COHERENT_SD = coherent(PRIMITIVES["sd"])
+COBIT_WORTH = _COHERENT_SD.lhs.scale(1 / _COHERENT_SD.rhs.coeff(COBIT).as_constant())
+
+
+def _rule_vectors(lhs: ResourceVector, rhs: ResourceVector) -> tuple[ResourceVector, ResourceVector]:
+    """What `coherent` adds to the two sides of `lhs >= rhs`, with each
+    [q->qq] valued at COBIT_WORTH and the ebit that both sides hold cancelled."""
+    made, cobit = coherent(ResourceInequality("unit", lhs, rhs)), COBIT_WORTH - vec(1, COBIT)
+    lhs, rhs = (new + cobit.scale(new.coeff(COBIT)) - old
+                for new, old in ((made.lhs, lhs), (made.rhs, rhs)))
+    shared = vec(min(lhs.coeff(EBIT).as_constant(), rhs.coeff(EBIT).as_constant()), EBIT)
+    return lhs - shared, rhs - shared
+
+
+class _Rule(Record):
+    """A coherentification rule: per [c->c] it replaces, the vectors added to
+    the two sides.  `name` prefixes the result's name (JSON wire format) and
+    its RuleFlags field, which certifies the condition `certified`."""
+
+    _fields = ("name", "certified", "lhs", "rhs")
+
+    def __init__(self, name: str, certified: str, lhs: ResourceVector, rhs: ResourceVector):
+        vars(self).update(name=name, certified=certified, lhs=lhs, rhs=rhs)
+
+
+# Rule I makes a consumed [c->c] a cobit, rule O a produced one: each is
+# `coherent` on that one bit, at a cobit's worth.
+RULES = {
+    StepKind.RULE_I: _Rule("rule_I", "uniform+decoupled", *_rule_vectors(vec(1, CBIT), ResourceVector())),
+    StepKind.RULE_O: _Rule("rule_O", "decoupled", *_rule_vectors(ResourceVector(), vec(1, CBIT))),
+}
+
+
+def apply_rule(ri: ResourceInequality, step_kind: StepKind, traced: bool = True) -> ResourceInequality:
+    """Coherentify the [c->c] that `ri` consumes (RULE_I; certified uniform
+    and decoupled at the end) or produces (RULE_O; certified decoupled from
+    the remaining quantum system, hence private) by its RULES entry.  With no
+    [c->c] on that side, `ri` passes through unchanged."""
+    rule = RULES[step_kind]
+    if not getattr(ri.flags, f"{rule.name}_ok"):
+        raise DerivationError(f"protocol not certified {rule.certified} ({rule.name.replace('_', ' ')})")
+    c = (ri.rhs if rule.lhs.coeff(CBIT).is_zero else ri.lhs).coeff(CBIT)
+    if c.is_zero:
+        return ri
+    lhs, rhs = ri.lhs + rule.lhs.scale(c), ri.rhs + rule.rhs.scale(c)
+    result = ResourceInequality(f"{rule.name}({ri.name})", lhs, rhs, Mode.ASYMPTOTIC)
+    return _with_step(ri, result, step_kind, "", c) if traced else result
 
 
 def derive_family() -> dict[str, ResourceInequality]:
@@ -276,10 +273,11 @@ def derive_family() -> dict[str, ResourceInequality]:
     Children: eq1 (classical-communication-assisted quantum transmission
     over a noisy state), eq2 (one-way distillation at the hashing rate),
     eq3 (noisy super-dense coding), eq4 (entanglement-assisted classical
-    coding), eq5 (unassisted quantum capacity), plus eq1 re-derived from
-    eq2 and the three reverse coherentifications (rules I and O: the net of
-    `coherent` at a cobit's worth) that regenerate the parents.  Certification flags
-    are asserted per protocol: eq2 and eq1 carry rule_I_ok, eq3 and eq4
+    coding), eq5 (unassisted quantum capacity), plus four re-derivations,
+    each named `<target>_via_<how>` for `claims` to check: eq1 from eq2, and
+    the three reverse coherentifications (rules I and O: `coherent` at a
+    cobit's worth) that regenerate the parents.  Certification flags are
+    asserted per protocol: eq2 and eq1 carry rule_I_ok, eq3 and eq4
     carry rule_O_ok, eq5 carries none (an irreversible transformation cannot
     regenerate its parent).
     """
@@ -299,20 +297,42 @@ def derive_family() -> dict[str, ResourceInequality]:
     eq5 = cancel(eq5, EBIT, I_AE * HALF).with_name("eq5")
 
     eq1_via_eq2 = append(eq2, tp, I_COH).with_name("eq1_via_eq2")
-    mother_via_rule_I = apply_rule_I(eq2).with_name("mother_via_rule_I")
-    mother_via_rule_O = cancel(apply_rule_O(eq3), QUBIT_CHANNEL, I_AB * HALF)
+    mother_via_rule_I = apply_rule(eq2, StepKind.RULE_I).with_name("mother_via_rule_I")
+    mother_via_rule_O = cancel(apply_rule(eq3, StepKind.RULE_O), QUBIT_CHANNEL, I_AB * HALF)
     mother_via_rule_O = mother_via_rule_O.with_name("mother_via_rule_O")
-    father_via_rule_O = cancel(apply_rule_O(eq4), EBIT, I_AB * HALF)
+    father_via_rule_O = cancel(apply_rule(eq4, StepKind.RULE_O), EBIT, I_AB * HALF)
     father_via_rule_O = father_via_rule_O.with_name("father_via_rule_O")
 
-    out = dict(PRIMITIVES)
-    for ri in (eq1, eq2, eq3, eq4, eq5, eq1_via_eq2,
-               mother_via_rule_I, mother_via_rule_O, father_via_rule_O):
-        out[ri.name] = ri
-    return out
+    children = (eq1, eq2, eq3, eq4, eq5, eq1_via_eq2, mother_via_rule_I, mother_via_rule_O, father_via_rule_O)
+    return {**PRIMITIVES, **{ri.name: ri for ri in children}}
 
 
 FAMILY_ORDER = ("mother", "father", "tp", "sd", "qe", "eq1", "eq2", "eq3", "eq4", "eq5")
+
+# Duality claims (a, b, wasted): the dual of b, with `wasted` (if any) added
+# to its inputs, states a.
+DUALITY_CLAIMS = (("mother", "father", None), ("eq3", "eq4", None), ("sd", "sd", None),
+                  ("tp", "qe", vec(2, CBIT)), ("eq2", "eq5", vec(I_AE, CBIT)))
+
+
+def claims(family: dict[str, ResourceInequality]) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """The paper's claims about `family` that hold, and those that fail, as
+    (kind, claim) pairs.  Each row of DUALITY_CLAIMS is a "duality" claim;
+    each member named `<target>_via_<how>` makes a "regeneration" claim,
+    that it states `<target>`."""
+    held, failed = [], []
+    for a, b, wasted in DUALITY_CLAIMS:
+        other = family[b] if wasted is None else waste(family[b], wasted)
+        claim = (f"{a} self-dual" if a == b else f"{a} <-> {b}" if wasted is None
+                 else f"{a} <-> {b} after wasting {grammar.format_vector(wasted)}")
+        (held if dual(other).same_statement(family[a]) else failed).append(("duality", claim))
+    for name, ri in family.items():
+        target, via, _ = name.partition("_via_")
+        if via:
+            holds = ri.same_statement(family[target])
+            claim = f"{name} {'states' if holds else 'does not state'} {target}"
+            (held if holds else failed).append(("regeneration", claim))
+    return held, failed
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +347,7 @@ def _execute_step(step: DerivationStep) -> ResourceInequality:
             raise DerivationError(f"trace references unknown tool {step.tool!r}")
         return _compose(base, PRIMITIVES[step.tool], step.multiplier, step.kind, traced=False)
     if step.kind in RULES:
-        return _apply_rule(base, step.kind, traced=False)
+        return apply_rule(base, step.kind, traced=False)
     if step.kind is StepKind.CANCEL:
         return cancel(base, grammar.resource_from_token(step.tool), step.multiplier, traced=False)
     if step.kind is StepKind.WASTE:

@@ -10,10 +10,12 @@ first imports only `qfamily.algebra` and `qfamily.grammar`, reads
 with `ri_to_json`, byte for byte, and checks that `qfamily.derivation` was
 not loaded on the way.  Then it imports `qfamily.derivation` and checks that
 numpy is not loaded, that `derive_family()` as JSON is byte for byte the
-golden file, that every trace replays to its statement, and that every
-member round-trips through the text grammar.  It checks that `coherent`
-makes tp and sd the statements below (COHERENT) and leaves mother, father
-and qe, which move no [c->c], as they are.  Last it checks the layer's
+golden file, that every trace replays to its statement, that every
+member round-trips through the text grammar, and that every claim of
+`derivation.claims` holds: the dualities, and that each re-derivation
+states its target, so the paper's two claims are decided without numpy.
+It checks that `coherent` makes tp and sd the statements below (COHERENT)
+and leaves mother, father and qe, which move no [c->c], as they are.  Last it checks the layer's
 records, which are plain classes written to behave as frozen dataclasses: no
 class of the three modules is a dataclass, and every family member, with its
 vectors, coefficients and trace steps, comes back from pickle and deepcopy
@@ -62,6 +64,7 @@ def failures() -> list[str]:
             found.append(f"{name}: its trace replays to another statement")
         if not grammar.parse_ri(grammar.format_ri(ri)).same_statement(ri):
             found.append(f"{name}: text round trip changes the statement")
+    found.extend(f"{kind} failed: {claim}" for kind, claim in derivation.claims(family)[1])
     for name in ("mother", "father", "tp", "sd", "qe"):
         primitive = derivation.PRIMITIVES[name]
         want = grammar.parse_ri(COHERENT[name]) if name in COHERENT else primitive

@@ -1,0 +1,186 @@
+"""Mutants of `src/qfamily` that the checks must catch, and their runner.
+
+Each entry of MUTANTS replaces one exact text in one file of `src/` and
+names the checks that must then fail: commands, each run with the Python
+that runs this script, which must exit nonzero and print the given text;
+and pytest test ids, each of which must fail.  `source` quotes the
+CHANGES.md entry that the mutant comes from: its opening words, then the
+words that name the mutant.
+
+Run from the repository root, with numpy, pytest and hypothesis installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only the mutants named
+
+The runner copies `src/`, `tests/` and `pyproject.toml` to a temporary
+directory and first runs every named check there, unmutated: each must
+pass.  Then, for each mutant, it applies the mutant to a fresh copy and runs
+only that mutant's checks.  It prints one line per mutant and exits 1 if a
+check fails on the unmutated tree or passes on its mutant.
+"""
+
+import os
+import re
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str  # occurs exactly once in `file`
+    new: str
+    source: tuple[str, ...]  # quotations from CHANGES.md
+    commands: tuple[tuple[str, str], ...] = ()  # (arguments to Python, text the run must print)
+    tests: tuple[str, ...] = ()  # pytest ids, each of which must fail
+
+
+DERIVATION, ALGEBRA = "src/qfamily/derivation.py", "src/qfamily/algebra.py"
+FAMILY = "-m qfamily.cli family"
+VERIFY_CIRCUITS = "-m qfamily.cli verify-circuits --trials 5 --seed 1"
+SYMBOLIC = "tests/check_symbolic.py"
+RULES_ARE_COHERENT = "Rules I and O are `coherent` at a cobit's worth"
+WRITTEN_ONCE = "Teleportation and super-dense coding are written once each"
+CONE_TESTS = tuple(f"tests/test_derivation.py::{name}" for name in (
+    "test_composition_refuses_minus_I_AB_as_a_multiplier",
+    "test_cancel_refuses_minus_I_AB_as_an_amount",
+    "test_waste_refuses_minus_I_AB_as_a_coefficient",
+    "test_replay_refuses_a_hand_edited_step_with_multiplier_minus_I_AB",
+    "test_the_sign_test_is_sound_and_complete_on_the_entropy_cone",
+))
+SEARCH_TEST = "tests/test_derivation.py::test_mother_and_father_generate_the_five_children_within_two_moves"
+
+
+def _regeneration_failed(member: str, target: str) -> tuple[str, str]:
+    return FAMILY, f"regeneration failed: {member} does not state {target}"
+
+
+MUTANTS = (
+    Mutant(
+        "coherent-returns-no-ebit", DERIVATION,
+        "ri.rhs + cobits.scale(made) + vec(spent, EBIT), ri.mode)",
+        "ri.rhs + cobits.scale(made), ri.mode)",
+        (WRITTEN_ONCE, "`coherent` without its returned `[qq]`", RULES_ARE_COHERENT, "mutant (a)"),
+        commands=(_regeneration_failed("mother_via_rule_I", "mother"), (VERIFY_CIRCUITS, ""), (SYMBOLIC, "")),
+    ),
+    Mutant(
+        "coherent-half-the-produced-cobits", DERIVATION,
+        "cobits.scale(made)",
+        "cobits.scale(made * HALF)",
+        (WRITTEN_ONCE, "`coherent` with half the produced cobits"),
+        commands=((VERIFY_CIRCUITS, ""), (SYMBOLIC, "")),
+    ),
+    Mutant(
+        "mother-via-rule-O-cancels-I(A:E)", DERIVATION,
+        "cancel(apply_rule(eq3, StepKind.RULE_O), QUBIT_CHANNEL, I_AB * HALF)",
+        "cancel(apply_rule(eq3, StepKind.RULE_O), QUBIT_CHANNEL, I_AE * HALF)",
+        (RULES_ARE_COHERENT, "mutant (b)"),
+        commands=(_regeneration_failed("mother_via_rule_O", "mother"),),
+    ),
+    Mutant(
+        "eq1-via-eq2-at-I(A:B)", DERIVATION,
+        "append(eq2, tp, I_COH)",
+        "append(eq2, tp, I_AB * HALF)",
+        (RULES_ARE_COHERENT, "mutant (c)"),
+        commands=(_regeneration_failed("eq1_via_eq2", "eq1"),),
+    ),
+    Mutant(
+        "coefficient-wise-sign-test", ALGEBRA,
+        "return self._key != _ZERO_KEY and max(c, a + b, a + e, b + e) <= 0",
+        "return max(self._key[:4]) <= 0 and min(self._key[:4]) < 0",
+        (RULES_ARE_COHERENT, "the sign test put back to the coefficient-wise rule"),
+        tests=CONE_TESTS,
+    ),
+    Mutant(
+        "sd-makes-one-cbit", DERIVATION,
+        'ResourceInequality("sd", vec(1, QUBIT_CHANNEL) + vec(1, EBIT), vec(2, CBIT), Mode.EXACT)',
+        'ResourceInequality("sd", vec(1, QUBIT_CHANNEL) + vec(1, EBIT), vec(1, CBIT), Mode.EXACT)',
+        (RULES_ARE_COHERENT, '`PRIMITIVES["sd"]` producing one `[c->c]`'),
+        tests=(SEARCH_TEST,),
+    ),
+    Mutant(
+        "tp-spends-one-cbit", DERIVATION,
+        'ResourceInequality("tp", vec(2, CBIT)',
+        'ResourceInequality("tp", vec(1, CBIT)',
+        (RULES_ARE_COHERENT, '`PRIMITIVES["tp"]` consuming one `[c->c]`'),
+        tests=(SEARCH_TEST,),
+    ),
+)
+
+PYTEST = ("-m", "pytest", "-q", "-p", "no:cacheprovider")
+
+
+def _copy(tree: Path) -> Path:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", tree)
+    return tree
+
+
+def _run(tree: Path, args) -> tuple[int, str]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def _passing(tree: Path, mutant: Mutant) -> list[str]:
+    """The checks of `mutant` that pass in `tree`, where it is applied."""
+    passing = []
+    for args, says in mutant.commands:
+        code, out = _run(tree, shlex.split(args))
+        if code == 0 or says not in out:
+            passing.append(args)
+    if mutant.tests:
+        _, out = _run(tree, (*PYTEST, *mutant.tests))
+        failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE)
+        passing += [test for test in mutant.tests
+                    if not any(f == test or f.startswith(test + "[") for f in failed)]
+    return passing
+
+
+def _failing_unmutated(tree: Path, mutants) -> list[str]:
+    """The named checks that fail in `tree`, where no mutant is applied."""
+    commands = sorted({args for mutant in mutants for args, _ in mutant.commands})
+    failing = [args for args in commands if _run(tree, shlex.split(args))[0] != 0]
+    tests = sorted({test for mutant in mutants for test in mutant.tests})
+    if tests:
+        code, out = _run(tree, (*PYTEST, *tests))
+        failing += [f"pytest {' '.join(tests)}:\n{out}"] if code else []
+    return failing
+
+
+def main(names) -> int:
+    unknown = sorted(set(names) - {mutant.name for mutant in MUTANTS})
+    if unknown:
+        print(f"unknown mutant {unknown[0]!r}; known: {', '.join(m.name for m in MUTANTS)}")
+        return 2
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for failing in _failing_unmutated(_copy(Path(tmp) / "unmutated"), chosen):
+            print(f"FAILS UNMUTATED {failing}")
+            ok = False
+        for i, mutant in enumerate(chosen):
+            tree = _copy(Path(tmp) / f"mutant{i}")
+            path = tree / mutant.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                print(f"STALE {mutant.name}: its old text occurs {text.count(mutant.old)} times in {mutant.file}")
+                ok = False
+                continue
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            passing = _passing(tree, mutant)
+            print(f"SURVIVED {mutant.name}: {'; '.join(passing)} passed" if passing else f"killed {mutant.name}")
+            ok = ok and not passing
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

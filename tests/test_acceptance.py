@@ -19,6 +19,7 @@ from qfamily.algebra import (
     NOISY_STATE,
     QUBIT_CHANNEL,
     ResourceTag,
+    StepKind,
     dual,
     vec,
 )
@@ -38,8 +39,7 @@ from qfamily.circuits import (
 )
 from qfamily.derivation import (
     PRIMITIVES,
-    apply_rule_I,
-    apply_rule_O,
+    apply_rule,
     cancel,
     derive_family,
     replay,
@@ -103,13 +103,13 @@ def test_criterion_1_family_tree_exact():
 def test_criterion_2_coherentification_round_trips():
     mother, father = PRIMITIVES["mother"], PRIMITIVES["father"]
 
-    regained = apply_rule_I(FAMILY["eq2"])
+    regained = apply_rule(FAMILY["eq2"], StepKind.RULE_I)
     assert regained.lhs == mother.lhs and regained.rhs == mother.rhs
 
-    regained = cancel(apply_rule_O(FAMILY["eq3"]), QUBIT_CHANNEL, I_AB * HALF)
+    regained = cancel(apply_rule(FAMILY["eq3"], StepKind.RULE_O), QUBIT_CHANNEL, I_AB * HALF)
     assert regained.lhs == mother.lhs and regained.rhs == mother.rhs
 
-    regained = cancel(apply_rule_O(FAMILY["eq4"]), EBIT, I_AB * HALF)
+    regained = cancel(apply_rule(FAMILY["eq4"], StepKind.RULE_O), EBIT, I_AB * HALF)
     assert regained.lhs == father.lhs and regained.rhs == father.rhs
 
     assert dual(mother).lhs == father.lhs and dual(mother).rhs == father.rhs

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfamily import cli
+from qfamily import cli, derivation
+from qfamily.algebra import CBIT, vec
 from qfamily.channels import sweep_csv
 from qfamily.derivation import derive_family
 from qfamily.grammar import format_ri, ri_from_json
@@ -499,8 +500,8 @@ def test_family_names_each_duality_claim_that_fails_and_exits_1(capsys, monkeypa
     """A false claim used to vanish from the `duality:` line with exit 0."""
     _, out, _ = run_cli(capsys, "family")
     false_claims = (("tp", "sd", None), ("eq1", "eq5", None), ("qe", "qe", None),
-                    ("tp", "qe", cli.vec(1, cli.CBIT)))
-    monkeypatch.setattr(cli, "DUALITY_CLAIMS", cli.DUALITY_CLAIMS + false_claims)
+                    ("tp", "qe", vec(1, CBIT)))
+    monkeypatch.setattr(derivation, "DUALITY_CLAIMS", derivation.DUALITY_CLAIMS + false_claims)
     code, out_with_false, err = run_cli(capsys, "family")
     assert (code, err) == (1, "")
     assert out_with_false == out + "".join(f"duality failed: {claim}\n" for claim in (
@@ -512,10 +513,36 @@ def test_family_json_names_each_duality_claim_that_fails_on_stderr_and_exits_1(c
     """`family --json` used to check no claim: a false one left exit 0 and no word."""
     code, document, err = run_cli(capsys, "family", "--json")
     assert (code, err) == (0, "")
-    monkeypatch.setattr(cli, "DUALITY_CLAIMS", cli.DUALITY_CLAIMS + (("tp", "sd", None), ("qe", "qe", None)))
+    false_claims = (("tp", "sd", None), ("qe", "qe", None))
+    monkeypatch.setattr(derivation, "DUALITY_CLAIMS", derivation.DUALITY_CLAIMS + false_claims)
     code, out, err = run_cli(capsys, "family", "--json")
     assert (code, out) == (1, document)
     assert err == "duality failed: tp <-> sd\nduality failed: qe self-dual\n"
+
+
+def _family_with_a_wrong_regeneration():
+    """The family, with `mother_via_rule_I` stating eq2 instead of mother."""
+    full = derive_family()
+    return {**full, "mother_via_rule_I": full["eq2"].with_name("mother_via_rule_I")}
+
+
+REGENERATION_FAILED = "regeneration failed: mother_via_rule_I does not state mother\n"
+
+
+def test_family_names_a_regeneration_that_fails_and_exits_1(capsys, monkeypatch):
+    """A re-derivation that misses its target used to leave exit 0."""
+    _, out, _ = run_cli(capsys, "family")
+    monkeypatch.setattr(cli, "derive_family", _family_with_a_wrong_regeneration)
+    code, out_with_failure, err = run_cli(capsys, "family")
+    assert (code, err) == (1, "")
+    assert out_with_failure == out + REGENERATION_FAILED
+
+
+def test_family_json_names_a_regeneration_that_fails_on_stderr_and_exits_1(capsys, monkeypatch):
+    _, document, _ = run_cli(capsys, "family", "--json")
+    monkeypatch.setattr(cli, "derive_family", _family_with_a_wrong_regeneration)
+    code, out, err = run_cli(capsys, "family", "--json")
+    assert (code, out, err) == (1, document, REGENERATION_FAILED)
 
 
 @pytest.mark.parametrize("modules", ["qfamily", "qfamily.algebra, qfamily.grammar, qfamily.derivation"])

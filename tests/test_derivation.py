@@ -10,6 +10,7 @@ from qfamily.algebra import (
     COBIT,
     DerivationStep,
     EBIT,
+    EntropicExpr,
     Gen,
     HALF,
     H_A,
@@ -30,9 +31,9 @@ from qfamily.algebra import (
 from qfamily.derivation import (
     DerivationError,
     append,
-    apply_rule_I,
-    apply_rule_O,
+    apply_rule,
     cancel,
+    claims,
     COBIT_WORTH,
     coherent,
     derive_family,
@@ -45,7 +46,7 @@ from qfamily.derivation import (
     waste,
 )
 from qfamily.entropy import evaluate, random_tripartite_state
-from qfamily.grammar import ParseError, parse_ri, parse_vector
+from qfamily.grammar import ParseError, format_ri, parse_ri, parse_vector
 from qfamily.rng import SplitMix64
 
 
@@ -200,49 +201,218 @@ def test_wasted_qe_is_dual_to_tp(registry):
 
 
 def test_rule_I_regenerates_mother_from_eq2(family, registry):
-    assert apply_rule_I(family["eq2"]).same_statement(registry["mother"])
+    assert apply_rule(family["eq2"], StepKind.RULE_I).same_statement(registry["mother"])
 
 
 def test_rule_O_regenerates_mother_from_eq3(family, registry):
-    rewritten = apply_rule_O(family["eq3"])
+    rewritten = apply_rule(family["eq3"], StepKind.RULE_O)
     assert cancel(rewritten, QUBIT_CHANNEL, I_AB * HALF).same_statement(registry["mother"])
 
 
 def test_rule_O_regenerates_father_from_eq4(family, registry):
-    rewritten = apply_rule_O(family["eq4"])
+    rewritten = apply_rule(family["eq4"], StepKind.RULE_O)
     assert cancel(rewritten, EBIT, I_AB * HALF).same_statement(registry["father"])
 
 
 def test_rules_require_certification(family):
     eq5 = family["eq5"]
     with pytest.raises(DerivationError, match="not certified"):
-        apply_rule_I(eq5)
+        apply_rule(eq5, StepKind.RULE_I)
     with pytest.raises(DerivationError, match="not certified"):
-        apply_rule_O(eq5)
+        apply_rule(eq5, StepKind.RULE_O)
 
 
 def test_rules_pass_through_without_classical_term(registry):
     mother = registry["mother"].with_flags(rule_I_ok=True, rule_O_ok=True)
-    assert apply_rule_I(mother) is mother
-    assert apply_rule_O(mother) is mother
+    assert apply_rule(mother, StepKind.RULE_I) is mother
+    assert apply_rule(mother, StepKind.RULE_O) is mother
 
 
 def test_rule_I_on_certified_teleportation_gives_cobit_accounting(registry):
     toy = registry["tp"].with_flags(rule_I_ok=True)
-    out = apply_rule_I(toy)
+    out = apply_rule(toy, StepKind.RULE_I)
     assert out.lhs == vec(1, QUBIT_CHANNEL) + vec(1, EBIT)
     assert out.rhs == vec(1, QUBIT_CHANNEL) + vec(1, EBIT)
 
 
-@pytest.mark.parametrize("rule, name", [(apply_rule_I, "tp"), (apply_rule_O, "sd")])
+@pytest.mark.parametrize("rule, name", [(StepKind.RULE_I, "tp"), (StepKind.RULE_O, "sd")],
+                         ids=["apply_rule-RULE_I-tp", "apply_rule-RULE_O-sd"])
 def test_rules_I_and_O_are_the_coherent_transform_with_cobits_at_their_worth(registry, rule, name):
     """Rule I on certified teleportation, and rule O on certified
     super-dense coding, move the same net resources (rhs - lhs) as `coherent`
     on the same primitive with each [q->qq] valued at COBIT_WORTH."""
     certified = registry[name].with_flags(rule_I_ok=True, rule_O_ok=True)
-    ruled, made = rule(certified), coherent(certified)
+    ruled, made = apply_rule(certified, rule), coherent(certified)
     assert all(v.coeff(CBIT).is_zero for v in (made.lhs, made.rhs, ruled.lhs, ruled.rhs))
     assert expand_cobits(made.rhs) - expand_cobits(made.lhs) == ruled.rhs - ruled.lhs
+
+
+@pytest.mark.parametrize("kind, lhs, rhs", [
+    (StepKind.RULE_I, "(-1) [c->c] + 1/2 [q->q]", "1/2 [qq]"),
+    (StepKind.RULE_O, "0", "(-1) [c->c] + 1/2 [q->q] + 1/2 [qq]"),
+])
+def test_the_rule_vectors_derived_from_coherent_are_the_papers(kind, lhs, rhs):
+    """Per [c->c] replaced, written by hand here, so that the reference does
+    not come from `coherent`."""
+    assert (RULES[kind].lhs, RULES[kind].rhs) == (parse_vector(lhs), parse_vector(rhs))
+
+
+def test_a_cobit_is_worth_half_a_qubit_channel_and_half_an_ebit():
+    assert COBIT_WORTH == parse_vector("1/2 [q->q] + 1/2 [qq]")
+
+
+def test_claims_check_five_dualities_and_four_regenerations(family):
+    """A renamed member or claim cannot leave the check with nothing to check."""
+    held, failed = claims(family)
+    assert failed == []
+    assert sorted(kind for kind, _ in held) == ["duality"] * 5 + ["regeneration"] * 4
+    assert [claim for kind, claim in held if kind == "regeneration"] == [
+        "eq1_via_eq2 states eq1", "mother_via_rule_I states mother",
+        "mother_via_rule_O states mother", "father_via_rule_O states father"]
+
+
+def test_claims_name_a_regeneration_that_fails(family):
+    wrong = {**family, "mother_via_rule_O": family["eq3"].with_name("mother_via_rule_O")}
+    held, failed = claims(wrong)
+    assert failed == [("regeneration", "mother_via_rule_O does not state mother")]
+    assert len(held) == 8
+
+
+# -- the sign test knows the entropy cone ------------------------------------
+
+MINUS_I_AB = -I_AB
+# append(mother, tp, -I(A:B)), as a sign test that reads coefficients one by
+# one accepts it
+MINUS_I_AB_APPENDED = ("(-2*I(A:B)) [c->c] + 1/2*I(A:E) [q->q] + {qq} "
+                       ">= (-1*I(A:B)) [q->q] + 3/2*I(A:B) [qq]")
+NEGATIVE_MULTIPLIER = re.escape("multiplier (-1*I(A:B)) is negative")
+
+
+@pytest.mark.parametrize("compose", [append, prepend])
+def test_composition_refuses_minus_I_AB_as_a_multiplier(registry, compose):
+    with pytest.raises(DerivationError, match=NEGATIVE_MULTIPLIER):
+        compose(registry["mother"], registry["tp"], MINUS_I_AB)
+
+
+def test_cancel_refuses_minus_I_AB_as_an_amount(registry):
+    # [q->q] is on both sides, so only the amount's sign is at fault
+    both = append(registry["mother"], registry["tp"], I_AB * HALF)
+    with pytest.raises(DerivationError, match=NEGATIVE_MULTIPLIER):
+        cancel(both, QUBIT_CHANNEL, MINUS_I_AB)
+
+
+def test_waste_refuses_minus_I_AB_as_a_coefficient(family):
+    with pytest.raises(DerivationError, match=re.escape("waste vector has negative [c->c] coefficient")):
+        waste(family["eq5"], vec(MINUS_I_AB, CBIT))
+
+
+def test_replay_refuses_a_hand_edited_step_with_multiplier_minus_I_AB(registry):
+    mother = registry["mother"]
+    step = DerivationStep(StepKind.APPEND, "tp", MINUS_I_AB, mother.bare(), parse_ri(MINUS_I_AB_APPENDED))
+    with pytest.raises(DerivationError, match=NEGATIVE_MULTIPLIER):
+        replay((step,))
+
+
+# Bits by which a value may stray past its bound on a random state: the
+# entropies are computed in floating point.
+CONE_TOL = 1e-9
+RAYS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(-3, 3)] * 4), st.integers(1, 4), st.integers(0, 2**32))
+def test_the_sign_test_is_sound_and_complete_on_the_entropy_cone(numerators, denominator, seed):
+    """A flagged expression is <= 0 on random states; a nonzero one that is
+    not flagged is positive at the origin or far enough along a ray of the
+    cone; and every random state's entropy triple lies in the cone."""
+    expr = EntropicExpr.from_pairs({gen: (n, denominator) for gen, n in zip(Gen, numerators)})
+    rng = SplitMix64(seed)
+    psi = random_tripartite_state(rng, rng.randint(2, 3), rng.randint(2, 3))
+    h_a, h_b, h_e = (evaluate(h, psi) for h in (H_A, H_B, H_E))
+    assert max(h_a - h_b - h_e, h_b - h_a - h_e, h_e - h_a - h_b) <= CONE_TOL
+    if expr.is_definitely_negative():
+        assert expr.value(h_a, h_b, h_e) <= CONE_TOL
+    elif not expr.is_zero:
+        far = abs(numerators[0]) + 1  # a positive pair sum is at least 1/denominator
+        assert expr.value(0, 0, 0) > 0 or any(expr.value(*(far * x for x in ray)) > 0 for ray in RAYS)
+
+
+# -- the parents generate the children: a search, not a script ---------------
+
+SEARCH_TOOLS = ("tp", "sd", "qe")
+# Every statement within two moves of mother and father that states no
+# member of the family, as `format_ri` writes it.
+SEARCH_OTHERS = (
+    "(3/2*H(A) + 1/2*H(B) - 1/2*H(E)) [qq] + {q->q} >= 1/2*I(A:B) [q->q]",
+    "1/2*I(A:B) [q->q] + 1/2*I(A:E) [qq] + {q->q} >= I(A:B) [c->c]",
+    "1/2*I(A:E) [q->q] + 1/2*I(A:B) [qq] + {q->q} >= I(A:B) [c->c]",
+    "1/2*I(A:E) [q->q] + I(A:E) [qq] + {qq} >= 1/2*I(A:B) [qq]",
+    "1/2*I(A:E) [q->q] + {q->q} >= 1/2*I(A:B) [q->q]",
+    "1/2*I(A:E) [q->q] + {q->q} >= 1/2*I(A:B) [qq]",
+    "1/2*I(A:E) [qq] + {q->q} >= 1/2*I(A:B) [qq]",
+    "2*H(A) [c->c] + 1/2*I(A:E) [qq] + {qq} >= 1/2*I(A:B) [q->q]",
+    "2*H(A) [c->c] + H(A) [qq] + {qq} >= I(A:B) [c->c]",
+    "H(A) [q->q] + 1/2*I(A:B) [qq] + {qq} >= 1/2*I(A:B) [q->q]",
+    "H(A) [q->q] + {q->q} >= I(A:B) [c->c]",
+    "I(A:B) [c->c] + 1/2*I(A:E) [q->q] + 1/2*I(A:B) [qq] + {qq} >= I(A:B) [c->c]",
+    "I(A:B) [c->c] + 1/2*I(A:E) [q->q] + {qq} >= 1/2*I(A:B) [q->q]",
+    "I(A:B) [c->c] + 1/2*I(A:E) [q->q] + {qq} >= 1/2*I(A:B) [qq]",
+    "I(A:B) [c->c] + 1/2*I(A:E) [qq] + {q->q} >= 1/2*I(A:B) [q->q]",
+    "I(A:E) [c->c] + 1/2*I(A:B) [q->q] + 1/2*I(A:E) [qq] + {qq} >= I(A:B) [c->c]",
+    "I(A:E) [c->c] + 1/2*I(A:E) [q->q] + {qq} >= 1/2*I(A:B) [qq]",
+    "I(A:E) [c->c] + 1/2*I(A:E) [qq] + {q->q} >= 1/2*I(A:B) [q->q]",
+    "I(A:E) [c->c] + 1/2*I(A:E) [qq] + {qq} >= 1/2*I(A:B) [qq]",
+    "{q->q} >= Ic(A>B) [qq]",
+)
+
+
+def _search_moves(ri):
+    """Each move from `ri`: append or prepend tp, sd or qe at the rate at
+    which the side it meets covers one facing term exactly, or cancel a kind
+    on both sides by the smaller amount (the left one when neither is
+    definitely smaller)."""
+    for name in SEARCH_TOOLS:
+        tool = PRIMITIVES[name]
+        for compose, meets, facing in ((append, tool.lhs, ri.rhs), (prepend, tool.rhs, ri.lhs)):
+            for kind, amount in meets.terms:
+                if not facing.coeff(kind).is_zero:
+                    yield compose, tool, facing.coeff(kind) / amount.as_constant()
+    for kind, left in ri.lhs.terms:
+        right = ri.rhs.coeff(kind)
+        if not right.is_zero:
+            yield cancel, kind, right if (right - left).is_definitely_negative() else left
+
+
+def _within_two_moves():
+    """Each distinct statement within two moves of mother and father."""
+    frontier = [PRIMITIVES["mother"], PRIMITIVES["father"]]
+    reached = {(ri.lhs, ri.rhs, ri.mode): ri for ri in frontier}
+    for _ in range(2):
+        made = []
+        for ri in frontier:
+            for move, what, k in _search_moves(ri):
+                try:
+                    out = move(ri, what, k)
+                except DerivationError:
+                    continue
+                if (out.lhs, out.rhs, out.mode) not in reached:
+                    reached[out.lhs, out.rhs, out.mode] = out
+                    made.append(out)
+        frontier = made
+    return list(reached.values())
+
+
+def test_mother_and_father_generate_the_five_children_within_two_moves(family):
+    """The paper's first claim, with no script: eq1-eq5, as the paper states
+    them, are reached by tp, sd and qe alone, and the script states each."""
+    reached = _within_two_moves()
+    for name, text in GOLDEN.items():
+        child = parse_ri(text)
+        assert any(ri.same_statement(child) for ri in reached), name
+        assert family[name].same_statement(child), name
+    others = sorted(format_ri(ri) for ri in reached
+                    if not any(ri.same_statement(member) for member in family.values()))
+    assert others == sorted(SEARCH_OTHERS)
 
 
 # -- traces ------------------------------------------------------------------
@@ -381,8 +551,8 @@ def _run_step(ri, step):
     if op == "waste":
         return waste(ri, vec(k, what))
     if op == "rule_I":
-        return apply_rule_I(ri.with_flags(rule_I_ok=True))
-    return apply_rule_O(ri.with_flags(rule_O_ok=True))
+        return apply_rule(ri.with_flags(rule_I_ok=True), StepKind.RULE_I)
+    return apply_rule(ri.with_flags(rule_O_ok=True), StepKind.RULE_O)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

@@ -61,6 +61,12 @@ class Slots:
     def as_dict(self):
         return {gen: c for gen, c in zip(Gen, self.slots) if c}
 
+    def nonpositive_on_the_entropy_cone(self):
+        """Nonzero, and <= 0 at the origin and on the rays (1,1,0), (1,0,1)
+        and (0,1,1) that span the cone of entropy triples."""
+        c, a, b, e = self.slots
+        return any(self.slots) and max(c, a + b, a + e, b + e) <= 0
+
 
 def assert_normal(expr: EntropicExpr, ref: Slots):
     """The key is gcd-reduced over a positive denominator, zero has one
@@ -73,7 +79,7 @@ def assert_normal(expr: EntropicExpr, ref: Slots):
     assert tuple(expr.coeff(gen) for gen in Gen) == ref.slots
     assert {gen: Fraction(*pair) for gen, pair in expr.as_pairs().items()} == ref.as_dict()
     assert expr.as_constant() == ref.constant()
-    assert expr.is_definitely_negative() == (max(ref.slots) <= 0 and min(ref.slots) < 0)
+    assert expr.is_definitely_negative() == ref.nonpositive_on_the_entropy_cone()
 
 
 def assert_round_trips(expr: EntropicExpr, ref: Slots):

@@ -186,3 +186,25 @@ def test_the_table_check_finds_a_missing_row_and_a_changed_value():
     assert set(_tolerances_in_table(readme.replace(row, "|"))) == set(source) - {"NOISE_FLOOR"}
     changed = _tolerances_in_table(readme.replace(row, row.replace("1e-12", "1e-11")))
     assert changed["NOISE_FLOOR"] == ("channels", 1e-11) != source["NOISE_FLOOR"]
+
+
+# -- the committed mutants ---------------------------------------------------
+
+
+def test_every_mutant_applies_once_names_checks_that_exist_and_quotes_changes():
+    """Each mutant of tests/mutants.py still finds its old text exactly once,
+    names checks that exist, and quotes CHANGES.md; the runner itself, which
+    runs the checks, is a CI job."""
+    from mutants import MUTANTS
+
+    changes = (ROOT / "CHANGES.md").read_text(encoding="utf-8")
+    assert len({mutant.name for mutant in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        assert (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old) == 1, mutant.name
+        assert mutant.new != mutant.old and (mutant.commands or mutant.tests), mutant.name
+        assert all(quote in changes for quote in mutant.source), mutant.name
+        for test in mutant.tests:
+            path, name = test.split("::")
+            assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), test
+        for args, _ in mutant.commands:
+            assert args.startswith("-m qfamily.cli ") or (ROOT / args).is_file(), args
