@@ -4,9 +4,10 @@ reporting for resource inequalities.
 Families (all on one qubit in): erasure (output qubit + flag, d_out=3),
 depolarizing, dephasing (off-diagonals scaled by 1-p), amplitude_damping,
 identity.  Rates are evaluated on the tripartite pure state each registered
-object holds, made once where the object is registered: the dilated channel
+object holds, made once where the object is made: the dilated channel
 output on half of a maximally entangled input for a channel and for a
-built-in state, a purification for a registry state.
+built-in state, a purification for a registry state.  A built-in object is
+a row of `BUILTIN_OBJECTS`, made by `family_object` only when it is picked.
 
 `CHANNEL_FAMILIES` is the one family table: it maps each family's name to
 its kernel, from a vector of parameters to a stack of Kraus operators.
@@ -28,8 +29,6 @@ from .algebra import (
     H_A, H_B, H_E, I_AB, I_AE, I_COH, Record, ResourceInequality, ResourceTag, ResourceVector,
 )
 from .entropy import (
-    DensityOp,
-    QuantumChannel,
     TripartitePureState,
     ValidationError,
     channel_entropy_triples,
@@ -132,9 +131,10 @@ def _family_kraus(name: str) -> Callable[[np.ndarray], np.ndarray]:
     return CHANNEL_FAMILIES[name]
 
 
-def family_channel(name: str, p: float = 0.0) -> QuantumChannel:
-    """The family's channel at one parameter: its kernel with B = 1."""
-    return QuantumChannel(tuple(_family_kraus(name)(np.array([p], dtype=float))[0]))
+def family_channel(name: str, p: float = 0.0) -> np.ndarray:
+    """The Kraus stack (K, d_out, d_in) of the family's channel at one
+    parameter: its kernel with B = 1, checked by `channel_state`."""
+    return _family_kraus(name)(np.array([p], dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +144,8 @@ def family_channel(name: str, p: float = 0.0) -> QuantumChannel:
 
 class RegisteredObject(Record):
     """A named state or channel and its tripartite pure state, made once,
-    where the object is registered: a channel state for a channel or a
-    built-in state, a purification for a registry state."""
+    where the object is made: a channel state for a channel or a built-in
+    state, a purification for a registry state."""
 
     _fields = ("name", "kind", "psi")
 
@@ -153,19 +153,24 @@ class RegisteredObject(Record):
         vars(self).update(name=name, kind=kind, psi=psi)
 
 
-def builtin_objects() -> dict[str, RegisteredObject]:
-    """Example registry used by docs, the CLI and cross-layer checks.  Each
-    state is the channel state of a family's channel, taken as it is."""
-    return {name: RegisteredObject(name, kind, channel_state(family_channel(family, p)))
-            for name, kind, family, p in (
-                ("bell", "state", "identity", 0.0),
-                ("erasure_state_p25", "state", "erasure", 0.25),
-                ("depolarizing_state_p50", "state", "depolarizing", 0.5),
-                ("identity", "channel", "identity", 0.0),
-                ("erasure_p25", "channel", "erasure", 0.25),
-                ("dephasing_p30", "channel", "dephasing", 0.3),
-                ("amplitude_damping_p40", "channel", "amplitude_damping", 0.4),
-            )}
+# name -> (kind, family, p) of each built-in example object, used by docs,
+# the CLI and cross-layer checks: the channel state of the family's channel
+# at p, taken as it is for a state too.  The identity channel is no row: the
+# family of that name is what `--channel identity` picks.
+BUILTIN_OBJECTS = {
+    "bell": ("state", "identity", 0.0),
+    "erasure_state_p25": ("state", "erasure", 0.25),
+    "depolarizing_state_p50": ("state", "depolarizing", 0.5),
+    "erasure_p25": ("channel", "erasure", 0.25),
+    "dephasing_p30": ("channel", "dephasing", 0.3),
+    "amplitude_damping_p40": ("channel", "amplitude_damping", 0.4),
+}
+
+
+def family_object(name: str, kind: str, family: str, p: float) -> RegisteredObject:
+    """The object `name` of `kind` whose state is the channel state of the
+    family's channel at p: a family point or a built-in object."""
+    return RegisteredObject(name, kind, channel_state(family_channel(family, p)))
 
 
 def _real(x) -> float:
@@ -191,7 +196,8 @@ def load_registry(path) -> dict[str, RegisteredObject]:
     {name, kind: "state"|"channel", dims, data} with data as row-major
     [re, im] pairs — the full density matrix for states (dims [dA, dB]),
     concatenated Kraus operators for channels (dims [d_in, d_out, n_kraus]).
-    Each entry's pure state is made here: one `purify` per state.
+    Each entry's pure state is made here: one `purify` per state and one
+    `channel_state` per channel, each checking its entry once.
     """
     import json
 
@@ -229,11 +235,11 @@ def load_registry(path) -> dict[str, RegisteredObject]:
             d_a, d_b = dims
             dim = d_a * d_b
             data = _complex_array(entry["data"], dim * dim, name)
-            psi = purify(DensityOp(data.reshape(dim, dim)), (d_a, d_b))
+            psi = purify(data.reshape(dim, dim), (d_a, d_b))
         else:
             d_in, d_out, n_kraus = dims
             data = _complex_array(entry["data"], d_in * d_out * n_kraus, name)
-            psi = channel_state(QuantumChannel(tuple(data.reshape(n_kraus, d_out, d_in))))
+            psi = channel_state(data.reshape(n_kraus, d_out, d_in))
         registry[name] = RegisteredObject(name, kind, psi)
     return registry
 

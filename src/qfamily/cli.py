@@ -4,7 +4,8 @@ Verbs: family, derive, rates, sweep, verify-circuits, check-identities,
 dual.  Output is deterministic for fixed inputs and seed; the exit code is
 0 exactly when every requested check passed.  Named states/channels come
 from the built-in examples plus an optional JSON registry given by
---registry or the QFAMILY_REGISTRY environment variable.
+--registry or the QFAMILY_REGISTRY environment variable; only the object
+that `rates` picks is built.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ try:
     from . import channels, grammar
     from .algebra import dual
     from .derivation import FAMILY_ORDER, claims, derive_family, render_trace
-    from .entropy import channel_state, evaluate_raw, random_tripartite_state
+    from .entropy import evaluate_raw, random_tripartite_state
 finally:
     if _one_blas_thread:
         del os.environ["OPENBLAS_NUM_THREADS"]
@@ -50,21 +51,22 @@ class CliError(ValueError):
     """User-facing error: message printed, nonzero exit."""
 
 
-def _load_objects(args) -> dict:
-    objects = channels.builtin_objects()
+def _load_registry(args) -> dict:
+    """The registry's objects, if one is given: none may be named like a
+    channel family or a built-in object."""
     path = args.registry or os.environ.get("QFAMILY_REGISTRY")
-    if path:
-        registry = channels.load_registry(path)
-        shadowed = sorted(set(registry) & set(channels.CHANNEL_FAMILIES))
-        if shadowed:
-            raise CliError(f"registry entry {shadowed[0]!r} is named like a channel family, "
-                           f"which `--channel {shadowed[0]}` would pick instead")
-        taken = sorted(set(registry) & set(objects))
-        if taken:
-            raise CliError(f"registry entry {taken[0]!r} is named like a built-in "
-                           f"{objects[taken[0]].kind}")
-        objects.update(registry)
-    return objects
+    if not path:
+        return {}
+    registry = channels.load_registry(path)
+    shadowed = sorted(set(registry) & set(channels.CHANNEL_FAMILIES))
+    if shadowed:
+        raise CliError(f"registry entry {shadowed[0]!r} is named like a channel family, "
+                       f"which `--channel {shadowed[0]}` would pick instead")
+    taken = sorted(set(registry) & set(channels.BUILTIN_OBJECTS))
+    if taken:
+        raise CliError(f"registry entry {taken[0]!r} is named like a built-in "
+                       f"{channels.BUILTIN_OBJECTS[taken[0]][0]}")
+    return registry
 
 
 def _positive_trials(args) -> int:
@@ -125,25 +127,28 @@ def cmd_derive(args) -> int:
     return 0
 
 
-def _pick_object(args, objects):
+def _pick_object(args, registry):
+    """The object `rates` runs on, the only one built: a family point, a
+    registry object or a built-in one."""
     if bool(args.state) == bool(args.channel):
         raise CliError("exactly one of --state or --channel is required")
     name = args.channel
     if name in channels.CHANNEL_FAMILIES:
         p = 0.0 if args.param is None else float(_grid_value(args.param))
-        return channels.RegisteredObject(name if args.param is None else f"{name}(p={p})",
-                                         "channel", channel_state(channels.family_channel(name, p)))
+        return channels.family_object(name if args.param is None else f"{name}(p={p})",
+                                      "channel", name, p)
     kind, name = ("state", args.state) if args.state else ("channel", name)
-    if name not in objects or objects[name].kind != kind:
+    found, row = registry.get(name), channels.BUILTIN_OBJECTS.get(name)
+    if (found.kind if found else row and row[0]) != kind:
         raise CliError(f"unknown {kind} {name!r}")
     if args.param is not None:
         raise CliError("--param applies to channel families only")
-    return objects[name]
+    return found or channels.family_object(name, *row)
 
 
 def cmd_rates(args) -> int:
     ri = _family_member(args.ri)
-    table = channels.rate_table(ri, _pick_object(args, _load_objects(args)))
+    table = channels.rate_table(ri, _pick_object(args, _load_registry(args)))
     if args.json:
         import json
         payload = {

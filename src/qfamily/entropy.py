@@ -1,16 +1,17 @@
-"""Numerical backend: density operators, purifications, channel dilations,
-von Neumann entropies, and evaluation of entropic expressions on concrete
-tripartite pure states.  Each numeric object is validated once, where it is
-built; nothing derived from a validated state, such as a marginal, is
-validated again.  A random tripartite state has normalised complex Gaussian
-amplitudes with d_E = d_A d_B, a purification of the random mixed state
-G G^dag / tr on A x B (which the tests draw as `random_density`).
+"""Numerical backend: purifications, channel states, von Neumann entropies,
+and evaluation of entropic expressions on concrete tripartite pure states.
+`TripartitePureState` is the one checked numeric record.  A density matrix
+or a Kraus stack is checked once, by `purify` or `channel_state`, which
+return its pure state; that check bounds the state's norm, so the state is
+not checked again, and nothing derived from a state, such as a marginal,
+is checked either.  A random tripartite state has normalised complex
+Gaussian amplitudes with d_E = d_A d_B, a purification of the random mixed
+state G G^dag / tr on A x B (which the tests draw as `random_density`).
 
 The channel-state path runs on stacks with a leading batch axis: a Kraus
-stack (B, K, d_out, d_in) is validated, turned into B channel states and
-diagonalised with one SVD per cut (`channel_entropy_triples`).  A single
-`QuantumChannel`, `TripartitePureState`, `channel_state` or `entropy_triple`
-runs the same kernels on a stack of one.
+stack (B, K, d_out, d_in) is checked, turned into B channel states and
+diagonalised with one SVD per cut (`channel_entropy_triples`).
+`channel_state` and `entropy_triple` run the same kernels on a stack of one.
 
 Conventions: all logarithms are base 2 (bits/ebits/qubits per copy);
 eigenvalues below 1e-12 contribute 0 to entropies; amplitude layout of a
@@ -38,42 +39,8 @@ class ValidationError(ValueError):
     """A numeric object violating its defining invariants."""
 
 
-class _Validated(Record):
-    """A numeric object, validated once, where it is built.  Compared and
-    hashed by identity: its fields are arrays, which have no single truth
-    value.  A copy (pickle, deepcopy) is built again by the constructor, so
-    it is validated, its arrays are read-only and what it kept is empty."""
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class DensityOp(_Validated):
-    """Validated density operator (Hermitian, unit trace, PSD within tolerance).
-
-    The matrix is a read-only copy of the caller's array.
-    """
-
-    _fields = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"density operator must be square, got shape {m.shape}")
-        _check_density(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _check_density(m: np.ndarray) -> None:
-    """Raise ValidationError unless the square matrix m is Hermitian, of unit
+    """Raise ValidationError unless m is a square matrix, Hermitian, of unit
     trace and PSD within tolerance.
 
     PSD is certified by one Cholesky factorisation of sym + PSD_TOL/2 * I
@@ -81,6 +48,8 @@ def _check_density(m: np.ndarray) -> None:
     lambda_min(sym) > -PSD_TOL/2 - O(n eps) for a unit-trace matrix, so only
     when it fails is the spectrum computed, and the verdict is then eigvalsh's.
     """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"density operator must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("density operator has NaN or infinite entries")
     adjoint = m.conj().T
@@ -101,15 +70,21 @@ def _check_density(m: np.ndarray) -> None:
             raise ValidationError(f"negative eigenvalue {lo:.3e} below -{PSD_TOL}") from None
 
 
-class TripartitePureState(_Validated):
+class TripartitePureState(Record):
     """Unit vector on A x B x E with an explicit dimension split.
 
     The amplitudes are a read-only copy of the caller's array, so the state
-    cannot change after it is validated, and what is computed from them is
+    cannot change after it is checked, and what is computed from them is
     computed once: its entropy triple and its marginals' entropies.
+    Compared and hashed by identity: its fields are arrays, which have no
+    single truth value.  A copy (pickle, deepcopy) is built again by the
+    constructor, so it is checked, its amplitudes are read-only and what it
+    kept is empty.
     """
 
     _fields = ("dims", "amplitudes")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, dims: tuple[int, int, int], amplitudes: np.ndarray):
         if not (isinstance(dims, (tuple, list)) and len(dims) == 3
@@ -119,7 +94,7 @@ class TripartitePureState(_Validated):
         if any(d < 1 for d in dims):
             raise ValidationError(f"dimensions must be positive, got {dims}")
         d_a, d_b, d_e = dims
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size != d_a * d_b * d_e:
             raise ValidationError(
                 f"amplitude length {amps.size} does not match dims {dims}"
@@ -131,38 +106,33 @@ class TripartitePureState(_Validated):
             if not np.isfinite(amps).all():
                 raise ValidationError("amplitude vector has NaN or infinite entries")
             raise ValidationError(f"norm {norm!r} differs from 1 by more than {NORM_TOL}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
-        # entropy of each marginal evaluate_raw has formed, keyed by sorted names
-        object.__setattr__(self, "_marginal_entropies", {})
+        _bounded(dims, amps, self)
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
 
 
-class QuantumChannel(_Validated):
-    """CPTP map given by Kraus operators (d_out x d_in each, read-only copies)."""
-
-    _fields = ("kraus",)
-
-    def __init__(self, kraus: tuple[np.ndarray, ...]):
-        ops = tuple(np.array(k, dtype=complex) for k in kraus)
-        if not ops:
-            raise ValidationError("a channel needs at least one Kraus operator")
-        d_out, d_in = ops[0].shape
-        if any(k.shape != (d_out, d_in) for k in ops):
-            raise ValidationError("all Kraus operators must share one shape")
-        stack = np.stack(ops)
-        _check_channels(stack[np.newaxis])
-        stack.flags.writeable = False
-        object.__setattr__(self, "kraus", tuple(stack))
+def _bounded(dims: tuple[int, int, int], amps: np.ndarray, psi=None) -> TripartitePureState:
+    """psi, by default a new state, holding `dims` and a read-only flat copy
+    of the amplitudes `amps`, whose norm a check has bounded within NORM_TOL:
+    the constructor's, or that of the object they were made from.  So
+    `purify` and `channel_state` build their state here, as `algebra._built`
+    builds a record, without the constructor's checks."""
+    psi = object.__new__(TripartitePureState) if psi is None else psi
+    amps = amps.flatten()
+    amps.flags.writeable = False
+    # entropy of each marginal evaluate_raw has formed, keyed by sorted names
+    vars(psi).update(dims=dims, amplitudes=amps, _marginal_entropies={})
+    return psi
 
 
 def _check_channels(kraus: np.ndarray) -> None:
     """Raise ValidationError unless every member of the Kraus stack
     (B, K, d_out, d_in) is finite and trace preserving, naming the first
-    member that is not as `QuantumChannel` would.
+    member that is not as `channel_state` would on that member alone.
 
     sum_e K_e^dag K_e is U^dag U for the member's dilation U; a NaN or
     infinite entry makes its deviation from I NaN or infinite.
@@ -195,22 +165,27 @@ def _bits(spectrum: np.ndarray) -> float:
     return float(0.0 - np.add.reduce(kept * np.log2(kept)))  # 0.0, never -0.0
 
 
-def purify(rho: DensityOp, split: tuple[int, int]) -> TripartitePureState:
-    """Purification of a bipartite state: |psi>^ABE with Tr_E psi = rho / tr rho.
+def purify(rho: np.ndarray, split: tuple[int, int]) -> TripartitePureState:
+    """Purification of the density matrix rho on A x B, dims `split`:
+    |psi>^ABE with Tr_E psi = rho / tr rho.
 
-    The environment dimension is the rank of rho (eigenvalues below 1e-12
-    dropped), so pure inputs get a one-dimensional environment.  The kept
-    eigenvalues are divided by their sum, so psi is a unit vector.
+    rho is checked once, by `_check_density`.  The environment dimension is
+    the rank of rho (eigenvalues below 1e-12 dropped), so pure inputs get a
+    one-dimensional environment.  eigh's eigenvectors are orthonormal and
+    the kept eigenvalues are divided by their sum, so psi is a unit vector
+    within rounding, and its norm is not checked again.
     """
+    m = np.asarray(rho, dtype=complex)
+    _check_density(m)
     d_a, d_b = split
-    if d_a * d_b != rho.dim:
-        raise ValidationError(f"split {split} does not factor dimension {rho.dim}")
-    eigenvalues, vectors = np.linalg.eigh(rho.matrix)
+    if not (type(d_a) is int and type(d_b) is int and d_a > 0 and d_a * d_b == m.shape[0]):
+        raise ValidationError(f"split {split} does not factor dimension {m.shape[0]}")
+    eigenvalues, vectors = np.linalg.eigh(m)
     # eigh sorts the eigenvalues ascending, so those kept are a suffix
     dropped = int(np.count_nonzero(eigenvalues <= EIGENVALUE_FLOOR))
     kept = eigenvalues[dropped:]
     amps = vectors[:, dropped:] * np.sqrt(kept / kept.sum())
-    return TripartitePureState((d_a, d_b, kept.size), amps)
+    return _bounded((d_a, d_b, kept.size), amps)
 
 
 def _dilations(kraus: np.ndarray) -> np.ndarray:
@@ -222,11 +197,19 @@ def _dilations(kraus: np.ndarray) -> np.ndarray:
     return kraus.transpose(0, 2, 1, 3).reshape(n, d_out * d_env, d_in)
 
 
-def channel_state(channel: QuantumChannel) -> TripartitePureState:
+def channel_state(kraus: np.ndarray) -> TripartitePureState:
     """Send the A' half of |Phi_+>^AA' (maximally entangled, dim(A) = d_in)
-    through the channel's dilation: |psi>^ABE with dims (d_in, d_out, d_env)."""
-    amplitudes = _channel_amplitudes(np.stack(channel.kraus)[np.newaxis])[0]
-    return TripartitePureState(amplitudes.shape, amplitudes)
+    through the dilation of the channel of the Kraus stack (K, d_out, d_in):
+    |psi>^ABE with dims (d_in, d_out, K).  The stack is checked once, as a
+    stack of one, and that check bounds the state's norm (see
+    `channel_entropy_triples`)."""
+    stack = np.asarray(kraus, dtype=complex)[np.newaxis]
+    if stack.ndim != 4 or not stack.size:
+        raise ValidationError(f"a Kraus stack must be a nonempty (K, d_out, d_in) array, "
+                              f"got shape {stack.shape[1:]}")
+    _check_channels(stack)
+    amplitudes = _channel_amplitudes(stack)[0]
+    return _bounded(amplitudes.shape, amplitudes)
 
 
 def _channel_amplitudes(kraus: np.ndarray) -> np.ndarray:
@@ -239,11 +222,11 @@ def _channel_amplitudes(kraus: np.ndarray) -> np.ndarray:
 
 
 def channel_entropy_triples(kraus: np.ndarray) -> np.ndarray:
-    """`entropy_triple(channel_state(QuantumChannel(member)))` of each member
-    of a Kraus stack (B, K, d_out, d_in), as a (B, 3) array.
+    """`entropy_triple(channel_state(member))` of each member of a Kraus
+    stack (B, K, d_out, d_in), as a (B, 3) array.
 
-    The stack is validated once, each member as `QuantumChannel` would
-    validate it, and each cut takes one SVD for the whole stack.  A member's
+    The stack is checked once, each member as `channel_state` would check
+    it, and each cut takes one SVD for the whole stack.  A member's
     state has |psi|^2 = tr(U^dag U) / d_in, within TRACE_TOL of 1, so its
     norm is within about TRACE_TOL / 2 of 1, inside NORM_TOL: the states
     are not checked again.

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 
 DERIVATION, ALGEBRA = "src/qfamily/derivation.py", "src/qfamily/algebra.py"
+ENTROPY, CIRCUITS = "src/qfamily/entropy.py", "src/qfamily/circuits.py"
 FAMILY = "-m qfamily.cli family"
 VERIFY_CIRCUITS = "-m qfamily.cli verify-circuits --trials 5 --seed 1"
 SYMBOLIC = "tests/check_symbolic.py"
@@ -56,6 +57,8 @@ CONE_TESTS = tuple(f"tests/test_derivation.py::{name}" for name in (
     "test_the_sign_test_is_sound_and_complete_on_the_entropy_cone",
 ))
 SEARCH_TEST = "tests/test_derivation.py::test_mother_and_father_generate_the_five_children_within_two_moves"
+CHECKED_ONCE = "One checked numeric object"
+CHECKED_ONCE_TEST = "tests/test_channels.py::test_each_object_is_checked_once_and_its_state_is_not_checked_again"
 
 
 def _regeneration_failed(member: str, target: str) -> tuple[str, str]:
@@ -111,6 +114,43 @@ MUTANTS = (
         'ResourceInequality("tp", vec(1, CBIT)',
         (RULES_ARE_COHERENT, '`PRIMITIVES["tp"]` consuming one `[c->c]`'),
         tests=(SEARCH_TEST,),
+    ),
+    Mutant(
+        "channel-state-unchecked", ENTROPY,
+        "    _check_channels(stack)\n",
+        "",
+        (CHECKED_ONCE, "`channel_state` without `_check_channels`"),
+        tests=("tests/test_entropy.py::test_channel_trace_preservation_enforced", CHECKED_ONCE_TEST),
+    ),
+    Mutant(
+        "purify-unchecked", ENTROPY,
+        "    _check_density(m)\n",
+        "",
+        (CHECKED_ONCE, "`purify` without `_check_density`"),
+        tests=("tests/test_entropy.py::test_density_invariants_enforced",
+               "tests/test_entropy.py::test_density_check_decides_as_eigvalsh_does", CHECKED_ONCE_TEST),
+    ),
+    Mutant(
+        "state-without-reduce", ENTROPY,
+        "    def __reduce__(self):\n        return type(self), self._values()\n",
+        "",
+        ("Each registered object builds its pure state once", "no `__reduce__`",
+         CHECKED_ONCE, "`TripartitePureState` without `__reduce__`"),
+        tests=("tests/test_records.py::test_a_copy_of_a_validated_object_is_built_again_and_read_only",),
+    ),
+    Mutant(
+        "apply-if-cz-for-x", CIRCUITS,
+        "return (self.cnot if gate is _X else self.cz)(control, qubit)",
+        "return self.cz(control, qubit)",
+        (WRITTEN_ONCE, "`apply_if`'s control qubit taking CZ for X"),
+        tests=("tests/test_circuits.py::test_kernels_match_a_dense_reference",),
+    ),
+    Mutant(
+        "apply-if-unchecked-cnot", CIRCUITS,
+        "(self.cnot if gate is _X",
+        "(self._cnot_unchecked if gate is _X",
+        (WRITTEN_ONCE, "taking the unchecked CNOT fails `test_gates_cannot_span_parties`"),
+        tests=("tests/test_circuits.py::test_gates_cannot_span_parties",),
     ),
 )
 

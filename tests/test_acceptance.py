@@ -23,7 +23,7 @@ from qfamily.algebra import (
     dual,
     vec,
 )
-from qfamily.channels import builtin_objects, rate_table, sweep, sweep_csv
+from qfamily.channels import rate_table, sweep, sweep_csv
 from qfamily.circuits import (
     PLUS,
     _COHERENT_SD,
@@ -47,6 +47,7 @@ from qfamily.derivation import (
 )
 from qfamily.entropy import evaluate, evaluate_raw, random_tripartite_state
 from qfamily.rng import SplitMix64
+from test_channels import example_objects
 from test_derivation import step_flow_discrepancy
 from test_rng import random_pure
 
@@ -209,7 +210,7 @@ def _compatible_objects(ri, objects):
 
 
 def test_criterion_6_cross_layer_consistency():
-    objects = builtin_objects()
+    objects = example_objects()
     derived = [name for name, ri in FAMILY.items() if ri.trace]
     checked = 0
     worst = 0.0

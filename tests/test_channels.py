@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from qfamily.algebra import H_A, H_B, H_E, I_AB, I_AE, I_COH
 from qfamily.channels import (
+    BUILTIN_OBJECTS,
     CHANNEL_FAMILIES,
     SWEEP_CHUNK,
     RegisteredObject,
-    builtin_objects,
     family_channel,
+    family_object,
     load_registry,
     rate_table,
     sweep,
@@ -22,7 +23,6 @@ from qfamily.channels import (
 )
 from qfamily.derivation import derive_family
 from qfamily.entropy import (
-    QuantumChannel,
     TripartitePureState,
     ValidationError,
     channel_entropy_triples,
@@ -30,6 +30,18 @@ from qfamily.entropy import (
     entropy_triple,
 )
 from test_entropy import entropy, reduced
+from qfamily.rng import SplitMix64
+from test_rng import random_density, random_unitary
+
+
+def builtin_objects() -> dict[str, RegisteredObject]:
+    """Every built-in object, each built as `rates` builds the one it picks."""
+    return {name: family_object(name, *row) for name, row in BUILTIN_OBJECTS.items()}
+
+
+def example_objects() -> dict[str, RegisteredObject]:
+    """The built-in objects, and the identity channel as `--channel identity` makes it."""
+    return {**builtin_objects(), "identity": family_object("identity", "channel", "identity", 0.0)}
 
 
 def registry_entry_json(obj) -> dict:
@@ -38,7 +50,7 @@ def registry_entry_json(obj) -> dict:
     channel state, K_e[b, a] = sqrt(d_in) psi[a, b, e]."""
     d_a, d_b, d_e = obj.psi.dims
     if obj.kind == "state":
-        flat, dims = reduced(obj.psi, "AB").matrix.reshape(-1), [d_a, d_b]
+        flat, dims = reduced(obj.psi, "AB").reshape(-1), [d_a, d_b]
     else:
         kraus = math.sqrt(d_a) * obj.psi.tensor().transpose(2, 1, 0)
         flat, dims = kraus.reshape(-1), [d_a, d_b, d_e]
@@ -176,13 +188,13 @@ def test_an_out_of_domain_member_fails_a_sweep_as_it_fails_alone(grid, bad, data
 @given(st.sampled_from(sorted(CHANNEL_FAMILIES)), chunked_grids(min_size=0),
        st.sampled_from(["not trace preserving", "NaN"]), st.data())
 def test_a_stack_with_one_bad_member_fails_as_that_member_alone(family, grid, fault, data):
-    stack = np.stack([np.stack(family_channel(family, p).kraus) for p in grid])
+    stack = np.stack([family_channel(family, p) for p in grid])
     member = data.draw(st.integers(0, len(grid) - 1))
     if fault == "NaN":
         stack[member, 0, 0, 0] = math.nan
     else:
         stack[member] *= 1.01
-    message = _raised(lambda: QuantumChannel(tuple(stack[member])))
+    message = _raised(lambda: channel_state(stack[member]))
     assert fault in message
     assert _raised(lambda: channel_entropy_triples(stack)) == message
 
@@ -228,7 +240,7 @@ def family():
 
 @pytest.fixture(scope="module")
 def objects():
-    return builtin_objects()
+    return example_objects()
 
 
 def test_eq5_rate_on_identity_channel(family, objects):
@@ -311,7 +323,7 @@ def test_registry_json_round_trip(tmp_path, objects):
     assert set(loaded) == set(objects)
     for name, obj in objects.items():
         assert loaded[name].kind == obj.kind
-        ours, theirs = (reduced(o.psi, "AB").matrix for o in (loaded[name], obj))
+        ours, theirs = (reduced(o.psi, "AB") for o in (loaded[name], obj))
         assert np.max(np.abs(ours - theirs)) < 1e-12
     erasure = loaded["erasure_p25"]
     assert np.max(np.abs(erasure.psi.amplitudes - objects["erasure_p25"].psi.amplitudes)) < 1e-12
@@ -325,7 +337,7 @@ def test_registry_rejects_malformed_entries(tmp_path):
 
 
 def test_identity_channel_arbitrary_dimension():
-    psi = channel_state(QuantumChannel((np.eye(3),)))
+    psi = channel_state((np.eye(3),))
     assert abs(entropy(reduced(psi, "A")) - math.log2(3)) < 1e-9
 
 
@@ -383,16 +395,15 @@ def test_tables_on_one_object_purify_or_dilate_it_once(monkeypatch, tmp_path, fa
 
 def test_built_in_objects_and_their_tables_take_no_density_check_or_factorisation(
         monkeypatch, family):
-    """A built-in state is its channel's state as it is: no `DensityOp` is
-    built, nothing is purified, and no `eigh` or Cholesky runs, either to
-    register the seven objects or to make a table on each."""
+    """A built-in state is its channel's state as it is: no density matrix is
+    checked, nothing is purified, and no `eigh` or Cholesky runs, either to
+    build the six objects or to make a table on each."""
     from qfamily import channels as module, entropy as engine
 
     def refused(*args, **kwargs):
         raise AssertionError("a built-in object needs no density check or factorisation")
 
-    monkeypatch.setattr(engine.DensityOp, "__init__", refused)
-    for where, name in ((module, "purify"), (engine, "purify"),
+    for where, name in ((engine, "_check_density"), (module, "purify"), (engine, "purify"),
                         (np.linalg, "eigh"), (np.linalg, "cholesky")):
         monkeypatch.setattr(where, name, refused)
     objects = builtin_objects()
@@ -406,6 +417,47 @@ def test_built_in_objects_and_their_tables_take_no_density_check_or_factorisatio
         expected = channel_state(family_channel(channel_family, p))
         assert objects[name].psi.dims == expected.dims
         assert objects[name].psi.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+def test_each_object_is_checked_once_and_its_state_is_not_checked_again(monkeypatch, tmp_path):
+    """The built-in objects, a family point and a registry of two states and
+    two channels take one `_check_channels` or `_check_density` each, and no
+    `TripartitePureState` constructor: the check of a Kraus stack or a
+    density matrix bounds the norm of its state."""
+    from qfamily import entropy as engine
+
+    def entry(name, kind, dims, array):
+        return {"name": name, "kind": kind, "dims": dims,
+                "data": [[z.real, z.imag] for z in array.reshape(-1)]}
+
+    rng = SplitMix64(37)
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps([
+        entry("state0", "state", [2, 2], random_density(rng, 4)),
+        entry("state1", "state", [2, 3], random_density(rng, 6)),
+        entry("channel0", "channel", [2, 2, 2], random_unitary(rng, 4)[:, :2].reshape(2, 2, 2)),
+        entry("channel1", "channel", [2, 3, 2], random_unitary(rng, 6)[:, :2].reshape(2, 3, 2)),
+    ]))
+    checks = []
+    for name in ("_check_channels", "_check_density"):
+        def counted(*args, name=name, real=getattr(engine, name)):
+            checks.append(name)
+            return real(*args)
+        monkeypatch.setattr(engine, name, counted)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the state of a checked object is checked again")
+
+    monkeypatch.setattr(engine.TripartitePureState, "__init__", refused)
+    objects = [*builtin_objects().values(),
+               family_object("depolarizing(p=0.5)", "channel", "depolarizing", 0.5),
+               *load_registry(path).values()]
+    assert checks == ["_check_channels"] * 7 + ["_check_density"] * 2 + ["_check_channels"] * 2
+    for obj in objects:
+        amplitudes = obj.psi.amplitudes
+        assert type(obj.psi) is TripartitePureState and amplitudes.base is None
+        assert not amplitudes.flags.writeable
+        assert abs(np.linalg.norm(obj.psi.amplitudes) - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("part", [True, 10 ** 400], ids=["boolean", "past-a-float"])

@@ -78,6 +78,27 @@ def test_rates_on_identity(capsys):
     assert "1 [q->q]" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("--ri", "eq2", "--state", "erasure_state_p25"),
+    ("--ri", "eq5", "--channel", "amplitude_damping_p40"),
+    ("--ri", "eq5", "--channel", "identity"),
+    ("--ri", "eq5", "--channel", "erasure", "--param", "0.5"),
+], ids=["built-in-state", "built-in-channel", "family", "family-point"])
+def test_rates_builds_only_the_object_it_picks(capsys, monkeypatch, argv):
+    from qfamily import channels
+
+    built = []
+    real = channels.channel_state
+
+    def counted(kraus):
+        built.append(kraus.shape)
+        return real(kraus)
+
+    monkeypatch.setattr(channels, "channel_state", counted)
+    code, _, err = run_cli(capsys, "rates", *argv)
+    assert (code, err, len(built)) == (0, "", 1)
+
+
 def test_rates_mother_on_bell_is_trivial(capsys):
     code, out, _ = run_cli(capsys, "rates", "--ri", "mother",
                            "--state", "bell", "--json")
@@ -236,8 +257,7 @@ def test_dual_of_parsed_text(capsys):
 
 
 def test_registry_file_provides_objects(capsys, tmp_path):
-    from qfamily.channels import builtin_objects
-    from test_channels import registry_entry_json
+    from test_channels import builtin_objects, registry_entry_json
 
     entry = registry_entry_json(builtin_objects()["erasure_state_p25"])
     entry["name"] = "my_state"
@@ -250,8 +270,7 @@ def test_registry_file_provides_objects(capsys, tmp_path):
 
 
 def test_registry_env_var(capsys, tmp_path, monkeypatch):
-    from qfamily.channels import builtin_objects
-    from test_channels import registry_entry_json
+    from test_channels import builtin_objects, registry_entry_json
 
     entry = registry_entry_json(builtin_objects()["bell"])
     entry["name"] = "env_bell"

@@ -11,8 +11,6 @@ from qfamily.algebra import HALF, H_A, SYMBOLS, canonicalize
 from qfamily.cli import IDENTITY_TOLERANCE
 from qfamily.entropy import (
     NORM_TOL,
-    DensityOp,
-    QuantumChannel,
     TripartitePureState,
     ValidationError,
     channel_state,
@@ -24,6 +22,7 @@ from qfamily.entropy import (
     random_tripartite_state,
     _bits,
     _check_channels,
+    _check_density,
     _channel_amplitudes,
     _dilations,
 )
@@ -40,14 +39,14 @@ assert abs(
 ) < 1e-15
 
 
-def kraus_action(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """sum_k K_k rho K_k^dag over the channel's Kraus operators."""
-    return sum(k @ rho @ k.conj().T for k in channel.kraus)
+def kraus_action(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag over the Kraus stack (K, d_out, d_in)."""
+    return sum(k @ rho @ k.conj().T for k in kraus)
 
 
-def dilation(channel: QuantumChannel) -> np.ndarray:
+def dilation(kraus: np.ndarray) -> np.ndarray:
     """The channel's Stinespring isometry: `_dilations` on a stack of one."""
-    return _dilations(np.stack(channel.kraus)[np.newaxis])[0]
+    return _dilations(kraus[np.newaxis])[0]
 
 
 def binary_entropy(p: float) -> float:
@@ -61,11 +60,13 @@ def binary_entropy(p: float) -> float:
 
 def test_density_invariants_enforced():
     with pytest.raises(ValidationError, match="Hermitian"):
-        DensityOp(np.array([[0.5, 0.5], [-0.5, 0.5]]))
+        purify(np.array([[0.5, 0.5], [-0.5, 0.5]]), (2, 1))
     with pytest.raises(ValidationError, match="trace"):
-        DensityOp(np.eye(2))
+        purify(np.eye(2), (2, 1))
     with pytest.raises(ValidationError, match="eigenvalue"):
-        DensityOp(np.diag([1.5, -0.5]))
+        purify(np.diag([1.5, -0.5]), (2, 1))
+    with pytest.raises(ValidationError, match=r"^density operator must be square, got shape \(2, 3\)$"):
+        purify(np.zeros((2, 3)), (2, 1))
 
 
 def test_state_norm_enforced():
@@ -75,7 +76,7 @@ def test_state_norm_enforced():
 
 def _density_verdict_by_eigvalsh(m):
     """The density-operator rule with one eigvalsh per matrix, written out:
-    the message DensityOp raises, or None where it accepts."""
+    the message `purify` raises, or None where it accepts."""
     herm = np.max(np.abs(m - m.conj().T))
     if herm > 1e-10:
         return f"not Hermitian: max|rho - rho^dag| = {herm:.3e} > 1e-10"
@@ -99,7 +100,7 @@ def test_density_check_decides_as_eigvalsh_does(n, lowest, data):
     weights[:data.draw(st.integers(0, n - 2))] = 0.0
     m = (u * np.concatenate([[lowest], weights / weights.sum() * (1 - lowest)])) @ u.conj().T
     try:
-        DensityOp(m)
+        purify(m, (n, 1))
         verdict = None
     except ValidationError as exc:
         verdict = str(exc)
@@ -131,7 +132,15 @@ def test_state_amplitudes_are_a_read_only_copy():
 
 def test_channel_trace_preservation_enforced():
     with pytest.raises(ValidationError, match="trace preserving"):
-        QuantumChannel((np.array([[1.0, 0.0], [0.0, 0.5]]),))
+        channel_state((np.array([[1.0, 0.0], [0.0, 0.5]]),))
+
+
+@pytest.mark.parametrize("kraus", [(), np.eye(2), np.zeros((1, 2, 0))], ids=["no-operator", "a-matrix", "no-input"])
+def test_channel_state_takes_a_nonempty_kraus_stack(kraus):
+    shape = np.shape(kraus)
+    with pytest.raises(ValidationError) as error:
+        channel_state(kraus)
+    assert str(error.value) == f"a Kraus stack must be a nonempty (K, d_out, d_in) array, got shape {shape}"
 
 
 def test_trace_preservation_is_bounded_by_trace_tol(monkeypatch):
@@ -140,17 +149,17 @@ def test_trace_preservation_is_bounded_by_trace_tol(monkeypatch):
     from qfamily import entropy as module
     kraus = (np.diag([1.0, 1.0 + 5e-9]),)
     with pytest.raises(ValidationError, match=r"= 1\.000e-08 > 1e-10$"):
-        QuantumChannel(kraus)
+        channel_state(kraus)
     monkeypatch.setattr(module, "TRACE_TOL", 1e-6)
-    assert QuantumChannel(kraus).kraus[0].tobytes() == kraus[0].astype(complex).tobytes()
+    assert channel_state(kraus).dims == (2, 2, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("build", [
-    lambda x: DensityOp(np.full((2, 2), x)),
-    lambda x: DensityOp(np.array([[1.0, x], [x, 0.0]])),
+    lambda x: purify(np.full((2, 2), x), (2, 1)),
+    lambda x: purify(np.array([[1.0, x], [x, 0.0]]), (2, 1)),
     lambda x: TripartitePureState((2, 1, 1), np.array([1.0, x])),
-    lambda x: QuantumChannel((np.array([[1.0, 0.0], [0.0, x]]),)),
+    lambda x: channel_state((np.array([[1.0, 0.0], [0.0, x]]),)),
 ], ids=["density-all", "density-offdiagonal", "state", "channel"])
 def test_validators_reject_nan_and_inf(build, bad):
     with pytest.raises(ValidationError, match="NaN or infinite"):
@@ -158,9 +167,9 @@ def test_validators_reject_nan_and_inf(build, bad):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: DensityOp(np.eye(2) / 2),
+    lambda: purify(np.eye(2) / 2, (2, 1)),
     lambda: TripartitePureState((2, 2, 1), BELL),
-    lambda: QuantumChannel((np.eye(2),)),
+    lambda: channel_state((np.eye(2),)),
 ], ids=["density", "state", "channel"])
 def test_numeric_objects_compare_and_hash_by_identity(build):
     a, b = build(), build()
@@ -180,34 +189,33 @@ def test_package_attribute_entropy_is_the_module():
 # -- entropy -----------------------------------------------------------------
 
 
-def reduced(psi: TripartitePureState, subsystems: str) -> DensityOp:
+def reduced(psi: TripartitePureState, subsystems: str) -> np.ndarray:
     """The tests' partial trace onto the named subsystems (letters of A, B,
     E): `np.tensordot` of the amplitude tensor with its conjugate over the
-    other axes, the GEMM that `evaluate_raw` makes, validated as a density
-    operator."""
+    other axes, the GEMM that `evaluate_raw` makes."""
     keep = sorted("ABE".index(name) for name in subsystems)
     drop = [ax for ax in range(3) if ax not in keep]
     t = psi.tensor()
     size = math.prod(psi.dims[ax] for ax in keep)
-    return DensityOp(np.tensordot(t, t.conj(), (drop, drop)).reshape(size, size))
+    return np.tensordot(t, t.conj(), (drop, drop)).reshape(size, size)
 
 
-def entropy(rho: DensityOp | np.ndarray) -> float:
+def entropy(rho: np.ndarray) -> float:
     """The tests' reference von Neumann entropy in bits: `eigvalsh` of a
-    validated density operator, its weights below 1e-12 dropped by the
-    engine's `_bits`, so a marginal's value is bit for bit `evaluate_raw`'s."""
-    if not isinstance(rho, DensityOp):
-        rho = DensityOp(rho)
-    return _bits(np.linalg.eigvalsh(rho.matrix))
+    density matrix that passes `_check_density`, its weights below 1e-12
+    dropped by the engine's `_bits`, so a marginal's value is bit for bit
+    `evaluate_raw`'s."""
+    _check_density(rho)
+    return _bits(np.linalg.eigvalsh(rho))
 
 
 def test_entropy_of_pure_and_maximally_mixed():
-    assert entropy(DensityOp(np.diag([1.0, 0.0]))) == 0.0
-    assert abs(entropy(DensityOp(np.eye(2) / 2)) - 1.0) < 1e-12
+    assert entropy(np.diag([1.0, 0.0])) == 0.0
+    assert abs(entropy(np.eye(2) / 2) - 1.0) < 1e-12
 
 
 def test_entropy_of_werner_spectrum():
-    rho = DensityOp(np.diag([0.625, 0.125, 0.125, 0.125]))
+    rho = np.diag([0.625, 0.125, 0.125, 0.125])
     assert abs(entropy(rho) - WERNER_HALF_ENTROPY) < 1e-12
 
 
@@ -217,7 +225,7 @@ def test_entropy_unitary_invariance():
         rho = random_density(rng, 4)
         u = random_unitary(rng, 4)
         rotated = u @ rho @ u.conj().T
-        assert abs(entropy(DensityOp(rho)) - entropy(DensityOp(rotated))) < 1e-9
+        assert abs(entropy(rho) - entropy(rotated)) < 1e-9
 
 
 def test_entropy_additive_on_products():
@@ -225,22 +233,22 @@ def test_entropy_additive_on_products():
     for _ in range(5):
         a = random_density(rng, 2)
         b = random_density(rng, 3)
-        total = entropy(DensityOp(np.kron(a, b)))
-        assert abs(total - entropy(DensityOp(a)) - entropy(DensityOp(b))) < 1e-9
+        total = entropy(np.kron(a, b))
+        assert abs(total - entropy(a) - entropy(b)) < 1e-9
 
 
 # -- purification ------------------------------------------------------------
 
 
 def test_purify_pure_state_needs_no_environment():
-    rho = DensityOp(np.outer(BELL, BELL.conj()))
+    rho = np.outer(BELL, BELL.conj())
     psi = purify(rho, (2, 2))
     assert psi.dims == (2, 2, 1)
     assert abs(abs(np.vdot(psi.amplitudes, np.kron(BELL, [1.0]))) - 1.0) < 1e-9
 
 
 def test_purify_maximally_mixed_two_qubits():
-    psi = purify(DensityOp(np.eye(4) / 4), (2, 2))
+    psi = purify(np.eye(4) / 4, (2, 2))
     assert psi.dims[2] == 4
     h = {s: entropy(reduced(psi, s)) for s in ("A", "B", "E")}
     assert abs(h["A"] - 1.0) < 1e-9
@@ -250,7 +258,7 @@ def test_purify_maximally_mixed_two_qubits():
 
 def test_purify_werner_mixture_environment_entropy():
     rho = 0.5 * np.outer(BELL, BELL.conj()) + 0.5 * np.eye(4) / 4
-    psi = purify(DensityOp(rho), (2, 2))
+    psi = purify(rho, (2, 2))
     assert abs(entropy(reduced(psi, "E")) - WERNER_HALF_ENTROPY) < 1e-9
 
 
@@ -258,14 +266,14 @@ def test_purify_then_trace_recovers_input():
     rng = SplitMix64(13)
     for _ in range(5):
         rho = random_density(rng, 6)
-        psi = purify(DensityOp(rho), (2, 3))
+        psi = purify(rho, (2, 3))
         back = reduced(psi, "AB")
-        assert np.max(np.abs(back.matrix - rho)) < 1e-9
+        assert np.max(np.abs(back - rho)) < 1e-9
 
 
 def test_purify_of_a_state_at_the_trace_and_psd_tolerances_is_a_unit_vector():
     # trace 1 + 9e-11, and dropping the negative eigenvalues leaves weight 1 + 3.6e-10
-    rho = DensityOp(np.diag([1 + 3.6e-10, -9e-11, -9e-11, -9e-11]))
+    rho = np.diag([1 + 3.6e-10, -9e-11, -9e-11, -9e-11])
     psi = purify(rho, (2, 2))
     assert psi.dims == (2, 2, 1)
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-15
@@ -273,7 +281,16 @@ def test_purify_of_a_state_at_the_trace_and_psd_tolerances_is_a_unit_vector():
 
 def test_purify_split_must_factor_dimension():
     with pytest.raises(ValidationError, match="split"):
-        purify(DensityOp(np.eye(4) / 4), (3, 2))
+        purify(np.eye(4) / 4, (3, 2))
+
+
+@pytest.mark.parametrize("split", [(-2, -2), (2.0, 2), (True, 4)], ids=["negative", "float", "bool"])
+def test_purify_split_must_be_two_positive_ints(split):
+    """The split becomes the state's first two dims, which no later check
+    reads again: a product equal to the dimension is not enough."""
+    with pytest.raises(ValidationError) as error:
+        purify(np.eye(4) / 4, split)
+    assert str(error.value) == f"split {split} does not factor dimension 4"
 
 
 # -- dilation ----------------------------------------------------------------
@@ -290,7 +307,7 @@ def test_dilation_is_isometric_and_reproduces_kraus_action():
     for channel in (family_channel("erasure", 0.3), family_channel("depolarizing", 0.7),
                     family_channel("amplitude_damping", 0.4)):
         u = dilation(channel)
-        (d_out, d_in), d_env = channel.kraus[0].shape, len(channel.kraus)
+        (d_out, d_in), d_env = channel[0].shape, len(channel)
         assert u.shape == (d_out * d_env, d_in)
         assert np.max(np.abs(u.conj().T @ u - np.eye(d_in))) < 1e-9
         for i in range(d_in):
@@ -321,8 +338,8 @@ def test_fully_depolarizing_output_is_maximally_mixed():
 def test_channels_at_the_trace_tolerance_give_states_that_pass_the_state_check(seed, d_in, d_out, k, data):
     """sum K^dag K = I + diag(t) with every |t_a| at the edge of 1e-10: the
     channel passes `_check_channels`, and its state, of |psi|^2 = 1 + mean(t),
-    passes `TripartitePureState`'s norm check, which `channel_entropy_triples`
-    leaves out."""
+    passes `TripartitePureState`'s norm check, which `channel_state` and
+    `channel_entropy_triples` leave out."""
     assume(d_out * k >= d_in)
     edge = st.floats(0.99e-10, 1e-10).flatmap(lambda t: st.sampled_from([t, -t]))
     shifts = np.array(data.draw(st.lists(edge, min_size=d_in, max_size=d_in)))
@@ -369,9 +386,9 @@ def _channels_with_states():
 
 def test_channel_state_is_the_dilation_applied_to_half_a_maximally_entangled_pair():
     for name, channel in _channels_with_states():
-        (d_out, d_in), d_env = channel.kraus[0].shape, len(channel.kraus)
+        (d_out, d_in), d_env = channel[0].shape, len(channel)
         u = np.zeros((d_out * d_env, d_in), dtype=complex)
-        for e, k in enumerate(channel.kraus):
+        for e, k in enumerate(channel):
             for b in range(d_out):
                 u[b * d_env + e] = k[b]
         phi = maximally_entangled(d_in)
@@ -382,28 +399,28 @@ def test_channel_state_is_the_dilation_applied_to_half_a_maximally_entangled_pai
 
 
 def test_density_and_channel_keep_what_was_validated():
+    """The states of a density matrix and of a Kraus stack share no array
+    with them: changing the input after the state is built changes nothing."""
     m = np.eye(2, dtype=complex) / 2
-    rho = DensityOp(m)
+    psi = purify(m, (2, 1))
+    kept = psi.amplitudes.tobytes()
     m[0, 0] = 5
-    assert entropy(rho) == 1.0
-    assert np.array_equal(rho.matrix, np.eye(2) / 2)
-    ks = [k.copy() for k in family_channel("depolarizing", 0.5).kraus]
-    channel = QuantumChannel(ks)
-    before = channel_state(channel)
+    assert psi.amplitudes.tobytes() == kept
+    assert abs(entropy(reduced(psi, "AB")) - 1.0) < 1e-12
+    ks = family_channel("depolarizing", 0.5)
+    psi = channel_state(ks)
+    kept = psi.amplitudes.tobytes()
     ks[0][:] = 0
-    after = channel_state(channel)
-    assert after.amplitudes.tobytes() == before.amplitudes.tobytes()
-    assert entropy_triple(after) == entropy_triple(before)
+    assert psi.amplitudes.tobytes() == kept
+    assert entropy_triple(psi) == entropy_triple(channel_state(family_channel("depolarizing", 0.5)))
 
 
 def test_validated_arrays_are_read_only():
-    rho = DensityOp(np.eye(2) / 2)
-    with pytest.raises(ValueError, match="read-only"):
-        rho.matrix[0, 0] = 5
-    channel = family_channel("erasure", 0.5)
-    for k in channel.kraus:
+    for psi in (purify(np.eye(2) / 2, (2, 1)), channel_state(family_channel("erasure", 0.5))):
         with pytest.raises(ValueError, match="read-only"):
-            k[0, 0] = 1
+            psi.amplitudes[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            psi.tensor()[0, 0, 0] = 1
 
 
 # -- reduced states and evaluation -------------------------------------------
@@ -411,7 +428,7 @@ def test_validated_arrays_are_read_only():
 
 def test_reduced_of_bell_is_maximally_mixed():
     psi = TripartitePureState((2, 2, 1), BELL)
-    assert np.max(np.abs(reduced(psi, "A").matrix - np.eye(2) / 2)) < 1e-12
+    assert np.max(np.abs(reduced(psi, "A") - np.eye(2) / 2)) < 1e-12
 
 
 def test_reduced_of_product_state_is_pure():
@@ -447,7 +464,7 @@ def test_a_random_state_purifies_the_random_density_of_its_draw(seed, d_a, d_b):
     psi = random_tripartite_state(SplitMix64(seed), d_a, d_b)
     assert psi.dims == (d_a, d_b, d_a * d_b)
     rho = random_density(SplitMix64(seed), d_a * d_b)
-    assert np.abs(reduced(psi, "AB").matrix - rho).max() <= 1e-14
+    assert np.abs(reduced(psi, "AB") - rho).max() <= 1e-14
 
 
 def test_purity_symmetry_on_random_states():

@@ -39,7 +39,7 @@ from pathlib import Path
 import pytest
 
 from qfamily import cli
-from qfamily.channels import CHANNEL_FAMILIES, builtin_objects
+from qfamily.channels import BUILTIN_OBJECTS, CHANNEL_FAMILIES
 from qfamily.derivation import derive_family
 from qfamily.grammar import ri_to_json
 
@@ -78,8 +78,11 @@ def _check_identities_json() -> str:
 
 
 def _rate_objects() -> list[tuple[str, ...]]:
-    """The object arguments of every recorded rate table."""
-    objects = [(f"--{obj.kind}", name) for name, obj in builtin_objects().items()]
+    """The object arguments of every recorded rate table, in the order of
+    rates.json: `--channel identity`, the family at its default parameter,
+    comes fourth, after the three built-in states."""
+    objects = [(f"--{kind}", name) for name, (kind, _, _) in BUILTIN_OBJECTS.items()]
+    objects.insert(3, ("--channel", "identity"))
     objects += [("--channel", family, "--param", p)
                 for family in sorted(CHANNEL_FAMILIES) for p in RATE_PARAMS]
     return objects

@@ -4,8 +4,8 @@ Each reference below is the dataclass a record class used to be, with its
 qualified name, fields and defaults.  On drawn values, a record and its
 reference (the same field values in the dataclass) must print the same
 `repr`, compare and hash alike, refuse to set or delete a field, and survive
-pickle and deepcopy the same way.  The numeric classes compare and hash by
-identity, as their `eq=False` dataclasses did.
+pickle and deepcopy the same way.  The numeric record, `TripartitePureState`,
+compares and hashes by identity, as its `eq=False` dataclass did.
 """
 
 import copy
@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfamily import algebra, channels, derivation, entropy
 from qfamily.algebra import Mode, StepKind
+from test_channels import builtin_objects
 from test_cli import _src_env
 from test_entropy import reduced
 
@@ -73,20 +74,10 @@ class _Rule:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOp:
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class TripartitePureState:
     dims: tuple
     amplitudes: np.ndarray
     _marginal_entropies: dict = field(default_factory=dict, init=False, repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class QuantumChannel:
-    kraus: tuple
 
 
 @dataclass(frozen=True)
@@ -109,10 +100,11 @@ def _mirror(reference, record):
 
 FAMILY = derivation.derive_family()
 TRACED = [ri for ri in FAMILY.values() if ri.trace]
-OBJECTS = list(channels.builtin_objects().values())
-# the built-in states' AB marginals and the built-in channels
-DENSITIES = [reduced(o.psi, "AB") for o in OBJECTS if o.kind == "state"]
-CHANNELS = [channels.family_channel(family, p) for family, p in (
+OBJECTS = list(builtin_objects().values())
+# the states `purify` makes of the built-in states' AB marginals, and those
+# `channel_state` makes of the identity channel and the built-in channels
+PURIFIED = [entropy.purify(reduced(o.psi, "AB"), o.psi.dims[:2]) for o in OBJECTS if o.kind == "state"]
+DILATED = [entropy.channel_state(channels.family_channel(family, p)) for family, p in (
     ("identity", 0.0), ("erasure", 0.25), ("dephasing", 0.3), ("amplitude_damping", 0.4))]
 
 rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
@@ -154,10 +146,8 @@ CASES = {
     "ResourceInequality": (algebra.ResourceInequality, ResourceInequality, inequalities),
     "DerivationStep": (algebra.DerivationStep, DerivationStep, steps),
     "_Rule": (derivation._Rule, _Rule, rules),
-    "DensityOp": (entropy.DensityOp, DensityOp, st.sampled_from(DENSITIES)),
     "TripartitePureState": (entropy.TripartitePureState, TripartitePureState,
-                            registered.map(lambda o: o.psi)),
-    "QuantumChannel": (entropy.QuantumChannel, QuantumChannel, st.sampled_from(CHANNELS)),
+                            st.sampled_from(PURIFIED + [o.psi for o in OBJECTS] + DILATED)),
 }
 CASES.update({case: (channels.RegisteredObject, RegisteredObject, _registered_of(kind))
               for case, kind in REGISTERED_KINDS.items()})
@@ -227,7 +217,7 @@ def _fill_state(psi):
 
 
 @pytest.mark.parametrize("make, fill, slots", [
-    (lambda: channels.builtin_objects()["erasure_p25"].psi, _fill_state,
+    (lambda: builtin_objects()["erasure_p25"].psi, _fill_state,
      ["_entropy_triple", "_marginal_entropies"]),
 ], ids=["TripartitePureState"])
 def test_what_a_record_keeps_cannot_be_observed(make, fill, slots):
@@ -248,8 +238,17 @@ def test_what_a_record_keeps_cannot_be_observed(make, fill, slots):
             delattr(obj, name)
 
 
-@pytest.mark.parametrize("obj", DENSITIES + [o.psi for o in OBJECTS] + CHANNELS,
-                         ids=lambda o: type(o).__name__)
+# each state a copy is taken of, named for what it was made of: a density
+# operator (through `purify`), a built-in object, or a quantum channel
+# (through `channel_state`)
+COPIED = {
+    **{f"DensityOp{i}": psi for i, psi in enumerate(PURIFIED)},
+    **{f"TripartitePureState{i}": o.psi for i, o in enumerate(OBJECTS)},
+    **{f"QuantumChannel{i}": psi for i, psi in enumerate(DILATED)},
+}
+
+
+@pytest.mark.parametrize("obj", list(COPIED.values()), ids=list(COPIED))
 def test_a_copy_of_a_validated_object_is_built_again_and_read_only(obj):
     for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
         assert type(clone) is type(obj) and clone is not obj and repr(clone) == repr(obj)
