@@ -22,12 +22,12 @@ formed.  The runners whose inputs are amplitudes take one state or a batch of
 them and return one Run per input, and `verify_all` runs each of their rows
 in batches of VERIFY_CHUNK drawn inputs, drawing each batch as it runs.
 
-`verify_all` runs each protocol row once; its last three entries check
-those runs.  The cobit equivalence reads input 1 (|+>|+>) of the coherent
+`verify_all` runs each circuit once; its last three entries check those
+runs.  The cobit equivalence reads input 4 (|+>|+>) of the coherent
 super-dense row and input 1 (|+>) of the coherent teleportation row, rule I
 that run and input 1 (|+>) of the teleportation row, rule O the four
-super-dense runs.  Rule O's controlled encoding of the four basis messages is
-the one run of its own.
+super-dense runs and inputs 0-3 (the basis messages) of the coherent
+super-dense row.
 
 Party discipline: each qubit is owned by Alice or Bob, and gates may not
 span parties.  Each party holds a set of classical bits: its inputs, its own
@@ -70,7 +70,6 @@ from .rng import SplitMix64
 PROTOCOL_FIDELITY = 1.0 - 1e-10
 SIGNALLING_TOL = 1e-12  # on max|rho_B - I/2| of Bob's qubit before teleportation's measurement
 WORST_CASE_TIE = 1e-12  # a fidelity this close to a row's lowest can be its `worst_case`
-EXACT_FIDELITY = 1.0 - 1e-12
 VERIFY_CHUNK = 1024  # drawn inputs per batch of a row of verify_all
 _COHERENT_SD, _COHERENT_TP = coherent(PRIMITIVES["sd"]), coherent(PRIMITIVES["tp"])  # each keeps `_wanted_counts`
 
@@ -137,11 +136,11 @@ def _copies(message) -> np.ndarray:
 
 def _min_overlap(states: np.ndarray) -> float:
     """min |<s|t>| / (|s| |t|) over all pairs of the states, one per row,
-    from their Gram matrix: exact on amplitudes that are small integers
-    times powers of two."""
+    from their Gram matrix, each entry squared as re^2 + im^2: exact on
+    amplitudes that are small integers times powers of two."""
     gram = states.conj() @ states.T
     norms = gram.diagonal().real
-    return float((np.abs(gram) ** 2 / np.outer(norms, norms)).min()) ** 0.5
+    return float(((gram * gram.conj()).real / np.outer(norms, norms)).min()) ** 0.5
 
 
 def _norms(amps: np.ndarray) -> np.ndarray:
@@ -518,7 +517,7 @@ def _superdense(message, coherently: bool) -> list[Run]:
     After his claim he undoes his decoding and applies Z^z X^x to his own
     half; `values["residual"]` keeps the state this leaves on each branch,
     and `values["bell"]` its |Phi_+> fidelity."""
-    reg = Register(PROTOCOL_FIDELITY, len(message))
+    reg = Register(PROTOCOL_FIDELITY if coherently else 1.0, len(message))
     if coherently:
         z, x = reg.add_qubit(Party.ALICE, message)
     else:
@@ -531,7 +530,7 @@ def _superdense(message, coherently: bool) -> list[Run]:
     reg.h(a_half)
     if coherently:
         fidelities = {"cobits": reg.claim(COBIT, (z, x), (a_half, b_half), _copies(message))}
-        return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
+        return _runs(reg.threshold, [reg], fidelities, {"final_state": reg.amps})
     branches = reg.measure([a_half, b_half])
     fidelities = {b.outcome: b.register.claim_cbits(b.bits, message[0]) for b in branches}
     for branch in branches:
@@ -541,7 +540,7 @@ def _superdense(message, coherently: bool) -> list[Run]:
     decoded = branches[0].outcome if len(branches) == 1 else None
     residual = np.stack([b.register.amps for b in branches], axis=1)
     bell = np.stack([b.register.fidelity([a_half, b_half], BELL) for b in branches], axis=1)
-    return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities,
+    return _runs(reg.threshold, [b.register for b in branches], fidelities,
                  {"decoded": [decoded], "residual": residual, "bell": bell})
 
 
@@ -557,13 +556,13 @@ def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> list[Run]:
 
 def run_entanglement_distribution() -> Run:
     """Make an EPR pair locally and send half: one channel use buys one ebit."""
-    reg = Register(EXACT_FIDELITY)
+    reg = Register(1.0)
     q0, q1 = reg.add_qubit(Party.ALICE, (1.0, 0.0, 0.0, 0.0))
     reg.h(q0)
     reg.cnot(q0, q1)
     reg.send(q1, Party.BOB)
     fidelities = {"ebit": reg.claim(EBIT, (q0,), (q1,), BELL)}
-    return _runs(EXACT_FIDELITY, [reg], fidelities, {"final_state": reg.amps})[0]
+    return _runs(1.0, [reg], fidelities, {"final_state": reg.amps})[0]
 
 
 def run_cobit_checks() -> Run:
@@ -571,13 +570,13 @@ def run_cobit_checks() -> Run:
     |+>, as one batch of three; the ledger and `values["final_state"]` are
     those of the |+> run."""
     inputs = np.array([(1.0, 0.0), (0.0, 1.0), PLUS])
-    reg = Register(EXACT_FIDELITY, 3)
+    reg = Register(1.0, 3)
     src = reg.add_qubit(Party.ALICE, inputs)
     copy = reg.cobit(src)
     basis = reg.fidelity([src, copy], _copies(inputs))
     fidelities = {f"basis {v}": float(basis[v]) for v in (0, 1)}
     fidelities["plus"] = float(reg.claim(EBIT, (src,), (copy,), BELL)[2])
-    return Run(EXACT_FIDELITY, [reg.ledgers[2]], fidelities, values={"final_state": reg.amps[2]})
+    return Run(1.0, [reg.ledgers[2]], fidelities, values={"final_state": reg.amps[2]})
 
 
 def verify_cobit_equivalence(forward: Run, reverse: Run) -> Run:
@@ -589,7 +588,7 @@ def verify_cobit_equivalence(forward: Run, reverse: Run) -> Run:
         net.update(run.ledger.net())
     holds = (forward.ledger.matches(_COHERENT_SD) and reverse.ledger.matches(_COHERENT_TP)
              and all(v == 0 for v in net.values()))
-    return Run(PROTOCOL_FIDELITY, [], {"forward": forward.fidelity, "reverse": reverse.fidelity}, holds,
+    return Run(1.0, [], {"forward": forward.fidelity, "reverse": reverse.fidelity}, holds,
                report={"ledger": {"forward": forward.ledger.as_json(),
                                   "reverse": reverse.ledger.as_json(), "net": _by_kind(net)}},
                values={"forward": forward.ledger, "reverse": reverse.ledger, "net": net})
@@ -606,25 +605,26 @@ def demo_rule_I_on_teleportation(teleported: Run, coherent: Run) -> Run:
     overlap = _min_overlap(teleported.values["bob_states"])
     uniform = len(probabilities) == 4 and all(p == 0.25 for p in probabilities.values())
     reported = {f"{z}{x}": p for (z, x), p in sorted(probabilities.items())}
-    return Run(EXACT_FIDELITY, [], {"coherent": coherent.fidelity, "overlap": overlap}, uniform,
+    return Run(1.0, [], {"coherent": coherent.fidelity, "overlap": overlap}, uniform,
                report={"outcome_probabilities": reported, "min_pairwise_overlap": overlap},
                values={"outcome_probabilities": probabilities})
 
 
-def demo_rule_O_on_superdense(sent: list[Run]) -> Run:
+def demo_rule_O_on_superdense(sent: list[Run], coherent: list[Run]) -> Run:
     """Super-dense coding decouples its message from the quantum system:
     Bob reads (z, x) without disturbing the state, so undoing his decoding
     and applying Z^z X^x to his own half returns |Phi_+> whatever the
     message, and the controlled-encoding version runs with no measurement
-    at all.  `sent` holds the super-dense runs of the messages (z, x) in
-    lexicographic order; `fidelities[(z, x)]` is the residual |Phi_+> fidelity."""
-    pairs = list(zip(itertools.product((0, 1), repeat=2), sent, strict=True))
-    fidelities = {bits: float(run.values["bell"].min()) for bits, run in pairs}
-    decoded = all(run.values["decoded"] == bits for bits, run in pairs)
+    at all.  `sent` and `coherent` hold the plain and coherent runs of the
+    messages (z, x) in lexicographic order; `fidelities[(z, x)]` is the
+    residual |Phi_+> fidelity."""
+    pairs = list(zip(itertools.product((0, 1), repeat=2), sent, coherent, strict=True))
+    fidelities = {bits: float(run.values["bell"].min()) for bits, run, _ in pairs}
+    decoded = all(run.values["decoded"] == bits for bits, run, _ in pairs)
     residual = min(fidelities.values())
     fidelities["overlap"] = _min_overlap(np.concatenate([run.values["residual"] for run in sent]))
-    fidelities["coherent"] = min(run.fidelity for run in run_coherent_superdense(np.eye(4)))
-    return Run(EXACT_FIDELITY, [], fidelities, holds=decoded,
+    fidelities["coherent"] = min(run.fidelity for run in coherent)
+    return Run(1.0, [], fidelities, holds=decoded,
                report={"min_residual_bell_fidelity": residual,
                        "min_pairwise_residual_overlap": fidelities["overlap"]},
                values={"all_decoded": decoded})
@@ -642,15 +642,15 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
     inequality or None, batches of runs).  The random inputs of a row are
     drawn and run in batches of at most VERIFY_CHUNK, the first batch led by
     the row's fixed inputs, one Run per input, so memory does not grow with
-    `trials`; the last three entries read run 1 (or, for rule O, every run)
-    of the first batch of the rows before them.
-    An entry passes when every run passes at its own threshold and, where
-    the row has a target, the ledger of every branch matches it.  Each entry
-    also states its number of runs (`cases`), the input index of its
-    lowest-fidelity run (`worst_case`; the first within WORST_CASE_TIE of the
-    lowest, so float noise cannot move it) and that fidelity minus the run's
-    threshold (`margin`).  Returns a JSON-ready report; overall `pass` is
-    True only if every entry passed.
+    `trials`; the last three entries read runs of the first batches before
+    them.  The pass rule: every run holds, the ledger of every branch
+    matches the row's target if it has one, and every fidelity is exactly 1
+    if each input of the entry is fixed, else at least PROTOCOL_FIDELITY.
+    Each entry also states its number of runs (`cases`), the input index of
+    its lowest-fidelity run (`worst_case`; the first within WORST_CASE_TIE
+    of the lowest, so float noise cannot move it) and that fidelity minus
+    the run's threshold (`margin`).  Returns a JSON-ready report; overall
+    `pass` is True only if every entry passed.
     """
     rng = SplitMix64(seed)
     protocol, demo = "protocols", "rule_demos"
@@ -689,14 +689,14 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
                [[run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]])
     row(protocol, "entanglement_distribution", PRIMITIVES["qe"], [[run_entanglement_distribution()]])
     row(protocol, "cobit", COBIT_EBIT, [[run_cobit_checks()]])
-    forward = row(protocol, "coherent_superdense", _COHERENT_SD,
-                  drawn(run_coherent_superdense, [np.eye(4)[2], np.full(4, 0.5)], 4, 1))[1]
+    coherent_sd = row(protocol, "coherent_superdense", _COHERENT_SD,
+                      drawn(run_coherent_superdense, [*np.eye(4), np.full(4, 0.5)], 4, 1))
     reverse = row(protocol, "coherent_teleportation", _COHERENT_TP,
                   drawn(run_coherent_teleportation, [(0.0, 1.0), PLUS], 2, trials))[1]
     # No target on the last three: the equivalence run matches its two runs
     # against the coherent rows' targets itself, and the rule demos book no ledger.
-    row(protocol, "cobit_equivalence", None, [[verify_cobit_equivalence(forward, reverse)]])
+    row(protocol, "cobit_equivalence", None, [[verify_cobit_equivalence(coherent_sd[4], reverse)]])
     row(demo, "rule_I_on_teleportation", None, [[demo_rule_I_on_teleportation(teleported, reverse)]])
-    row(demo, "rule_O_on_superdense", None, [[demo_rule_O_on_superdense(sent)]])
+    row(demo, "rule_O_on_superdense", None, [[demo_rule_O_on_superdense(sent, coherent_sd[:4])]])
     report["pass"] = all(entry["pass"] for entry in [*report[protocol], *report[demo]])
     return report

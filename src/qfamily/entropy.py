@@ -166,8 +166,8 @@ def _bits(spectrum: np.ndarray) -> float:
 
 
 def purify(rho: np.ndarray, split: tuple[int, int]) -> TripartitePureState:
-    """Purification of the density matrix rho on A x B, dims `split`:
-    |psi>^ABE with Tr_E psi = rho / tr rho.
+    """Purification of the density matrix rho on A x B, dims `split`, a
+    tuple of two positive ints: |psi>^ABE with Tr_E psi = rho / tr rho.
 
     rho is checked once, by `_check_density`.  The environment dimension is
     the rank of rho (eigenvalues below 1e-12 dropped), so pure inputs get a
@@ -177,7 +177,7 @@ def purify(rho: np.ndarray, split: tuple[int, int]) -> TripartitePureState:
     """
     m = np.asarray(rho, dtype=complex)
     _check_density(m)
-    d_a, d_b = split
+    d_a, d_b = split if type(split) is tuple and len(split) == 2 else (None, None)
     if not (type(d_a) is int and type(d_b) is int and d_a > 0 and d_a * d_b == m.shape[0]):
         raise ValidationError(f"split {split} does not factor dimension {m.shape[0]}")
     eigenvalues, vectors = np.linalg.eigh(m)

@@ -59,6 +59,10 @@ CONE_TESTS = tuple(f"tests/test_derivation.py::{name}" for name in (
 SEARCH_TEST = "tests/test_derivation.py::test_mother_and_father_generate_the_five_children_within_two_moves"
 CHECKED_ONCE = "One checked numeric object"
 CHECKED_ONCE_TEST = "tests/test_channels.py::test_each_object_is_checked_once_and_its_state_is_not_checked_again"
+NO_ENTROPIES = "The circuit lab computes no entropies"
+ONE_CLAIM = "One claim for every quantum resource in the circuit lab"
+ONE_PASS_RULE = "One pass rule in the circuit lab"
+CIRCUIT_TESTS = "tests/test_circuits.py::"
 
 
 def _regeneration_failed(member: str, target: str) -> tuple[str, str]:
@@ -151,6 +155,78 @@ MUTANTS = (
         "(self._cnot_unchecked if gate is _X",
         (WRITTEN_ONCE, "taking the unchecked CNOT fails `test_gates_cannot_span_parties`"),
         tests=("tests/test_circuits.py::test_gates_cannot_span_parties",),
+    ),
+    Mutant(
+        "entanglement-distribution-without-h", CIRCUITS,
+        "    reg.h(q0)\n    reg.cnot(q0, q1)\n",
+        "    reg.cnot(q0, q1)\n",
+        (NO_ENTROPIES, "entanglement distribution without its `h`"),
+        commands=((VERIFY_CIRCUITS, ""),),
+        tests=(CIRCUIT_TESTS + "test_entanglement_distribution",),
+    ),
+    Mutant(
+        "cobit-row-on-zero-for-plus", CIRCUITS,
+        "inputs = np.array([(1.0, 0.0), (0.0, 1.0), PLUS])",
+        "inputs = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])",
+        (NO_ENTROPIES, "the cobit row's |+> input replaced by |0>"),
+        commands=((VERIFY_CIRCUITS, ""),),
+        tests=(CIRCUIT_TESTS + "test_cobit_creates_entanglement_from_plus",),
+    ),
+    Mutant(
+        "claim-books-per-alice-qubit", CIRCUITS,
+        "return self._claim(kind, len(bob),",
+        "return self._claim(kind, len(alice),",
+        (ONE_CLAIM, "`claim` booking per Alice qubit"),
+        commands=((VERIFY_CIRCUITS, ""),),
+        tests=(CIRCUIT_TESTS + "test_teleportation_ledger_matches_its_inequality",),
+    ),
+    Mutant(
+        "claim-without-ownership-checks", CIRCUITS,
+        "            self._require_owner(q, party)\n        return self._claim(",
+        "            pass\n        return self._claim(",
+        (ONE_CLAIM, "`claim` without its ownership checks (killed by a test only)"),
+        tests=(CIRCUIT_TESTS + "test_claims_need_the_right_holders",),
+    ),
+    Mutant(
+        "copies-as-a-product-target", CIRCUITS,
+        "return (c[:, :, None] * np.eye(c.shape[1])).reshape(len(c), -1)",
+        "return _kron_rows(c, c)",
+        (ONE_CLAIM, "`_copies` as a product target"),
+        commands=((VERIFY_CIRCUITS, ""),),
+        tests=(CIRCUIT_TESTS + "test_the_two_pair_copies_target_is_two_interleaved_bell_pairs",),
+    ),
+    Mutant(
+        "superdense-bell-against-phi-minus", CIRCUITS,
+        "b.register.fidelity([a_half, b_half], BELL)",
+        "b.register.fidelity([a_half, b_half], (1, 0, 0, -1))",
+        (ONE_CLAIM, "the super-dense Bell fidelity taken against |Phi_->"),
+        commands=((VERIFY_CIRCUITS, ""),),
+        tests=(CIRCUIT_TESTS + "test_rule_O_demo_residual_is_message_independent",),
+    ),
+    Mutant(
+        "residual-pairs-crossed", CIRCUITS,
+        "reg.claim(EBIT, (msg, a_half), copies, pairs)",
+        "reg.claim(EBIT, (msg, a_half), copies[::-1], pairs)",
+        (ONE_CLAIM, "the residual pairs crossed"),
+        commands=((VERIFY_CIRCUITS, ""),),
+        tests=(CIRCUIT_TESTS + "test_coherent_teleportation_fixed_input",),
+    ),
+    Mutant(
+        "scale-not-a-power-of-two", CIRCUITS,
+        "np.ldexp(parts, -np.frexp(top)[1][:, None])",
+        "(parts / (top[:, None] * 1.1))",
+        (ONE_CLAIM, "an add_qubit scale that is not a power of two", ONE_PASS_RULE),
+        commands=((VERIFY_CIRCUITS, ""),),
+        tests=("tests/test_golden.py::test_circuit_report_matches_golden",),
+    ),
+    Mutant(
+        "eq3-dual-to-eq5", DERIVATION,
+        '("eq3", "eq4", None)',
+        '("eq3", "eq5", None)',
+        ("Each distinct symbolic value is converted once on the wire",
+         "`family` (cli.py) prints `duality failed: <claim>` per failing claim and exits 1"),
+        commands=((FAMILY, "duality failed: eq3 <-> eq5"),),
+        tests=("tests/test_cli.py::test_the_program_prints_the_goldens_and_keeps_its_exit_codes",),
     ),
 )
 

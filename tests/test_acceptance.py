@@ -6,6 +6,7 @@ import itertools
 import pkgutil
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qfamily.algebra import (
@@ -189,7 +190,8 @@ def test_criterion_5_circuit_suite():
     assert rule_i.fidelities["overlap"] >= 1 - 1e-12
 
     sent = [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]
-    rule_o = demo_rule_O_on_superdense(sent)
+    rule_o = demo_rule_O_on_superdense(sent, run_coherent_superdense(np.eye(4)))
+    assert rule_o.passed
     assert rule_o.fidelities["overlap"] >= 1 - 1e-12
     assert min(rule_o.fidelities[bits] for bits in itertools.product((0, 1), repeat=2)) >= 1 - 1e-12
 

@@ -29,7 +29,7 @@ from qfamily.circuits import (
 from qfamily import circuits
 from qfamily.derivation import COBIT_EBIT, PRIMITIVES
 from qfamily.rng import SplitMix64
-from test_golden import _same_report
+from test_golden import FIXED_INPUT_ENTRIES, _same_report
 from test_rng import random_pure, random_unitary
 
 
@@ -565,7 +565,7 @@ def test_rule_I_demo_uniform_and_decoupled():
 
 def test_rule_O_demo_residual_is_message_independent():
     sent = [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]
-    demo = demo_rule_O_on_superdense(sent)
+    demo = demo_rule_O_on_superdense(sent, run_coherent_superdense(np.eye(4)))
     assert demo.passed
     assert demo.values["all_decoded"]
     assert min(demo.fidelities[bits] for bits in itertools.product((0, 1), repeat=2)) >= 1 - 1e-12
@@ -590,10 +590,20 @@ def test_fixed_inputs_give_exact_values():
     for run in runs:
         assert set(run.fidelities.values()) == {1.0}, run.fidelities
     rule_I = demo_rule_I_on_teleportation(teleported[2], coherent[1])
-    rule_O = demo_rule_O_on_superdense(sent)
+    rule_O = demo_rule_O_on_superdense(sent, run_coherent_superdense(np.eye(4)))
     assert rule_I.fidelities["overlap"] == rule_O.fidelities["overlap"] == 1.0
+    assert rule_O.fidelities["coherent"] == 1.0
     assert rule_I.report["outcome_probabilities"] == dict.fromkeys(["00", "01", "10", "11"], 0.25)
     assert rule_O.report["min_residual_bell_fidelity"] == 1.0
+
+
+def test_the_min_overlap_of_one_state_and_a_phase_times_it_is_exactly_1():
+    """Each Gram entry is squared as re^2 + im^2, which rounds nowhere on
+    these amplitudes, where |z|^2 taken through abs (hypot) can round."""
+    s = np.array([1.0, 1.0])
+    overlaps = {(a, b): circuits._min_overlap(np.array([s, complex(a, b) * s]))
+                for a in range(1, 40) for b in range(1, 40)}
+    assert {pair for pair, overlap in overlaps.items() if overlap != 1.0} == set()
 
 
 # -- batches against batches of one ----------------------------------------------------
@@ -699,16 +709,17 @@ def test_verify_all_makes_the_same_gates_branches_and_runs(monkeypatch):
     for name in RUNNERS:
         count(circuits, name, name)
     verify_all(trials=20, seed=7)
-    # 47 gates and 10 runs in all; a batched runner is one run however many
-    # inputs it takes, and rule O's demonstration makes the second coherent
-    # super-dense run
-    assert counts == {"apply_single": 25, "_cnot_unchecked": 19, "cz": 3, "branches": 8,
+    # 43 gates and 9 runs in all; a batched runner is one run however many
+    # inputs it takes, and no derived entry runs a circuit of its own
+    assert counts == {"apply_single": 24, "_cnot_unchecked": 17, "cz": 2, "branches": 8,
                       "run_teleportation": 1, "run_superdense": 4, "run_entanglement_distribution": 1,
-                      "run_cobit_checks": 1, "run_coherent_superdense": 2, "run_coherent_teleportation": 1}
+                      "run_cobit_checks": 1, "run_coherent_superdense": 1, "run_coherent_teleportation": 1}
 
 
 # Each changes what a runner returned, in place: `arg` is the runner's
-# argument and `out` its result.  Input 1 of the batched rows is |+>.
+# argument and `out` its result.  Input 1 of the teleportation rows is |+>;
+# inputs 0-3 of the coherent super-dense row are the basis messages and
+# input 4 is |+>|+>.
 
 
 def _skew_outcome_probabilities(arg, out):
@@ -723,6 +734,15 @@ def _lose_coherent_output(arg, out):
     out[1].fidelities["output"] = 0.5
 
 
+def _lose_one_basis_messages_cobits(arg, out):
+    if len(out) > 4:  # the row's batch, not a batch of the four messages alone
+        out[2].fidelities["cobits"] = 0.5
+
+
+def _lose_the_plus_plus_cobits(arg, out):
+    out[4].fidelities["cobits"] = 0.5
+
+
 def _flip_one_residual(arg, out):
     if arg == (1, 0):
         out.values["residual"] = out.values["residual"] * [1, 1, 1, -1]  # |Phi_+> -> |Phi_->
@@ -734,6 +754,9 @@ def _flip_one_residual(arg, out):
     ("run_coherent_teleportation", _lose_coherent_output,
      {"coherent_teleportation", "cobit_equivalence", "rule_I_on_teleportation"}),
     ("run_superdense", _flip_one_residual, {"rule_O_on_superdense"}),
+    ("run_coherent_superdense", _lose_one_basis_messages_cobits,
+     {"coherent_superdense", "rule_O_on_superdense"}),
+    ("run_coherent_superdense", _lose_the_plus_plus_cobits, {"coherent_superdense", "cobit_equivalence"}),
 ])
 def test_derived_entries_read_the_protocol_rows_runs(monkeypatch, name, change, failing):
     """A change to what a protocol row's runner returned fails exactly the
@@ -751,6 +774,39 @@ def test_derived_entries_read_the_protocol_rows_runs(monkeypatch, name, change, 
     entries = [*report["protocols"], *report["rule_demos"]]
     assert {entry["name"] for entry in entries if not entry["pass"]} == failing
     assert not report["pass"]
+
+
+FIXED_INPUT_MAKERS = {"superdense": "run_superdense",
+                      "entanglement_distribution": "run_entanglement_distribution",
+                      "cobit": "run_cobit_checks", "cobit_equivalence": "verify_cobit_equivalence",
+                      "rule_I_on_teleportation": "demo_rule_I_on_teleportation",
+                      "rule_O_on_superdense": "demo_rule_O_on_superdense"}
+
+
+@pytest.mark.parametrize("entry, maker", FIXED_INPUT_MAKERS.items(), ids=list(FIXED_INPUT_MAKERS))
+def test_a_fixed_input_entry_fails_one_ulp_below_fidelity_1(monkeypatch, entry, maker):
+    """Every fidelity of an entry whose every input is fixed reads exactly
+    1, and any one of them lowered by one ulp, in the Run that `maker`
+    returned, fails that entry alone."""
+    assert sorted(FIXED_INPUT_MAKERS) == sorted(FIXED_INPUT_ENTRIES)
+    real, made = getattr(circuits, maker), []
+    monkeypatch.setattr(circuits, maker, lambda *args: made.append(real(*args)) or made[-1])
+    verify_all(trials=2, seed=0)
+    fidelities = [(i, key, value) for i, run in enumerate(made) for key, value in run.fidelities.items()]
+    assert {value for _, _, value in fidelities} == {1.0}
+    for i, key, _ in fidelities:
+        calls = itertools.count()
+
+        def lowered(*args):
+            run = real(*args)
+            if next(calls) == i:
+                run.fidelities[key] = np.nextafter(1.0, 0.0)
+            return run
+
+        monkeypatch.setattr(circuits, maker, lowered)
+        report = verify_all(trials=2, seed=0)
+        failed = [e for e in [*report["protocols"], *report["rule_demos"]] if not e["pass"]]
+        assert [(e["name"], e["margin"]) for e in failed] == [(entry, np.nextafter(1.0, 0.0) - 1.0)], (i, key)
 
 
 def test_report_names_the_worst_case_and_its_margin(monkeypatch):
@@ -787,7 +843,7 @@ def test_verify_all_reports_seven_protocols_and_two_demos():
     assert report["pass"]
     cases = {e["name"]: e["cases"] for e in [*report["protocols"], *report["rule_demos"]]}
     assert [cases["teleportation"], cases["superdense"], cases["coherent_superdense"],
-            cases["coherent_teleportation"]] == [12, 4, 3, 12]
+            cases["coherent_teleportation"]] == [12, 4, 6, 12]
     for entry in [*report["protocols"], *report["rule_demos"]]:
         assert list(entry)[-4:] == ["pass", "cases", "worst_case", "margin"]
         assert 0 <= entry["worst_case"] < entry["cases"] and entry["margin"] >= 0

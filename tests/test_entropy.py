@@ -284,10 +284,12 @@ def test_purify_split_must_factor_dimension():
         purify(np.eye(4) / 4, (3, 2))
 
 
-@pytest.mark.parametrize("split", [(-2, -2), (2.0, 2), (True, 4)], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("split", [(-2, -2), (2.0, 2), (True, 4), (2, 2, 1), 4, [2, 2]],
+                         ids=["negative", "float", "bool", "three", "int", "list"])
 def test_purify_split_must_be_two_positive_ints(split):
     """The split becomes the state's first two dims, which no later check
-    reads again: a product equal to the dimension is not enough."""
+    reads again: a product equal to the dimension is not enough, and a split
+    that is not a tuple of two is refused alike."""
     with pytest.raises(ValidationError) as error:
         purify(np.eye(4) / 4, split)
     assert str(error.value) == f"split {split} does not factor dimension 4"

@@ -10,7 +10,9 @@ symbolic layer must leave all of them unchanged.
 --seed 1`.  The fidelities of drawn inputs come out of BLAS, so it is
 compared by structure: names, key order, `pass` values and ledgers exactly,
 every float within 1e-12.  The entries whose every input is fixed are exact
-(small integers times powers of two), so they are compared with `==`.
+(small integers times powers of two), so they are compared with `==`:
+`FIXED_INPUT_ENTRIES` mirrors the program's own pass rule, which holds those
+entries to fidelity exactly 1.
 
 `sweep-<family>.csv` holds the stdout of `sweep --channel <family> --param
 0:1:0.01` for each channel family.  Its entropies come out of LAPACK, so the

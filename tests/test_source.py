@@ -180,7 +180,7 @@ def test_every_tolerance_is_in_the_readme_table_with_its_value():
 def test_the_table_check_finds_a_missing_row_and_a_changed_value():
     readme = README.read_text(encoding="utf-8")
     source = _tolerances_in_source()
-    assert len(source) == 11
+    assert len(source) == 10
     row = "| `NOISE_FLOOR` | `channels` | `1e-12` |"
     assert row in readme
     assert set(_tolerances_in_table(readme.replace(row, "|"))) == set(source) - {"NOISE_FLOOR"}
