@@ -5,7 +5,8 @@ dual.  Output is deterministic for fixed inputs and seed; the exit code is
 0 exactly when every requested check passed.  Named states/channels come
 from the built-in examples plus an optional JSON registry given by
 --registry or the QFAMILY_REGISTRY environment variable; only the object
-that `rates` picks is built.
+that `rates` picks is built.  Numpy loads at start-up; only `rates` and
+`sweep` load `channels`, with its two dataclasses.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ try:
     from math import lcm
     from typing import Iterable
 
-    from . import channels, grammar
+    # here, not in a verb: a tracer installed before numpy loads breaks its import
+    import numpy  # noqa: F401
+
+    from . import grammar
     from .algebra import dual
     from .derivation import FAMILY_ORDER, claims, derive_family, render_trace
-    from .entropy import evaluate_raw, random_tripartite_state
 finally:
     if _one_blas_thread:
         del os.environ["OPENBLAS_NUM_THREADS"]
@@ -57,6 +60,7 @@ def _load_registry(args) -> dict:
     path = args.registry or os.environ.get("QFAMILY_REGISTRY")
     if not path:
         return {}
+    from . import channels
     registry = channels.load_registry(path)
     shadowed = sorted(set(registry) & set(channels.CHANNEL_FAMILIES))
     if shadowed:
@@ -130,8 +134,7 @@ def cmd_derive(args) -> int:
 def _pick_object(args, registry):
     """The object `rates` runs on, the only one built: a family point, a
     registry object or a built-in one."""
-    if bool(args.state) == bool(args.channel):
-        raise CliError("exactly one of --state or --channel is required")
+    from . import channels
     name = args.channel
     if name in channels.CHANNEL_FAMILIES:
         p = 0.0 if args.param is None else float(_grid_value(args.param))
@@ -148,6 +151,9 @@ def _pick_object(args, registry):
 
 def cmd_rates(args) -> int:
     ri = _family_member(args.ri)
+    if bool(args.state) == bool(args.channel):
+        raise CliError("exactly one of --state or --channel is required")
+    from . import channels
     table = channels.rate_table(ri, _pick_object(args, _load_registry(args)))
     if args.json:
         import json
@@ -206,6 +212,7 @@ def _parse_grid(text: str) -> Iterable[float]:
 
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.param)
+    from . import channels
     # Each chunk of rows is written as soon as it is computed.  A grid point
     # outside the family's domain therefore ends the sweep after the chunks
     # before its own have been written.
@@ -226,6 +233,7 @@ def cmd_verify_circuits(args) -> int:
 
 
 def cmd_check_identities(args) -> int:
+    from .entropy import evaluate_raw, random_tripartite_state
     from .rng import SplitMix64
 
     trials = _positive_trials(args)

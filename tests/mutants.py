@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 DERIVATION, ALGEBRA = "src/qfamily/derivation.py", "src/qfamily/algebra.py"
 ENTROPY, CIRCUITS = "src/qfamily/entropy.py", "src/qfamily/circuits.py"
+CHANNELS, CLI = "src/qfamily/channels.py", "src/qfamily/cli.py"
 FAMILY = "-m qfamily.cli family"
 VERIFY_CIRCUITS = "-m qfamily.cli verify-circuits --trials 5 --seed 1"
 SYMBOLIC = "tests/check_symbolic.py"
@@ -63,6 +64,9 @@ NO_ENTROPIES = "The circuit lab computes no entropies"
 ONE_CLAIM = "One claim for every quantum resource in the circuit lab"
 ONE_PASS_RULE = "One pass rule in the circuit lab"
 CIRCUIT_TESTS = "tests/test_circuits.py::"
+BUILT_ONCE = "Each registered object builds its pure state once"
+RUNS_ONCE = "Each protocol circuit runs once per `verify_all`"
+NO_NUMERIC_CODE = "Symbolic verbs load no numeric code"
 
 
 def _regeneration_failed(member: str, target: str) -> tuple[str, str]:
@@ -138,7 +142,7 @@ MUTANTS = (
         "state-without-reduce", ENTROPY,
         "    def __reduce__(self):\n        return type(self), self._values()\n",
         "",
-        ("Each registered object builds its pure state once", "no `__reduce__`",
+        (BUILT_ONCE, "no `__reduce__`",
          CHECKED_ONCE, "`TripartitePureState` without `__reduce__`"),
         tests=("tests/test_records.py::test_a_copy_of_a_validated_object_is_built_again_and_read_only",),
     ),
@@ -227,6 +231,51 @@ MUTANTS = (
          "`family` (cli.py) prints `duality failed: <claim>` per failing claim and exits 1"),
         commands=((FAMILY, "duality failed: eq3 <-> eq5"),),
         tests=("tests/test_cli.py::test_the_program_prints_the_goldens_and_keeps_its_exit_codes",),
+    ),
+    Mutant(
+        "registry-part-accepts-bool", CHANNELS,
+        "    if type(x) not in (int, float):\n",
+        "    if not isinstance(x, (int, float)):\n",
+        (BUILT_ONCE, "bool accepted"),
+        tests=("tests/test_channels.py::test_a_registry_data_part_that_is_no_float_exits_2",),
+    ),
+    Mutant(
+        "registry-accepts-a-name-twice", CHANNELS,
+        "        if name in registry:\n            raise ValidationError(f\"registry {path} names {name!r} twice\")\n",
+        "",
+        (BUILT_ONCE, "duplicates accepted"),
+        tests=("tests/test_channels.py::test_a_name_used_twice_in_one_registry_exits_2",),
+    ),
+    Mutant(
+        "record-without-getstate", ALGEBRA,
+        "    def __getstate__(self) -> dict:\n"
+        '        """The fields alone: what `_kept` holds is not copied."""\n'
+        "        return {name: getattr(self, name) for name in self._fields}\n\n",
+        "",
+        (BUILT_ONCE, "no `__getstate__`"),
+        tests=("tests/test_records.py::test_what_a_record_keeps_cannot_be_observed",),
+    ),
+    Mutant(
+        "entropy-triple-kept-in-the-marginals-slot", ENTROPY,
+        'psi._kept("_entropy_triple",',
+        'psi._kept("_marginal_entropies",',
+        (BUILT_ONCE, "the triple kept in `_marginal_entropies`"),
+        tests=("tests/test_records.py::test_what_a_record_keeps_cannot_be_observed",),
+    ),
+    Mutant(
+        "superdense-without-its-fix-up", CIRCUITS,
+        "        _fix_up(branch.register, b_half, *branch.bits)\n    decoded = ",
+        "    decoded = ",
+        (RUNS_ONCE, "`run_superdense` without its fix-up"),
+        commands=((VERIFY_CIRCUITS, ""),),
+        tests=(CIRCUIT_TESTS + "test_rule_O_demo_residual_is_message_independent",),
+    ),
+    Mutant(
+        "cli-loads-channels-at-start-up", CLI,
+        "    from . import grammar\n",
+        "    from . import channels, grammar\n",
+        (NO_NUMERIC_CODE, "`from . import channels` put back into `cli.py`'s start-up block"),
+        tests=("tests/test_cli.py::test_a_symbolic_verb_loads_no_numeric_module",),
     ),
 )
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -638,6 +639,44 @@ def test_a_thread_count_the_user_chose_wins(user_vars, expected):
 def test_entry_point_defers_the_circuit_lab_and_the_rng():
     code = "import sys, qfamily.cli; print(sorted({'qfamily.circuits', 'qfamily.rng'} & set(sys.modules)))"
     assert _run_fresh(["-c", code]) == "[]\n"
+
+
+NUMERIC_MODULES = ("qfamily.channels", "qfamily.entropy", "dataclasses")
+
+
+def _numeric_modules_after(argv) -> tuple[int, str, list]:
+    """Exit code and stderr of the program run on `argv` in a fresh
+    interpreter, and the NUMERIC_MODULES that were loaded when it returned."""
+    script = (f"import sys\nfrom qfamily.cli import run\nsys.argv = ['qfamily', *{list(argv)!r}]\n"
+              "code = run()\nsys.stdout.flush()\n"
+              f"print(sorted(set({NUMERIC_MODULES!r}) & set(sys.modules)), file=sys.stderr)\n"
+              "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env())
+    *err, loaded = proc.stderr.splitlines(keepends=True)
+    return proc.returncode, "".join(err), ast.literal_eval(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ("family",),
+    ("family", "--json"),
+    ("derive", "--target", "mother_via_rule_I"),
+    ("dual", "--ri", "mother"),
+    ("dual", "--text", "1/2*I(A:E) [qq] + {q->q} >= 1/2*I(A:B) [q->q]"),
+], ids=["family", "family-json", "derive", "dual-ri", "dual-text"])
+def test_a_symbolic_verb_loads_no_numeric_module(argv):
+    """`family`, `derive` and `dual` build no state, so they neither compile
+    `channels` and `entropy` nor generate the rate table's dataclasses."""
+    assert _numeric_modules_after(argv) == (0, "", [])
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("sweep", "--channel", "depolarizing", "--param", "nan"), "error: grid value 'nan' is not a number\n"),
+    (("rates", "--ri", "eq2"), "error: exactly one of --state or --channel is required\n"),
+], ids=["sweep-nan", "rates-no-object"])
+def test_a_usage_error_exits_before_the_numeric_layer_loads(argv, error):
+    code, err, loaded = _numeric_modules_after(argv)
+    assert (code, err) == (2, error)
+    assert "qfamily.channels" not in loaded
 
 
 @pytest.mark.parametrize("argv", [
