@@ -40,10 +40,11 @@ coefficient one.  Only the booking primitives write it.  `share_ebit` (a
 preshared ebit), `send` (a qubit channel use), `cobit` (the one licensed
 cross-party controlled copy) and `communicate` (one classical bit channel use
 per bit) book what is consumed.  The checked claims `claim` (one quantum
-resource per Bob qubit) and `claim_cbits` book what is produced, and only
-when the claimed state reaches the run's fidelity threshold.  An ebit is a
-cobit on |+>: `_copies` builds the target of both.  A ledger never stores a
-zero count.
+resource per Bob qubit) and `claim_cbits` book what is produced, for each
+state whose claimed fidelity reaches PROTOCOL_FIDELITY, the one claim bar.
+Whether a run passes is judged in one place, `verify_all`'s row.  An ebit is
+a cobit on |+>: `_copies` builds the target of both.  A ledger never stores
+a zero count.
 """
 
 from __future__ import annotations
@@ -210,15 +211,15 @@ class Register:
     `amps` has shape (batch, 2^n), row b holding state b unscaled, and
     `ledgers[b]` books its resources.  `known[party]` maps the names of the
     classical bits that party holds to their values, shared by the batch.  A
-    claim books its resource for each state whose fidelity reaches `threshold`.
+    claim books its resource for each state whose fidelity reaches
+    PROTOCOL_FIDELITY.
     """
 
-    def __init__(self, threshold: float = PROTOCOL_FIDELITY, batch: int = 1):
+    def __init__(self, batch: int = 1):
         self.amps = np.ones((batch, 1), dtype=complex)
         self.owners: list[Party] = []
         self.known: dict[Party, dict[str, int]] = {Party.ALICE: {}, Party.BOB: {}}
         self.ledgers = [Ledger() for _ in range(batch)]
-        self.threshold = threshold
 
     @property
     def n(self) -> int:
@@ -226,7 +227,7 @@ class Register:
 
     def _fork(self, amps: np.ndarray) -> "Register":
         """A register with `amps` and copies of this one's owners, bits and ledgers."""
-        dup = Register(self.threshold, 0)
+        dup = Register(0)
         dup.amps = amps
         dup.owners = list(self.owners)
         dup.known = {party: dict(bits) for party, bits in self.known.items()}
@@ -378,7 +379,7 @@ class Register:
 
     def _claim(self, kind: ResourceKind, n: int, fidelity: np.ndarray) -> np.ndarray:
         for ledger, value in zip(self.ledgers, fidelity):
-            if value >= self.threshold:
+            if value >= PROTOCOL_FIDELITY:
                 ledger.produce(kind, n)
         return fidelity
 
@@ -415,10 +416,10 @@ class Run:
     `ledgers` holds the ledger of every final branch, `fidelities` every
     state comparison the run made (claims included), `holds` whether its
     exact side conditions held, `report` the keys it adds to its entry in
-    `verify_all`, and `values` what else it measured.
+    `verify_all`, and `values` what else it measured.  A run carries no bar:
+    `verify_all` judges it.
     """
 
-    threshold: float
     ledgers: list[Ledger]
     fidelities: dict
     holds: bool = True
@@ -433,20 +434,15 @@ class Run:
     def fidelity(self) -> float:
         return min(self.fidelities.values())
 
-    @property
-    def passed(self) -> bool:
-        return self.holds and self.fidelity >= self.threshold
 
-
-def _runs(threshold: float, registers: list[Register], fidelities: dict, values: dict,
-          holds=True) -> list[Run]:
+def _runs(registers: list[Register], fidelities: dict, values: dict, holds=True) -> list[Run]:
     """One Run per state of a batch: state b's ledger in each final register
     (one per branch), and entry b of every array in `fidelities`, `holds`
     and `values`."""
     batch = len(registers[0].ledgers)
     fidelities = {key: f.tolist() for key, f in fidelities.items()}
     holds = np.broadcast_to(holds, (batch,)).tolist()
-    return [Run(threshold, [reg.ledgers[b] for reg in registers],
+    return [Run([reg.ledgers[b] for reg in registers],
                 {key: f[b] for key, f in fidelities.items()}, holds[b],
                 values={key: v[b] for key, v in values.items()})
             for b in range(batch)]
@@ -467,7 +463,7 @@ def _teleportation(inputs: np.ndarray, coherently: bool) -> list[Run]:
     state, in the order of `fidelities`.  Coherently his corrections also
     leave each (message bit, copy) pair in an EPR state, which is claimed:
     entanglement out for free, modulo the one catalytic ebit."""
-    reg = Register(PROTOCOL_FIDELITY, len(inputs))
+    reg = Register(len(inputs))
     msg = reg.add_qubit(Party.ALICE, inputs)
     a_half, b_half = reg.share_ebit()
     reg.cnot(msg, a_half)
@@ -485,15 +481,14 @@ def _teleportation(inputs: np.ndarray, coherently: bool) -> list[Run]:
         pairs = _copies(np.ones(4))  # Phi_+ on msg and its copy, and on a_half and its copy
         fidelities = {"output": fidelities[()], "residual": reg.claim(EBIT, (msg, a_half), copies, pairs),
                       "total": reg.fidelity([msg, a_half, *copies, b_half], _kron_rows(pairs, inputs))}
-        return _runs(PROTOCOL_FIDELITY, [reg], fidelities, {"final_state": reg.amps})
+        return _runs([reg], fidelities, {"final_state": reg.amps})
     premeasurement = reg.reduced_dm([b_half])  # measuring forked the branches and left `reg` as it was
     signalling = np.max(np.abs(premeasurement - np.eye(2) / 2), axis=(1, 2))
     # msg and a_half have collapsed to |z>|x> on the branch of outcome (z, x)
     bob_states = [b.register.amps.reshape(-1, 2, 2, 2)[:, b.outcome[0], b.outcome[1]] for b in branches]
     values = {"bob_premeasurement_dm": premeasurement, "bob_states": np.stack(bob_states, axis=1),
               "outcome_probabilities": np.stack([b.probability for b in branches], axis=1)}
-    return _runs(PROTOCOL_FIDELITY, [b.register for b in branches], fidelities, values,
-                 holds=signalling <= SIGNALLING_TOL)
+    return _runs([b.register for b in branches], fidelities, values, holds=signalling <= SIGNALLING_TOL)
 
 
 def run_teleportation(input_amplitudes=(1.0, 0.0)) -> list[Run]:
@@ -517,7 +512,7 @@ def _superdense(message, coherently: bool) -> list[Run]:
     After his claim he undoes his decoding and applies Z^z X^x to his own
     half; `values["residual"]` keeps the state this leaves on each branch,
     and `values["bell"]` its |Phi_+> fidelity."""
-    reg = Register(PROTOCOL_FIDELITY if coherently else 1.0, len(message))
+    reg = Register(len(message))
     if coherently:
         z, x = reg.add_qubit(Party.ALICE, message)
     else:
@@ -530,7 +525,7 @@ def _superdense(message, coherently: bool) -> list[Run]:
     reg.h(a_half)
     if coherently:
         fidelities = {"cobits": reg.claim(COBIT, (z, x), (a_half, b_half), _copies(message))}
-        return _runs(reg.threshold, [reg], fidelities, {"final_state": reg.amps})
+        return _runs([reg], fidelities, {"final_state": reg.amps})
     branches = reg.measure([a_half, b_half])
     fidelities = {b.outcome: b.register.claim_cbits(b.bits, message[0]) for b in branches}
     for branch in branches:
@@ -540,7 +535,7 @@ def _superdense(message, coherently: bool) -> list[Run]:
     decoded = branches[0].outcome if len(branches) == 1 else None
     residual = np.stack([b.register.amps for b in branches], axis=1)
     bell = np.stack([b.register.fidelity([a_half, b_half], BELL) for b in branches], axis=1)
-    return _runs(reg.threshold, [b.register for b in branches], fidelities,
+    return _runs([b.register for b in branches], fidelities,
                  {"decoded": [decoded], "residual": residual, "bell": bell})
 
 
@@ -556,13 +551,13 @@ def run_coherent_superdense(message=(0.0, 0.0, 1.0, 0.0)) -> list[Run]:
 
 def run_entanglement_distribution() -> Run:
     """Make an EPR pair locally and send half: one channel use buys one ebit."""
-    reg = Register(1.0)
+    reg = Register()
     q0, q1 = reg.add_qubit(Party.ALICE, (1.0, 0.0, 0.0, 0.0))
     reg.h(q0)
     reg.cnot(q0, q1)
     reg.send(q1, Party.BOB)
     fidelities = {"ebit": reg.claim(EBIT, (q0,), (q1,), BELL)}
-    return _runs(1.0, [reg], fidelities, {"final_state": reg.amps})[0]
+    return _runs([reg], fidelities, {"final_state": reg.amps})[0]
 
 
 def run_cobit_checks() -> Run:
@@ -570,13 +565,13 @@ def run_cobit_checks() -> Run:
     |+>, as one batch of three; the ledger and `values["final_state"]` are
     those of the |+> run."""
     inputs = np.array([(1.0, 0.0), (0.0, 1.0), PLUS])
-    reg = Register(1.0, 3)
+    reg = Register(3)
     src = reg.add_qubit(Party.ALICE, inputs)
     copy = reg.cobit(src)
     basis = reg.fidelity([src, copy], _copies(inputs))
     fidelities = {f"basis {v}": float(basis[v]) for v in (0, 1)}
     fidelities["plus"] = float(reg.claim(EBIT, (src,), (copy,), BELL)[2])
-    return Run(1.0, [reg.ledgers[2]], fidelities, values={"final_state": reg.amps[2]})
+    return Run([reg.ledgers[2]], fidelities, values={"final_state": reg.amps[2]})
 
 
 def verify_cobit_equivalence(forward: Run, reverse: Run) -> Run:
@@ -588,10 +583,9 @@ def verify_cobit_equivalence(forward: Run, reverse: Run) -> Run:
         net.update(run.ledger.net())
     holds = (forward.ledger.matches(_COHERENT_SD) and reverse.ledger.matches(_COHERENT_TP)
              and all(v == 0 for v in net.values()))
-    return Run(1.0, [], {"forward": forward.fidelity, "reverse": reverse.fidelity}, holds,
+    return Run([], {"forward": forward.fidelity, "reverse": reverse.fidelity}, holds,
                report={"ledger": {"forward": forward.ledger.as_json(),
-                                  "reverse": reverse.ledger.as_json(), "net": _by_kind(net)}},
-               values={"forward": forward.ledger, "reverse": reverse.ledger, "net": net})
+                                  "reverse": reverse.ledger.as_json(), "net": _by_kind(net)}})
 
 
 def demo_rule_I_on_teleportation(teleported: Run, coherent: Run) -> Run:
@@ -605,9 +599,8 @@ def demo_rule_I_on_teleportation(teleported: Run, coherent: Run) -> Run:
     overlap = _min_overlap(teleported.values["bob_states"])
     uniform = len(probabilities) == 4 and all(p == 0.25 for p in probabilities.values())
     reported = {f"{z}{x}": p for (z, x), p in sorted(probabilities.items())}
-    return Run(1.0, [], {"coherent": coherent.fidelity, "overlap": overlap}, uniform,
-               report={"outcome_probabilities": reported, "min_pairwise_overlap": overlap},
-               values={"outcome_probabilities": probabilities})
+    return Run([], {"coherent": coherent.fidelity, "overlap": overlap}, uniform,
+               report={"outcome_probabilities": reported, "min_pairwise_overlap": overlap})
 
 
 def demo_rule_O_on_superdense(sent: list[Run], coherent: list[Run]) -> Run:
@@ -624,10 +617,9 @@ def demo_rule_O_on_superdense(sent: list[Run], coherent: list[Run]) -> Run:
     residual = min(fidelities.values())
     fidelities["overlap"] = _min_overlap(np.concatenate([run.values["residual"] for run in sent]))
     fidelities["coherent"] = min(run.fidelity for run in coherent)
-    return Run(1.0, [], fidelities, holds=decoded,
+    return Run([], fidelities, holds=decoded,
                report={"min_residual_bell_fidelity": residual,
-                       "min_pairwise_residual_overlap": fidelities["overlap"]},
-               values={"all_decoded": decoded})
+                       "min_pairwise_residual_overlap": fidelities["overlap"]})
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +635,14 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
     drawn and run in batches of at most VERIFY_CHUNK, the first batch led by
     the row's fixed inputs, one Run per input, so memory does not grow with
     `trials`; the last three entries read runs of the first batches before
-    them.  The pass rule: every run holds, the ledger of every branch
-    matches the row's target if it has one, and every fidelity is exactly 1
-    if each input of the entry is fixed, else at least PROTOCOL_FIDELITY.
-    Each entry also states its number of runs (`cases`), the input index of
-    its lowest-fidelity run (`worst_case`; the first within WORST_CASE_TIE
-    of the lowest, so float noise cannot move it) and that fidelity minus
-    the run's threshold (`margin`).  Returns a JSON-ready report; overall
-    `pass` is True only if every entry passed.
+    them.  The pass rule, judged here alone: every run holds, the ledger of
+    every branch matches the row's target if it has one, and every fidelity
+    reaches the row's bar, PROTOCOL_FIDELITY if the row draws inputs, else
+    exactly 1.  Each entry also states its number of runs (`cases`), the
+    input index of its lowest-fidelity run (`worst_case`; the first within
+    WORST_CASE_TIE of the lowest, so float noise cannot move it) and that
+    fidelity minus the row's bar (`margin`).  Returns a JSON-ready report;
+    overall `pass` is True only if every entry passed.
     """
     rng = SplitMix64(seed)
     protocol, demo = "protocols", "rule_demos"
@@ -664,14 +656,15 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
             yield runner(np.vstack([np.asarray(fixed, dtype=complex), inputs]) if start == 0 else inputs)
 
     def row(section, name, target, batches) -> list[Run]:
-        """Add the row's entry to the report; its first batch of runs."""
+        """Add the row's entry to the report; its first batch of runs.  A
+        row of fixed runs is a list, and `drawn` yields a row's batches."""
+        bar = 1.0 if isinstance(batches, list) else PROTOCOL_FIDELITY
         wanted = None if target is None else _wanted_counts(target)
-        fidelities, thresholds, passed, first = [], [], True, None
+        fidelities, passed, first = [], True, None
         for runs in batches:
             first = runs if first is None else first
             fidelities += [run.fidelity for run in runs]
-            thresholds += [run.threshold for run in runs]
-            passed &= all(run.passed and (wanted is None or all(
+            passed &= all(run.holds and run.fidelity >= bar and (wanted is None or all(
                 (ledger.consumed, ledger.produced) == wanted for ledger in run.ledgers)) for run in runs)
             del runs  # the next batch runs without this one (the first stays in `first`)
         low = min(fidelities)
@@ -680,7 +673,7 @@ def verify_all(trials: int = 50, seed: int = 0) -> dict:
         if first[0].ledgers:
             entry["ledger"] = first[0].ledger.as_json()
         report[section].append({**entry, **first[0].report, "pass": passed, "cases": len(fidelities),
-                                "worst_case": worst, "margin": low - thresholds[worst]})
+                                "worst_case": worst, "margin": low - bar})
         return first
 
     teleported = row(protocol, "teleportation", PRIMITIVES["tp"],

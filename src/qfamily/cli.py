@@ -27,6 +27,7 @@ if _one_blas_thread:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 try:
     import argparse
+    import re
     import sys
     from fractions import Fraction
     from math import lcm
@@ -173,8 +174,10 @@ def cmd_rates(args) -> int:
 
 
 def _grid_value(text: str) -> Fraction:
+    # Fraction builds 10**exponent (minutes at 1e-99999999); past 9999 no verdict moves
+    big = re.fullmatch(r"(.*e[-+]?)(\d+(?:_\d+)*)(\s*)", text, re.IGNORECASE | re.DOTALL)
     try:
-        value = Fraction(text)
+        value = Fraction(f"{big[1]}9999{big[3]}" if big and int(big[2]) > 9999 else text)
         float(value)
     except ZeroDivisionError:
         raise CliError(f"grid value {text!r} has a zero denominator") from None

@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 DERIVATION, ALGEBRA = "src/qfamily/derivation.py", "src/qfamily/algebra.py"
 ENTROPY, CIRCUITS = "src/qfamily/entropy.py", "src/qfamily/circuits.py"
 CHANNELS, CLI = "src/qfamily/channels.py", "src/qfamily/cli.py"
+GRAMMAR = "src/qfamily/grammar.py"
 FAMILY = "-m qfamily.cli family"
 VERIFY_CIRCUITS = "-m qfamily.cli verify-circuits --trials 5 --seed 1"
 SYMBOLIC = "tests/check_symbolic.py"
@@ -67,6 +68,8 @@ CIRCUIT_TESTS = "tests/test_circuits.py::"
 BUILT_ONCE = "Each registered object builds its pure state once"
 RUNS_ONCE = "Each protocol circuit runs once per `verify_all`"
 NO_NUMERIC_CODE = "Symbolic verbs load no numeric code"
+ONE_PLACE = "One pass rule in one place"
+CLAIM_BAR_TEST = CIRCUIT_TESTS + "test_one_claim_bar_books_a_near_exact_ebit_and_its_entry_still_fails"
 
 
 def _regeneration_failed(member: str, target: str) -> tuple[str, str]:
@@ -276,6 +279,29 @@ MUTANTS = (
         "    from . import channels, grammar\n",
         (NO_NUMERIC_CODE, "`from . import channels` put back into `cli.py`'s start-up block"),
         tests=("tests/test_cli.py::test_a_symbolic_verb_loads_no_numeric_module",),
+    ),
+    Mutant(
+        "fixed-input-entries-at-the-claim-bar", CIRCUITS,
+        "bar = 1.0 if isinstance(batches, list) else PROTOCOL_FIDELITY",
+        "bar = PROTOCOL_FIDELITY",
+        (ONE_PLACE, "the bar of an entry without drawn inputs lowered to `PROTOCOL_FIDELITY`"),
+        tests=(CIRCUIT_TESTS + "test_a_fixed_input_entry_fails_one_ulp_below_fidelity_1",
+               CLAIM_BAR_TEST),
+    ),
+    Mutant(
+        "claims-book-only-at-fidelity-1", CIRCUITS,
+        "            if value >= PROTOCOL_FIDELITY:\n",
+        "            if value >= 1.0:\n",
+        (ONE_PLACE, "`_claim`'s bar raised to 1.0"),
+        commands=((VERIFY_CIRCUITS, ""),),
+        tests=(CLAIM_BAR_TEST,),
+    ),
+    Mutant(
+        "format-rational-divides-by-zero-at-thirds", GRAMMAR,
+        'return str(p) if q == 1 else f"{p}/{q}"',
+        'return str(p) if q == 1 else f"{p}/{q // (q != 3)}"',
+        (ONE_PLACE, "a `ZeroDivisionError` planted in `grammar`"),
+        tests=("tests/test_cli_fuzz.py::test_every_run_exits_0_or_1_quietly_or_2_with_one_error_line",),
     ),
 )
 

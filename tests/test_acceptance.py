@@ -185,13 +185,13 @@ def test_criterion_5_circuit_suite():
 
     [teleported], [coherent] = run_teleportation(PLUS), run_coherent_teleportation(PLUS)
     rule_i = demo_rule_I_on_teleportation(teleported, coherent)
-    assert all(abs(p - 0.25) <= 1e-12 for p in rule_i.values["outcome_probabilities"].values())
-    assert len(rule_i.values["outcome_probabilities"]) == 4
+    assert all(abs(p - 0.25) <= 1e-12 for p in rule_i.report["outcome_probabilities"].values())
+    assert len(rule_i.report["outcome_probabilities"]) == 4
     assert rule_i.fidelities["overlap"] >= 1 - 1e-12
 
     sent = [run_superdense(bits) for bits in itertools.product((0, 1), repeat=2)]
     rule_o = demo_rule_O_on_superdense(sent, run_coherent_superdense(np.eye(4)))
-    assert rule_o.passed
+    assert rule_o.holds and rule_o.fidelity == 1.0
     assert rule_o.fidelities["overlap"] >= 1 - 1e-12
     assert min(rule_o.fidelities[bits] for bits in itertools.product((0, 1), repeat=2)) >= 1 - 1e-12
 

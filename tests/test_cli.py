@@ -336,11 +336,16 @@ def test_the_largest_64_bit_seed_is_taken(capsys, verb):
 @pytest.mark.parametrize("grid, message", [
     ("1e400", "grid value '1e400' does not fit a float"),
     ("1e-400", "grid value '1e-400' does not fit a float"),
+    # read at once: Fraction alone would first build 10**99999999
+    ("1e99999999", "grid value '1e99999999' does not fit a float"),
+    ("0:1:-1e-99_999_999", "grid value '-1e-99_999_999' does not fit a float"),
     ("nan", "grid value 'nan' is not a number"),
     ("abc", "grid value 'abc' is not a number"),
+    ("1e 99999999", "grid value '1e 99999999' is not a number"),
     ("0:1:0.5,0.7", "grid value '0.5,0.7' is not a number"),
     (",", "grid value '' is not a number"),
-], ids=["1e400", "1e-400", "nan", "abc", "comma-in-a-range", "comma-alone"])
+], ids=["1e400", "1e-400", "huge-exponent", "huge-negative-exponent", "nan", "abc", "exponent-after-a-space",
+        "comma-in-a-range", "comma-alone"])
 def test_a_grid_value_beyond_float_range_exits_2(capsys, grid, message):
     code, out, err = run_cli(capsys, "sweep", "--channel", "erasure", "--param", grid)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -351,6 +356,10 @@ def test_a_nonzero_grid_value_whose_float_underflows_is_refused(grid):
     # a step that rounds to 0.0 would repeat the first point without end
     with pytest.raises(cli.CliError, match=r"^grid value '-?1e-400' does not fit a float$"):
         cli._parse_grid(grid)
+
+
+def test_zero_with_a_huge_exponent_is_zero():
+    assert cli._parse_grid("0e-99999999,0.0e+99999999") == [0.0, 0.0]
 
 
 def test_a_grid_range_is_walked_one_point_at_a_time(capsys):
